@@ -50,6 +50,7 @@ from .iterations import (
     run_batch_gm,
     run_population,
     run_sgm,
+    run_sgm_trials,
     sample_index_plan,
 )
 from .kernels import GramMatrix, KernelSpec, build_gram, cross_matrix, kappa_sq, kernel_eval

@@ -12,15 +12,13 @@ Every artifact embeds its fully resolved configuration (flags, seeds,
 generator names), so rerunning an artifact's embedded config reproduces
 it bit for bit. Exit codes: 0 all requested checks passed; 1 a check
 failed; 2 usage error; 3 unreadable or unwritable file; 4 invalid
-configuration; 5 divergence. ``SGDLSQ_THREADS`` sets the default trial
-worker count (advisory; outputs do not depend on it).
+configuration; 5 divergence.
 """
 
 import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,10 +26,11 @@ import numpy as np
 from . import __version__
 from .bounds import acceptance_sweep, verdicts_to_csv
 from .data import abs_target, gen_synthetic_abs, load_csv, minmax_scale, split
-from .decomposition import decompose, decompose_batch, excess_risk, fit_rate
+from .decomposition import decompose, decompose_batch, fit_rate
 from .errors import DataFormatError, DivergenceError
-from .iterations import log_checkpoints, run_batch_gm, run_sgm, sample_index_plan
-from .kernels import KernelSpec, kappa_sq
+from .iterations import (log_checkpoints, run_batch_gm, run_sgm, run_sgm_trials,
+                         sample_index_plan)
+from .kernels import KernelSpec, cross_matrix, kappa_sq
 from .rng import GENERATOR_NAME, SEED_MIXER_NAME, make_rng, mix_seed
 from .schedules import RECIPE_IDS, StepSchedule, recipe, recipe_table, validate_schedule
 from .spaces import AnchorSet
@@ -69,13 +68,6 @@ _DECOMPOSE_DEFAULTS = {
 }
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get("SGDLSQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_config_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -89,15 +81,24 @@ def _load_config_file(path):
     return cfg
 
 
+def _file_value(name, val, want):
+    """A config-file value of its flag's type; ints pass for floats."""
+    if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
+        raise ValueError(f"config key {name!r} must be {want.__name__}, got {val!r}")
+    return want(val)
+
+
 def _resolve(args, names, defaults, preset=None):
     """Fill unset flags from (in order) the config file, the preset, and
     the built-in defaults; returns the fully explicit config dict."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     out = {}
     for name in names:
-        val = getattr(args, name, None)
-        if val is None:
-            val = file_cfg.get(name)
+        val = file_cfg.get(name)
+        if val is not None:
+            val = _file_value(name, val, type(defaults[name]))
+        if getattr(args, name, None) is not None:
+            val = getattr(args, name)
         if val is None and preset:
             val = preset.get(name)
         if val is None:
@@ -132,7 +133,6 @@ def cmd_decompose(args):
     names = list(_DECOMPOSE_DEFAULTS)
     cfg = _resolve(args, names, _DECOMPOSE_DEFAULTS, preset)
     cfg["preset"] = args.preset
-    cfg["threads"] = args.threads
 
     sample = gen_synthetic_abs(cfg["m"], seed=mix_seed(cfg["seed"], 0), noise_sd=cfg["noise_sd"])
     kernel = KernelSpec("gaussian", sigma=cfg["sigma"])
@@ -155,7 +155,6 @@ def cmd_decompose(args):
             R=cfg["R"],
             base_seed=mix_seed(cfg["seed"], 2),
             checkpoints=cps,
-            n_threads=args.threads,
         )
     report = dataclasses.replace(report, config=_provenance(cfg))
     report.to_csv(args.out + ".csv")
@@ -194,20 +193,23 @@ def cmd_rates(args):
     }
     kernel = KernelSpec("gaussian", sigma=args.sigma)
     surr = make_rng(mix_seed(args.seed, 0)).random(args.N)
+    f_surr = abs_target(surr)
     rows = []
     for mi, m in enumerate(m_grid):
         rec = recipe(args.recipe, m, zeta=args.zeta, gamma=args.gamma, c_eta=args.c_eta)
-        risks = []
-        for trial in range(args.trials):
-            stream = mix_seed(args.seed, 1 + mi * args.trials + trial)
-            sample = gen_synthetic_abs(m, seed=mix_seed(stream, 0), noise_sd=args.noise_sd)
-            ctx = AnchorSet.build(kernel, sample.x, check_psd=False)
-            if rec.is_batch:
-                traj = run_batch_gm(sample, ctx, rec.schedule, rec.t_star, (rec.t_star,))
-            else:
-                plan = sample_index_plan(m, rec.b, rec.t_star, mix_seed(stream, 1))
-                traj = run_sgm(sample, ctx, rec.schedule, plan, (rec.t_star,))
-            risks.append(excess_risk(traj.final, surr, abs_target))
+        streams = [mix_seed(args.seed, 1 + mi * args.trials + trial)
+                   for trial in range(args.trials)]
+        samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=args.noise_sd)
+                   for s in streams]
+        if rec.is_batch:
+            finals = [run_batch_gm(s, AnchorSet.build(kernel, s.x, check_psd=False), rec.schedule,
+                                   rec.t_star, (rec.t_star,)).final.coeffs for s in samples]
+        else:
+            plans = [sample_index_plan(m, rec.b, rec.t_star, mix_seed(s, 1)) for s in streams]
+            finals = run_sgm_trials(samples, kernel, rec.schedule, plans, (rec.t_star,))[0]
+        # excess risk over the surrogate points, computed as excess_risk does
+        risks = [float(np.mean((cross_matrix(kernel, surr, s.x) @ c - f_surr) ** 2))
+                 for s, c in zip(samples, finals)]
         mean = float(np.mean(risks))
         se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
         rows.append(
@@ -418,7 +420,6 @@ def build_parser():
     p.add_argument("--surrogate", choices=("iid", "grid"), default=None)
     p.add_argument("--checkpoints", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_decompose)
 

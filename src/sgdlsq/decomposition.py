@@ -31,18 +31,16 @@ approximation mismatch.
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Sample
-from .errors import DivergenceError
 from .iterations import (
     normalize_checkpoints,
     run_batch_gm,
     run_population,
-    run_sgm,
+    run_sgm_trials,
     sample_index_plan,
 )
 from .kernels import KernelSpec, cross_matrix
@@ -195,15 +193,37 @@ def fit_rate(pairs) -> RateFit:
     )
 
 
-def _eval_trajectory(traj, pts, cross=None):
+def _values(traj, mat):
     """Surrogate-point values of every checkpoint vector, (n_cp, N)."""
-    out = np.empty((len(traj.vectors), pts.shape[0]))
-    for i, vec in enumerate(traj.vectors):
-        if cross is not None and vec.backend == "kernel":
-            out[i] = cross @ vec.coeffs
-        else:
-            out[i] = predict(vec, pts)
-    return out
+    return np.array([mat @ v.coeffs for v in traj.vectors])
+
+
+def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
+    """What both reports share: the surrogate targets, the training
+    context, the matrix taking training coefficients to surrogate values,
+    the batch iterate's surrogate values, bias^2 and sample variance^2."""
+    pts = _surrogate_points(surrogate)
+    f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(f_vals)):
+        raise ValueError("f_true produced non-finite values on the surrogate")
+    if kernel is None:
+        ctx, eval_mat = None, pts.reshape(pts.shape[0], -1)
+        pop_vals = _values(run_population(pts, f_true, schedule, T, cps), eval_mat)
+    else:
+        ctx = AnchorSet.build(kernel, sample.x, check_psd=None)
+        surr_run = (
+            surrogate
+            if isinstance(surrogate, AnchorSet)
+            else AnchorSet.build(kernel, pts, check_psd=False)
+        )
+        eval_mat = cross_matrix(kernel, pts, sample.x)
+        # population expansions are anchored on the surrogate itself
+        pop_traj = run_population(surr_run, f_true, schedule, T, cps)
+        pop_vals = _values(pop_traj, surr_run.gram.values)
+    batch_vals = _values(run_batch_gm(sample, ctx, schedule, T, cps), eval_mat)
+    bias_sq = np.mean((pop_vals - f_vals[None, :]) ** 2, axis=1)
+    sample_var_sq = np.mean((batch_vals - pop_vals) ** 2, axis=1)
+    return f_vals, ctx, eval_mat, batch_vals, bias_sq, sample_var_sq
 
 
 def decompose(
@@ -217,7 +237,6 @@ def decompose(
     R: int,
     base_seed: int,
     checkpoints=None,
-    n_threads: int = 1,
 ) -> DecompositionReport:
     """Estimate the three-term decomposition along one training run.
 
@@ -225,66 +244,23 @@ def decompose(
     iteration once on the sample, and R mini-batch runs whose plans use
     seeds ``mix_seed(base_seed, r)`` for r = 0..R-1. ``kernel=None``
     selects the euclidean backend, in which case ``surrogate`` is a
-    coordinate array. Trials may be evaluated by ``n_threads`` workers;
-    the reduction always consumes them in trial order, so results do
-    not depend on scheduling.
+    coordinate array. The R trials advance together through
+    :func:`run_sgm_trials`.
     """
     if R < 2:
         raise ValueError(f"need at least 2 trials for standard errors, got {R}")
     cps = normalize_checkpoints(checkpoints, T)
-    pts = _surrogate_points(surrogate)
-    f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(f_vals)):
-        raise ValueError("f_true produced non-finite values on the surrogate")
+    f_vals, ctx, eval_mat, batch_vals, bias_sq, sample_var_sq = _deterministic_terms(
+        sample, surrogate, f_true, kernel, schedule, T, cps)
 
-    if kernel is None:
-        ctx = None
-        surr_run = pts
-        cross = None
-    else:
-        ctx = AnchorSet.build(kernel, sample.x, check_psd=None)
-        surr_run = (
-            surrogate
-            if isinstance(surrogate, AnchorSet)
-            else AnchorSet.build(kernel, pts, check_psd=False)
-        )
-        cross = cross_matrix(kernel, pts, sample.x)
+    plans = [sample_index_plan(sample.m, b, T, mix_seed(base_seed, r)) for r in range(R)]
+    # every trial's value at every surrogate point, (n_cp, R, N)
+    vals = run_sgm_trials(sample, ctx, schedule, plans, cps) @ eval_mat.T
+    sq = vals - f_vals
+    tot_trials = np.square(sq, out=sq).mean(axis=2).T  # (R, n_cp)
+    np.subtract(vals, batch_vals[:, None, :], out=sq)
+    comp_trials = np.square(sq, out=sq).mean(axis=2).T
 
-    pop_traj = run_population(surr_run, f_true, schedule, T, cps)
-    if kernel is None:
-        pop_vals = _eval_trajectory(pop_traj, pts)
-    else:
-        # population expansions are anchored on the surrogate itself
-        pop_vals = np.array([surr_run.gram.values @ v.coeffs for v in pop_traj.vectors])
-    batch_traj = run_batch_gm(sample, ctx, schedule, T, cps)
-    batch_vals = _eval_trajectory(batch_traj, pts, cross)
-
-    n_cp = len(cps)
-
-    def one_trial(r):
-        plan = sample_index_plan(sample.m, b, T, mix_seed(base_seed, r))
-        try:
-            traj = run_sgm(sample, ctx, schedule, plan, cps)
-        except DivergenceError as exc:
-            raise DivergenceError(exc.iteration, f"trial {r}") from exc
-        vals = _eval_trajectory(traj, pts, cross)
-        comp_r = np.mean((vals - batch_vals) ** 2, axis=1)
-        tot_r = np.mean((vals - f_vals[None, :]) ** 2, axis=1)
-        return comp_r, tot_r
-
-    comp_trials = np.empty((R, n_cp))
-    tot_trials = np.empty((R, n_cp))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(one_trial, range(R)))
-    else:
-        results = [one_trial(r) for r in range(R)]
-    for r, (comp_r, tot_r) in enumerate(results):
-        comp_trials[r] = comp_r
-        tot_trials[r] = tot_r
-
-    bias_sq = np.mean((pop_vals - f_vals[None, :]) ** 2, axis=1)
-    sample_var_sq = np.mean((batch_vals - pop_vals) ** 2, axis=1)
     comp_var_sq = comp_trials.mean(axis=0)
     total = tot_trials.mean(axis=0)
     total_se = tot_trials.std(axis=0, ddof=1) / math.sqrt(R)
@@ -292,7 +268,7 @@ def decompose(
 
     rhs = 2.0 * bias_sq + 2.0 * sample_var_sq + comp_var_sq + 5.0 * combined_se
     ineq_ok = tuple(
-        bool(total[i] <= rhs[i] + _SLACK * max(1.0, rhs[i])) for i in range(n_cp)
+        bool(total[i] <= rhs[i] + _SLACK * max(1.0, rhs[i])) for i in range(len(cps))
     )
     return DecompositionReport(
         checkpoints=cps,
@@ -325,31 +301,9 @@ def decompose_batch(
     batch iterate to the regression function.
     """
     cps = normalize_checkpoints(checkpoints, T)
-    pts = _surrogate_points(surrogate)
-    f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
-    if kernel is None:
-        ctx = None
-        surr_run = pts
-        cross = None
-    else:
-        ctx = AnchorSet.build(kernel, sample.x, check_psd=None)
-        surr_run = (
-            surrogate
-            if isinstance(surrogate, AnchorSet)
-            else AnchorSet.build(kernel, pts, check_psd=False)
-        )
-        cross = cross_matrix(kernel, pts, sample.x)
-    pop_traj = run_population(surr_run, f_true, schedule, T, cps)
-    if kernel is None:
-        pop_vals = _eval_trajectory(pop_traj, pts)
-    else:
-        pop_vals = np.array([surr_run.gram.values @ v.coeffs for v in pop_traj.vectors])
-    batch_traj = run_batch_gm(sample, ctx, schedule, T, cps)
-    batch_vals = _eval_trajectory(batch_traj, pts, cross)
-
+    f_vals, _, _, batch_vals, bias_sq, sample_var_sq = _deterministic_terms(
+        sample, surrogate, f_true, kernel, schedule, T, cps)
     n_cp = len(cps)
-    bias_sq = np.mean((pop_vals - f_vals[None, :]) ** 2, axis=1)
-    sample_var_sq = np.mean((batch_vals - pop_vals) ** 2, axis=1)
     total = np.mean((batch_vals - f_vals[None, :]) ** 2, axis=1)
     zeros = np.zeros(n_cp)
     rhs = 2.0 * bias_sq + 2.0 * sample_var_sq
@@ -415,14 +369,8 @@ def unbiasedness_check(
         return UnbiasednessReport(
             deviation=0.0, trace_variance=0.0, bound=0.0, r_trials=R, t=t
         )
-    coeffs = None
-    for r in range(R):
-        plan = sample_index_plan(sample.m, b, steps, mix_seed(base_seed, r))
-        traj = run_sgm(sample, ctx, schedule, plan, checkpoints=(steps,))
-        vec = traj.final.coeffs
-        if coeffs is None:
-            coeffs = np.empty((R, vec.shape[0]))
-        coeffs[r] = vec
+    plans = [sample_index_plan(sample.m, b, steps, mix_seed(base_seed, r)) for r in range(R)]
+    coeffs = run_sgm_trials(sample, ctx, schedule, plans, (steps,))[0]
     batch = run_batch_gm(sample, ctx, schedule, steps, checkpoints=(steps,)).final.coeffs
     # anchoring the mean on the first trial keeps identical trials exact
     mean = coeffs[0] + (coeffs - coeffs[0]).mean(axis=0)

@@ -10,7 +10,7 @@ All three start from the zero element and share the step-size law from
   the whole sample, pre-drawn into an :class:`IndexPlan`, so a run is a
   pure function of its inputs and every rerun is bit-identical.
 * A single run is inherently sequential; independent runs (distinct
-  plans) share no mutable state and may execute concurrently.
+  plans) advance in lockstep as one block (:func:`run_sgm_trials`).
 
 Averaging the mini-batch iterate over many independent index plans
 recovers the batch iterate at every step: conditioned on the sample,
@@ -25,11 +25,16 @@ import numpy as np
 
 from .data import Sample
 from .errors import DimensionMismatch, DivergenceError
+from .kernels import KernelSpec, build_gram
 from .rng import make_rng
 from .schedules import StepSchedule, passes
 from .spaces import AnchorSet, HypothesisVector, euclidean_vector, kernel_vector
 
 _DIVERGENCE_LIMIT = 1e12
+
+# Bytes of per-trial data (stacked Grams or inputs plus one step's rows)
+# run_sgm_trials holds at once: eight m=1024 Grams; more trials run in chunks.
+_STACK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,77 @@ def _kernel_ctx(sample: Sample, ctx: AnchorSet) -> np.ndarray:
     return ctx.gram.values
 
 
+def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None) -> np.ndarray:
+    """Mini-batch SGM over R index plans at once, in lockstep.
+
+    ``samples`` is one :class:`Sample` shared by all trials or one per
+    plan. ``ctx`` is ``None`` (euclidean), an :class:`AnchorSet` on the
+    shared sample's points, or a :class:`KernelSpec` with per-trial
+    samples, whose Grams (or inputs) are stacked in chunks of trials
+    within ``_STACK_BYTES``. Each step gathers the sampled rows of all
+    trials as one (R, b, w) block and contracts it with the (R, w)
+    iterate block, so trial r follows a single run on plan r bit for
+    bit. Returns the checkpoint iterates, (n_cp, R, w) with w = m
+    (kernel) or d (euclidean). Divergence raises
+    ``DivergenceError(t, "trial r")`` for the earliest diverging step t
+    and the lowest trial r diverging at it.
+    """
+    plans = list(plans)
+    stacked = not isinstance(samples, Sample)
+    samples = list(samples) if stacked else [samples]
+    if not plans or (stacked and len(samples) != len(plans)):
+        raise ValueError(f"need one sample per index plan, got {len(samples)} for {len(plans)}")
+    R, m, b, T = len(plans), samples[0].m, plans[0].b, plans[0].T
+    if any((p.m, p.b, p.T) != (m, b, T) for p in plans) or any(s.m != m for s in samples):
+        raise ValueError("index plans and samples must share the sample size, b and T")
+    kernel = ctx is not None
+    if kernel and stacked != isinstance(ctx, KernelSpec):
+        raise ValueError("per-trial samples take a KernelSpec, a shared sample an AnchorSet")
+    if not stacked:
+        src, ys = _kernel_ctx(samples[0], ctx) if kernel else _as_matrix(samples[0].x), samples[0].y
+    w = m if kernel else samples[0].dim
+    cps = normalize_checkpoints(checkpoints, T)
+    cp_pos = {t: i for i, t in enumerate(cps)}
+    etas = schedule.etas(T) / b
+    idx = np.stack([p.indices for p in plans], axis=1)  # (T, R, b)
+    out = np.empty((len(cps), R, w))
+    chunk = max(1, _STACK_BYTES // (8 * w * (b + (m if stacked else 0))))
+    diverged = None
+    for lo in range(0, R, chunk):
+        n = min(chunk, R - lo)
+        # flat[t - 1] locates each trial's sampled rows in the stacked
+        # samples and its sampled coefficients in A.ravel()
+        flat = idx[:, lo:lo + n] + (np.arange(n) * m)[:, None]
+        gidx = flat if stacked else idx[:, lo:lo + n]
+        if stacked:
+            src = np.empty((n, m, w))
+            for j, s in enumerate(samples[lo:lo + n]):
+                src[j] = build_gram(ctx, s.x, check_psd=False).values if kernel else _as_matrix(s.x)
+            src = src.reshape(-1, w)
+            ys = np.concatenate([s.y for s in samples[lo:lo + n]])
+        A = np.zeros((n, w))
+        a = A.reshape(-1)
+        for t in range(1, T + 1 if diverged is None else diverged[0]):
+            rows = src[gidx[t - 1]]
+            resid = np.matmul(rows, A[:, :, None])[..., 0] - ys[gidx[t - 1]]
+            if kernel:
+                np.subtract.at(a, flat[t - 1], etas[t - 1] * resid)
+                # only the sampled coefficients can change, so checking
+                # them keeps the divergence guard O(b) per trial
+                guard = np.abs(a[flat[t - 1]])
+            else:
+                A -= etas[t - 1] * np.matmul(rows.transpose(0, 2, 1), resid[:, :, None])[..., 0]
+                guard = np.abs(A)
+            if not guard.max() <= _DIVERGENCE_LIMIT:  # also catches nan
+                diverged = t, lo + int(np.argmax(~(guard <= _DIVERGENCE_LIMIT).all(axis=1)))
+                break
+            if t in cp_pos:
+                out[cp_pos[t], lo:lo + n] = A
+    if diverged is not None:
+        raise DivergenceError(diverged[0], f"trial {diverged[1]}")
+    return out
+
+
 def run_sgm(
     sample: Sample,
     ctx: AnchorSet | None,
@@ -143,47 +219,21 @@ def run_sgm(
     points. With ``ctx=None`` the iterate is a coordinate vector over
     ``sample.x``; with an anchor set (built on the sample points) it is
     a kernel expansion and only the b sampled coefficients change per
-    step, at O(m b) cost from the gathered Gram rows.
+    step, at O(m b) cost from the gathered Gram rows. This is the
+    single-plan case of :func:`run_sgm_trials`.
     """
-    if plan.m != sample.m:
-        raise DimensionMismatch("index plan vs sample", sample.m, plan.m)
-    T = plan.T
-    cps = normalize_checkpoints(checkpoints, T)
-    cp_set = set(cps)
-    y = sample.y
-    etas = schedule.etas(T)
-    out = []
-    if ctx is None:
-        x = _as_matrix(sample.x)
-        w = np.zeros(x.shape[1])
-        for t in range(1, T + 1):
-            batch = plan.indices[t - 1]
-            xb = x[batch]
-            resid = xb @ w - y[batch]
-            w -= (etas[t - 1] / plan.b) * (xb.T @ resid)
-            _check_state(w, t, "sgm/euclidean")
-            if t in cp_set:
-                out.append(euclidean_vector(w))
-    else:
-        gram = _kernel_ctx(sample, ctx)
-        alpha = np.zeros(sample.m)
-        scale = _DIVERGENCE_LIMIT
-        for t in range(1, T + 1):
-            batch = plan.indices[t - 1]
-            resid = gram[batch] @ alpha - y[batch]
-            np.subtract.at(alpha, batch, (etas[t - 1] / plan.b) * resid)
-            # only the sampled coefficients can change, so checking them
-            # keeps the divergence guard O(b)
-            touched = alpha[batch]
-            if not np.all(np.isfinite(touched)) or np.max(np.abs(touched)) > scale:
-                raise DivergenceError(t, "sgm/kernel")
-            if t in cp_set:
-                out.append(kernel_vector(alpha, ctx))
+    cps = normalize_checkpoints(checkpoints, plan.T)
+    backend = "euclidean" if ctx is None else "kernel"
+    try:
+        block = run_sgm_trials(sample, ctx, schedule, [plan], cps)
+    except DivergenceError as exc:
+        raise DivergenceError(exc.iteration, f"sgm/{backend}") from None
     return Trajectory(
         checkpoints=cps,
-        vectors=tuple(out),
+        vectors=tuple(euclidean_vector(c) if ctx is None else kernel_vector(c, ctx)
+                      for c in block[:, 0]),
         passes=tuple(passes(plan.b, t, sample.m) for t in cps),
-        backend="euclidean" if ctx is None else "kernel",
+        backend=backend,
     )
 
 

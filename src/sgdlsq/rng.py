@@ -8,7 +8,7 @@ All randomness in the package flows through two primitives:
 * ``mix_seed(base_seed, r)`` derives the seed for trial ``r`` as the
   r-th output of a SplitMix64 stream started at ``base_seed``. Distinct
   trials therefore get decorrelated seeds that can be computed
-  independently, which keeps independent trials embarrassingly parallel.
+  independently, in any order and in any grouping of trials.
 """
 
 import numpy as np

@@ -31,8 +31,9 @@ from sgdlsq import (
     Sample,
     abs_target,
     acceptance_sweep,
+    cross_matrix,
     decompose,
-    excess_risk,
+    euclidean_vector,
     fit_rate,
     gen_linear_attainable,
     gen_synthetic_abs,
@@ -47,6 +48,7 @@ from sgdlsq import (
     run_batch_gm,
     run_population,
     run_sgm,
+    run_sgm_trials,
     sample_index_plan,
     save_csv,
     split,
@@ -72,17 +74,17 @@ def _risk_at_tstar(rid, m, trials, base_seed, surrogate):
     """Mean excess risk of one recipe at its own stopping iteration,
     averaged over fresh samples (and index plans where applicable)."""
     rec = recipe(rid, m, zeta=0.5, gamma=1.0, c_eta=0.125)
-    risks = []
-    for trial in range(trials):
-        stream = mix_seed(base_seed, trial)
-        sample = gen_synthetic_abs(m, seed=mix_seed(stream, 0), noise_sd=1.0)
-        ctx = AnchorSet.build(GAUSS, sample.x, check_psd=False)
-        if rec.is_batch:
-            traj = run_batch_gm(sample, ctx, rec.schedule, rec.t_star, (rec.t_star,))
-        else:
-            plan = sample_index_plan(m, rec.b, rec.t_star, mix_seed(stream, 1))
-            traj = run_sgm(sample, ctx, rec.schedule, plan, (rec.t_star,))
-        risks.append(excess_risk(traj.final, surrogate, abs_target))
+    streams = [mix_seed(base_seed, trial) for trial in range(trials)]
+    samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=1.0) for s in streams]
+    if rec.is_batch:
+        finals = [run_batch_gm(s, AnchorSet.build(GAUSS, s.x, check_psd=False), rec.schedule,
+                               rec.t_star, (rec.t_star,)).final.coeffs for s in samples]
+    else:
+        plans = [sample_index_plan(m, rec.b, rec.t_star, mix_seed(s, 1)) for s in streams]
+        finals = run_sgm_trials(samples, GAUSS, rec.schedule, plans, (rec.t_star,))[0]
+    f_surr = abs_target(surrogate)
+    risks = [np.mean((cross_matrix(GAUSS, surrogate, s.x) @ c - f_surr) ** 2)
+             for s, c in zip(samples, finals)]
     return float(np.mean(risks))
 
 
@@ -250,14 +252,13 @@ def test_criterion_8_norm_convergence_on_attainable_instances():
     errors = []
     for mi, m in enumerate(M_GRID):
         rec = recipe("C3", m, zeta=0.5, gamma=1.0, c_eta=0.125)
-        vals = []
-        for trial in range(10):
-            stream = mix_seed(mix_seed(77, mi), trial)
-            sample, w = gen_linear_attainable(m, d, w_star, noise_sd=0.5,
-                                              seed=mix_seed(stream, 0))
-            plan = sample_index_plan(m, rec.b, rec.t_star, mix_seed(stream, 1))
-            traj = run_sgm(sample, None, rec.schedule, plan, (rec.t_star,))
-            vals.append(h_norm_error(traj.final, w))
+        streams = [mix_seed(mix_seed(77, mi), trial) for trial in range(10)]
+        drawn = [gen_linear_attainable(m, d, w_star, noise_sd=0.5, seed=mix_seed(s, 0))
+                 for s in streams]
+        plans = [sample_index_plan(m, rec.b, rec.t_star, mix_seed(s, 1)) for s in streams]
+        finals = run_sgm_trials([smp for smp, _ in drawn], None, rec.schedule, plans,
+                                (rec.t_star,))[0]
+        vals = [h_norm_error(euclidean_vector(c), w) for c, (_, w) in zip(finals, drawn)]
         errors.append(float(np.mean(vals)))
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     fit = fit_rate(list(zip(M_GRID, errors)))

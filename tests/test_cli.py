@@ -115,6 +115,38 @@ class TestDecompose:
         assert json.loads((tmp_path / "override.json").read_text())["config"]["m"] == 12
 
 
+    def test_divergent_trial_is_divergence_exit(self, tmp_path, capsys):
+        """A step size at which the single-point trials blow up while the
+        averaged (population and batch) iterations stay stable."""
+        code = main(["decompose", "--m", "10", "--b", "1", "--eta1", "3", "--T", "400",
+                     "--R", "4", "--N", "50", "--checkpoints", "4", "--seed", "3",
+                     "--out", str(tmp_path / "dv")])
+        assert code == 5
+        assert "diverged at iteration 90 (trial 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", "100"),
+        ("m", 1.5),
+        ("m", True),
+        ("eta1", "0.01"),
+        ("sigma", [0.2]),
+        ("surrogate", 3),
+    ])
+    def test_wrong_typed_config_value_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_int_config_value_accepted_for_float_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 12, "eta1": 1, "b": 2, "T": 10, "R": 3, "N": 40,
+                                   "checkpoints": 3}))
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        assert json.loads((tmp_path / "x.json").read_text())["config"]["eta1"] == 1.0
+
+
 class TestRates:
     def test_tiny_grid(self, tmp_path):
         out = tmp_path / "rates"

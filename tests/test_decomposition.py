@@ -19,7 +19,12 @@ from sgdlsq import (
     h_norm_error,
     kernel_vector,
     make_schedule,
+    mix_seed,
+    predict,
+    run_batch_gm,
     run_population,
+    run_sgm,
+    sample_index_plan,
     unbiasedness_check,
     zero_vector,
 )
@@ -243,15 +248,38 @@ class TestDecompose:
         rep_bm = decompose(sample, surr, abs_target, GAUSS, sch, b=16, **common)
         assert rep_bm.comp_var_sq[0] < 0.5 * rep_b1.comp_var_sq[0]
 
-    def test_thread_count_does_not_change_results(self):
-        sample = gen_synthetic_abs(12, seed=31)
-        surr = AnchorSet.build(GAUSS, np.random.default_rng(1).random(60), check_psd=False)
+    @pytest.mark.parametrize("kernel", [GAUSS, None], ids=["kernel", "euclidean"])
+    def test_matches_per_trial_loop(self, kernel):
+        """The lockstep trials and the one-shot evaluation of every
+        checkpoint give the terms of the one-run-at-a-time computation,
+        to 1e-12 relative (the surrogate values come from one matrix
+        product instead of one per checkpoint vector)."""
+        if kernel is None:
+            sample, w_star = gen_linear_attainable(20, 3, [0.5, -0.2, 0.1], noise_sd=0.3, seed=4)
+            surr = np.random.default_rng(3).standard_normal((90, 3)) / 2
+            f_true = lambda p: p @ w_star
+        else:
+            sample, f_true = gen_synthetic_abs(12, seed=31), abs_target
+            surr = np.random.default_rng(1).random(60)
         sch = make_schedule(0.05)
-        kwargs = dict(b=3, T=25, R=8, base_seed=42, checkpoints=(5, 25))
-        a = decompose(sample, surr, abs_target, GAUSS, sch, **kwargs, n_threads=1)
-        b = decompose(sample, surr, abs_target, GAUSS, sch, **kwargs, n_threads=2)
-        np.testing.assert_array_equal(a.total, b.total)
-        np.testing.assert_array_equal(a.comp_var_sq, b.comp_var_sq)
+        cps = (5, 12, 25)
+        rep = decompose(sample, surr, f_true, kernel, sch, b=3, T=25, R=8, base_seed=42,
+                        checkpoints=cps)
+        ctx = None if kernel is None else AnchorSet.build(kernel, sample.x)
+        batch = run_batch_gm(sample, ctx, sch, 25, cps)
+        f_vals = f_true(surr)
+        comp, tot = [], []
+        for r in range(8):
+            plan = sample_index_plan(12 if kernel else 20, 3, 25, mix_seed(42, r))
+            traj = run_sgm(sample, ctx, sch, plan, cps)
+            vals = np.array([predict(v, surr) for v in traj.vectors])
+            base = np.array([predict(v, surr) for v in batch.vectors])
+            comp.append(np.mean((vals - base) ** 2, axis=1))
+            tot.append(np.mean((vals - f_vals) ** 2, axis=1))
+        np.testing.assert_allclose(rep.comp_var_sq, np.mean(comp, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(rep.total, np.mean(tot, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(rep.total_se, np.std(tot, axis=0, ddof=1) / math.sqrt(8),
+                                   rtol=1e-10)
 
     def test_requires_two_trials(self):
         sample = gen_synthetic_abs(5, seed=0)

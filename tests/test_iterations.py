@@ -1,21 +1,30 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlsq import (
     AnchorSet,
     DivergenceError,
     KernelSpec,
     Sample,
+    gen_linear_attainable,
     gen_synthetic_abs,
     kappa_sq,
     log_checkpoints,
     make_schedule,
     mean_square_error,
+    mix_seed,
     run_batch_gm,
     run_population,
     run_sgm,
+    run_sgm_trials,
     sample_index_plan,
 )
+from sgdlsq import iterations
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -221,3 +230,111 @@ class TestUnbiasednessSmall:
         dev = np.linalg.norm(acc.mean(axis=0) - batch)
         trace_var = np.sum((acc - acc.mean(axis=0)) ** 2) / (R - 1)
         assert dev <= 4 * np.sqrt(trace_var / R)
+
+
+def _sequential_sgm(sample, gram, etas, plan, cps):
+    """The one-plan-at-a-time step loop that the lockstep engine replaced,
+    kept as a bit-for-bit reference."""
+    x = sample.x[:, None] if sample.x.ndim == 1 else sample.x
+    w = np.zeros(sample.m if gram is not None else x.shape[1])
+    out = []
+    for t in range(1, plan.T + 1):
+        batch = plan.indices[t - 1]
+        if gram is not None:
+            resid = gram[batch] @ w - sample.y[batch]
+            np.subtract.at(w, batch, (etas[t - 1] / plan.b) * resid)
+        else:
+            xb = x[batch]
+            w -= (etas[t - 1] / plan.b) * (xb.T @ (xb @ w - sample.y[batch]))
+        if t in cps:
+            out.append(w.copy())
+    return np.array(out)
+
+
+def _trial_sample(kernel, m, seed):
+    if kernel:
+        return gen_synthetic_abs(m, seed=seed, noise_sd=1.0)
+    return gen_linear_attainable(m, 3, [0.6, -0.3, 0.2], noise_sd=0.5, seed=seed)[0]
+
+
+class TestLockstepTrials:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kernel=st.booleans(),
+        stacked=st.booleans(),
+        m=st.integers(1, 12),
+        b_frac=st.floats(0.0, 1.0),
+        R=st.integers(1, 5),
+        T=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+        eta1=st.floats(0.01, 0.3),
+        theta=st.floats(0.0, 0.5),
+        budget=st.sampled_from([1, 2048, iterations._STACK_BYTES]),
+        data=st.data(),
+    )
+    def test_each_trial_equals_its_single_run(self, kernel, stacked, m, b_frac, R, T,
+                                              seed, eta1, theta, budget, data):
+        """Trial r of the lockstep run equals run_sgm on plan r (and the
+        replaced sequential loop) bit for bit, for both backends, shared
+        and stacked samples, chunked (budget 1 or 2048 bytes) or not."""
+        b = 1 + int(b_frac * (m - 1))
+        cps = tuple(sorted(data.draw(st.sets(st.integers(1, T), min_size=1))))
+        samples = [_trial_sample(kernel, m, mix_seed(seed, r if stacked else 0))
+                   for r in range(R)]
+        plans = [sample_index_plan(m, b, T, mix_seed(seed + 1, r)) for r in range(R)]
+        sch = make_schedule(eta1, theta)
+        ctxs = [AnchorSet.build(GAUSS, s.x, check_psd=False) if kernel else None
+                for s in samples]
+        if stacked:
+            engine_in, engine_ctx = samples, GAUSS if kernel else None
+        else:
+            engine_in, engine_ctx = samples[0], ctxs[0]
+        with mock.patch.object(iterations, "_STACK_BYTES", budget):
+            block = run_sgm_trials(engine_in, engine_ctx, sch, plans, cps)
+        assert block.shape == (len(cps), R, m if kernel else 3)
+        for r in range(R):
+            ctx = ctxs[r] if stacked else ctxs[0]
+            single = run_sgm(samples[r], ctx, sch, plans[r], cps)
+            np.testing.assert_array_equal(block[:, r], [v.coeffs for v in single.vectors])
+            gram = ctx.gram.values if kernel else None
+            ref = _sequential_sgm(samples[r], gram, sch.etas(T), plans[r], set(cps))
+            np.testing.assert_array_equal(block[:, r], ref)
+
+    @pytest.mark.parametrize("budget", [1, iterations._STACK_BYTES])
+    def test_divergence_names_earliest_step_then_lowest_trial(self, budget, monkeypatch):
+        """One dominant point makes a sampled step unstable; trials
+        diverge at different steps, and a later trial first. The engine
+        reports the earliest step and, among trials diverging there, the
+        lowest index: exactly what run_sgm raises alone for that plan."""
+        x = np.array([[1.0, 0.0], [0.01, 0.0], [0.0, 0.01],
+                      [0.01, 0.01], [0.0, 0.005], [0.005, 0.0]])
+        sample = Sample(x=x, y=np.ones(6))
+        sch = make_schedule(4.0)
+        plans = [sample_index_plan(6, 1, 400, seed=70 + r) for r in range(6)]
+        first = {}
+        for r, plan in enumerate(plans):
+            with pytest.raises(DivergenceError) as err:
+                run_sgm(sample, None, sch, plan)
+            first[r] = err.value.iteration
+        t_min = min(first.values())
+        r_min = min(r for r, t in first.items() if t == t_min)
+        assert r_min > 0 and first[0] > t_min  # the sequential order would name trial 0
+        monkeypatch.setattr(iterations, "_STACK_BYTES", budget)
+        with pytest.raises(DivergenceError) as err:
+            run_sgm_trials(sample, None, sch, plans)
+        assert err.value.iteration == t_min
+        assert re.search(r"trial (\d+)", str(err.value)).group(1) == str(r_min)
+
+    def test_rejects_inconsistent_plans_and_contexts(self):
+        sample = gen_synthetic_abs(6, seed=1)
+        sch = make_schedule(0.1)
+        with pytest.raises(ValueError, match="must share"):
+            run_sgm_trials(sample, None, sch, [sample_index_plan(6, 1, 5, 0),
+                                               sample_index_plan(6, 2, 5, 1)])
+        with pytest.raises(ValueError, match="one sample per index plan"):
+            run_sgm_trials([sample], None, sch, [sample_index_plan(6, 1, 5, r) for r in (0, 1)])
+        with pytest.raises(ValueError, match="one sample per index plan"):
+            run_sgm_trials(sample, None, sch, [])
+        with pytest.raises(ValueError, match="KernelSpec"):
+            run_sgm_trials([sample], AnchorSet.build(GAUSS, sample.x), sch,
+                           [sample_index_plan(6, 1, 5, 0)])
