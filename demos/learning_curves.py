@@ -10,20 +10,20 @@
 import numpy as np
 
 from sgdlsq import (
-    AnchorSet,
     KernelSpec,
     abs_target,
-    excess_risk,
+    cross_matrix,
     fit_rate,
     gen_synthetic_abs,
     mix_seed,
     recipe,
-    run_sgm,
+    run_sgm_trials,
     sample_index_plan,
 )
 
 kernel = KernelSpec("gaussian", sigma=0.2)
 surrogate = np.linspace(0.0, 1.0, 2000)
+f_surrogate = abs_target(surrogate)
 m_grid = (64, 128, 256, 512)
 trials = 8
 
@@ -31,14 +31,14 @@ print("recipe C3: single-point batches, step ~ 1/m, stop at m^(3/2)")
 rows = []
 for mi, m in enumerate(m_grid):
     rec = recipe("C3", m, zeta=0.5, gamma=1.0, c_eta=0.125)
-    risks = []
-    for trial in range(trials):
-        stream = mix_seed(mix_seed(11, mi), trial)
-        sample = gen_synthetic_abs(m, seed=mix_seed(stream, 0), noise_sd=1.0)
-        ctx = AnchorSet.build(kernel, sample.x, check_psd=False)
-        plan = sample_index_plan(m, rec.b, rec.t_star, mix_seed(stream, 1))
-        traj = run_sgm(sample, ctx, rec.schedule, plan, (rec.t_star,))
-        risks.append(excess_risk(traj.final, surrogate, abs_target))
+    streams = [mix_seed(mix_seed(11, mi), trial) for trial in range(trials)]
+    samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=1.0) for s in streams]
+    plans = [sample_index_plan(m, rec.b, rec.t_star, mix_seed(s, 1)) for s in streams]
+    # the trials advance together as one (trials, m) block of coefficients
+    finals = run_sgm_trials(samples, kernel, rec.schedule, plans, (rec.t_star,))[0]
+    # excess risk: mean squared gap to the target over the surrogate points
+    risks = [np.mean((cross_matrix(kernel, surrogate, s.x) @ c - f_surrogate) ** 2)
+             for s, c in zip(samples, finals)]
     rows.append((m, float(np.mean(risks))))
     print(f"  m={m:>5}  T*={rec.t_star:>6}  passes={rec.passes:>3}  "
           f"excess risk={rows[-1][1]:.5f}")

@@ -88,10 +88,18 @@ def _file_value(name, val, want):
     return want(val)
 
 
+# keys an artifact's embedded config carries besides its flags; ``threads``
+# is a retired flag that older artifacts still hold
+_PROVENANCE_KEYS = ("preset", "generator", "seed_mixer", "version", "threads")
+
+
 def _resolve(args, names, defaults, preset=None):
     """Fill unset flags from (in order) the config file, the preset, and
     the built-in defaults; returns the fully explicit config dict."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_cfg) - set(names) - set(_PROVENANCE_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
     out = {}
     for name in names:
         val = file_cfg.get(name)

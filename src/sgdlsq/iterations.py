@@ -11,6 +11,13 @@ All three start from the zero element and share the step-size law from
   pure function of its inputs and every rerun is bit-identical.
 * A single run is inherently sequential; independent runs (distinct
   plans) advance in lockstep as one block (:func:`run_sgm_trials`).
+* The population iteration is batch GM on the noiseless surrogate
+  sample, computed in closed form as a spectral filter of a factor of
+  the surrogate Gram (pivoted Cholesky, cut once the residual diagonal
+  sums to <= 1e-15 trace) or of the euclidean inputs; the step loop of
+  :func:`run_batch_gm` runs instead when the spectrum predicts growth
+  or the factor's rank exceeds an operation-count budget
+  (:func:`run_population`).
 
 Averaging the mini-batch iterate over many independent index plans
 recovers the batch iterate at every step: conditioned on the sample,
@@ -19,6 +26,7 @@ and the recursion preserves this identity (see
 :func:`sgdlsq.decomposition.unbiasedness_check`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +107,8 @@ class Trajectory:
 
 def normalize_checkpoints(checkpoints, T: int) -> tuple:
     """Sorted unique checkpoints within [1, T]; default is just (T,)."""
+    if T < 1:
+        raise ValueError(f"iteration count must be >= 1, got {T}")
     if checkpoints is None:
         return (int(T),)
     cps = sorted({int(c) for c in checkpoints})
@@ -245,8 +255,6 @@ def run_batch_gm(
     checkpoints=None,
 ) -> Trajectory:
     """Deterministic full-gradient run on the empirical risk."""
-    if T < 1:
-        raise ValueError(f"iteration count must be >= 1, got {T}")
     cps = normalize_checkpoints(checkpoints, T)
     cp_set = set(cps)
     etas = schedule.etas(T)
@@ -276,6 +284,36 @@ def run_batch_gm(
     )
 
 
+def _pivoted_cholesky(gram, max_rank):
+    """Rows (k, N) of L^T with gram ~= L L^T, pivoting on the largest
+    residual diagonal until it sums to <= 1e-15 trace; None when that
+    takes more than max_rank pivots."""
+    resid = np.diagonal(gram).copy()
+    tol = 1e-15 * resid.sum()
+    # pages of the buffer become resident only as rows are written
+    rows = np.empty((max_rank, len(resid)))
+    for k in range(max_rank):
+        if resid.sum() <= tol:
+            return rows[:k]
+        p = int(np.argmax(resid))
+        rows[k] = (gram[p] - rows[:k, p] @ rows[:k]) / np.sqrt(resid[p])
+        resid -= rows[k] ** 2
+    return rows if resid.sum() <= tol else None
+
+
+def _factor_budget(T, n, step_cost):
+    """Largest rank k of a factor worth building in place of T loop steps
+    of step_cost multiply-adds each.
+
+    Counted: k^2 n / 2 for the pivots, k^2 n for L^T L and k^3 for its
+    eigh, which is at most k^2 n / 4 because k <= n / 4 also keeps the
+    factor at a quarter of an n x n Gram. The factor may cost a quarter
+    of the loop, so pivots given up at the budget have spent a
+    fourteenth of it. An operation count, not a measurement.
+    """
+    return min(n // 4, math.isqrt(int(T) * step_cost // (7 * n)))
+
+
 def run_population(
     surrogate,
     f_true,
@@ -288,48 +326,56 @@ def run_population(
     ``surrogate`` is an :class:`AnchorSet` (kernel backend; the iterate
     is an expansion over the surrogate points) or a plain coordinate
     array (euclidean backend). ``f_true`` must be vectorized: it maps
-    the surrogate points to their exact target values.
+    the surrogate points to their exact target values f.
+
+    This is batch GM on the noiseless sample (points, f), computed as a
+    spectral filter. With K = L L^T, L = U S W^T and lam = S^2, step t
+    has c_t = s_t f + U diag(d_t) U^T f, s_t = sum_{l<=t} eta_l/N and
+    d_t = (1 - eta_t lam/N) d_{t-1} - (eta_t lam/N) s_{t-1}, d_0 = 0.
+    (W, lam) are the eigenpairs of the k x k matrix L^T L and U = L W/S,
+    so it runs as c_t = s_t f + L W diag(h_t) W^T L^T f, h_t = d_t/lam.
+    Kernel: L is the Gram's pivoted-Cholesky factor, cut once the
+    residual diagonal sums to <= 1e-15 trace(K). Euclidean: L = X, and
+    the iterate is X^T c_t. :func:`run_batch_gm` runs instead when the
+    spectrum predicts growth (eta_1 lam_max/N > 2; the loop raises at
+    the diverging step) or the factor's rank exceeds the budget of
+    :func:`_factor_budget` (an operation count against the loop's).
     """
-    if T < 1:
-        raise ValueError(f"iteration count must be >= 1, got {T}")
     cps = normalize_checkpoints(checkpoints, T)
     cp_set = set(cps)
-    etas = schedule.etas(T)
-    out = []
-    if isinstance(surrogate, AnchorSet):
-        pts = surrogate.points
-        n = surrogate.n
-        f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
-        if f_vals.shape[0] != n:
-            raise DimensionMismatch("f_true values vs surrogate", n, f_vals.shape[0])
-        gram = surrogate.gram.values
-        coef = np.zeros(n)
-        for t in range(1, T + 1):
-            coef -= (etas[t - 1] / n) * (gram @ coef - f_vals)
-            _check_state(coef, t, "population/kernel")
-            if t in cp_set:
-                out.append(kernel_vector(coef, surrogate))
-        backend = "kernel"
+    kernel = isinstance(surrogate, AnchorSet)
+    backend = "kernel" if kernel else "euclidean"
+    pts = surrogate.points if kernel else np.asarray(surrogate, dtype=np.float64)
+    sample = Sample(pts, np.asarray(f_true(pts), dtype=np.float64).reshape(-1))
+    n = sample.m
+    if kernel:
+        rows = _pivoted_cholesky(surrogate.gram.values, _factor_budget(T, n, n * n))
     else:
-        raw = np.asarray(surrogate, dtype=np.float64)
-        x = _as_matrix(raw)
-        n = x.shape[0]
-        if n == 0:
-            raise ValueError("surrogate point set must be nonempty")
-        f_vals = np.asarray(f_true(raw), dtype=np.float64).reshape(-1)
-        if f_vals.shape[0] != n:
-            raise DimensionMismatch("f_true values vs surrogate", n, f_vals.shape[0])
-        mu = np.zeros(x.shape[1])
-        for t in range(1, T + 1):
-            resid = x @ mu - f_vals
-            mu -= (etas[t - 1] / n) * (x.T @ resid)
-            _check_state(mu, t, "population/euclidean")
-            if t in cp_set:
-                out.append(euclidean_vector(mu))
-        backend = "euclidean"
+        rows = _as_matrix(pts).T
+        d = rows.shape[0]
+        if d > _factor_budget(T, n, 2 * n * d):
+            rows = None
+    etas = schedule.etas(T) / n
+    if rows is not None:
+        lam, w = np.linalg.eigh(rows @ rows.T)
+    if rows is None or etas[0] * lam.max(initial=0.0) > 2:
+        try:
+            return run_batch_gm(sample, surrogate if kernel else None, schedule, T, cps)
+        except DivergenceError as exc:
+            raise DivergenceError(exc.iteration, f"population/{backend}") from None
+    proj = w.T @ (rows @ sample.y)
+    s = 0.0
+    h = np.zeros_like(lam)
+    vectors = []
+    for t, eta in enumerate(etas, 1):
+        h = (1 - eta * lam) * h - eta * s
+        s += eta
+        if t in cp_set:
+            c = s * sample.y + (w @ (h * proj)) @ rows
+            vectors.append(kernel_vector(c, surrogate) if kernel else euclidean_vector(rows @ c))
     return Trajectory(
         checkpoints=cps,
-        vectors=tuple(out),
+        vectors=tuple(vectors),
         passes=cps,  # every step sweeps the whole surrogate once
         backend=backend,
     )

@@ -139,6 +139,26 @@ class TestDecompose:
         assert code == 4
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("contents, key", [
+        ({"mm": 5}, "mm"),
+        ({"m": 12, "Eta1": 0.1}, "Eta1"),
+        ({"seeds": [1, 2]}, "seeds"),
+    ])
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys, contents, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(contents))
+        code = main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 4
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_retired_threads_key_still_loads(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 12, "b": 2, "T": 10, "R": 3, "N": 40, "checkpoints": 3,
+                                   "threads": 2, "preset": None, "version": "0.1.0"}))
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        assert "threads" not in json.loads((tmp_path / "x.json").read_text())["config"]
+
     def test_int_config_value_accepted_for_float_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 12, "eta1": 1, "b": 2, "T": 10, "R": 3, "N": 40,

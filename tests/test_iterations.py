@@ -15,6 +15,7 @@ from sgdlsq import (
     gen_synthetic_abs,
     kappa_sq,
     log_checkpoints,
+    make_rng,
     make_schedule,
     mean_square_error,
     mix_seed,
@@ -213,6 +214,109 @@ class TestRunPopulation:
         b = run_population(anchors, f, sch, 40, checkpoints=(40,))
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
         assert a.backend == "kernel"
+
+
+def _surrogate_case(kind, n, d, seed):
+    """A surrogate point set, its run context (None for euclidean) and
+    the matrix taking an iterate's coefficients to surrogate values."""
+    rng = make_rng(seed)
+    if kind == "euclidean":
+        pts = rng.random((n, d)) if d > 1 else rng.random(n)
+        return pts, None, iterations._as_matrix(pts).T, kappa_sq(KernelSpec("linear"), pts)
+    spec = KernelSpec(kind, sigma=0.2 if kind == "gaussian" else None)
+    ctx = AnchorSet.build(spec, rng.random(n), check_psd=False)
+    return ctx.points, ctx, ctx.gram.values, kappa_sq(spec, ctx.points)
+
+
+def _target(pts):
+    return np.abs(iterations._as_matrix(pts).sum(axis=1) - 0.5) - 0.5
+
+
+def _assert_rel(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestPopulationFilter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "sobolev", "linear", "euclidean"]),
+        n=st.integers(1, 200),
+        d=st.integers(1, 4),
+        T=st.integers(1, 400),
+        eta1=st.floats(0.01, 1.99),
+        theta=st.floats(0.0, 0.9, exclude_max=True),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_batch_gm_on_surrogate_sample(self, kind, n, d, T, eta1, theta, seed):
+        """The spectral filter equals the step loop it replaced (batch GM
+        on the noiseless surrogate sample) to 1e-12 relative, in the
+        coefficients and in the surrogate values, for both backends and
+        the three kernels (full-rank sobolev Grams exceed the factor
+        budget and take the loop itself; gaussian ones reach rank ~20, so
+        the filter runs from N ~ 85). T stays <= 400: the filter's error
+        grows about
+        linearly in T where eta_t lam / N nears 2 (8e-13 at T = 965 with
+        eta1 = 1.98), while the loop's stays near 1e-15."""
+        pts, ctx, to_vals, k_sq = _surrogate_case(kind, n, d, seed)
+        sch = make_schedule(eta1, theta, k_sq)
+        cps = log_checkpoints(T, 8)
+        pop = run_population(pts if ctx is None else ctx, _target, sch, T, cps)
+        ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, T, cps)
+        assert (pop.checkpoints, pop.passes, pop.backend) == (ref.checkpoints, ref.passes,
+                                                              ref.backend)
+        got = np.array([v.coeffs for v in pop.vectors])
+        want = np.array([v.coeffs for v in ref.vectors])
+        _assert_rel(got, want, 1e-12)
+        _assert_rel(got @ to_vals, want @ to_vals, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "euclidean"])
+    def test_unstable_step_falls_back_and_raises_at_the_loop_step(self, kind):
+        """eta_1 lam_max / N > 2: the loop runs and its divergence is
+        reported as the population's, at the same step."""
+        pts, ctx, _, k_sq = _surrogate_case(kind, 40, 2, seed=3)
+        sch = make_schedule(6.0, 0.0, k_sq)
+        with pytest.raises(DivergenceError) as loop:
+            run_batch_gm(Sample(pts, _target(pts)), ctx, sch, 400)
+        backend = "euclidean" if ctx is None else "kernel"
+        with pytest.raises(DivergenceError, match=f"population/{backend}") as err:
+            run_population(pts if ctx is None else ctx, _target, sch, 400)
+        assert err.value.iteration == loop.value.iteration
+
+    @pytest.mark.parametrize("n, T", [(200, 5), (40, 20000)])
+    def test_full_rank_gram_is_the_loop(self, n, T):
+        """A full-rank sobolev Gram needs more pivots than the factor
+        budget allows: by cost for small T, and by the n/4 memory cap for
+        long runs. The loop runs: equal bit for bit."""
+        pts, ctx, _, k_sq = _surrogate_case("sobolev", n, 1, seed=4)
+        budget = iterations._factor_budget(T, n, n * n)
+        assert iterations._pivoted_cholesky(ctx.gram.values, budget) is None
+        sch = make_schedule(0.5, 0.3, k_sq)
+        pop = run_population(ctx, _target, sch, T, range(1, T + 1))
+        ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, T, range(1, T + 1))
+        np.testing.assert_array_equal([v.coeffs for v in pop.vectors],
+                                      [v.coeffs for v in ref.vectors])
+
+    def test_wide_euclidean_inputs_with_short_run_are_the_loop(self):
+        """d far above N: X^T X (d x d) and its eigh would cost far more
+        than two short loop steps, so the loop runs: equal bit for bit."""
+        pts, _, _, k_sq = _surrogate_case("euclidean", 20, 2000, seed=6)
+        sch = make_schedule(0.5, 0.0, k_sq)
+        pop = run_population(pts, _target, sch, 2, (1, 2))
+        ref = run_batch_gm(Sample(pts, _target(pts)), None, sch, 2, (1, 2))
+        np.testing.assert_array_equal([v.coeffs for v in pop.vectors],
+                                      [v.coeffs for v in ref.vectors])
+
+    @pytest.mark.parametrize("kind, d", [("gaussian", 1), ("linear", 1), ("euclidean", 3)])
+    def test_low_rank_surrogate_takes_the_filter(self, kind, d):
+        """Low-rank factors within budget run no step loop at all."""
+        pts, ctx, _, k_sq = _surrogate_case(kind, 200, d, seed=7)
+        sch = make_schedule(1.0, 0.2, k_sq)
+        cps = log_checkpoints(1000, 8)
+        ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, 1000, cps)
+        with mock.patch.object(iterations, "run_batch_gm", side_effect=AssertionError("loop ran")):
+            pop = run_population(pts if ctx is None else ctx, _target, sch, 1000, cps)
+        _assert_rel(np.array([v.coeffs for v in pop.vectors]),
+                    np.array([v.coeffs for v in ref.vectors]), 1e-12)
 
 
 class TestUnbiasednessSmall:
