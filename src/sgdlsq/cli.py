@@ -12,20 +12,22 @@ Every artifact embeds its fully resolved configuration (flags, seeds,
 generator names), so rerunning an artifact's embedded config reproduces
 it bit for bit. Exit codes: 0 all requested checks passed; 1 a check
 failed; 2 usage error; 3 unreadable or unwritable file; 4 invalid
-configuration; 5 divergence.
+configuration; 5 divergence; 6 internal error.
 """
 
 import argparse
+import collections
 import dataclasses
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
 from . import __version__
 from .bounds import acceptance_sweep, verdicts_to_csv
-from .data import abs_target, gen_synthetic_abs, load_csv, minmax_scale, split
+from .data import abs_target, gen_synthetic_abs, load_csv, minmax_scale, misclassification, split
 from .decomposition import decompose, decompose_batch, fit_rate
 from .errors import DataFormatError, DivergenceError
 from .iterations import (log_checkpoints, run_batch_gm, run_sgm, run_sgm_trials,
@@ -33,7 +35,7 @@ from .iterations import (log_checkpoints, run_batch_gm, run_sgm, run_sgm_trials,
 from .kernels import KernelSpec, cross_matrix, kappa_sq
 from .rng import GENERATOR_NAME, SEED_MIXER_NAME, make_rng, mix_seed
 from .schedules import RECIPE_IDS, StepSchedule, recipe, recipe_table, validate_schedule
-from .spaces import AnchorSet
+from .spaces import AnchorSet, mean_square_error
 from .stopping import holdout_stop
 
 EXIT_OK = 0
@@ -42,6 +44,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CONFIG = 4
 EXIT_DIVERGED = 5
+EXIT_INTERNAL = 6
 
 _PRESETS = {
     # the three bundled experiment configurations: b = sqrt(m) with
@@ -51,20 +54,74 @@ _PRESETS = {
     "sec9-batch": {"m": 100, "b": 100, "eta1": 1.0 / 8, "T": 60, "algorithm": "batch"},
 }
 
-_DECOMPOSE_DEFAULTS = {
-    "m": 100,
-    "noise_sd": 1.0,
-    "sigma": 0.2,
-    "b": 10,
-    "eta1": 1.0 / 80,
-    "theta": 0.0,
-    "T": 500,
-    "R": 50,
-    "N": 2000,
-    "surrogate": "iid",
-    "checkpoints": 25,
-    "seed": 1234,
-    "algorithm": "sgm",
+
+# a config field; its flag is --name with _ written as -, and ``flag`` holds
+# further argparse keywords (help, choices, required), or None for no flag
+_Field = collections.namedtuple("_Field", "name type default flag", defaults=(None, {}))
+
+
+_FIELDS = {
+    "decompose": (
+        _Field("m", int, 100),
+        _Field("noise_sd", float, 1.0),
+        _Field("sigma", float, 0.2, {"help": "gaussian kernel bandwidth"}),
+        _Field("b", int, 10, {"help": "mini-batch size"}),
+        _Field("eta1", float, 1.0 / 80),
+        _Field("theta", float, 0.0),
+        _Field("T", int, 500),
+        _Field("R", int, 50, {"help": "number of index-plan trials"}),
+        _Field("N", int, 2000, {"help": "surrogate size"}),
+        _Field("surrogate", str, "iid", {"choices": ("iid", "grid")}),
+        _Field("checkpoints", int, 25),
+        _Field("seed", int, 1234),
+        # set only by a preset or the config file
+        _Field("algorithm", str, "sgm", None),
+    ),
+    "rates": (
+        _Field("recipe", str, "C3", {"choices": RECIPE_IDS}),
+        _Field("zeta", float, 0.5),
+        _Field("gamma", float, 1.0),
+        _Field("c_eta", float, 0.125),
+        _Field("m_grid", str, "64,128,256,512,1024"),
+        _Field("trials", int, 20),
+        _Field("noise_sd", float, 1.0),
+        _Field("sigma", float, 0.2),
+        _Field("N", int, 2000),
+        _Field("seed", int, 1234),
+    ),
+    "recipes": (
+        _Field("m", int, None, {"required": True}),
+        _Field("zeta", float, 0.5),
+        _Field("gamma", float, 1.0),
+        _Field("epsilon", float),
+        _Field("c_eta", float, 0.125),
+        _Field("id", str, None, {"choices": RECIPE_IDS}),
+    ),
+    "lemmas": (_Field("max_t", int, 10_000),),
+    "run": (
+        _Field("data", str, None, {"help": "CSV with header x1,...,xd,y"}),
+        _Field("generator", str, None, {"choices": ("synthetic-abs",)}),
+        _Field("m", int, 200),
+        _Field("noise_sd", float, 1.0),
+        _Field("backend", str, "kernel", {"choices": ("kernel", "euclidean")}),
+        _Field("kernel", str, "gaussian", {"choices": ("gaussian", "sobolev", "linear")}),
+        _Field("sigma", float, 0.2),
+        _Field("recipe", str, None, {"choices": RECIPE_IDS}),
+        _Field("zeta", float, 0.5),
+        _Field("gamma", float, 1.0),
+        _Field("epsilon", float),
+        _Field("c_eta", float, 0.125),
+        _Field("b", int),
+        _Field("eta1", float),
+        _Field("theta", float, 0.0),
+        _Field("T", int),
+        _Field("batch", bool, False, {"help": "run the deterministic full-gradient method"}),
+        _Field("fractions", str, "0.7,0.15,0.15"),
+        _Field("metric", str, "mse", {"choices": ("mse", "zero-one")}),
+        _Field("scale", bool, False, {"help": "min-max scale features to [0,1]"}),
+        _Field("checkpoints", int, 25),
+        _Field("seed", int, 1234),
+    ),
 }
 
 
@@ -82,36 +139,37 @@ def _load_config_file(path):
 
 
 def _file_value(name, val, want):
-    """A config-file value of its flag's type; ints pass for floats."""
+    """A config-file value of its field's type; ints pass for floats."""
     if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
         raise ValueError(f"config key {name!r} must be {want.__name__}, got {val!r}")
     return want(val)
 
 
-# keys an artifact's embedded config carries besides its flags; ``threads``
+# keys an artifact's embedded config carries besides its fields; ``threads``
 # is a retired flag that older artifacts still hold
 _PROVENANCE_KEYS = ("preset", "generator", "seed_mixer", "version", "threads")
 
 
-def _resolve(args, names, defaults, preset=None):
-    """Fill unset flags from (in order) the config file, the preset, and
-    the built-in defaults; returns the fully explicit config dict."""
+def _resolve(args, command, preset=None):
+    """Each of ``command``'s fields from (in order) its flag, the config
+    file, the preset and its default; returns the fully explicit config."""
+    fields = _FIELDS[command]
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(file_cfg) - set(names) - set(_PROVENANCE_KEYS))
+    unknown = sorted(set(file_cfg) - {f.name for f in fields} - set(_PROVENANCE_KEYS))
     if unknown:
         raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
     out = {}
-    for name in names:
-        val = file_cfg.get(name)
+    for field in fields:
+        val = file_cfg.get(field.name)
         if val is not None:
-            val = _file_value(name, val, type(defaults[name]))
-        if getattr(args, name, None) is not None:
-            val = getattr(args, name)
+            val = _file_value(field.name, val, field.type)
+        if getattr(args, field.name, None) is not None:
+            val = getattr(args, field.name)
         if val is None and preset:
-            val = preset.get(name)
+            val = preset.get(field.name)
         if val is None:
-            val = defaults.get(name)
-        out[name] = val
+            val = field.default
+        out[field.name] = val
     return out
 
 
@@ -133,13 +191,8 @@ def _surrogate_points(kind, n, seed):
     raise ValueError(f"unknown surrogate kind {kind!r}")
 
 
-
 def cmd_decompose(args):
-    preset = _PRESETS.get(args.preset) if args.preset else None
-    if args.preset and preset is None:
-        raise ValueError(f"unknown preset {args.preset!r}")
-    names = list(_DECOMPOSE_DEFAULTS)
-    cfg = _resolve(args, names, _DECOMPOSE_DEFAULTS, preset)
+    cfg = _resolve(args, "decompose", _PRESETS.get(args.preset))
     cfg["preset"] = args.preset
 
     sample = gen_synthetic_abs(cfg["m"], seed=mix_seed(cfg["seed"], 0), noise_sd=cfg["noise_sd"])
@@ -184,30 +237,22 @@ def _parse_grid(text):
 
 
 def cmd_rates(args):
-    m_grid = _parse_grid(args.m_grid)
+    cfg = _resolve(args, "rates")
+    m_grid = cfg["m_grid"] = _parse_grid(cfg["m_grid"])
     if len(m_grid) < 3:
         raise ValueError("rates needs a grid of at least 3 sample sizes")
-    cfg = {
-        "recipe": args.recipe,
-        "zeta": args.zeta,
-        "gamma": args.gamma,
-        "c_eta": args.c_eta,
-        "m_grid": m_grid,
-        "trials": args.trials,
-        "noise_sd": args.noise_sd,
-        "sigma": args.sigma,
-        "N": args.N,
-        "seed": args.seed,
-    }
-    kernel = KernelSpec("gaussian", sigma=args.sigma)
-    surr = make_rng(mix_seed(args.seed, 0)).random(args.N)
+    trials = cfg["trials"]
+    if trials < 2:
+        raise ValueError(f"--trials must be at least 2 for standard errors, got {trials}")
+    kernel = KernelSpec("gaussian", sigma=cfg["sigma"])
+    surr = make_rng(mix_seed(cfg["seed"], 0)).random(cfg["N"])
     f_surr = abs_target(surr)
     rows = []
     for mi, m in enumerate(m_grid):
-        rec = recipe(args.recipe, m, zeta=args.zeta, gamma=args.gamma, c_eta=args.c_eta)
-        streams = [mix_seed(args.seed, 1 + mi * args.trials + trial)
-                   for trial in range(args.trials)]
-        samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=args.noise_sd)
+        rec = recipe(cfg["recipe"], m, zeta=cfg["zeta"], gamma=cfg["gamma"], c_eta=cfg["c_eta"])
+        streams = [mix_seed(cfg["seed"], 1 + mi * trials + trial)
+                   for trial in range(trials)]
+        samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=cfg["noise_sd"])
                    for s in streams]
         if rec.is_batch:
             finals = [run_batch_gm(s, AnchorSet.build(kernel, s.x, check_psd=False), rec.schedule,
@@ -252,18 +297,10 @@ def cmd_rates(args):
 
 
 def cmd_recipes(args):
-    cfg = {
-        "m": args.m,
-        "zeta": args.zeta,
-        "gamma": args.gamma,
-        "epsilon": args.epsilon,
-        "c_eta": args.c_eta,
-        "id": args.id,
-    }
-    ids = [args.id] if args.id else list(RECIPE_IDS)
-    table = recipe_table(
-        args.m, zeta=args.zeta, gamma=args.gamma, eps=args.epsilon, c_eta=args.c_eta, ids=ids
-    )
+    cfg = _resolve(args, "recipes")
+    ids = [cfg["id"]] if cfg["id"] else list(RECIPE_IDS)
+    table = recipe_table(cfg["m"], zeta=cfg["zeta"], gamma=cfg["gamma"], eps=cfg["epsilon"],
+                         c_eta=cfg["c_eta"], ids=ids)
     payload = {"config": _provenance(cfg), "recipes": [r.to_json_dict() for r in table]}
     if args.out:
         _write_json(args.out, payload)
@@ -275,7 +312,8 @@ def cmd_recipes(args):
 
 
 def cmd_lemmas(args):
-    verdicts = acceptance_sweep(t_max=args.max_t)
+    cfg = _resolve(args, "lemmas")
+    verdicts = acceptance_sweep(t_max=cfg["max_t"])
     if args.out:
         verdicts_to_csv(verdicts, args.out)
     failures = [v for v in verdicts if not v.passed]
@@ -296,85 +334,62 @@ def _parse_fractions(text):
 
 
 def cmd_run(args):
-    cfg = {
-        "data": args.data,
-        "generator": args.generator,
-        "m": args.m,
-        "noise_sd": args.noise_sd,
-        "backend": args.backend,
-        "kernel": args.kernel,
-        "sigma": args.sigma,
-        "recipe": args.recipe,
-        "zeta": args.zeta,
-        "gamma": args.gamma,
-        "c_eta": args.c_eta,
-        "b": args.b,
-        "eta1": args.eta1,
-        "theta": args.theta,
-        "T": args.T,
-        "fractions": args.fractions,
-        "metric": args.metric,
-        "scale": args.scale,
-        "checkpoints": args.checkpoints,
-        "seed": args.seed,
-    }
-    if args.data:
-        sample = load_csv(args.data)
-    elif args.generator == "synthetic-abs":
-        sample = gen_synthetic_abs(args.m, seed=mix_seed(args.seed, 0), noise_sd=args.noise_sd)
+    cfg = _resolve(args, "run")
+    if cfg["data"]:
+        sample = load_csv(cfg["data"])
+    elif cfg["generator"] == "synthetic-abs":
+        sample = gen_synthetic_abs(cfg["m"], seed=mix_seed(cfg["seed"], 0),
+                                   noise_sd=cfg["noise_sd"])
     else:
-        raise ValueError(f"unknown generator {args.generator!r}; pass --data or "
+        raise ValueError(f"unknown generator {cfg['generator']!r}; pass --data or "
                          "--generator synthetic-abs")
     scaling = None
-    if args.scale:
+    if cfg["scale"]:
         sample, scaling = minmax_scale(sample)
-    fracs = _parse_fractions(args.fractions)
-    train, val, test = split(sample, fracs, seed=mix_seed(args.seed, 1))
+    fracs = _parse_fractions(cfg["fractions"])
+    train, val, test = split(sample, fracs, seed=mix_seed(cfg["seed"], 1))
     if train is None or val is None:
         raise ValueError("train and validation splits must be nonempty")
 
-    if args.backend == "kernel":
-        kernel = KernelSpec(args.kernel, sigma=args.sigma if args.kernel == "gaussian" else None)
+    if cfg["backend"] == "kernel":
+        sigma = cfg["sigma"] if cfg["kernel"] == "gaussian" else None
+        kernel = KernelSpec(cfg["kernel"], sigma=sigma)
         ksq = kappa_sq(kernel, train.x)
         ctx = AnchorSet.build(kernel, train.x, check_psd=False)
     else:
         kernel, ctx = None, None
         ksq = float(np.max(np.sum(np.atleast_2d(train.x) ** 2, axis=-1)))
 
-    if args.recipe:
-        rec = recipe(args.recipe, train.m, zeta=args.zeta, gamma=args.gamma,
-                     eps=args.epsilon, c_eta=args.c_eta)
+    if cfg["recipe"]:
+        rec = recipe(cfg["recipe"], train.m, zeta=cfg["zeta"], gamma=cfg["gamma"],
+                     eps=cfg["epsilon"], c_eta=cfg["c_eta"])
         b, schedule, T = rec.b, rec.schedule, rec.t_star
         algorithm = "batch" if rec.is_batch else "sgm"
     else:
-        if args.b is None or args.eta1 is None or args.T is None:
+        if cfg["b"] is None or cfg["eta1"] is None or cfg["T"] is None:
             raise ValueError("explicit mode needs --b, --eta1 and --T (or use --recipe)")
-        b, T = args.b, args.T
-        schedule = StepSchedule(eta1=args.eta1, theta=args.theta, kappa_sq=ksq)
-        algorithm = "batch" if args.batch else "sgm"
+        b, T = cfg["b"], cfg["T"]
+        schedule = StepSchedule(eta1=cfg["eta1"], theta=cfg["theta"], kappa_sq=ksq)
+        algorithm = "batch" if cfg["batch"] else "sgm"
     if T >= 3:
         check = validate_schedule(schedule, T)
         if not check.ok:
             print(check.message, file=sys.stderr)
-    cps = log_checkpoints(T, args.checkpoints)
+    cps = log_checkpoints(T, cfg["checkpoints"])
 
     if algorithm == "batch":
         traj = run_batch_gm(train, ctx, schedule, T, cps)
     else:
-        plan = sample_index_plan(train.m, b, T, mix_seed(args.seed, 2))
+        plan = sample_index_plan(train.m, b, T, mix_seed(cfg["seed"], 2))
         traj = run_sgm(train, ctx, schedule, plan, cps)
-    outcome = holdout_stop(traj, val, metric=args.metric)
+    outcome = holdout_stop(traj, val, metric=cfg["metric"])
     chosen = traj.vector_at(outcome.chosen_t)
 
     test_error = None
     if test is not None:
-        if args.metric == "mse":
-            from .spaces import mean_square_error
-
+        if cfg["metric"] == "mse":
             test_error = mean_square_error(chosen, test.x, test.y)
         else:
-            from .data import misclassification
-
             test_error = misclassification(chosen, test)
 
     provenance = _provenance(cfg)
@@ -412,79 +427,28 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"sgdlsq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="error-decomposition curves for one training run")
-    p.add_argument("--preset", choices=sorted(_PRESETS), default=None)
-    p.add_argument("--config", help="JSON file whose keys mirror the flags")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None, help="gaussian kernel bandwidth")
-    p.add_argument("--b", type=int, default=None, help="mini-batch size")
-    p.add_argument("--eta1", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--R", type=int, default=None, help="number of index-plan trials")
-    p.add_argument("--N", type=int, default=None, help="surrogate size")
-    p.add_argument("--surrogate", choices=("iid", "grid"), default=None)
-    p.add_argument("--checkpoints", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("rates", help="excess risk over a sample-size grid, with rate fit")
-    p.add_argument("--recipe", choices=RECIPE_IDS, default="C3")
-    p.add_argument("--zeta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--c-eta", dest="c_eta", type=float, default=0.125)
-    p.add_argument("--m-grid", dest="m_grid", default="64,128,256,512,1024")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--N", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rates)
-
-    p = sub.add_parser("recipes", help="parameter recipe table as JSON")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--zeta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--c-eta", dest="c_eta", type=float, default=0.125)
-    p.add_argument("--id", choices=RECIPE_IDS, default=None)
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.set_defaults(func=cmd_recipes)
-
-    p = sub.add_parser("lemmas", help="deterministic bound-check sweep")
-    p.add_argument("--max-t", dest="max_t", type=int, default=10_000)
-    p.add_argument("--out", default=None, help="verdict CSV path")
-    p.set_defaults(func=cmd_lemmas)
-
-    p = sub.add_parser("run", help="train one model with hold-out early stopping")
-    p.add_argument("--data", default=None, help="CSV with header x1,...,xd,y")
-    p.add_argument("--generator", default=None, choices=("synthetic-abs",))
-    p.add_argument("--m", type=int, default=200)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=1.0)
-    p.add_argument("--backend", choices=("kernel", "euclidean"), default="kernel")
-    p.add_argument("--kernel", choices=("gaussian", "sobolev", "linear"), default="gaussian")
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--recipe", choices=RECIPE_IDS, default=None)
-    p.add_argument("--zeta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--c-eta", dest="c_eta", type=float, default=0.125)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--eta1", type=float, default=None)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--batch", action="store_true", help="run the deterministic full-gradient method")
-    p.add_argument("--fractions", default="0.7,0.15,0.15")
-    p.add_argument("--metric", choices=("mse", "zero-one"), default="mse")
-    p.add_argument("--scale", action="store_true", help="min-max scale features to [0,1]")
-    p.add_argument("--checkpoints", type=int, default=25)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run)
+    for command, func, text, out in (
+        ("decompose", cmd_decompose, "error-decomposition curves for one training run",
+         {"required": True, "help": "output path prefix"}),
+        ("rates", cmd_rates, "excess risk over a sample-size grid, with rate fit",
+         {"required": True}),
+        ("recipes", cmd_recipes, "parameter recipe table as JSON",
+         {"help": "output file (default: stdout)"}),
+        ("lemmas", cmd_lemmas, "deterministic bound-check sweep", {"help": "verdict CSV path"}),
+        ("run", cmd_run, "train one model with hold-out early stopping", {"required": True}),
+    ):
+        p = sub.add_parser(command, help=text)
+        if command == "decompose":
+            p.add_argument("--preset", choices=sorted(_PRESETS), default=None)
+            p.add_argument("--config", help="JSON file whose keys mirror the flags")
+        for field in _FIELDS[command]:
+            if field.flag is not None:
+                kind = {"action": "store_true"} if field.type is bool else {"type": field.type}
+                # default None, so _resolve can tell a flag given from one left out
+                p.add_argument("--" + field.name.replace("_", "-"), default=None, **kind,
+                               **field.flag)
+        p.add_argument("--out", **out)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -496,15 +460,20 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except DataFormatError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        # the only text files a command reads are --config and --data
+        path = getattr(args, "config", None) or getattr(args, "data", None)
+        print(f"error: cannot decode {path} as UTF-8: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from sgdlsq import gen_synthetic_abs, save_csv
+from sgdlsq import cli, gen_synthetic_abs, save_csv
 from sgdlsq.cli import main
 
 DECOMPOSE_COLUMNS = ["t", "pass", "bias_sq", "sample_var_sq", "comp_var_sq",
@@ -243,6 +244,18 @@ class TestRun:
                      "--out", str(tmp_path / "y")])
         assert code == 4
 
+    @pytest.mark.parametrize("extra, key, value", [
+        (["--batch", "--b", "1", "--eta1", "0.5", "--T", "30"], "batch", True),
+        (["--recipe", "BGM", "--zeta", "0.2", "--gamma", "0.4", "--epsilon", "0.5"],
+         "epsilon", 0.5),
+    ], ids=["batch", "bgm-epsilon"])
+    def test_config_records_the_algorithm_flags(self, tmp_path, extra, key, value):
+        code = main(["run", "--generator", "synthetic-abs", "--m", "60", "--checkpoints", "4",
+                     "--seed", "3", *extra, "--out", str(tmp_path / "r")])
+        assert code == 0
+        for suffix in (".model.json", ".stopping.json"):
+            assert json.loads((tmp_path / ("r" + suffix)).read_text())["config"][key] == value
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
@@ -254,3 +267,67 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, code, fragment", [
+        (["rates", "--trials", "1"], 4, "--trials"),
+        (["rates", "--m-grid", "16,x,64", "--trials", "2"], 4,
+         "grid must be comma-separated integers, got '16,x,64'"),
+        (["run", "--generator", "synthetic-abs", "--b", "1", "--eta1", "0.1", "--T", "5",
+          "--fractions", "0.7,a,0.15"], 4, "fractions must be comma-separated floats"),
+        (["run", "--data", "{latin1}", "--b", "1", "--eta1", "0.1", "--T", "5"], 3, "{latin1}"),
+        (["decompose", "--config", "{latin1}"], 3, "{latin1}"),
+    ], ids=["trials-1", "m-grid", "fractions", "data-not-utf8", "config-not-utf8"])
+    def test_bad_input_exit_code_and_message(self, tmp_path, capsys, argv, code, fragment):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("x1,y\n0.5,caf\xe9\n".encode("latin-1"))
+        argv = [a.format(latin1=latin1) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        assert fragment.format(latin1=latin1) in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_internal_error_is_exit_6_with_traceback(self, monkeypatch, capsys):
+        def broken(args):
+            raise KeyError("no such field")
+
+        monkeypatch.setattr(cli, "cmd_lemmas", broken)
+        assert main(["lemmas"]) == 6
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "KeyError: 'no such field'" in err
+
+
+def _subparser(command):
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+# an artifact's config holds every field of its subcommand plus these
+_PROVENANCE = {"generator", "seed_mixer", "version"}
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("command", ["decompose", "rates", "recipes", "lemmas", "run"])
+    def test_parser_flags_are_the_table_fields(self, command):
+        flags = {(opt, a.dest) for a in _subparser(command)._actions for opt in a.option_strings}
+        flags -= {("-h", "help"), ("--help", "help"), ("--out", "out"), ("--config", "config"),
+                  ("--preset", "preset")}
+        assert flags == {("--" + f.name.replace("_", "-"), f.name)
+                         for f in cli._FIELDS[command] if f.flag is not None}
+
+    @pytest.mark.parametrize("command, argv, artifacts, extra", [
+        ("decompose", ["--m", "12", "--b", "2", "--T", "10", "--R", "3", "--N", "40",
+                       "--checkpoints", "3"], [".json"], {"preset"}),
+        ("rates", ["--m-grid", "16,24,32", "--trials", "2", "--N", "50"], [".json"], set()),
+        ("recipes", ["--m", "50"], [""], set()),
+        ("run", ["--generator", "synthetic-abs", "--m", "40", "--b", "2", "--eta1", "0.1",
+                 "--T", "20", "--checkpoints", "3"], [".model.json", ".stopping.json"], set()),
+    ], ids=["decompose", "rates", "recipes", "run"])
+    def test_artifact_config_keys_are_the_table_fields(self, tmp_path, command, argv,
+                                                       artifacts, extra):
+        assert main([command, *argv, "--out", str(tmp_path / "a")]) == 0
+        want = {f.name for f in cli._FIELDS[command]} | _PROVENANCE | extra
+        for suffix in artifacts:
+            config = json.loads((tmp_path / ("a" + suffix)).read_text())["config"]
+            assert set(config) == want
