@@ -55,9 +55,11 @@ _PRESETS = {
 }
 
 
-# a config field; its flag is --name with _ written as -, and ``flag`` holds
-# further argparse keywords (help, choices, required), or None for no flag
-_Field = collections.namedtuple("_Field", "name type default flag", defaults=(None, {}))
+# a config field; its flag is --name with _ written as -, ``flag`` holds
+# further argparse keywords (help, required), or None for no flag, and
+# ``choices`` the allowed values, if they are limited
+_Field = collections.namedtuple("_Field", "name type default flag choices",
+                                defaults=(None, {}, None))
 
 
 _FIELDS = {
@@ -71,14 +73,14 @@ _FIELDS = {
         _Field("T", int, 500),
         _Field("R", int, 50, {"help": "number of index-plan trials"}),
         _Field("N", int, 2000, {"help": "surrogate size"}),
-        _Field("surrogate", str, "iid", {"choices": ("iid", "grid")}),
+        _Field("surrogate", str, "iid", choices=("iid", "grid")),
         _Field("checkpoints", int, 25),
         _Field("seed", int, 1234),
         # set only by a preset or the config file
-        _Field("algorithm", str, "sgm", None),
+        _Field("algorithm", str, "sgm", None, ("sgm", "batch")),
     ),
     "rates": (
-        _Field("recipe", str, "C3", {"choices": RECIPE_IDS}),
+        _Field("recipe", str, "C3", choices=RECIPE_IDS),
         _Field("zeta", float, 0.5),
         _Field("gamma", float, 1.0),
         _Field("c_eta", float, 0.125),
@@ -95,18 +97,18 @@ _FIELDS = {
         _Field("gamma", float, 1.0),
         _Field("epsilon", float),
         _Field("c_eta", float, 0.125),
-        _Field("id", str, None, {"choices": RECIPE_IDS}),
+        _Field("id", str, None, choices=RECIPE_IDS),
     ),
     "lemmas": (_Field("max_t", int, 10_000),),
     "run": (
         _Field("data", str, None, {"help": "CSV with header x1,...,xd,y"}),
-        _Field("generator", str, None, {"choices": ("synthetic-abs",)}),
+        _Field("generator", str, None, choices=("synthetic-abs",)),
         _Field("m", int, 200),
         _Field("noise_sd", float, 1.0),
-        _Field("backend", str, "kernel", {"choices": ("kernel", "euclidean")}),
-        _Field("kernel", str, "gaussian", {"choices": ("gaussian", "sobolev", "linear")}),
+        _Field("backend", str, "kernel", choices=("kernel", "euclidean")),
+        _Field("kernel", str, "gaussian", choices=("gaussian", "sobolev", "linear")),
         _Field("sigma", float, 0.2),
-        _Field("recipe", str, None, {"choices": RECIPE_IDS}),
+        _Field("recipe", str, None, choices=RECIPE_IDS),
         _Field("zeta", float, 0.5),
         _Field("gamma", float, 1.0),
         _Field("epsilon", float),
@@ -117,7 +119,7 @@ _FIELDS = {
         _Field("T", int),
         _Field("batch", bool, False, {"help": "run the deterministic full-gradient method"}),
         _Field("fractions", str, "0.7,0.15,0.15"),
-        _Field("metric", str, "mse", {"choices": ("mse", "zero-one")}),
+        _Field("metric", str, "mse", choices=("mse", "zero-one")),
         _Field("scale", bool, False, {"help": "min-max scale features to [0,1]"}),
         _Field("checkpoints", int, 25),
         _Field("seed", int, 1234),
@@ -169,6 +171,9 @@ def _resolve(args, command, preset=None):
             val = preset.get(field.name)
         if val is None:
             val = field.default
+        if val is not None and field.choices and val not in field.choices:
+            raise ValueError(f"config key {field.name!r} must be one of "
+                             f"{', '.join(map(repr, field.choices))}, got {val!r}")
         out[field.name] = val
     return out
 
@@ -444,6 +449,8 @@ def build_parser():
         for field in _FIELDS[command]:
             if field.flag is not None:
                 kind = {"action": "store_true"} if field.type is bool else {"type": field.type}
+                if field.choices:
+                    kind["choices"] = field.choices
                 # default None, so _resolve can tell a flag given from one left out
                 p.add_argument("--" + field.name.replace("_", "-"), default=None, **kind,
                                **field.flag)

@@ -115,21 +115,21 @@ def gen_linear_attainable(
 def load_csv(path) -> Sample:
     """Read a sample from a CSV file with header ``x1,...,xd,y``.
 
-    Raises a distinct structured error (with 1-based line number) for an
-    empty file, a ragged row, or a non-numeric cell.
+    Raises a distinct structured error (with the path and the 1-based
+    line number) for an empty file, a ragged row, or a non-numeric cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyDataError("file is empty", 1) from None
+            raise EmptyDataError("file is empty", 1, path) from None
         header = [h.strip() for h in header]
         d = len(header) - 1
         expected = [f"x{i}" for i in range(1, d + 1)] + ["y"]
         if d < 1 or header != expected:
             raise NonNumericError(
-                f"header must be x1,...,xd,y; got {','.join(header)}", 1
+                f"header must be x1,...,xd,y; got {','.join(header)}", 1, path
             )
         xs, ys = [], []
         for line_no, row in enumerate(reader, start=2):
@@ -137,17 +137,17 @@ def load_csv(path) -> Sample:
                 continue
             if len(row) != d + 1:
                 raise RaggedRowError(
-                    f"expected {d + 1} cells, found {len(row)}", line_no
+                    f"expected {d + 1} cells, found {len(row)}", line_no, path
                 )
             try:
                 vals = [float(c) for c in row]
             except ValueError:
                 bad = next(c for c in row if not _is_float(c))
-                raise NonNumericError(f"non-numeric cell {bad!r}", line_no) from None
+                raise NonNumericError(f"non-numeric cell {bad!r}", line_no, path) from None
             xs.append(vals[:-1])
             ys.append(vals[-1])
     if not xs:
-        raise EmptyDataError("no data rows", 2)
+        raise EmptyDataError("no data rows", 2, path)
     x = np.asarray(xs, dtype=np.float64)
     if d == 1:
         x = x[:, 0]
@@ -213,12 +213,17 @@ def split(sample: Sample, fractions, seed: int):
     return tuple(out)
 
 
-def misclassification(h: HypothesisVector, sample: Sample, ctx=None) -> float:
-    """Fraction of sign disagreements on +/-1 labels; sign(0) counts as +1."""
-    labels = sample.y
+def check_sign_labels(labels) -> None:
+    """Raise ``ValueError`` naming the first label that is not -1 or +1."""
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         bad = labels[~np.isin(labels, (-1.0, 1.0))][0]
         raise ValueError(f"labels must be in {{-1, +1}}, found {bad}")
+
+
+def misclassification(h: HypothesisVector, sample: Sample, ctx=None) -> float:
+    """Fraction of sign disagreements on +/-1 labels; sign(0) counts as +1."""
+    labels = sample.y
+    check_sign_labels(labels)
     preds = predict(h, sample.x, ctx=ctx)
     signs = np.where(preds >= 0, 1.0, -1.0)
     return float(np.mean(signs != labels))

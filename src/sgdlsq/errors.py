@@ -34,11 +34,14 @@ class DivergenceError(RuntimeError):
 
 
 class DataFormatError(ValueError):
-    """Malformed tabular input. ``line_no`` is 1-based."""
+    """Malformed tabular input. ``line_no`` is 1-based; ``path`` names
+    the file read, if any."""
 
-    def __init__(self, message, line_no):
+    def __init__(self, message, line_no, path=None):
         self.line_no = int(line_no)
-        super().__init__(f"line {line_no}: {message}")
+        self.path = path
+        where = f"line {line_no}" if path is None else f"{path}, line {line_no}"
+        super().__init__(f"{where}: {message}")
 
 
 class EmptyDataError(DataFormatError):

@@ -12,6 +12,11 @@ Three kernels cover every experiment in the package:
 sizes. For gaussian and sobolev it is the analytic supremum (1 and 1/4),
 not a data estimate, so step-size normalization carries no sampling
 noise.
+
+Kernel matrices are written in place into their result, one tile at a
+time, with each formula's operations in the textbook order, so no
+entry depends on the tiling. A Gram matrix computes only the tiles on
+and above its diagonal and mirrors them.
 """
 
 from dataclasses import dataclass
@@ -23,6 +28,10 @@ from .errors import KernelDomainError
 KINDS = ("gaussian", "sobolev", "linear")
 
 _SOBOLEV_SLACK = 1e-12
+
+# kernel matrices are filled in blocks of this many rows (and, for a Gram,
+# columns), which keeps the elementwise passes and the temporaries in cache
+_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -65,41 +74,96 @@ def _check_sobolev_domain(arr):
         )
 
 
-def cross_matrix(spec: KernelSpec, xs, anchors) -> np.ndarray:
-    """Matrix of kernel values K(xs[i], anchors[j]), shape (len(xs), len(anchors))."""
+def _operands(spec, xs, anchors):
+    """``xs`` and ``anchors`` in the shapes the kernel's formula reads,
+    after its dimension and domain checks. 2-D results take the
+    inner-product path (``a @ b.T``), 1-D ones the elementwise path."""
     xs = _as_points(xs)
     anchors = _as_points(anchors)
     if spec.kind == "gaussian":
         if xs.ndim == 1 and anchors.ndim == 1:
-            sq = (xs[:, None] - anchors[None, :]) ** 2
-        else:
-            a = np.atleast_2d(xs) if xs.ndim == 1 else xs
-            b = np.atleast_2d(anchors) if anchors.ndim == 1 else anchors
-            if a.ndim == 1 or b.ndim == 1 or a.shape[1] != b.shape[1]:
-                raise ValueError(
-                    f"gaussian kernel inputs disagree in dimension: {xs.shape} vs {anchors.shape}"
-                )
-            sq = (
-                np.sum(a**2, axis=1)[:, None]
-                + np.sum(b**2, axis=1)[None, :]
-                - 2.0 * (a @ b.T)
+            return xs, anchors
+        a = np.atleast_2d(xs) if xs.ndim == 1 else xs
+        b = np.atleast_2d(anchors) if anchors.ndim == 1 else anchors
+        if a.ndim == 1 or b.ndim == 1 or a.shape[1] != b.shape[1]:
+            raise ValueError(
+                f"gaussian kernel inputs disagree in dimension: {xs.shape} vs {anchors.shape}"
             )
-            np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.sigma**2))
+        return a, b
     if spec.kind == "sobolev":
         if xs.ndim != 1 or anchors.ndim != 1:
             raise KernelDomainError("sobolev kernel takes scalar inputs")
         _check_sobolev_domain(xs)
         _check_sobolev_domain(anchors)
-        lo = np.minimum(xs[:, None], anchors[None, :])
-        hi = np.maximum(xs[:, None], anchors[None, :])
-        return lo * (1.0 - hi)
+        return xs, anchors
     # linear
     a = xs[:, None] if xs.ndim == 1 else xs
     b = anchors[:, None] if anchors.ndim == 1 else anchors
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"linear kernel inputs disagree in dimension: {xs.shape} vs {anchors.shape}")
-    return a @ b.T
+    return a, b
+
+
+def _buffer(spec, a, b):
+    """The output buffer and the squared row norms of ``a`` and ``b``.
+
+    On the inner-product path the buffer already holds ``a @ b.T`` (for
+    ``a is b`` numpy computes it by syrk, so it is exactly symmetric) and
+    the norms are returned for the gaussian kernel; otherwise they are None.
+    """
+    if a.ndim == 1:
+        return np.empty((a.shape[0], b.shape[0])), None
+    if spec.kind == "gaussian":
+        return a @ b.T, (np.sum(a**2, axis=1), np.sum(b**2, axis=1))
+    return a @ b.T, None
+
+
+def _fill(spec, out, a, b, norms, rows, cols):
+    """Turn ``out[rows, cols]`` into K(a[rows], b[cols]) in place.
+
+    The arithmetic is the textbook expression's, in its order, so the
+    values do not depend on the block: exp(-(x - y)^2 / (2 sigma^2)),
+    exp(-max((|a|^2 + |b|^2) - 2 <a, b>, 0) / (2 sigma^2)),
+    min(x, y) * (1 - max(x, y)), and <a, b> as the buffer holds it.
+    """
+    blk = out[rows, cols]
+    if spec.kind == "gaussian":
+        if norms is None:
+            np.subtract.outer(a[rows], b[cols], out=blk)
+            np.square(blk, out=blk)
+        else:
+            # x + (-2g) is x - 2g exactly
+            blk *= -2.0
+            blk += np.add.outer(norms[0][rows], norms[1][cols])
+            np.maximum(blk, 0.0, out=blk)
+        np.negative(blk, out=blk)
+        blk /= 2.0 * spec.sigma**2
+        np.exp(blk, out=blk)
+    elif spec.kind == "sobolev":
+        np.maximum.outer(a[rows], b[cols], out=blk)
+        np.subtract(1.0, blk, out=blk)
+        blk *= np.minimum.outer(a[rows], b[cols])
+
+
+def _upper_tiles(n):
+    """(rows, cols) slices of the square tiles on and above the diagonal
+    of an n x n matrix."""
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def cross_matrix(spec: KernelSpec, xs, anchors) -> np.ndarray:
+    """Matrix of kernel values K(xs[i], anchors[j]), shape (len(xs), len(anchors)).
+
+    Written in place into the result in row tiles, so no temporary is
+    larger than one tile.
+    """
+    a, b = _operands(spec, xs, anchors)
+    out, norms = _buffer(spec, a, b)
+    for i in range(0, a.shape[0], _TILE):
+        _fill(spec, out, a, b, norms, slice(i, i + _TILE), slice(None))
+    return out
 
 
 def kernel_eval(spec: KernelSpec, x, xp) -> float:
@@ -115,8 +179,9 @@ def kernel_eval(spec: KernelSpec, x, xp) -> float:
 class GramMatrix:
     """Dense symmetric kernel matrix with its provenance spec.
 
-    Symmetry is enforced by averaging with the transpose at build time,
-    which removes floating-point asymmetry before any PSD-dependent use.
+    :func:`build_gram` makes it symmetric by construction: it computes
+    the tiles on and above the diagonal and mirrors each into the lower
+    triangle.
     """
 
     values: np.ndarray
@@ -129,6 +194,11 @@ class GramMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.values)[0])
 
+    def max_asymmetry(self) -> float:
+        """max |K_ij - K_ji|, taken tile by tile."""
+        g = self.values
+        return max(float(np.max(np.abs(g[r, c] - g[c, r].T))) for r, c in _upper_tiles(self.n))
+
 
 # Grams up to this size get an automatic full eigenvalue check at build
 # time; larger ones only on request (the check is O(n^3)).
@@ -139,6 +209,13 @@ _PSD_TOL = 1e-8
 
 def build_gram(spec: KernelSpec, points, check_psd=None) -> GramMatrix:
     """Gram matrix of ``points`` under ``spec``.
+
+    Symmetric by construction: the tiles on and above the diagonal are
+    computed in place, as :func:`cross_matrix` computes them, and each is
+    mirrored into the lower triangle, so half the kernel values are
+    evaluated. On the inner-product paths (d-dimensional gaussian, linear)
+    every tile reads one ``points @ points.T`` product, which is also the
+    output buffer.
 
     Parameters
     ----------
@@ -157,8 +234,12 @@ def build_gram(spec: KernelSpec, points, check_psd=None) -> GramMatrix:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("cannot build a Gram matrix from an empty point list")
-    k = cross_matrix(spec, pts, pts)
-    k = 0.5 * (k + k.T)
+    a, _ = _operands(spec, pts, pts)
+    k, norms = _buffer(spec, a, a)
+    for rows, cols in _upper_tiles(n):
+        _fill(spec, k, a, a, norms, rows, cols)
+        if rows != cols:
+            k[cols, rows] = k[rows, cols].T
     bound = kappa_sq(spec, pts)
     max_diag = float(np.max(np.diag(k)))
     if max_diag > bound * (1.0 + 1e-12) + 1e-15:

@@ -38,11 +38,12 @@ class AnchorSet:
     uid: int = field(default_factory=lambda: next(_anchor_counter))
 
     def __post_init__(self):
-        if self.gram.n != self.n:
-            raise DimensionMismatch("anchor set vs Gram matrix", self.n, self.gram.n)
+        for size in self.gram.values.shape:
+            if size != self.n:
+                raise DimensionMismatch("anchor set vs Gram matrix", self.n, size)
         g = self.gram.values
-        scale = max(float(np.max(np.abs(g))), 1e-300)
-        if float(np.max(np.abs(g - g.T))) > 1e-12 * scale:
+        scale = max(float(g.max()), -float(g.min()), 1e-300)
+        if self.gram.max_asymmetry() > 1e-12 * scale:
             raise ValueError("Gram matrix is not symmetric within tolerance")
 
     @property
@@ -113,23 +114,27 @@ def _check_ctx(h: HypothesisVector, ctx):
         raise BackendMismatch("hypothesis was built over a different anchor set")
 
 
+def feature_matrix(h: HypothesisVector, xs) -> np.ndarray:
+    """The matrix F with ``predict(h, xs) == F @ h.coeffs``: the inputs
+    (euclidean) or the cross matrix K(xs, anchors) (kernel). It depends
+    only on ``xs`` and the backend, dimension and anchor set of ``h``."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if h.backend == "kernel":
+        return cross_matrix(h.anchors.kernel, xs, h.anchors.points)
+    d = h.coeffs.shape[0]
+    if xs.ndim == 1 and d == 1:
+        return xs[:, None]
+    if xs.ndim == 2 and xs.shape[1] == d:
+        return xs
+    got = xs.shape[1] if xs.ndim == 2 else 1
+    raise DimensionMismatch("hypothesis vs input point", d, got)
+
+
 def predict(h: HypothesisVector, xs, ctx=None) -> np.ndarray:
     """Evaluations <h, x>_H at each point of ``xs``; the batch form of
     :func:`evaluate` and the only evaluation path used in hot loops."""
     _check_ctx(h, ctx)
-    xs = np.asarray(xs, dtype=np.float64)
-    if h.backend == "euclidean":
-        d = h.coeffs.shape[0]
-        if xs.ndim == 1 and d == 1:
-            mat = xs[:, None]
-        elif xs.ndim == 2 and xs.shape[1] == d:
-            mat = xs
-        else:
-            got = xs.shape[1] if xs.ndim == 2 else 1
-            raise DimensionMismatch("hypothesis vs input point", d, got)
-        return mat @ h.coeffs
-    k = cross_matrix(h.anchors.kernel, xs, h.anchors.points)
-    return k @ h.coeffs
+    return feature_matrix(h, xs) @ h.coeffs
 
 
 def evaluate(h: HypothesisVector, x, ctx=None) -> float:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample, misclassification
+from .data import Sample, check_sign_labels
 from .iterations import Trajectory
-from .spaces import mean_square_error
+from .spaces import feature_matrix
 
 METRICS = ("mse", "zero-one")
 
@@ -33,19 +33,35 @@ class StoppingOutcome:
 def holdout_stop(
     trajectory: Trajectory, validation: Sample, metric: str = "mse"
 ) -> StoppingOutcome:
-    """First checkpoint minimizing the validation error."""
+    """First checkpoint minimizing the validation error.
+
+    The validation features are built once: one cross matrix K(x_val,
+    anchors) for the checkpoints that share an anchor set, the input
+    matrix for euclidean ones. Each checkpoint then costs one
+    ``features @ coeffs`` product, and its error equals
+    :func:`~sgdlsq.spaces.mean_square_error` or
+    :func:`~sgdlsq.data.misclassification` of its vector bit for bit.
+    """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if len(trajectory.checkpoints) == 0:
         raise ValueError("trajectory has no checkpoints")
     if validation.m == 0:
         raise ValueError("validation sample is empty")
+    y = validation.y
+    if metric == "zero-one":
+        check_sign_labels(y)
+    features = {}  # by anchor set (kernel) or coefficient shape (euclidean)
     errors = []
     for vec in trajectory.vectors:
+        key = vec.anchors.uid if vec.backend == "kernel" else vec.coeffs.shape
+        if key not in features:
+            features[key] = feature_matrix(vec, validation.x)
+        preds = features[key] @ vec.coeffs
         if metric == "mse":
-            errors.append(mean_square_error(vec, validation.x, validation.y))
-        else:
-            errors.append(misclassification(vec, validation))
+            errors.append(float(np.mean((preds - y) ** 2)))
+        else:  # sign(0) counts as +1
+            errors.append(float(np.mean(np.where(preds >= 0, 1.0, -1.0) != y)))
     best = int(np.argmin(errors))  # argmin returns the first minimizer
     return StoppingOutcome(
         chosen_t=trajectory.checkpoints[best],

@@ -278,13 +278,22 @@ class TestExitCodes:
           "--fractions", "0.7,a,0.15"], 4, "fractions must be comma-separated floats"),
         (["run", "--data", "{latin1}", "--b", "1", "--eta1", "0.1", "--T", "5"], 3, "{latin1}"),
         (["decompose", "--config", "{latin1}"], 3, "{latin1}"),
-    ], ids=["trials-1", "m-grid", "fractions", "data-not-utf8", "config-not-utf8"])
+        (["decompose", "--config", "{bach}"], 4,
+         "config key 'algorithm' must be one of 'sgm', 'batch', got 'bach'"),
+        (["run", "--data", "{ragged}", "--b", "1", "--eta1", "0.1", "--T", "5"], 3,
+         "{ragged}, line 3: expected 2 cells, found 1"),
+    ], ids=["trials-1", "m-grid", "fractions", "data-not-utf8", "config-not-utf8",
+            "config-algorithm", "data-ragged-row"])
     def test_bad_input_exit_code_and_message(self, tmp_path, capsys, argv, code, fragment):
-        latin1 = tmp_path / "latin1.csv"
-        latin1.write_bytes("x1,y\n0.5,caf\xe9\n".encode("latin-1"))
-        argv = [a.format(latin1=latin1) for a in argv]
+        files = {"latin1": tmp_path / "latin1.csv", "bach": tmp_path / "bach.json",
+                 "ragged": tmp_path / "ragged.csv"}
+        files["latin1"].write_bytes("x1,y\n0.5,caf\xe9\n".encode("latin-1"))
+        files["bach"].write_text(json.dumps({"algorithm": "bach", "m": 12, "b": 2, "T": 10,
+                                             "R": 3, "N": 40, "checkpoints": 3}))
+        files["ragged"].write_text("x1,y\n0.5,1.0\n0.25\n")
+        argv = [a.format(**files) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == code
-        assert fragment.format(latin1=latin1) in capsys.readouterr().err
+        assert fragment.format(**files) in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
 
     def test_internal_error_is_exit_6_with_traceback(self, monkeypatch, capsys):

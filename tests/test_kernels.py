@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgdlsq import KernelDomainError, KernelSpec, build_gram, cross_matrix, kappa_sq, kernel_eval
+from sgdlsq import (AnchorSet, GramMatrix, KernelDomainError, KernelSpec, build_gram,
+                    cross_matrix, kappa_sq, kernel_eval)
+from sgdlsq import kernels
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 SOB = KernelSpec("sobolev")
@@ -74,6 +80,112 @@ class TestBuildGram:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             build_gram(GAUSS, [])
+
+
+def _reference_cross_matrix(spec, xs, anchors):
+    """The cross matrix as whole-array expressions, kept as the reference
+    the in-place tiled fill must equal bit for bit."""
+    xs = np.asarray(xs, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    if spec.kind == "gaussian":
+        if xs.ndim == 1 and anchors.ndim == 1:
+            sq = (xs[:, None] - anchors[None, :]) ** 2
+        else:
+            sq = (
+                np.sum(xs**2, axis=1)[:, None]
+                + np.sum(anchors**2, axis=1)[None, :]
+                - 2.0 * (xs @ anchors.T)
+            )
+            np.maximum(sq, 0.0, out=sq)
+        return np.exp(-sq / (2.0 * spec.sigma**2))
+    if spec.kind == "sobolev":
+        lo = np.minimum(xs[:, None], anchors[None, :])
+        hi = np.maximum(xs[:, None], anchors[None, :])
+        return lo * (1.0 - hi)
+    a = xs[:, None] if xs.ndim == 1 else xs
+    b = anchors[:, None] if anchors.ndim == 1 else anchors
+    return a @ b.T
+
+
+def _reference_gram(spec, pts):
+    k = _reference_cross_matrix(spec, pts, pts)
+    return 0.5 * (k + k.T)
+
+
+# (kind, dimension or None for scalar points)
+_CASES = [("gaussian", None), ("gaussian", 2), ("gaussian", 8), ("gaussian", 20),
+          ("sobolev", None), ("linear", None), ("linear", 2), ("linear", 8)]
+
+
+class TestInPlaceTiles:
+    """The tiled in-place fill against the whole-array expressions."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=st.sampled_from(_CASES),
+        tile=st.sampled_from([1, 3, kernels._TILE]),
+        offset=st.integers(-2, 2),
+        blocks=st.integers(1, 3),
+        n_cross=st.integers(1, 9),
+        duplicates=st.booleans(),
+        sigma=st.sampled_from([0.05, 0.3, 2.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_equals_whole_array_expressions(self, case, tile, offset, blocks, n_cross,
+                                            duplicates, sigma, seed):
+        kind, d = case
+        n = max(1, blocks * tile + offset)  # on both sides of a tile boundary
+        spec = KernelSpec(kind, sigma=sigma if kind == "gaussian" else None)
+        rng = np.random.default_rng(seed)
+        shape = n if d is None else (n, d)
+        pts = rng.standard_normal(shape) if kind == "linear" else rng.random(shape)
+        if duplicates:  # coincident points reach the gaussian's clip at 0
+            pts = np.round(pts * 4) / 4
+        xs = pts[rng.integers(0, n, n_cross)] + (0.0 if duplicates else 0.01)
+        if kind == "sobolev":
+            xs = np.clip(xs, 0.0, 1.0)
+        with mock.patch.object(kernels, "_TILE", tile):
+            gram = build_gram(spec, pts, check_psd=False).values
+            cross = cross_matrix(spec, xs, pts)
+            cross_t = cross_matrix(spec, pts, xs)
+        np.testing.assert_array_equal(gram, _reference_gram(spec, pts))
+        np.testing.assert_array_equal(gram, gram.T)
+        np.testing.assert_array_equal(cross, _reference_cross_matrix(spec, xs, pts))
+        np.testing.assert_array_equal(cross_t, _reference_cross_matrix(spec, pts, xs))
+
+    def test_gram_check_errors_still_fire(self):
+        # a sobolev point a hair past 1, inside the domain slack, has a
+        # negative diagonal: not positive semi-definite
+        with pytest.raises(ValueError, match="not positive semi-definite"):
+            build_gram(SOB, [1.0 + 1e-12], check_psd=True)
+        build_gram(SOB, [1.0 + 1e-12], check_psd=False)
+        with mock.patch.object(kernels, "kappa_sq", lambda spec, points=None: 0.5):
+            with pytest.raises(ValueError, match="exceeds kernel bound"):
+                build_gram(GAUSS, [0.1, 0.4])
+
+
+class TestAnchorSymmetryCheck:
+    @pytest.mark.parametrize("tile, n, entry", [
+        (3, 8, (1, 6)),      # off-diagonal tile only
+        (3, 8, (4, 5)),      # inside a diagonal tile
+        (None, 300, (10, 290)),
+    ])
+    def test_asymmetric_gram_is_refused(self, tile, n, entry):
+        pts = np.linspace(0.0, 1.0, n)
+        values = build_gram(GAUSS, pts, check_psd=False).values.copy()
+        i, j = entry
+        with mock.patch.object(kernels, "_TILE", tile or kernels._TILE):
+            values[i, j] += 2e-12
+            with pytest.raises(ValueError, match="not symmetric"):
+                AnchorSet(points=pts, kernel=GAUSS, gram=GramMatrix(values, GAUSS))
+            values[i, j] -= 1.5e-12  # within 1e-12 of the largest entry
+            AnchorSet(points=pts, kernel=GAUSS, gram=GramMatrix(values, GAUSS))
+
+    def test_non_square_gram_is_refused(self):
+        pts = np.linspace(0.0, 1.0, 4)
+        values = build_gram(GAUSS, np.linspace(0.0, 1.0, 5), check_psd=False).values[:4]
+        with pytest.raises(ValueError, match="anchor set vs Gram matrix"):
+            AnchorSet(points=pts, kernel=GAUSS, gram=GramMatrix(values, GAUSS))
 
 
 class TestKappaSq:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlsq import (
     AnchorSet,
@@ -9,13 +11,15 @@ from sgdlsq import (
     gen_synthetic_abs,
     holdout_stop,
     make_schedule,
+    mean_square_error,
+    misclassification,
     run_batch_gm,
     sample_index_plan,
     run_sgm,
     tstar_outcome,
 )
 from sgdlsq.iterations import Trajectory
-from sgdlsq.spaces import euclidean_vector
+from sgdlsq.spaces import euclidean_vector, kernel_vector, zero_vector
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -96,6 +100,63 @@ class TestHoldoutStop:
         out = holdout_stop(traj, val)
         assert out.chosen_t in traj.checkpoints
         assert out.chosen_error == min(out.errors)
+
+    def test_zero_one_rejects_labels_other_than_plus_minus_one(self):
+        traj = _toy_trajectory([1.0, -1.0], (1, 2))
+        val = Sample(x=np.array([[1.0], [2.0]]), y=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="labels must be in"):
+            holdout_stop(traj, val, metric="zero-one")
+
+
+def _per_vector_errors(traj, val, metric):
+    """Each checkpoint evaluated on its own, kept as the reference the
+    shared validation features must equal bit for bit."""
+    if metric == "mse":
+        return [mean_square_error(v, val.x, val.y) for v in traj.vectors]
+    return [misclassification(v, val) for v in traj.vectors]
+
+
+class TestSharedValidationFeatures:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        backend=st.sampled_from(["kernel", "euclidean"]),
+        metric=st.sampled_from(["mse", "zero-one"]),
+        d=st.sampled_from([None, 1, 3]),
+        n_anchor_sets=st.integers(1, 2),
+        n_train=st.integers(1, 40),
+        n_val=st.integers(1, 30),
+        n_cp=st.integers(1, 8),
+        zero_first=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_errors_equal_per_vector_loop(self, backend, metric, d, n_anchor_sets, n_train,
+                                          n_val, n_cp, zero_first, seed):
+        rng = np.random.default_rng(seed)
+        dim = 1 if d is None else d
+        val_x = rng.random(n_val) if d is None else rng.random((n_val, d))
+        if metric == "mse":
+            val_y = rng.standard_normal(n_val)
+        else:
+            val_y = rng.choice([-1.0, 1.0], n_val)
+        val = Sample(x=val_x, y=val_y)
+        if backend == "kernel":
+            shape = n_train if d is None else (n_train, d)
+            anchor_sets = [AnchorSet.build(GAUSS, rng.random(shape), check_psd=False)
+                           for _ in range(n_anchor_sets)]
+            vectors = [kernel_vector(rng.standard_normal(n_train), anchor_sets[k % n_anchor_sets])
+                       for k in range(n_cp)]
+        else:
+            vectors = [euclidean_vector(rng.standard_normal(dim)) for _ in range(n_cp)]
+        if zero_first:  # predictions of exactly 0, whose sign counts as +1
+            vectors[0] = zero_vector(dim, vectors[0].anchors)
+        if metric == "zero-one" and n_cp > 1:
+            vectors[-1] = vectors[0]  # a tie, broken toward the first
+        cps = tuple(range(1, n_cp + 1))
+        traj = Trajectory(checkpoints=cps, vectors=tuple(vectors), passes=cps, backend=backend)
+        out = holdout_stop(traj, val, metric=metric)
+        reference = _per_vector_errors(traj, val, metric)
+        assert out.errors == tuple(reference)
+        assert out.chosen_t == cps[int(np.argmin(reference))]
 
 
 class TestTstarOutcome:
