@@ -53,7 +53,7 @@ from .iterations import (
     run_sgm_trials,
     sample_index_plan,
 )
-from .kernels import GramMatrix, KernelSpec, build_gram, cross_matrix, kappa_sq, kernel_eval
+from .kernels import GramMatrix, KernelSpec, build_gram, cross_matrix, kappa_sq
 from .rng import make_rng, mix_seed
 from .schedules import (
     RECIPE_IDS,
@@ -70,13 +70,9 @@ from .spaces import (
     AnchorSet,
     HypothesisVector,
     euclidean_vector,
-    evaluate,
-    inner,
     kernel_vector,
     mean_square_error,
-    norm_sq,
     predict,
-    zero_vector,
 )
 from .stopping import StoppingOutcome, holdout_stop, tstar_outcome
 

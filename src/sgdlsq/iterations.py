@@ -11,13 +11,12 @@ All three start from the zero element and share the step-size law from
   pure function of its inputs and every rerun is bit-identical.
 * A single run is inherently sequential; independent runs (distinct
   plans) advance in lockstep as one block (:func:`run_sgm_trials`).
+* Batch GM is computed in closed form as a spectral filter of a
+  factor of the Gram or of the euclidean inputs; its step loop runs
+  only as the fallback, when the factor is over budget or the iterate
+  could grow (:func:`run_batch_gm`).
 * The population iteration is batch GM on the noiseless surrogate
-  sample, computed in closed form as a spectral filter of a factor of
-  the surrogate Gram (pivoted Cholesky, cut once the residual diagonal
-  sums to <= 1e-15 trace) or of the euclidean inputs; the step loop of
-  :func:`run_batch_gm` runs instead when the spectrum predicts growth
-  or the factor's rank exceeds an operation-count budget
-  (:func:`run_population`).
+  sample (:func:`run_population`).
 
 Averaging the mini-batch iterate over many independent index plans
 recovers the batch iterate at every step: conditioned on the sample,
@@ -125,11 +124,6 @@ def log_checkpoints(T: int, count: int = 30) -> tuple:
         raise ValueError(f"T must be >= 1, got {T}")
     grid = np.unique(np.geomspace(1, T, num=min(count, T)).round().astype(int))
     return tuple(int(v) for v in grid)
-
-
-def _check_state(w, t, where):
-    if not np.all(np.isfinite(w)) or np.max(np.abs(w)) > _DIVERGENCE_LIMIT:
-        raise DivergenceError(t, where)
 
 
 def _as_matrix(x):
@@ -247,43 +241,6 @@ def run_sgm(
     )
 
 
-def run_batch_gm(
-    sample: Sample,
-    ctx: AnchorSet | None,
-    schedule: StepSchedule,
-    T: int,
-    checkpoints=None,
-) -> Trajectory:
-    """Deterministic full-gradient run on the empirical risk."""
-    cps = normalize_checkpoints(checkpoints, T)
-    cp_set = set(cps)
-    etas = schedule.etas(T)
-    out = []
-    if ctx is None:
-        x = _as_matrix(sample.x)
-        w = np.zeros(x.shape[1])
-        for t in range(1, T + 1):
-            resid = x @ w - sample.y
-            w -= (etas[t - 1] / sample.m) * (x.T @ resid)
-            _check_state(w, t, "batch/euclidean")
-            if t in cp_set:
-                out.append(euclidean_vector(w))
-    else:
-        gram = _kernel_ctx(sample, ctx)
-        alpha = np.zeros(sample.m)
-        for t in range(1, T + 1):
-            alpha -= (etas[t - 1] / sample.m) * (gram @ alpha - sample.y)
-            _check_state(alpha, t, "batch/kernel")
-            if t in cp_set:
-                out.append(kernel_vector(alpha, ctx))
-    return Trajectory(
-        checkpoints=cps,
-        vectors=tuple(out),
-        passes=tuple(passes(sample.m, t, sample.m) for t in cps),
-        backend="euclidean" if ctx is None else "kernel",
-    )
-
-
 def _pivoted_cholesky(gram, max_rank):
     """Rows (k, N) of L^T with gram ~= L L^T, pivoting on the largest
     residual diagonal until it sums to <= 1e-15 trace; None when that
@@ -314,6 +271,86 @@ def _factor_budget(T, n, step_cost):
     return min(n // 4, math.isqrt(int(T) * step_cost // (7 * n)))
 
 
+def _gm_steps(grad, w, etas, cps, where):
+    """The batch-GM step loop w <- w - eta_t grad(w) (eta_t already over
+    m), in place; returns copies of w at the steps in ``cps``. Raises
+    ``DivergenceError(t, where)`` at the first step where max|w| > 1e12."""
+    out = []
+    for t, eta in enumerate(etas, 1):
+        w -= eta * grad(w)
+        if not np.abs(w).max() <= _DIVERGENCE_LIMIT:  # also catches nan
+            raise DivergenceError(t, where)
+        if t in cps:
+            out.append(w.copy())
+    return out
+
+
+def run_batch_gm(
+    sample: Sample,
+    ctx: AnchorSet | None,
+    schedule: StepSchedule,
+    T: int,
+    checkpoints=None,
+) -> Trajectory:
+    """Deterministic full-gradient run on the empirical risk.
+
+    Computed in closed form as a spectral filter of a factor K ~= L L^T
+    of the Gram on ``sample.x`` (kernel: pivoted Cholesky, cut once the
+    residual diagonal sums to <= 1e-15 trace; euclidean: L = X, and the
+    iterate is w_t = X^T c_t). With L = U S W^T and lam = S^2, step t
+    has c_t = s_t y + U diag(d_t) U^T y, s_t = sum_{l<=t} eta_l/m and
+    d_t = (1 - eta_t lam/m) d_{t-1} - (eta_t lam/m) s_{t-1}, d_0 = 0; the
+    s_t y term carries the part of y outside the range of K. (W, lam)
+    are the eigenpairs of L^T L, so c_t = s_t y + L W diag(d_t/lam) W^T L^T y.
+
+    The filter runs only when (1) the factor's rank is within
+    :func:`_factor_budget`, an operation count against the loop's;
+    (2) eta_1 lam_max/m <= 2, so every |1 - eta_t lam/m| <= 1 (the
+    schedule is non-increasing) and ||c_t||_2 <= s_T ||y||_2, or
+    ||w_t||_2 <= sqrt(lam_max) s_T ||y||_2 for euclidean; and (3) that
+    bound is at most half the divergence limit, so no step could raise.
+    Otherwise the step loop runs and raises
+    ``DivergenceError(t, "batch/<backend>")`` at the first diverging step.
+    """
+    cps = normalize_checkpoints(checkpoints, T)
+    cp_set = set(cps)
+    kernel = ctx is not None
+    backend = "kernel" if kernel else "euclidean"
+    m, y = sample.m, sample.y
+    etas = schedule.etas(T) / m
+    if kernel:
+        gram = _kernel_ctx(sample, ctx)
+        rows = _pivoted_cholesky(gram, _factor_budget(T, m, m * m))
+    else:
+        x = _as_matrix(sample.x)
+        rows = x.T if x.shape[1] <= _factor_budget(T, m, 2 * m * x.shape[1]) else None
+    if rows is not None:
+        lam, w = np.linalg.eigh(rows @ rows.T)
+        lam_max = lam.max(initial=0.0)
+        reach = etas.sum() * np.linalg.norm(y) * (1.0 if kernel else np.sqrt(lam_max))
+    if rows is None or etas[0] * lam_max > 2 or reach > _DIVERGENCE_LIMIT / 2:
+        grad = (lambda c: gram @ c - y) if kernel else (lambda v: x.T @ (x @ v - y))
+        start = np.zeros(m if kernel else x.shape[1])
+        coeffs = _gm_steps(grad, start, etas, cp_set, f"batch/{backend}")
+    else:
+        proj = w.T @ (rows @ y)
+        s = 0.0
+        h = np.zeros_like(lam)
+        coeffs = []
+        for t, eta in enumerate(etas, 1):
+            h = (1 - eta * lam) * h - eta * s
+            s += eta
+            if t in cp_set:
+                c = s * y + (w @ (h * proj)) @ rows
+                coeffs.append(c if kernel else rows @ c)
+    return Trajectory(
+        checkpoints=cps,
+        vectors=tuple(kernel_vector(c, ctx) if kernel else euclidean_vector(c) for c in coeffs),
+        passes=cps,  # every step sweeps the whole sample once
+        backend=backend,
+    )
+
+
 def run_population(
     surrogate,
     f_true,
@@ -321,61 +358,20 @@ def run_population(
     T: int,
     checkpoints=None,
 ) -> Trajectory:
-    """Idealized gradient run against exact targets on a surrogate measure.
+    """Idealized gradient run against exact targets on a surrogate measure:
+    :func:`run_batch_gm` on the noiseless sample (points, f).
 
     ``surrogate`` is an :class:`AnchorSet` (kernel backend; the iterate
     is an expansion over the surrogate points) or a plain coordinate
     array (euclidean backend). ``f_true`` must be vectorized: it maps
-    the surrogate points to their exact target values f.
-
-    This is batch GM on the noiseless sample (points, f), computed as a
-    spectral filter. With K = L L^T, L = U S W^T and lam = S^2, step t
-    has c_t = s_t f + U diag(d_t) U^T f, s_t = sum_{l<=t} eta_l/N and
-    d_t = (1 - eta_t lam/N) d_{t-1} - (eta_t lam/N) s_{t-1}, d_0 = 0.
-    (W, lam) are the eigenpairs of the k x k matrix L^T L and U = L W/S,
-    so it runs as c_t = s_t f + L W diag(h_t) W^T L^T f, h_t = d_t/lam.
-    Kernel: L is the Gram's pivoted-Cholesky factor, cut once the
-    residual diagonal sums to <= 1e-15 trace(K). Euclidean: L = X, and
-    the iterate is X^T c_t. :func:`run_batch_gm` runs instead when the
-    spectrum predicts growth (eta_1 lam_max/N > 2; the loop raises at
-    the diverging step) or the factor's rank exceeds the budget of
-    :func:`_factor_budget` (an operation count against the loop's).
+    the surrogate points to their exact target values f. A divergence
+    is reported as ``population/<backend>``.
     """
-    cps = normalize_checkpoints(checkpoints, T)
-    cp_set = set(cps)
     kernel = isinstance(surrogate, AnchorSet)
     backend = "kernel" if kernel else "euclidean"
     pts = surrogate.points if kernel else np.asarray(surrogate, dtype=np.float64)
     sample = Sample(pts, np.asarray(f_true(pts), dtype=np.float64).reshape(-1))
-    n = sample.m
-    if kernel:
-        rows = _pivoted_cholesky(surrogate.gram.values, _factor_budget(T, n, n * n))
-    else:
-        rows = _as_matrix(pts).T
-        d = rows.shape[0]
-        if d > _factor_budget(T, n, 2 * n * d):
-            rows = None
-    etas = schedule.etas(T) / n
-    if rows is not None:
-        lam, w = np.linalg.eigh(rows @ rows.T)
-    if rows is None or etas[0] * lam.max(initial=0.0) > 2:
-        try:
-            return run_batch_gm(sample, surrogate if kernel else None, schedule, T, cps)
-        except DivergenceError as exc:
-            raise DivergenceError(exc.iteration, f"population/{backend}") from None
-    proj = w.T @ (rows @ sample.y)
-    s = 0.0
-    h = np.zeros_like(lam)
-    vectors = []
-    for t, eta in enumerate(etas, 1):
-        h = (1 - eta * lam) * h - eta * s
-        s += eta
-        if t in cp_set:
-            c = s * sample.y + (w @ (h * proj)) @ rows
-            vectors.append(kernel_vector(c, surrogate) if kernel else euclidean_vector(rows @ c))
-    return Trajectory(
-        checkpoints=cps,
-        vectors=tuple(vectors),
-        passes=cps,  # every step sweeps the whole surrogate once
-        backend=backend,
-    )
+    try:
+        return run_batch_gm(sample, surrogate if kernel else None, schedule, T, checkpoints)
+    except DivergenceError as exc:
+        raise DivergenceError(exc.iteration, f"population/{backend}") from None

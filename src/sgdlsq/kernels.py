@@ -166,15 +166,6 @@ def cross_matrix(spec: KernelSpec, xs, anchors) -> np.ndarray:
     return out
 
 
-def kernel_eval(spec: KernelSpec, x, xp) -> float:
-    """Single kernel value K(x, x')."""
-    x = np.asarray(x, dtype=np.float64)
-    xp = np.asarray(xp, dtype=np.float64)
-    if x.ndim == 0 and xp.ndim == 0:
-        return float(cross_matrix(spec, x.reshape(1), xp.reshape(1))[0, 0])
-    return float(cross_matrix(spec, x.reshape(1, -1), xp.reshape(1, -1))[0, 0])
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Dense symmetric kernel matrix with its provenance spec.

@@ -99,14 +99,6 @@ def kernel_vector(coeffs, anchors: AnchorSet) -> HypothesisVector:
     return HypothesisVector(backend="kernel", coeffs=arr, anchors=anchors)
 
 
-def zero_vector(dim=None, anchors=None) -> HypothesisVector:
-    if anchors is not None:
-        return kernel_vector(np.zeros(anchors.n), anchors)
-    if dim is None:
-        raise ValueError("need either a dimension or an anchor set")
-    return euclidean_vector(np.zeros(int(dim)))
-
-
 def _check_ctx(h: HypothesisVector, ctx):
     if ctx is None or h.backend != "kernel":
         return
@@ -131,49 +123,11 @@ def feature_matrix(h: HypothesisVector, xs) -> np.ndarray:
 
 
 def predict(h: HypothesisVector, xs, ctx=None) -> np.ndarray:
-    """Evaluations <h, x>_H at each point of ``xs``; the batch form of
-    :func:`evaluate` and the only evaluation path used in hot loops."""
+    """Evaluations <h, x>_H at each point of ``xs``: a dot product
+    (euclidean) or the kernel expansion sum_j alpha_j K(x_j, x). The one
+    evaluation path."""
     _check_ctx(h, ctx)
     return feature_matrix(h, xs) @ h.coeffs
-
-
-def evaluate(h: HypothesisVector, x, ctx=None) -> float:
-    """Inner product <h, x>_H: a dot product (euclidean) or the kernel
-    expansion sum_j alpha_j K(x_j, x)."""
-    x = np.asarray(x, dtype=np.float64)
-    if h.backend == "euclidean":
-        d = h.coeffs.shape[0]
-        flat = x.reshape(-1)
-        if flat.shape[0] != d:
-            raise DimensionMismatch("hypothesis vs input point", d, flat.shape[0])
-        _check_ctx(h, ctx)
-        return float(flat @ h.coeffs)
-    pts = x.reshape(1) if x.ndim == 0 else x.reshape(1, -1)
-    if h.anchors.points.ndim == 1:
-        pts = pts.reshape(-1)
-        if pts.shape[0] != 1:
-            raise DimensionMismatch("kernel input point", 1, pts.shape[0])
-    return float(predict(h, pts, ctx=ctx)[0])
-
-
-def inner(h1: HypothesisVector, h2: HypothesisVector, ctx=None) -> float:
-    """H-inner product. Kernel backend: alpha^T K beta over the shared
-    anchor set; mixing backends or anchor sets is an error."""
-    if h1.backend != h2.backend:
-        raise BackendMismatch(f"cannot mix backends {h1.backend!r} and {h2.backend!r}")
-    if h1.backend == "euclidean":
-        if h1.coeffs.shape != h2.coeffs.shape:
-            raise DimensionMismatch("inner product operands", h1.coeffs.shape[0], h2.coeffs.shape[0])
-        return float(h1.coeffs @ h2.coeffs)
-    if h1.anchors.uid != h2.anchors.uid:
-        raise BackendMismatch("inner product needs a shared anchor set")
-    _check_ctx(h1, ctx)
-    return float(h1.coeffs @ (h1.anchors.gram.values @ h2.coeffs))
-
-
-def norm_sq(h: HypothesisVector) -> float:
-    """Squared H-norm, clipped at zero against roundoff."""
-    return max(inner(h, h), 0.0)
 
 
 def mean_square_error(h: HypothesisVector, points, targets, ctx=None) -> float:

@@ -15,7 +15,6 @@ from sgdlsq import (
     misclassification,
     save_csv,
     split,
-    zero_vector,
 )
 
 
@@ -174,7 +173,7 @@ class TestMisclassification:
 
     def test_zero_hypothesis_predicts_plus_one(self):
         s = Sample(x=np.array([[0.5], [0.5]]), y=np.array([1.0, -1.0]))
-        assert misclassification(zero_vector(dim=1), s) == 0.5
+        assert misclassification(euclidean_vector([0.0]), s) == 0.5
 
     def test_label_flip_symmetry(self):
         rng = np.random.default_rng(6)
@@ -188,7 +187,7 @@ class TestMisclassification:
     def test_bad_label_rejected(self):
         s = Sample(x=np.array([[1.0]]), y=np.array([0.5]))
         with pytest.raises(ValueError):
-            misclassification(zero_vector(dim=1), s)
+            misclassification(euclidean_vector([0.0]), s)
 
 
 class TestMinMaxScale:

@@ -26,7 +26,6 @@ from sgdlsq import (
     run_sgm,
     sample_index_plan,
     unbiasedness_check,
-    zero_vector,
 )
 from sgdlsq.sums import fsum
 
@@ -42,12 +41,12 @@ class TestExcessRisk:
     def test_zero_hypothesis_kinked_target(self):
         # f(x) = |x - 1/2| - 1/2 at {0, 0.25, 0.5} is {0, -0.25, -0.5}
         pts = np.array([[0.0], [0.25], [0.5]])
-        got = excess_risk(zero_vector(dim=1), pts, lambda x: abs_target(x[:, 0]))
+        got = excess_risk(euclidean_vector([0.0]), pts, lambda x: abs_target(x[:, 0]))
         np.testing.assert_allclose(got, 0.3125 / 3, rtol=1e-14)
 
     def test_empty_surrogate(self):
         with pytest.raises(ValueError):
-            excess_risk(zero_vector(dim=1), np.empty((0, 1)), lambda x: x)
+            excess_risk(euclidean_vector([0.0]), np.empty((0, 1)), lambda x: x)
 
 
 class TestHNormError:

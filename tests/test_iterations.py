@@ -232,40 +232,97 @@ def _target(pts):
     return np.abs(iterations._as_matrix(pts).sum(axis=1) - 0.5) - 0.5
 
 
+def _noisy(pts, seed, scale=1.0):
+    """Targets plus unit noise, so y has a part outside the range of K."""
+    return scale * (_target(pts) + make_rng(seed).standard_normal(len(pts)))
+
+
+def _coeffs(traj):
+    return np.array([v.coeffs for v in traj.vectors])
+
+
 def _assert_rel(got, want, rtol):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
+def _batch_loop(sample, gram, etas, cps):
+    """Batch GM as two plain whole-matrix step loops, the reference the
+    spectral filter and its fallback are checked against."""
+    m = sample.m
+    out = []
+    if gram is None:
+        x = iterations._as_matrix(sample.x)
+        w = np.zeros(x.shape[1])
+        for t in range(1, len(etas) + 1):
+            resid = x @ w - sample.y
+            w -= (etas[t - 1] / m) * (x.T @ resid)
+            if not np.all(np.isfinite(w)) or np.max(np.abs(w)) > 1e12:
+                raise DivergenceError(t, "batch/euclidean")
+            if t in cps:
+                out.append(w.copy())
+    else:
+        alpha = np.zeros(m)
+        for t in range(1, len(etas) + 1):
+            alpha -= (etas[t - 1] / m) * (gram @ alpha - sample.y)
+            if not np.all(np.isfinite(alpha)) or np.max(np.abs(alpha)) > 1e12:
+                raise DivergenceError(t, "batch/kernel")
+            if t in cps:
+                out.append(alpha.copy())
+    return np.array(out)
+
+
+_CASES = dict(
+    kind=st.sampled_from(["gaussian", "sobolev", "linear", "euclidean"]),
+    n=st.integers(1, 200),
+    d=st.integers(1, 4),
+    T=st.integers(1, 400),
+    eta1=st.floats(0.01, 1.99),
+    theta=st.floats(0.0, 0.9, exclude_max=True),
+    seed=st.integers(0, 2**32),
+)
+
+
 class TestPopulationFilter:
+    """Batch GM runs as a spectral filter, with the step loop as its
+    fallback; the population iteration is batch GM on the noiseless
+    surrogate sample."""
+
     @settings(max_examples=60, deadline=None)
-    @given(
-        kind=st.sampled_from(["gaussian", "sobolev", "linear", "euclidean"]),
-        n=st.integers(1, 200),
-        d=st.integers(1, 4),
-        T=st.integers(1, 400),
-        eta1=st.floats(0.01, 1.99),
-        theta=st.floats(0.0, 0.9, exclude_max=True),
-        seed=st.integers(0, 2**32),
-    )
+    @given(**_CASES)
     def test_matches_batch_gm_on_surrogate_sample(self, kind, n, d, T, eta1, theta, seed):
-        """The spectral filter equals the step loop it replaced (batch GM
-        on the noiseless surrogate sample) to 1e-12 relative, in the
-        coefficients and in the surrogate values, for both backends and
-        the three kernels (full-rank sobolev Grams exceed the factor
-        budget and take the loop itself; gaussian ones reach rank ~20, so
-        the filter runs from N ~ 85). T stays <= 400: the filter's error
-        grows about
-        linearly in T where eta_t lam / N nears 2 (8e-13 at T = 965 with
-        eta1 = 1.98), while the loop's stays near 1e-15."""
-        pts, ctx, to_vals, k_sq = _surrogate_case(kind, n, d, seed)
+        """run_population equals run_batch_gm on Sample(pts, f(pts)) bit
+        for bit, for both backends and the three kernels."""
+        pts, ctx, _, k_sq = _surrogate_case(kind, n, d, seed)
         sch = make_schedule(eta1, theta, k_sq)
         cps = log_checkpoints(T, 8)
         pop = run_population(pts if ctx is None else ctx, _target, sch, T, cps)
         ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, T, cps)
         assert (pop.checkpoints, pop.passes, pop.backend) == (ref.checkpoints, ref.passes,
                                                               ref.backend)
-        got = np.array([v.coeffs for v in pop.vectors])
-        want = np.array([v.coeffs for v in ref.vectors])
+        np.testing.assert_array_equal(_coeffs(pop), _coeffs(ref))
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_CASES)
+    def test_batch_filter_matches_step_loop_on_noisy_samples(self, kind, n, d, T, eta1, theta,
+                                                             seed):
+        """run_batch_gm equals the step loop it replaced to 1e-12 relative,
+        in the coefficients and in the sample values, on noisy targets (y
+        not in the range of K), for both backends and the three kernels.
+        Where the fallback runs (full-rank sobolev Grams exceed the factor
+        budget; gaussian ones reach rank ~20, so the filter runs from
+        N ~ 85) it is equal bit for bit. T stays <= 400: the filter's
+        error grows about linearly in T where eta_t lam / N nears 2
+        (8e-13 at T = 965 with eta1 = 1.98), while the loop's stays near
+        1e-15."""
+        pts, ctx, to_vals, k_sq = _surrogate_case(kind, n, d, seed)
+        sample = Sample(pts, _noisy(pts, seed))
+        sch = make_schedule(eta1, theta, k_sq)
+        cps = log_checkpoints(T, 8)
+        with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
+            got = _coeffs(run_batch_gm(sample, ctx, sch, T, cps))
+        want = _batch_loop(sample, None if ctx is None else to_vals, sch.etas(T), set(cps))
+        if loop.called:
+            np.testing.assert_array_equal(got, want)
         _assert_rel(got, want, 1e-12)
         _assert_rel(got @ to_vals, want @ to_vals, 1e-12)
 
@@ -282,6 +339,25 @@ class TestPopulationFilter:
             run_population(pts if ctx is None else ctx, _target, sch, 400)
         assert err.value.iteration == loop.value.iteration
 
+    def test_norm_bound_over_the_limit_takes_the_loop(self):
+        """eta_1 lam_max / m <= 2 and the rank is within budget, but
+        s_T ||y|| is above the divergence limit: the filter cannot rule
+        out a raise, so the loop runs and raises at the reference loop's
+        step."""
+        pts, ctx, gram, k_sq = _surrogate_case("gaussian", 200, 1, seed=8)
+        sample = Sample(pts, _noisy(pts, 8, scale=1e11))
+        sch = make_schedule(1.0, 0.0, k_sq)
+        assert sch.etas(1)[0] * np.linalg.eigvalsh(gram).max() / 200 <= 2
+        assert iterations._pivoted_cholesky(gram, iterations._factor_budget(2000, 200, 200**2)) \
+            is not None
+        with pytest.raises(DivergenceError) as ref:
+            _batch_loop(sample, gram, sch.etas(2000), set())
+        with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop, \
+                pytest.raises(DivergenceError, match="batch/kernel") as err:
+            run_batch_gm(sample, ctx, sch, 2000)
+        assert loop.called
+        assert err.value.iteration == ref.value.iteration
+
     @pytest.mark.parametrize("n, T", [(200, 5), (40, 20000)])
     def test_full_rank_gram_is_the_loop(self, n, T):
         """A full-rank sobolev Gram needs more pivots than the factor
@@ -291,32 +367,31 @@ class TestPopulationFilter:
         budget = iterations._factor_budget(T, n, n * n)
         assert iterations._pivoted_cholesky(ctx.gram.values, budget) is None
         sch = make_schedule(0.5, 0.3, k_sq)
-        pop = run_population(ctx, _target, sch, T, range(1, T + 1))
-        ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, T, range(1, T + 1))
-        np.testing.assert_array_equal([v.coeffs for v in pop.vectors],
-                                      [v.coeffs for v in ref.vectors])
+        sample = Sample(pts, _noisy(pts, 4))
+        got = run_batch_gm(sample, ctx, sch, T, range(1, T + 1))
+        np.testing.assert_array_equal(_coeffs(got), _batch_loop(sample, ctx.gram.values,
+                                                                sch.etas(T), set(range(1, T + 1))))
 
     def test_wide_euclidean_inputs_with_short_run_are_the_loop(self):
         """d far above N: X^T X (d x d) and its eigh would cost far more
         than two short loop steps, so the loop runs: equal bit for bit."""
         pts, _, _, k_sq = _surrogate_case("euclidean", 20, 2000, seed=6)
         sch = make_schedule(0.5, 0.0, k_sq)
-        pop = run_population(pts, _target, sch, 2, (1, 2))
-        ref = run_batch_gm(Sample(pts, _target(pts)), None, sch, 2, (1, 2))
-        np.testing.assert_array_equal([v.coeffs for v in pop.vectors],
-                                      [v.coeffs for v in ref.vectors])
+        sample = Sample(pts, _noisy(pts, 6))
+        got = run_batch_gm(sample, None, sch, 2, (1, 2))
+        np.testing.assert_array_equal(_coeffs(got), _batch_loop(sample, None, sch.etas(2), {1, 2}))
 
     @pytest.mark.parametrize("kind, d", [("gaussian", 1), ("linear", 1), ("euclidean", 3)])
     def test_low_rank_surrogate_takes_the_filter(self, kind, d):
         """Low-rank factors within budget run no step loop at all."""
-        pts, ctx, _, k_sq = _surrogate_case(kind, 200, d, seed=7)
+        pts, ctx, gram, k_sq = _surrogate_case(kind, 200, d, seed=7)
+        sample = Sample(pts, _noisy(pts, 7))
         sch = make_schedule(1.0, 0.2, k_sq)
         cps = log_checkpoints(1000, 8)
-        ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, 1000, cps)
-        with mock.patch.object(iterations, "run_batch_gm", side_effect=AssertionError("loop ran")):
-            pop = run_population(pts if ctx is None else ctx, _target, sch, 1000, cps)
-        _assert_rel(np.array([v.coeffs for v in pop.vectors]),
-                    np.array([v.coeffs for v in ref.vectors]), 1e-12)
+        with mock.patch.object(iterations, "_gm_steps", side_effect=AssertionError("loop ran")):
+            got = run_batch_gm(sample, ctx, sch, 1000, cps)
+        want = _batch_loop(sample, None if ctx is None else gram, sch.etas(1000), set(cps))
+        _assert_rel(_coeffs(got), want, 1e-12)
 
 
 class TestUnbiasednessSmall:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdlsq import (AnchorSet, GramMatrix, KernelDomainError, KernelSpec, build_gram,
-                    cross_matrix, kappa_sq, kernel_eval)
+                    cross_matrix, kappa_sq)
 from sgdlsq import kernels
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
@@ -15,29 +15,31 @@ LIN = KernelSpec("linear")
 
 
 class TestKernelEval:
+    """Single kernel values, as 1-point cross matrices."""
+
     def test_gaussian_zero_distance(self):
         for x in (0.0, 0.3, -2.0):
-            assert kernel_eval(GAUSS, x, x) == 1.0
+            assert cross_matrix(GAUSS, [x], [x])[0, 0] == 1.0
 
     def test_gaussian_sigma_02(self):
         # exp(-(0.2)^2 / (2 * 0.04)) = exp(-1/2)
-        np.testing.assert_allclose(kernel_eval(GAUSS, 0.0, 0.2), np.exp(-0.5), rtol=1e-12)
+        np.testing.assert_allclose(cross_matrix(GAUSS, [0.0], [0.2]), [[np.exp(-0.5)]], rtol=1e-12)
 
     def test_gaussian_vector_inputs(self):
         x, xp = np.array([0.1, 0.2]), np.array([0.3, 0.0])
         expected = np.exp(-np.sum((x - xp) ** 2) / (2 * 0.2**2))
-        np.testing.assert_allclose(kernel_eval(GAUSS, x, xp), expected, rtol=1e-12)
+        np.testing.assert_allclose(cross_matrix(GAUSS, x[None], xp[None]), [[expected]], rtol=1e-12)
 
     def test_sobolev_hand_value(self):
-        assert kernel_eval(SOB, 0.3, 0.6) == pytest.approx((1 - 0.6) * 0.3, abs=1e-15)
+        assert cross_matrix(SOB, [0.3], [0.6])[0, 0] == pytest.approx((1 - 0.6) * 0.3, abs=1e-15)
 
     def test_sobolev_domain_error(self):
         with pytest.raises(KernelDomainError):
-            kernel_eval(SOB, 1.2, 0.5)
+            cross_matrix(SOB, [1.2], [0.5])
 
     def test_sobolev_endpoint_slack(self):
         # values a hair outside [0, 1] from rounding are tolerated
-        assert kernel_eval(SOB, 1.0 + 1e-13, 0.5) == pytest.approx(0.5 * 0.0, abs=1e-12)
+        assert cross_matrix(SOB, [1.0 + 1e-13], [0.5])[0, 0] == pytest.approx(0.5 * 0.0, abs=1e-12)
 
     @pytest.mark.parametrize("spec", [GAUSS, SOB])
     def test_symmetry_on_random_pairs(self, spec):

@@ -7,12 +7,9 @@ from sgdlsq import (
     DimensionMismatch,
     KernelSpec,
     euclidean_vector,
-    evaluate,
-    inner,
     kernel_vector,
     mean_square_error,
     predict,
-    zero_vector,
 )
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
@@ -24,57 +21,62 @@ def gauss_anchor():
     return AnchorSet.build(GAUSS, [0.0, 0.25, 0.5, 0.75])
 
 
+def _inner(h1, h2):
+    """The H-inner product through the one evaluation path, by the
+    reproducing property <h1, sum_j b_j K(x_j, .)> = sum_j b_j h1(x_j);
+    a euclidean hypothesis is its own representer."""
+    if h2.backend == "kernel":
+        return float(h2.coeffs @ predict(h1, h2.anchors.points, ctx=h2.anchors))
+    return float(predict(h1, h2.coeffs[None, :])[0])
+
+
 class TestEvaluate:
     def test_zero_element(self, gauss_anchor):
-        assert evaluate(zero_vector(dim=3), [1.0, 2.0, 3.0]) == 0.0
-        assert evaluate(zero_vector(anchors=gauss_anchor), 0.3) == 0.0
+        assert predict(euclidean_vector(np.zeros(3)), [[1.0, 2.0, 3.0]])[0] == 0.0
+        assert predict(kernel_vector(np.zeros(4), gauss_anchor), [0.3])[0] == 0.0
 
     def test_kernel_single_anchor(self):
         a = AnchorSet.build(GAUSS, [0.0])
         h = kernel_vector([1.0], a)
-        np.testing.assert_allclose(evaluate(h, 0.2), np.exp(-0.5), rtol=1e-12)
+        np.testing.assert_allclose(predict(h, [0.2]), [np.exp(-0.5)], rtol=1e-12)
 
     def test_euclidean_dot(self):
-        assert evaluate(euclidean_vector([1.0, 2.0]), [3.0, 4.0]) == 11.0
+        assert predict(euclidean_vector([1.0, 2.0]), [[3.0, 4.0]])[0] == 11.0
 
     def test_dimension_mismatch_names_lengths(self):
         with pytest.raises(DimensionMismatch) as err:
-            evaluate(euclidean_vector([1.0, 2.0]), [3.0, 4.0, 5.0])
+            predict(euclidean_vector([1.0, 2.0]), [[3.0, 4.0, 5.0]])
         assert err.value.expected == 2 and err.value.got == 3
 
 
 class TestInner:
     def test_zero(self, gauss_anchor):
         h = kernel_vector([1.0, -2.0, 0.5, 0.0], gauss_anchor)
-        assert inner(h, zero_vector(anchors=gauss_anchor)) == 0.0
+        assert _inner(h, kernel_vector(np.zeros(4), gauss_anchor)) == 0.0
 
     def test_euclidean_dot(self):
-        assert inner(euclidean_vector([1, 2]), euclidean_vector([3, 4])) == 11.0
+        assert _inner(euclidean_vector([1, 2]), euclidean_vector([3, 4])) == 11.0
 
     def test_sobolev_single_anchor(self):
         a = AnchorSet.build(SOB, [0.5])
         h = kernel_vector([1.0], a)
-        assert inner(h, h) == pytest.approx(0.25, abs=1e-15)
-
-    def test_backend_mismatch(self, gauss_anchor):
-        with pytest.raises(BackendMismatch):
-            inner(euclidean_vector([1.0]), kernel_vector([1.0, 0, 0, 0], gauss_anchor))
+        assert _inner(h, h) == pytest.approx(0.25, abs=1e-15)
 
     def test_anchor_mismatch(self, gauss_anchor):
         other = AnchorSet.build(GAUSS, [0.0, 0.25, 0.5, 0.75])
         with pytest.raises(BackendMismatch):
-            inner(kernel_vector([1, 0, 0, 0], gauss_anchor), kernel_vector([1, 0, 0, 0], other))
+            predict(kernel_vector([1, 0, 0, 0], gauss_anchor), other.points, ctx=other)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bilinearity(self, seed, gauss_anchor):
-        """inner(a*h1 + h2, h3) = a*inner(h1,h3) + inner(h2,h3)."""
+        """<a*h1 + h2, h3> = a*<h1,h3> + <h2,h3>."""
         rng = np.random.default_rng(seed)
         a = float(rng.standard_normal())
         c1, c2, c3 = rng.standard_normal((3, gauss_anchor.n))
         h1, h2, h3 = (kernel_vector(c, gauss_anchor) for c in (c1, c2, c3))
         combo = kernel_vector(a * c1 + c2, gauss_anchor)
-        lhs = inner(combo, h3)
-        rhs = a * inner(h1, h3) + inner(h2, h3)
+        lhs = _inner(combo, h3)
+        rhs = a * _inner(h1, h3) + _inner(h2, h3)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -82,18 +84,20 @@ class TestInner:
         rng = np.random.default_rng(100 + seed)
         h = kernel_vector(rng.standard_normal(gauss_anchor.n), gauss_anchor)
         scale = float(np.max(np.abs(h.coeffs))) ** 2
-        assert inner(h, h) >= -1e-12 * scale
+        assert _inner(h, h) >= -1e-12 * scale
 
 
 class TestReproducingConsistency:
     @pytest.mark.parametrize("spec", [GAUSS, SOB])
     def test_evaluate_at_anchors_matches_gram_product(self, spec):
+        """One-point evaluations agree with the batch one and with the
+        Gram product."""
         rng = np.random.default_rng(5)
         anchors = AnchorSet.build(spec, np.sort(rng.random(12)))
         h = kernel_vector(rng.standard_normal(12), anchors)
         via_gram = anchors.gram.values @ h.coeffs
-        via_eval = np.array([evaluate(h, x) for x in anchors.points])
-        np.testing.assert_allclose(via_eval, via_gram, rtol=1e-10, atol=1e-12)
+        via_points = np.array([predict(h, [x])[0] for x in anchors.points])
+        np.testing.assert_allclose(via_points, via_gram, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(predict(h, anchors.points), via_gram, rtol=1e-10, atol=1e-12)
 
 
@@ -104,12 +108,13 @@ class TestMeanSquareError:
         assert mean_square_error(h, pts, [2.0, 4.0, -2.0]) == 0.0
 
     def test_zero_hypothesis_unit_targets(self):
-        assert mean_square_error(zero_vector(dim=1), np.array([[0.3], [0.7]]), [1.0, -1.0]) == 1.0
+        zero = euclidean_vector([0.0])
+        assert mean_square_error(zero, np.array([[0.3], [0.7]]), [1.0, -1.0]) == 1.0
 
     def test_zero_hypothesis_on_kinked_target(self):
         # targets of f(x) = |x - 1/2| - 1/2 at {0, 0.25, 0.5} are {0, -0.25, -0.5}
         pts = np.array([[0.0], [0.25], [0.5]])
-        got = mean_square_error(zero_vector(dim=1), pts, [0.0, -0.25, -0.5])
+        got = mean_square_error(euclidean_vector([0.0]), pts, [0.0, -0.25, -0.5])
         np.testing.assert_allclose(got, 0.3125 / 3, rtol=1e-14)
 
     def test_permutation_invariance(self):
@@ -124,7 +129,7 @@ class TestMeanSquareError:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean_square_error(zero_vector(dim=1), np.empty((0, 1)), [])
+            mean_square_error(euclidean_vector([0.0]), np.empty((0, 1)), [])
 
 
 class TestHypothesisVectorInvariants:

@@ -19,7 +19,7 @@ from sgdlsq import (
     tstar_outcome,
 )
 from sgdlsq.iterations import Trajectory
-from sgdlsq.spaces import euclidean_vector, kernel_vector, zero_vector
+from sgdlsq.spaces import euclidean_vector, kernel_vector
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -148,7 +148,8 @@ class TestSharedValidationFeatures:
         else:
             vectors = [euclidean_vector(rng.standard_normal(dim)) for _ in range(n_cp)]
         if zero_first:  # predictions of exactly 0, whose sign counts as +1
-            vectors[0] = zero_vector(dim, vectors[0].anchors)
+            vectors[0] = (euclidean_vector(np.zeros(dim)) if backend == "euclidean"
+                          else kernel_vector(np.zeros(n_train), vectors[0].anchors))
         if metric == "zero-one" and n_cp > 1:
             vectors[-1] = vectors[0]  # a tie, broken toward the first
         cps = tuple(range(1, n_cp + 1))
