@@ -34,7 +34,6 @@ from .decomposition import (
     unbiasedness_check,
 )
 from .errors import (
-    BackendMismatch,
     DataFormatError,
     DimensionMismatch,
     DivergenceError,

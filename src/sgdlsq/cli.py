@@ -371,11 +371,14 @@ def cmd_run(args):
         b, schedule, T = rec.b, rec.schedule, rec.t_star
         algorithm = "batch" if rec.is_batch else "sgm"
     else:
-        if cfg["b"] is None or cfg["eta1"] is None or cfg["T"] is None:
-            raise ValueError("explicit mode needs --b, --eta1 and --T (or use --recipe)")
+        algorithm = "batch" if cfg["batch"] else "sgm"
+        # batch GM uses the whole sample at every step and never reads b
+        needed = ("eta1", "T") if cfg["batch"] else ("b", "eta1", "T")
+        if any(cfg[k] is None for k in needed):
+            raise ValueError(f"explicit mode needs {', '.join('--' + k for k in needed)} "
+                             "(or use --recipe)")
         b, T = cfg["b"], cfg["T"]
         schedule = StepSchedule(eta1=cfg["eta1"], theta=cfg["theta"], kappa_sq=ksq)
-        algorithm = "batch" if cfg["batch"] else "sgm"
     if T >= 3:
         check = validate_schedule(schedule, T)
         if not check.ok:

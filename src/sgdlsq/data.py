@@ -220,11 +220,11 @@ def check_sign_labels(labels) -> None:
         raise ValueError(f"labels must be in {{-1, +1}}, found {bad}")
 
 
-def misclassification(h: HypothesisVector, sample: Sample, ctx=None) -> float:
+def misclassification(h: HypothesisVector, sample: Sample) -> float:
     """Fraction of sign disagreements on +/-1 labels; sign(0) counts as +1."""
     labels = sample.y
     check_sign_labels(labels)
-    preds = predict(h, sample.x, ctx=ctx)
+    preds = predict(h, sample.x)
     signs = np.where(preds >= 0, 1.0, -1.0)
     return float(np.mean(signs != labels))
 

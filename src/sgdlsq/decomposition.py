@@ -193,11 +193,6 @@ def fit_rate(pairs) -> RateFit:
     )
 
 
-def _values(traj, mat):
-    """Surrogate-point values of every checkpoint vector, (n_cp, N)."""
-    return np.array([mat @ v.coeffs for v in traj.vectors])
-
-
 def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
     """What both reports share: the surrogate targets, the training
     context, the matrix taking training coefficients to surrogate values,
@@ -208,7 +203,7 @@ def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
         raise ValueError("f_true produced non-finite values on the surrogate")
     if kernel is None:
         ctx, eval_mat = None, pts.reshape(pts.shape[0], -1)
-        pop_vals = _values(run_population(pts, f_true, schedule, T, cps), eval_mat)
+        pop_vals = run_population(pts, f_true, schedule, T, cps).values(eval_mat)
     else:
         ctx = AnchorSet.build(kernel, sample.x, check_psd=None)
         surr_run = (
@@ -218,9 +213,8 @@ def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
         )
         eval_mat = cross_matrix(kernel, pts, sample.x)
         # population expansions are anchored on the surrogate itself
-        pop_traj = run_population(surr_run, f_true, schedule, T, cps)
-        pop_vals = _values(pop_traj, surr_run.gram.values)
-    batch_vals = _values(run_batch_gm(sample, ctx, schedule, T, cps), eval_mat)
+        pop_vals = run_population(surr_run, f_true, schedule, T, cps).values(surr_run.gram.values)
+    batch_vals = run_batch_gm(sample, ctx, schedule, T, cps).values(eval_mat)
     bias_sq = np.mean((pop_vals - f_vals[None, :]) ** 2, axis=1)
     sample_var_sq = np.mean((batch_vals - pop_vals) ** 2, axis=1)
     return f_vals, ctx, eval_mat, batch_vals, bias_sq, sample_var_sq

@@ -14,10 +14,6 @@ class DimensionMismatch(ValueError):
         super().__init__(f"{what}: expected length {expected}, got {got}")
 
 
-class BackendMismatch(ValueError):
-    """Operands live in different hypothesis-space realizations."""
-
-
 class KernelDomainError(ValueError):
     """Kernel input outside the kernel's domain of definition."""
 

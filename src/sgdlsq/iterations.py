@@ -5,7 +5,9 @@ All three start from the zero element and share the step-size law from
 
 * "Checkpoint t" stores the hypothesis after exactly t gradient steps
   (so checkpoint 1 is the state after the first update). The state
-  before any update is the zero element and is not stored.
+  before any update is the zero element and is not stored. A run
+  returns its checkpoints as one :class:`Trajectory` block, one row
+  of coefficients per checkpoint.
 * Mini-batch indices are sampled i.i.d. uniformly with replacement from
   the whole sample, pre-drawn into an :class:`IndexPlan`, so a run is a
   pure function of its inputs and every rerun is bit-identical.
@@ -35,7 +37,7 @@ from .errors import DimensionMismatch, DivergenceError
 from .kernels import KernelSpec, build_gram
 from .rng import make_rng
 from .schedules import StepSchedule, passes
-from .spaces import AnchorSet, HypothesisVector, euclidean_vector, kernel_vector
+from .spaces import AnchorSet, HypothesisVector
 
 _DIVERGENCE_LIMIT = 1e12
 
@@ -78,30 +80,54 @@ def sample_index_plan(m: int, b: int, T: int, seed: int) -> IndexPlan:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Hypotheses recorded at an increasing sequence of step counts."""
+    """The iterates at an increasing sequence of step counts, as one
+    read-only (n_cp, w) block: row i holds the coordinates (euclidean)
+    or the expansion coefficients over ``anchors`` (kernel) after
+    ``checkpoints[i]`` steps. ``anchors`` is None for euclidean runs."""
 
     checkpoints: tuple
-    vectors: tuple
+    coeffs: np.ndarray
     passes: tuple
-    backend: str
+    anchors: AnchorSet | None = None
 
     def __post_init__(self):
-        if len(self.checkpoints) != len(self.vectors):
-            raise DimensionMismatch(
-                "checkpoints vs vectors", len(self.checkpoints), len(self.vectors)
-            )
+        coeffs = np.asarray(self.coeffs, dtype=np.float64).view()
+        if coeffs.ndim != 2:
+            raise ValueError(f"coefficients must form an (n_cp, w) block, got {coeffs.shape}")
+        if len(coeffs) != len(self.checkpoints):
+            raise DimensionMismatch("checkpoints vs coefficient rows",
+                                    len(self.checkpoints), len(coeffs))
+        if self.anchors is not None and coeffs.shape[1] != self.anchors.n:
+            raise DimensionMismatch("coefficients vs anchor set", self.anchors.n, coeffs.shape[1])
         if any(b >= a for a, b in zip(self.checkpoints[1:], self.checkpoints)):
             raise ValueError("checkpoints must be strictly increasing")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("hypothesis coefficients must be finite")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def backend(self) -> str:
+        return "euclidean" if self.anchors is None else "kernel"
 
     @property
     def final(self) -> HypothesisVector:
-        return self.vectors[-1]
+        return self.vector_at(self.checkpoints[-1])
 
     def vector_at(self, t: int) -> HypothesisVector:
         try:
-            return self.vectors[self.checkpoints.index(t)]
+            i = self.checkpoints.index(t)
         except ValueError:
             raise KeyError(f"no checkpoint at t={t}") from None
+        return HypothesisVector(self.backend, self.coeffs[i], self.anchors)
+
+    def values(self, features) -> np.ndarray:
+        """Row i is ``features @ coeffs[i]``, (n_cp, n), for a feature
+        matrix of this trajectory (:func:`~sgdlsq.spaces.feature_matrix`).
+        One matrix-vector product per row, so each row equals
+        :func:`~sgdlsq.spaces.predict` of its vector bit for bit; the
+        single product ``coeffs @ features.T`` differs in the last bits."""
+        return np.matmul(features, self.coeffs[:, :, None])[..., 0]
 
 
 def normalize_checkpoints(checkpoints, T: int) -> tuple:
@@ -227,18 +253,12 @@ def run_sgm(
     single-plan case of :func:`run_sgm_trials`.
     """
     cps = normalize_checkpoints(checkpoints, plan.T)
-    backend = "euclidean" if ctx is None else "kernel"
     try:
         block = run_sgm_trials(sample, ctx, schedule, [plan], cps)
     except DivergenceError as exc:
+        backend = "euclidean" if ctx is None else "kernel"
         raise DivergenceError(exc.iteration, f"sgm/{backend}") from None
-    return Trajectory(
-        checkpoints=cps,
-        vectors=tuple(euclidean_vector(c) if ctx is None else kernel_vector(c, ctx)
-                      for c in block[:, 0]),
-        passes=tuple(passes(plan.b, t, sample.m) for t in cps),
-        backend=backend,
-    )
+    return Trajectory(cps, block[:, 0], tuple(passes(plan.b, t, sample.m) for t in cps), ctx)
 
 
 def _pivoted_cholesky(gram, max_rank):
@@ -271,18 +291,17 @@ def _factor_budget(T, n, step_cost):
     return min(n // 4, math.isqrt(int(T) * step_cost // (7 * n)))
 
 
-def _gm_steps(grad, w, etas, cps, where):
+def _gm_steps(grad, w, etas, cp_pos, out, where):
     """The batch-GM step loop w <- w - eta_t grad(w) (eta_t already over
-    m), in place; returns copies of w at the steps in ``cps``. Raises
-    ``DivergenceError(t, where)`` at the first step where max|w| > 1e12."""
-    out = []
+    m), in place; writes w at step t into row ``cp_pos[t]`` of ``out``.
+    Raises ``DivergenceError(t, where)`` at the first step where
+    max|w| > 1e12."""
     for t, eta in enumerate(etas, 1):
         w -= eta * grad(w)
         if not np.abs(w).max() <= _DIVERGENCE_LIMIT:  # also catches nan
             raise DivergenceError(t, where)
-        if t in cps:
-            out.append(w.copy())
-    return out
+        if t in cp_pos:
+            out[cp_pos[t]] = w
 
 
 def run_batch_gm(
@@ -296,12 +315,15 @@ def run_batch_gm(
 
     Computed in closed form as a spectral filter of a factor K ~= L L^T
     of the Gram on ``sample.x`` (kernel: pivoted Cholesky, cut once the
-    residual diagonal sums to <= 1e-15 trace; euclidean: L = X, and the
-    iterate is w_t = X^T c_t). With L = U S W^T and lam = S^2, step t
-    has c_t = s_t y + U diag(d_t) U^T y, s_t = sum_{l<=t} eta_l/m and
+    residual diagonal sums to <= 1e-15 trace; euclidean: L = X). With
+    L = U S W^T and lam = S^2, the kernel iterate at step t is
+    c_t = s_t y + U diag(d_t) U^T y, s_t = sum_{l<=t} eta_l/m and
     d_t = (1 - eta_t lam/m) d_{t-1} - (eta_t lam/m) s_{t-1}, d_0 = 0; the
     s_t y term carries the part of y outside the range of K. (W, lam)
     are the eigenpairs of L^T L, so c_t = s_t y + L W diag(d_t/lam) W^T L^T y.
+    The euclidean iterate is w_t = W diag(q_t) W^T X^T y with
+    q_t = (1 - eta_t lam/m) q_{t-1} + eta_t/m, q_0 = 0, whose terms do
+    not cancel as those of X^T c_t do (an error growing linearly in T).
 
     The filter runs only when (1) the factor's rank is within
     :func:`_factor_budget`, an operation count against the loop's;
@@ -313,9 +335,8 @@ def run_batch_gm(
     ``DivergenceError(t, "batch/<backend>")`` at the first diverging step.
     """
     cps = normalize_checkpoints(checkpoints, T)
-    cp_set = set(cps)
+    cp_pos = {t: i for i, t in enumerate(cps)}
     kernel = ctx is not None
-    backend = "kernel" if kernel else "euclidean"
     m, y = sample.m, sample.y
     etas = schedule.etas(T) / m
     if kernel:
@@ -324,31 +345,28 @@ def run_batch_gm(
     else:
         x = _as_matrix(sample.x)
         rows = x.T if x.shape[1] <= _factor_budget(T, m, 2 * m * x.shape[1]) else None
+    out = np.empty((len(cps), m if kernel else x.shape[1]))
     if rows is not None:
         lam, w = np.linalg.eigh(rows @ rows.T)
         lam_max = lam.max(initial=0.0)
         reach = etas.sum() * np.linalg.norm(y) * (1.0 if kernel else np.sqrt(lam_max))
     if rows is None or etas[0] * lam_max > 2 or reach > _DIVERGENCE_LIMIT / 2:
         grad = (lambda c: gram @ c - y) if kernel else (lambda v: x.T @ (x @ v - y))
-        start = np.zeros(m if kernel else x.shape[1])
-        coeffs = _gm_steps(grad, start, etas, cp_set, f"batch/{backend}")
+        where = "batch/kernel" if kernel else "batch/euclidean"
+        _gm_steps(grad, np.zeros(out.shape[1]), etas, cp_pos, out, where)
     else:
         proj = w.T @ (rows @ y)
         s = 0.0
         h = np.zeros_like(lam)
-        coeffs = []
         for t, eta in enumerate(etas, 1):
-            h = (1 - eta * lam) * h - eta * s
-            s += eta
-            if t in cp_set:
-                c = s * y + (w @ (h * proj)) @ rows
-                coeffs.append(c if kernel else rows @ c)
-    return Trajectory(
-        checkpoints=cps,
-        vectors=tuple(kernel_vector(c, ctx) if kernel else euclidean_vector(c) for c in coeffs),
-        passes=cps,  # every step sweeps the whole sample once
-        backend=backend,
-    )
+            if kernel:
+                h = (1 - eta * lam) * h - eta * s
+                s += eta
+            else:
+                h = (1 - eta * lam) * h + eta
+            if t in cp_pos:
+                out[cp_pos[t]] = s * y + (w @ (h * proj)) @ rows if kernel else w @ (h * proj)
+    return Trajectory(cps, out, cps, ctx)  # each step is one pass over the sample
 
 
 def run_population(

@@ -13,29 +13,21 @@ be computed through point evaluations, never by subtracting coefficient
 vectors; see :mod:`sgdlsq.decomposition`.
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendMismatch, DimensionMismatch
+from .errors import DimensionMismatch
 from .kernels import GramMatrix, KernelSpec, build_gram, cross_matrix
-
-_anchor_counter = itertools.count()
 
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Ordered anchor points plus their Gram matrix.
-
-    ``uid`` distinguishes anchor sets so that coefficients built over
-    one set cannot silently be combined with another.
-    """
+    """Ordered anchor points plus their Gram matrix."""
 
     points: np.ndarray
     kernel: KernelSpec
     gram: GramMatrix
-    uid: int = field(default_factory=lambda: next(_anchor_counter))
 
     def __post_init__(self):
         for size in self.gram.values.shape:
@@ -99,21 +91,15 @@ def kernel_vector(coeffs, anchors: AnchorSet) -> HypothesisVector:
     return HypothesisVector(backend="kernel", coeffs=arr, anchors=anchors)
 
 
-def _check_ctx(h: HypothesisVector, ctx):
-    if ctx is None or h.backend != "kernel":
-        return
-    if isinstance(ctx, AnchorSet) and ctx.uid != h.anchors.uid:
-        raise BackendMismatch("hypothesis was built over a different anchor set")
-
-
-def feature_matrix(h: HypothesisVector, xs) -> np.ndarray:
+def feature_matrix(h, xs) -> np.ndarray:
     """The matrix F with ``predict(h, xs) == F @ h.coeffs``: the inputs
     (euclidean) or the cross matrix K(xs, anchors) (kernel). It depends
-    only on ``xs`` and the backend, dimension and anchor set of ``h``."""
+    only on ``xs`` and the backend, dimension and anchor set of ``h``, so
+    ``h`` may also be a :class:`~sgdlsq.iterations.Trajectory`."""
     xs = np.asarray(xs, dtype=np.float64)
     if h.backend == "kernel":
         return cross_matrix(h.anchors.kernel, xs, h.anchors.points)
-    d = h.coeffs.shape[0]
+    d = h.coeffs.shape[-1]
     if xs.ndim == 1 and d == 1:
         return xs[:, None]
     if xs.ndim == 2 and xs.shape[1] == d:
@@ -122,15 +108,14 @@ def feature_matrix(h: HypothesisVector, xs) -> np.ndarray:
     raise DimensionMismatch("hypothesis vs input point", d, got)
 
 
-def predict(h: HypothesisVector, xs, ctx=None) -> np.ndarray:
+def predict(h: HypothesisVector, xs) -> np.ndarray:
     """Evaluations <h, x>_H at each point of ``xs``: a dot product
     (euclidean) or the kernel expansion sum_j alpha_j K(x_j, x). The one
     evaluation path."""
-    _check_ctx(h, ctx)
     return feature_matrix(h, xs) @ h.coeffs
 
 
-def mean_square_error(h: HypothesisVector, points, targets, ctx=None) -> float:
+def mean_square_error(h: HypothesisVector, points, targets) -> float:
     """Mean of squared residuals (<h, x_i> - y_i)^2 over a point set."""
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
@@ -139,5 +124,5 @@ def mean_square_error(h: HypothesisVector, points, targets, ctx=None) -> float:
         raise ValueError("mean_square_error needs at least one point")
     if n_pts != targets.shape[0]:
         raise DimensionMismatch("points vs targets", n_pts, targets.shape[0])
-    resid = predict(h, points, ctx=ctx) - targets
+    resid = predict(h, points) - targets
     return float(np.mean(resid**2))

@@ -1,8 +1,8 @@
 """Hold-out early stopping over a checkpointed trajectory.
 
 The hold-out rule is the practical surrogate for the theoretical
-stopping iteration: evaluate every checkpoint on a validation sample
-and keep the first minimizer. Ties break toward the earliest (cheapest)
+stopping iteration: evaluate the trajectory's whole coefficient block
+on a validation sample and keep the first minimizer. Ties break toward the earliest (cheapest)
 checkpoint, and the curve is used raw, with no smoothing; densify the
 checkpoints instead if the curve is noisy.
 """
@@ -35,10 +35,10 @@ def holdout_stop(
 ) -> StoppingOutcome:
     """First checkpoint minimizing the validation error.
 
-    The validation features are built once: one cross matrix K(x_val,
-    anchors) for the checkpoints that share an anchor set, the input
-    matrix for euclidean ones. Each checkpoint then costs one
-    ``features @ coeffs`` product, and its error equals
+    The validation features are built once, the cross matrix K(x_val,
+    anchors) (kernel) or the input matrix (euclidean), and
+    :meth:`Trajectory.values` evaluates every checkpoint on them as one
+    (n_cp, n_val) block. Each checkpoint's error equals
     :func:`~sgdlsq.spaces.mean_square_error` or
     :func:`~sgdlsq.data.misclassification` of its vector bit for bit.
     """
@@ -51,17 +51,11 @@ def holdout_stop(
     y = validation.y
     if metric == "zero-one":
         check_sign_labels(y)
-    features = {}  # by anchor set (kernel) or coefficient shape (euclidean)
-    errors = []
-    for vec in trajectory.vectors:
-        key = vec.anchors.uid if vec.backend == "kernel" else vec.coeffs.shape
-        if key not in features:
-            features[key] = feature_matrix(vec, validation.x)
-        preds = features[key] @ vec.coeffs
-        if metric == "mse":
-            errors.append(float(np.mean((preds - y) ** 2)))
-        else:  # sign(0) counts as +1
-            errors.append(float(np.mean(np.where(preds >= 0, 1.0, -1.0) != y)))
+    preds = trajectory.values(feature_matrix(trajectory, validation.x))
+    if metric == "mse":
+        errors = ((preds - y) ** 2).mean(axis=1)
+    else:  # sign(0) counts as +1
+        errors = (np.where(preds >= 0, 1.0, -1.0) != y).mean(axis=1)
     best = int(np.argmin(errors))  # argmin returns the first minimizer
     return StoppingOutcome(
         chosen_t=trajectory.checkpoints[best],

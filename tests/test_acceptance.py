@@ -196,9 +196,8 @@ def test_criterion_4_population_bias_decay_bound():
         w_star = rng.standard_normal(d)
         sch = make_schedule(0.5, theta)
         traj = run_population(x_hat, lambda p: p @ w_star, sch, T, tuple(range(1, T + 1)))
-        coef = np.array([v.coeffs for v in traj.vectors])
         f_vals = x_hat @ w_star
-        bias = np.sqrt(np.mean((x_hat @ coef.T - f_vals[:, None]) ** 2, axis=0))
+        bias = np.sqrt(np.mean((x_hat @ traj.coeffs.T - f_vals[:, None]) ** 2, axis=0))
         eta_cum = np.cumsum(sch.etas(T))
         for zeta in (0.5, 1.0):
             bound = _source_constant(x_hat, w_star, zeta) * (zeta / (2.0 * eta_cum)) ** zeta
@@ -301,7 +300,7 @@ def test_criterion_9_classification_parity_across_batch_sizes(tmp_path):
         else:
             plan = sample_index_plan(m, b, T, mix_seed(900, 1))
             traj = run_sgm(train, ctx, sch, plan, cps)
-        best[name] = min(misclassification(v, test) for v in traj.vectors)
+        best[name] = min(misclassification(traj.vector_at(t), test) for t in cps)
     spread = max(best.values()) - min(best.values())
     ok = _report(
         9,

@@ -1,11 +1,15 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgdlsq import cli, gen_synthetic_abs, save_csv
+from sgdlsq import Sample, cli, gen_synthetic_abs, save_csv
 from sgdlsq.cli import main
 
 DECOMPOSE_COLUMNS = ["t", "pass", "bias_sq", "sample_var_sq", "comp_var_sq",
@@ -204,8 +208,6 @@ class TestRun:
         rng = np.random.default_rng(0)
         x = np.vstack([rng.normal(0.8, 0.4, (40, 2)), rng.normal(-0.8, 0.4, (40, 2))])
         y = np.concatenate([np.ones(40), -np.ones(40)])
-        from sgdlsq import Sample
-
         path = tmp_path / "labels.csv"
         save_csv(Sample(x=x, y=y), path)
         out = tmp_path / "clf"
@@ -243,6 +245,22 @@ class TestRun:
         code = main(["run", "--generator", "synthetic-abs",
                      "--out", str(tmp_path / "y")])
         assert code == 4
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_explicit_batch_needs_no_b(self, tmp_path, capsys, batch):
+        """Batch GM never reads b, so only SGM requires --b."""
+        path = tmp_path / "data.csv"
+        save_csv(gen_synthetic_abs(60, seed=8), path)
+        argv = ["run", "--data", str(path), "--scale", *(["--batch"] if batch else []),
+                "--eta1", "1.0", "--T", "300", "--out", str(tmp_path / "x")]
+        if batch:
+            assert main(argv) == 0
+            stopping = json.loads((tmp_path / "x.stopping.json").read_text())
+            assert stopping["config"]["b"] is None and stopping["config"]["batch"] is True
+        else:
+            assert main(argv) == 4
+            assert "--b" in capsys.readouterr().err
+            assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("extra, key, value", [
         (["--batch", "--b", "1", "--eta1", "0.5", "--T", "30"], "batch", True),
@@ -340,3 +358,71 @@ class TestFieldTable:
         for suffix in artifacts:
             config = json.loads((tmp_path / ("a" + suffix)).read_text())["config"]
             assert set(config) == want
+
+
+_DECOMPOSE_FIELDS = cli._FIELDS["decompose"]
+
+
+def _field_values(field):
+    """Values of a field's own type (one of its choices, if limited)."""
+    if field.choices:
+        return st.sampled_from(field.choices)
+    if field.type is int:
+        return st.integers(-10**6, 10**6)
+    if field.type is float:
+        return st.floats(-1e6, 1e6, allow_nan=False)
+    return st.text(max_size=8)
+
+
+def _wrong_values(field):
+    """JSON values a config file may not give the field: another type, or
+    a string outside its choices."""
+    other = [st.booleans(), st.lists(st.integers(), max_size=2),
+             st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)]
+    if field.type is int:
+        other += [st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4)]
+    elif field.type is float:
+        other.append(st.text(max_size=4))
+    else:
+        other.append(st.integers() | st.floats(allow_nan=False, allow_infinity=False))
+        if field.choices:
+            other.append(st.text(max_size=6).filter(lambda v: v not in field.choices))
+    return st.one_of(other)
+
+
+class TestResolveProperties:
+    """cli._resolve: a flag beats the --config file, which beats the
+    preset, which beats the field's default; a file value of the wrong
+    type or outside the field's choices is exit 4, naming the key."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), present=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    def test_precedence(self, tmp_path_factory, data, present):
+        field = data.draw(st.sampled_from(_DECOMPOSE_FIELDS))
+        has_flag, has_file, has_preset = present
+        has_flag = has_flag and field.flag is not None
+        flag, from_file, from_preset = (data.draw(_field_values(field)) if on else None
+                                        for on in (has_flag, has_file, has_preset))
+        cfg = tmp_path_factory.mktemp("resolve") / "cfg.json"
+        cfg.write_text(json.dumps({field.name: from_file} if has_file else {}))
+        args = argparse.Namespace(config=str(cfg), **{field.name: flag})
+        preset = {field.name: from_preset} if has_preset else None
+        got = cli._resolve(args, "decompose", preset)[field.name]
+        want = next((v for v in (flag, from_file, from_preset) if v is not None),
+                    field.default)
+        assert got == want and type(got) is type(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bad_config_value_is_exit_4_naming_the_key(self, tmp_path_factory, data):
+        field = data.draw(st.sampled_from(_DECOMPOSE_FIELDS))
+        value = data.draw(_wrong_values(field))
+        tmp = tmp_path_factory.mktemp("bad")
+        (tmp / "cfg.json").write_text(json.dumps({field.name: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["decompose", "--config", str(tmp / "cfg.json"), "--out",
+                         str(tmp / "x")])
+        assert code == 4
+        assert f"config key {field.name!r}" in err.getvalue()
+        assert not list(tmp.glob("x*"))

@@ -118,12 +118,8 @@ def _population_bias_curve(x_hat, w_star, schedule, T):
     """Population run plus its per-step distance to the target, measured
     on the surrogate itself."""
     traj = run_population(x_hat, lambda p: p @ w_star, schedule, T, tuple(range(1, T + 1)))
-    f_vals = x_hat @ w_star
-    bias = []
-    for vec in traj.vectors:
-        resid = x_hat @ vec.coeffs - f_vals
-        bias.append(math.sqrt(float(np.mean(resid**2))))
-    return traj, np.array(bias)
+    resid = traj.values(x_hat) - x_hat @ w_star
+    return traj, np.sqrt(np.mean(resid**2, axis=1))
 
 
 def _source_constant(x_hat, w_star, zeta):
@@ -165,8 +161,7 @@ class TestPopulationBiasBound:
         traj = run_population(x_hat, lambda p: p @ w_star, make_schedule(0.8), 150,
                               tuple(range(1, 151)))
         r_const = _source_constant(x_hat, w_star, zeta)
-        for vec in traj.vectors:
-            assert np.linalg.norm(vec.coeffs) <= r_const + 1e-10
+        assert np.all(np.linalg.norm(traj.coeffs, axis=1) <= r_const + 1e-10)
 
     def test_bias_monotone_for_constant_step(self):
         rng = np.random.default_rng(4)
@@ -175,8 +170,7 @@ class TestPopulationBiasBound:
         traj = run_population(anchors, abs_target, make_schedule(1.0), 80,
                               tuple(range(1, 81)))
         f_vals = abs_target(x_hat)
-        bias = [float(np.mean((anchors.gram.values @ v.coeffs - f_vals) ** 2))
-                for v in traj.vectors]
+        bias = np.mean((traj.values(anchors.gram.values) - f_vals) ** 2, axis=1)
         diffs = np.diff(bias)
         assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(bias[:-1])))
 
@@ -271,8 +265,8 @@ class TestDecompose:
         for r in range(8):
             plan = sample_index_plan(12 if kernel else 20, 3, 25, mix_seed(42, r))
             traj = run_sgm(sample, ctx, sch, plan, cps)
-            vals = np.array([predict(v, surr) for v in traj.vectors])
-            base = np.array([predict(v, surr) for v in batch.vectors])
+            vals = np.array([predict(traj.vector_at(t), surr) for t in cps])
+            base = np.array([predict(batch.vector_at(t), surr) for t in cps])
             comp.append(np.mean((vals - base) ** 2, axis=1))
             tot.append(np.mean((vals - f_vals) ** 2, axis=1))
         np.testing.assert_allclose(rep.comp_var_sq, np.mean(comp, axis=0), rtol=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sgdlsq import (
     AnchorSet,
+    DimensionMismatch,
     DivergenceError,
     KernelSpec,
     Sample,
@@ -19,6 +20,7 @@ from sgdlsq import (
     make_schedule,
     mean_square_error,
     mix_seed,
+    predict,
     run_batch_gm,
     run_population,
     run_sgm,
@@ -26,6 +28,8 @@ from sgdlsq import (
     sample_index_plan,
 )
 from sgdlsq import iterations
+from sgdlsq.iterations import Trajectory
+from sgdlsq.spaces import feature_matrix
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -64,6 +68,63 @@ class TestIndexPlan:
             plan.indices[0, 0] = 3
 
 
+class TestTrajectory:
+    def test_refuses_row_count_mismatch(self):
+        with pytest.raises(DimensionMismatch) as err:
+            Trajectory((1, 2, 3), np.zeros((2, 4)), (1, 2, 3))
+        assert err.value.expected == 3 and err.value.got == 2
+
+    def test_refuses_non_increasing_checkpoints(self):
+        for cps in ((2, 1), (3, 3)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Trajectory(cps, np.zeros((2, 1)), cps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_entries(self, bad):
+        coeffs = np.zeros((3, 2))
+        coeffs[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory((1, 2, 3), coeffs, (1, 2, 3))
+
+    def test_refuses_width_other_than_the_anchor_count(self):
+        anchors = AnchorSet.build(GAUSS, [0.0, 0.5, 1.0])
+        with pytest.raises(DimensionMismatch):
+            Trajectory((1,), np.zeros((1, 2)), (1,), anchors)
+
+    def test_coeffs_are_read_only(self):
+        block = np.ones((2, 3))
+        traj = Trajectory((1, 2), block, (1, 2))
+        with pytest.raises(ValueError):
+            traj.coeffs[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            traj.final.coeffs[0] = 5.0
+        block[0, 0] = 2.0  # the caller's array stays writable
+
+    def test_vector_at_missing_checkpoint(self):
+        traj = Trajectory((1, 4), np.zeros((2, 1)), (1, 4))
+        assert traj.vector_at(4).backend == "euclidean"
+        with pytest.raises(KeyError, match="t=2"):
+            traj.vector_at(2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=st.booleans(), d=st.integers(1, 4), n_train=st.integers(1, 60),
+           n_pts=st.integers(1, 80), n_cp=st.integers(1, 10), seed=st.integers(0, 2**32))
+    def test_values_rows_equal_predict(self, kernel, d, n_train, n_pts, n_cp, seed):
+        """Each row of values() equals predict of its vector bit for bit,
+        on both backends; the single product coeffs @ F.T would not."""
+        rng = make_rng(seed)
+        anchors = AnchorSet.build(GAUSS, rng.random((n_train, d)), check_psd=False) \
+            if kernel else None
+        cps = tuple(range(1, n_cp + 1))
+        traj = Trajectory(cps, rng.standard_normal((n_cp, n_train if kernel else d)), cps,
+                          anchors)
+        xs = rng.random((n_pts, d))
+        vals = traj.values(feature_matrix(traj, xs))
+        assert vals.shape == (n_cp, n_pts)
+        for i, t in enumerate(cps):
+            np.testing.assert_array_equal(vals[i], predict(traj.vector_at(t), xs))
+
+
 def _kernel_sgm_oracle(sample, gram, etas, plan):
     """Dense reference recursion: w_{t+1} = w_t - (eta_t/b) * sum over the
     batch of (prediction - target) times the point's representer,
@@ -86,8 +147,7 @@ class TestRunSgm:
         ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(8, 2, 30, seed=1)
         traj = run_sgm(sample, ctx, make_schedule(0.5), plan, checkpoints=(1, 10, 30))
-        for vec in traj.vectors:
-            np.testing.assert_array_equal(vec.coeffs, np.zeros(8))
+        np.testing.assert_array_equal(traj.coeffs, np.zeros((3, 8)))
 
     def test_scalar_hand_recurrence(self):
         # d=1, single point (x, y) = (1, 1), eta = 0.5: w moves halfway
@@ -95,8 +155,7 @@ class TestRunSgm:
         sample = Sample(x=np.array([1.0]), y=np.array([1.0]))
         plan = sample_index_plan(1, 1, 3, seed=0)
         traj = run_sgm(sample, None, make_schedule(0.5), plan, checkpoints=(1, 2, 3))
-        got = [float(v.coeffs[0]) for v in traj.vectors]
-        np.testing.assert_allclose(got, [0.5, 0.75, 0.875], rtol=1e-15)
+        np.testing.assert_allclose(traj.coeffs[:, 0], [0.5, 0.75, 0.875], rtol=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("b", [1, 3, 8])
@@ -128,7 +187,8 @@ class TestRunSgm:
         sch = make_schedule(1.0 / (8 * np.sqrt(m)), 0.0, kappa_sq(GAUSS))
         plan = sample_index_plan(m, b, 300, seed=3)
         traj = run_sgm(sample, ctx, sch, plan, checkpoints=log_checkpoints(300, 10))
-        errs = [mean_square_error(v, sample.x, sample.y) for v in traj.vectors]
+        errs = [mean_square_error(traj.vector_at(t), sample.x, sample.y)
+                for t in traj.checkpoints]
         assert np.all(np.isfinite(errs))
         assert errs[-1] < errs[0]
 
@@ -163,7 +223,7 @@ class TestRunBatchGm:
         # least-squares mean 0.5 and stays there
         sample = Sample(x=np.array([1.0, 1.0]), y=np.array([0.0, 1.0]))
         traj = run_batch_gm(sample, None, make_schedule(1.0), 3, checkpoints=(1, 2, 3))
-        np.testing.assert_allclose([v.coeffs[0] for v in traj.vectors], [0.5, 0.5, 0.5], rtol=1e-15)
+        np.testing.assert_allclose(traj.coeffs[:, 0], [0.5, 0.5, 0.5], rtol=1e-15)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_step_matches_mean_gradient_oracle(self, seed):
@@ -185,7 +245,8 @@ class TestRunBatchGm:
         ctx = AnchorSet.build(GAUSS, sample.x) if kernelized else None
         sch = make_schedule(1.0, 0.0, kappa_sq(GAUSS))  # eta * kappa^2 = 1
         traj = run_batch_gm(sample, ctx, sch, 60, checkpoints=tuple(range(1, 61)))
-        errs = np.array([mean_square_error(v, sample.x, sample.y) for v in traj.vectors])
+        errs = np.array([mean_square_error(traj.vector_at(t), sample.x, sample.y)
+                         for t in traj.checkpoints])
         assert np.all(np.diff(errs) <= 1e-12 * np.maximum(1.0, errs[:-1]))
 
 
@@ -203,7 +264,7 @@ class TestRunPopulation:
             3,
             checkpoints=(1, 2, 3),
         )
-        np.testing.assert_allclose([v.coeffs[0] for v in traj.vectors], [1.0, 1.5, 1.75], rtol=1e-15)
+        np.testing.assert_allclose(traj.coeffs[:, 0], [1.0, 1.5, 1.75], rtol=1e-15)
 
     def test_kernel_surrogate_runs_and_is_deterministic(self):
         rng = np.random.default_rng(0)
@@ -235,10 +296,6 @@ def _target(pts):
 def _noisy(pts, seed, scale=1.0):
     """Targets plus unit noise, so y has a part outside the range of K."""
     return scale * (_target(pts) + make_rng(seed).standard_normal(len(pts)))
-
-
-def _coeffs(traj):
-    return np.array([v.coeffs for v in traj.vectors])
 
 
 def _assert_rel(got, want, rtol):
@@ -299,7 +356,7 @@ class TestPopulationFilter:
         ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, T, cps)
         assert (pop.checkpoints, pop.passes, pop.backend) == (ref.checkpoints, ref.passes,
                                                               ref.backend)
-        np.testing.assert_array_equal(_coeffs(pop), _coeffs(ref))
+        np.testing.assert_array_equal(pop.coeffs, ref.coeffs)
 
     @settings(max_examples=80, deadline=None)
     @given(**_CASES)
@@ -310,21 +367,43 @@ class TestPopulationFilter:
         not in the range of K), for both backends and the three kernels.
         Where the fallback runs (full-rank sobolev Grams exceed the factor
         budget; gaussian ones reach rank ~20, so the filter runs from
-        N ~ 85) it is equal bit for bit. T stays <= 400: the filter's
-        error grows about linearly in T where eta_t lam / N nears 2
-        (8e-13 at T = 965 with eta1 = 1.98), while the loop's stays near
-        1e-15."""
+        N ~ 85) it is equal bit for bit. T stays <= 400: the kernel
+        filter's c_t = s_t y + U diag(d_t) U^T y has two terms that
+        cancel, so its error grows about linearly in T at every step
+        size, not only where eta_t lam / N nears 2 (in the values, up to
+        4e-12 at T = 8000 for gaussian N = 200, against 6e-13 for the
+        loop). The euclidean filter carries no such cancellation; see
+        test_long_euclidean_filter_matches_extended_precision_loop."""
         pts, ctx, to_vals, k_sq = _surrogate_case(kind, n, d, seed)
         sample = Sample(pts, _noisy(pts, seed))
         sch = make_schedule(eta1, theta, k_sq)
         cps = log_checkpoints(T, 8)
         with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
-            got = _coeffs(run_batch_gm(sample, ctx, sch, T, cps))
+            got = run_batch_gm(sample, ctx, sch, T, cps).coeffs
         want = _batch_loop(sample, None if ctx is None else to_vals, sch.etas(T), set(cps))
         if loop.called:
             np.testing.assert_array_equal(got, want)
         _assert_rel(got, want, 1e-12)
         _assert_rel(got @ to_vals, want @ to_vals, 1e-12)
+
+    @pytest.mark.parametrize("eta1", [0.3, 1.0, 1.9])
+    def test_long_euclidean_filter_matches_extended_precision_loop(self, eta1):
+        """At T = 8000 the euclidean filter w_t = W diag(q_t) W^T X^T y
+        stays within 1e-13 of the step loop run in extended precision;
+        forming X^T c_t instead cancels two terms and drifts to ~1e-12."""
+        pts, _, _, k_sq = _surrogate_case("euclidean", 200, 3, seed=1)
+        sample = Sample(pts, _noisy(pts, 2))
+        sch = make_schedule(eta1, 0.0, k_sq)
+        cps = log_checkpoints(8000, 8)
+        with mock.patch.object(iterations, "_gm_steps", side_effect=AssertionError("loop ran")):
+            got = run_batch_gm(sample, None, sch, 8000, cps).coeffs
+        x, y = pts.astype(np.longdouble), sample.y.astype(np.longdouble)
+        w, want = np.zeros(3, dtype=np.longdouble), []
+        for t, eta in enumerate((sch.etas(8000) / 200).astype(np.longdouble), 1):
+            w -= eta * (x.T @ (x @ w - y))
+            if t in cps:
+                want.append(w.copy())
+        _assert_rel(got, np.array(want, dtype=np.float64), 1e-13)
 
     @pytest.mark.parametrize("kind", ["gaussian", "euclidean"])
     def test_unstable_step_falls_back_and_raises_at_the_loop_step(self, kind):
@@ -369,7 +448,7 @@ class TestPopulationFilter:
         sch = make_schedule(0.5, 0.3, k_sq)
         sample = Sample(pts, _noisy(pts, 4))
         got = run_batch_gm(sample, ctx, sch, T, range(1, T + 1))
-        np.testing.assert_array_equal(_coeffs(got), _batch_loop(sample, ctx.gram.values,
+        np.testing.assert_array_equal(got.coeffs, _batch_loop(sample, ctx.gram.values,
                                                                 sch.etas(T), set(range(1, T + 1))))
 
     def test_wide_euclidean_inputs_with_short_run_are_the_loop(self):
@@ -379,7 +458,7 @@ class TestPopulationFilter:
         sch = make_schedule(0.5, 0.0, k_sq)
         sample = Sample(pts, _noisy(pts, 6))
         got = run_batch_gm(sample, None, sch, 2, (1, 2))
-        np.testing.assert_array_equal(_coeffs(got), _batch_loop(sample, None, sch.etas(2), {1, 2}))
+        np.testing.assert_array_equal(got.coeffs, _batch_loop(sample, None, sch.etas(2), {1, 2}))
 
     @pytest.mark.parametrize("kind, d", [("gaussian", 1), ("linear", 1), ("euclidean", 3)])
     def test_low_rank_surrogate_takes_the_filter(self, kind, d):
@@ -391,7 +470,7 @@ class TestPopulationFilter:
         with mock.patch.object(iterations, "_gm_steps", side_effect=AssertionError("loop ran")):
             got = run_batch_gm(sample, ctx, sch, 1000, cps)
         want = _batch_loop(sample, None if ctx is None else gram, sch.etas(1000), set(cps))
-        _assert_rel(_coeffs(got), want, 1e-12)
+        _assert_rel(got.coeffs, want, 1e-12)
 
 
 class TestUnbiasednessSmall:
@@ -474,7 +553,7 @@ class TestLockstepTrials:
         for r in range(R):
             ctx = ctxs[r] if stacked else ctxs[0]
             single = run_sgm(samples[r], ctx, sch, plans[r], cps)
-            np.testing.assert_array_equal(block[:, r], [v.coeffs for v in single.vectors])
+            np.testing.assert_array_equal(block[:, r], single.coeffs)
             gram = ctx.gram.values if kernel else None
             ref = _sequential_sgm(samples[r], gram, sch.etas(T), plans[r], set(cps))
             np.testing.assert_array_equal(block[:, r], ref)

@@ -19,19 +19,14 @@ from sgdlsq import (
     tstar_outcome,
 )
 from sgdlsq.iterations import Trajectory
-from sgdlsq.spaces import euclidean_vector, kernel_vector
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
 
 def _toy_trajectory(values, checkpoints):
     """Scalar hypotheses h(x) = c * x recorded at the given step counts."""
-    return Trajectory(
-        checkpoints=tuple(checkpoints),
-        vectors=tuple(euclidean_vector([c]) for c in values),
-        passes=tuple(checkpoints),
-        backend="euclidean",
-    )
+    return Trajectory(tuple(checkpoints), np.array(values, dtype=float)[:, None],
+                      tuple(checkpoints))
 
 
 def _validation_for_curve(targets):
@@ -112,8 +107,8 @@ def _per_vector_errors(traj, val, metric):
     """Each checkpoint evaluated on its own, kept as the reference the
     shared validation features must equal bit for bit."""
     if metric == "mse":
-        return [mean_square_error(v, val.x, val.y) for v in traj.vectors]
-    return [misclassification(v, val) for v in traj.vectors]
+        return [mean_square_error(traj.vector_at(t), val.x, val.y) for t in traj.checkpoints]
+    return [misclassification(traj.vector_at(t), val) for t in traj.checkpoints]
 
 
 class TestSharedValidationFeatures:
@@ -122,15 +117,14 @@ class TestSharedValidationFeatures:
         backend=st.sampled_from(["kernel", "euclidean"]),
         metric=st.sampled_from(["mse", "zero-one"]),
         d=st.sampled_from([None, 1, 3]),
-        n_anchor_sets=st.integers(1, 2),
         n_train=st.integers(1, 40),
         n_val=st.integers(1, 30),
         n_cp=st.integers(1, 8),
         zero_first=st.booleans(),
         seed=st.integers(0, 2**32),
     )
-    def test_errors_equal_per_vector_loop(self, backend, metric, d, n_anchor_sets, n_train,
-                                          n_val, n_cp, zero_first, seed):
+    def test_errors_equal_per_vector_loop(self, backend, metric, d, n_train, n_val, n_cp,
+                                          zero_first, seed):
         rng = np.random.default_rng(seed)
         dim = 1 if d is None else d
         val_x = rng.random(n_val) if d is None else rng.random((n_val, d))
@@ -139,21 +133,17 @@ class TestSharedValidationFeatures:
         else:
             val_y = rng.choice([-1.0, 1.0], n_val)
         val = Sample(x=val_x, y=val_y)
+        anchors = None
         if backend == "kernel":
             shape = n_train if d is None else (n_train, d)
-            anchor_sets = [AnchorSet.build(GAUSS, rng.random(shape), check_psd=False)
-                           for _ in range(n_anchor_sets)]
-            vectors = [kernel_vector(rng.standard_normal(n_train), anchor_sets[k % n_anchor_sets])
-                       for k in range(n_cp)]
-        else:
-            vectors = [euclidean_vector(rng.standard_normal(dim)) for _ in range(n_cp)]
+            anchors = AnchorSet.build(GAUSS, rng.random(shape), check_psd=False)
+        coeffs = rng.standard_normal((n_cp, dim if anchors is None else n_train))
         if zero_first:  # predictions of exactly 0, whose sign counts as +1
-            vectors[0] = (euclidean_vector(np.zeros(dim)) if backend == "euclidean"
-                          else kernel_vector(np.zeros(n_train), vectors[0].anchors))
+            coeffs[0] = 0.0
         if metric == "zero-one" and n_cp > 1:
-            vectors[-1] = vectors[0]  # a tie, broken toward the first
+            coeffs[-1] = coeffs[0]  # a tie, broken toward the first
         cps = tuple(range(1, n_cp + 1))
-        traj = Trajectory(checkpoints=cps, vectors=tuple(vectors), passes=cps, backend=backend)
+        traj = Trajectory(cps, coeffs, cps, anchors)
         out = holdout_stop(traj, val, metric=metric)
         reference = _per_vector_errors(traj, val, metric)
         assert out.errors == tuple(reference)
