@@ -9,11 +9,11 @@
 # analysis disagree about arithmetic conventions.
 
 from sgdlsq import (
+    StepSchedule,
     acceptance_sweep,
     check_contraction_bound,
     check_convolution_bound,
     check_sum_bounds,
-    make_schedule,
 )
 
 print("sample checks")
@@ -27,7 +27,7 @@ for q, t in ((1.0, 3), (0.0, 3), (2.0, 10_000)):
     print(f"  {v.lemma:<14} q={q:<7} t={t:<5} lhs={v.lhs:.5f} "
           f"bound={v.bound:.5f} pass={v.passed}")
 
-v = check_contraction_bound([1.0, 0.5], make_schedule(0.5), zeta=1.0, k=0, t=2)
+v = check_contraction_bound([1.0, 0.5], StepSchedule(0.5), zeta=1.0, k=0, t=2)
 print(f"  {v.lemma:<14} two eigenvalues, two steps: lhs={v.lhs:.5f} "
       f"bound={v.bound:.5f} pass={v.passed}")
 

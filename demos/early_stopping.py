@@ -12,10 +12,10 @@ import numpy as np
 from sgdlsq import (
     AnchorSet,
     KernelSpec,
+    StepSchedule,
     gen_synthetic_abs,
     holdout_stop,
     log_checkpoints,
-    make_schedule,
     mean_square_error,
     recipe_table,
     run_sgm,
@@ -36,7 +36,7 @@ kernel = KernelSpec("gaussian", sigma=0.2)
 ctx = AnchorSet.build(kernel, train.x, check_psd=False)
 
 b = int(np.ceil(np.sqrt(train.m)))
-schedule = make_schedule(1.0 / (8 * np.sqrt(train.m)))
+schedule = StepSchedule(1.0 / (8 * np.sqrt(train.m)))
 T = 40 * train.m // b  # checkpoint out to 40 passes
 plan = sample_index_plan(train.m, b, T, seed=5)
 trajectory = run_sgm(train, ctx, schedule, plan, log_checkpoints(T, 20))

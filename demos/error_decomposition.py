@@ -17,11 +17,11 @@ import numpy as np
 from sgdlsq import (
     AnchorSet,
     KernelSpec,
+    StepSchedule,
     abs_target,
     decompose,
     gen_synthetic_abs,
     log_checkpoints,
-    make_schedule,
 )
 
 m = 100
@@ -31,7 +31,7 @@ sample = gen_synthetic_abs(m, seed=12, noise_sd=1.0)
 # surrogate measure: 2000 uniform points standing in for the input law
 surrogate = AnchorSet.build(kernel, np.linspace(0.0, 1.0, 2000), check_psd=False)
 
-schedule = make_schedule(1.0 / (8 * np.sqrt(m)))  # the sqrt-batch step size
+schedule = StepSchedule(1.0 / (8 * np.sqrt(m)))  # the sqrt-batch step size
 report = decompose(
     sample,
     surrogate,

@@ -59,7 +59,6 @@ from .schedules import (
     Recipe,
     ScheduleCheck,
     StepSchedule,
-    make_schedule,
     passes,
     recipe,
     recipe_table,

@@ -26,9 +26,15 @@ import numpy as np
 
 from .rng import make_rng
 from .schedules import StepSchedule
-from .sums import fsum
 
 _PASS_TOL = 1e-12
+
+
+def fsum(values):
+    """Exactly rounded sum of an iterable or array of floats."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return math.fsum(values)
 
 
 @dataclass(frozen=True)

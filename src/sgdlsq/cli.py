@@ -188,14 +188,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _surrogate_points(kind, n, seed):
-    if kind == "grid":
-        return np.linspace(0.0, 1.0, n)
-    if kind == "iid":
-        return make_rng(seed).random(n)
-    raise ValueError(f"unknown surrogate kind {kind!r}")
-
-
 def cmd_decompose(args):
     cfg = _resolve(args, "decompose", _PRESETS.get(args.preset))
     cfg["preset"] = args.preset
@@ -203,7 +195,10 @@ def cmd_decompose(args):
     sample = gen_synthetic_abs(cfg["m"], seed=mix_seed(cfg["seed"], 0), noise_sd=cfg["noise_sd"])
     kernel = KernelSpec("gaussian", sigma=cfg["sigma"])
     schedule = StepSchedule(eta1=cfg["eta1"], theta=cfg["theta"], kappa_sq=kappa_sq(kernel))
-    surr = _surrogate_points(cfg["surrogate"], cfg["N"], seed=mix_seed(cfg["seed"], 1))
+    if cfg["surrogate"] == "grid":
+        surr = np.linspace(0.0, 1.0, cfg["N"])
+    else:  # iid
+        surr = make_rng(mix_seed(cfg["seed"], 1)).random(cfg["N"])
     surr_anchor = AnchorSet.build(kernel, surr, check_psd=False)
     cps = log_checkpoints(cfg["T"], cfg["checkpoints"])
 
@@ -249,6 +244,8 @@ def cmd_rates(args):
     trials = cfg["trials"]
     if trials < 2:
         raise ValueError(f"--trials must be at least 2 for standard errors, got {trials}")
+    if cfg["N"] < 1:
+        raise ValueError(f"--N must be at least 1 surrogate point, got {cfg['N']}")
     kernel = KernelSpec("gaussian", sigma=cfg["sigma"])
     surr = make_rng(mix_seed(cfg["seed"], 0)).random(cfg["N"])
     f_surr = abs_target(surr)
@@ -363,11 +360,11 @@ def cmd_run(args):
         ctx = AnchorSet.build(kernel, train.x, check_psd=False)
     else:
         kernel, ctx = None, None
-        ksq = float(np.max(np.sum(np.atleast_2d(train.x) ** 2, axis=-1)))
+        ksq = kappa_sq(KernelSpec("linear"), train.x)
 
     if cfg["recipe"]:
         rec = recipe(cfg["recipe"], train.m, zeta=cfg["zeta"], gamma=cfg["gamma"],
-                     eps=cfg["epsilon"], c_eta=cfg["c_eta"])
+                     eps=cfg["epsilon"], c_eta=cfg["c_eta"], kappa_sq=ksq)
         b, schedule, T = rec.b, rec.schedule, rec.t_star
         algorithm = "batch" if rec.is_batch else "sgm"
     else:

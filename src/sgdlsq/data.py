@@ -1,8 +1,7 @@
 """Synthetic generators, CSV ingestion, splits, and classification error.
 
-Generators are pure functions of their seed (Philox streams, see
-:mod:`sgdlsq.rng`), so a provenance string of the form
-``generator(params, seed)`` pins the sample exactly.
+Generators are pure functions of their parameters and seed (Philox
+streams, see :mod:`sgdlsq.rng`).
 """
 
 import csv
@@ -26,7 +25,6 @@ class Sample:
 
     x: np.ndarray
     y: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         if self.x.shape[0] == 0:
@@ -67,35 +65,22 @@ def gen_synthetic_abs(m: int, seed: int, noise_sd: float = 1.0) -> Sample:
     y = abs_target(x)
     if noise_sd > 0:
         y = y + noise_sd * rng.standard_normal(m)
-    return Sample(
-        x=_freeze(x),
-        y=_freeze(y),
-        provenance=f"synthetic-abs(m={m},noise_sd={noise_sd},seed={seed})",
-    )
+    return Sample(x=_freeze(x), y=_freeze(y))
 
 
-def gen_linear_attainable(
-    m: int,
-    d: int,
-    w_star,
-    noise_sd: float,
-    seed: int,
-    x_law: str = "gaussian-capped",
-):
+def gen_linear_attainable(m: int, d: int, w_star, noise_sd: float, seed: int):
     """Noisy linear targets y = <w_star, x> + eps with bounded inputs.
 
-    The default input law draws standard normals and rescales any point
-    with norm above 1 back onto the unit sphere, so the input-norm bound
-    holds with kappa = 1. Returns ``(sample, w_star)``; the ground truth
-    is handed back for norm-error checks.
+    Inputs are standard normals, each point with norm above 1 rescaled
+    back onto the unit sphere, so the input-norm bound holds with
+    kappa = 1. Returns ``(sample, w_star)``; the ground truth is handed
+    back for norm-error checks.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     w = np.asarray(w_star, dtype=np.float64).reshape(-1)
     if w.shape[0] != d:
         raise DimensionMismatch("w_star vs dimension", d, w.shape[0])
-    if x_law != "gaussian-capped":
-        raise ValueError(f"unknown input law {x_law!r}")
     rng = make_rng(seed)
     x = rng.standard_normal((m, d))
     norms = np.linalg.norm(x, axis=1)
@@ -104,12 +89,7 @@ def gen_linear_attainable(
     y = x @ w
     if noise_sd > 0:
         y = y + noise_sd * rng.standard_normal(m)
-    sample = Sample(
-        x=_freeze(x),
-        y=_freeze(y),
-        provenance=f"linear-attainable(m={m},d={d},noise_sd={noise_sd},seed={seed},x_law={x_law})",
-    )
-    return sample, _freeze(w)
+    return Sample(x=_freeze(x), y=_freeze(y)), _freeze(w)
 
 
 def load_csv(path) -> Sample:
@@ -151,7 +131,7 @@ def load_csv(path) -> Sample:
     x = np.asarray(xs, dtype=np.float64)
     if d == 1:
         x = x[:, 0]
-    return Sample(x=_freeze(x), y=_freeze(ys), provenance=f"csv({path})")
+    return Sample(x=_freeze(x), y=_freeze(ys))
 
 
 def _is_float(cell):
@@ -182,6 +162,8 @@ def split(sample: Sample, fractions, seed: int):
     the sample.
     """
     fracs = np.asarray(fractions, dtype=np.float64)
+    if not np.all(np.isfinite(fracs)):
+        raise ValueError(f"fractions must be finite, got {', '.join(map(str, fracs))}")
     if np.any(fracs < 0):
         raise ValueError("fractions must be nonnegative")
     if abs(float(np.sum(fracs)) - 1.0) > 1e-9:
@@ -197,19 +179,10 @@ def split(sample: Sample, fractions, seed: int):
     perm = make_rng(seed).permutation(m)
     out = []
     start = 0
-    for k, size in enumerate(sizes):
+    for size in sizes:
         idx = np.sort(perm[start : start + size])
         start += size
-        if size == 0:
-            out.append(None)
-            continue
-        out.append(
-            Sample(
-                x=_freeze(sample.x[idx]),
-                y=_freeze(sample.y[idx]),
-                provenance=f"{sample.provenance}|split[{k}](seed={seed})",
-            )
-        )
+        out.append(Sample(x=_freeze(sample.x[idx]), y=_freeze(sample.y[idx])) if size else None)
     return tuple(out)
 
 
@@ -245,9 +218,4 @@ def minmax_scale(sample: Sample, lo=None, hi=None):
     scaled = np.clip((x - lo) / span, 0.0, 1.0)
     if sample.x.ndim == 1:
         scaled = scaled[:, 0]
-    out = Sample(
-        x=_freeze(scaled),
-        y=sample.y,
-        provenance=f"{sample.provenance}|minmax",
-    )
-    return out, {"lo": lo.tolist(), "hi": hi.tolist()}
+    return Sample(x=_freeze(scaled), y=sample.y), {"lo": lo.tolist(), "hi": hi.tolist()}

@@ -46,7 +46,7 @@ from .iterations import (
 from .kernels import KernelSpec, cross_matrix
 from .rng import mix_seed
 from .schedules import StepSchedule, passes
-from .spaces import AnchorSet, HypothesisVector, predict
+from .spaces import AnchorSet, HypothesisVector, mean_square_error
 
 _SLACK = 1e-12
 
@@ -110,22 +110,12 @@ class DecompositionReport:
                 writer.writerow(row)
 
 
-def _surrogate_points(surrogate):
-    if isinstance(surrogate, AnchorSet):
-        return surrogate.points
-    pts = np.asarray(surrogate, dtype=np.float64)
-    if pts.shape[0] == 0:
-        raise ValueError("surrogate point set must be nonempty")
-    return pts
-
-
 def excess_risk(h: HypothesisVector, surrogate, f_true) -> float:
     """Mean squared gap to the true regression function over the
-    surrogate points: the L2 proxy for risk minus its infimum."""
-    pts = _surrogate_points(surrogate)
-    f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
-    resid = predict(h, pts) - f_vals
-    return float(np.mean(resid**2))
+    surrogate points (an :class:`AnchorSet` or a point array): the L2
+    proxy for risk minus its infimum."""
+    pts = surrogate.points if isinstance(surrogate, AnchorSet) else np.asarray(surrogate, float)
+    return mean_square_error(h, pts, f_true(pts))
 
 
 def h_norm_error(h: HypothesisVector, w_star) -> float:
@@ -197,7 +187,7 @@ def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
     """What both reports share: the surrogate targets, the training
     context, the matrix taking training coefficients to surrogate values,
     the batch iterate's surrogate values, bias^2 and sample variance^2."""
-    pts = _surrogate_points(surrogate)
+    pts = surrogate.points if isinstance(surrogate, AnchorSet) else np.asarray(surrogate, float)
     f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(f_vals)):
         raise ValueError("f_true produced non-finite values on the surrogate")

@@ -57,7 +57,6 @@ class IndexPlan:
     m: int
     b: int
     T: int
-    seed: int
     indices: np.ndarray
 
     def __post_init__(self):
@@ -75,7 +74,7 @@ def sample_index_plan(m: int, b: int, T: int, seed: int) -> IndexPlan:
         raise ValueError(f"iteration count must be >= 1, got {T}")
     idx = make_rng(seed).integers(0, m, size=(T, b), dtype=np.int64)
     idx.setflags(write=False)
-    return IndexPlan(m=m, b=b, T=T, seed=int(seed), indices=idx)
+    return IndexPlan(m=m, b=b, T=T, indices=idx)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class Trajectory:
             i = self.checkpoints.index(t)
         except ValueError:
             raise KeyError(f"no checkpoint at t={t}") from None
-        return HypothesisVector(self.backend, self.coeffs[i], self.anchors)
+        return HypothesisVector(self.coeffs[i], self.anchors)
 
     def values(self, features) -> np.ndarray:
         """Row i is ``features @ coeffs[i]``, (n_cp, n), for a feature

@@ -168,7 +168,7 @@ def cross_matrix(spec: KernelSpec, xs, anchors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Dense symmetric kernel matrix with its provenance spec.
+    """Dense symmetric kernel matrix.
 
     :func:`build_gram` makes it symmetric by construction: it computes
     the tiles on and above the diagonal and mirrors each into the lower
@@ -176,14 +176,10 @@ class GramMatrix:
     """
 
     values: np.ndarray
-    spec: KernelSpec
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.values)[0])
 
     def max_asymmetry(self) -> float:
         """max |K_ij - K_ji|, taken tile by tile."""
@@ -243,7 +239,7 @@ def build_gram(spec: KernelSpec, points, check_psd=None) -> GramMatrix:
             raise ValueError(
                 f"Gram matrix is not positive semi-definite: min eigenvalue {min_eig}"
             )
-    return GramMatrix(values=k, spec=spec)
+    return GramMatrix(values=k)
 
 
 def kappa_sq(spec: KernelSpec, points=None) -> float:

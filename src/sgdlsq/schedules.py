@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sums import sum_range
-
 RECIPE_IDS = ("C3", "C4", "C5", "C6", "C7", "BGM", "C11", "C12", "B1", "B2", "B3")
-
-# Recipes that run the deterministic full-gradient iteration instead of
-# sampled mini-batches.
-BATCH_RECIPE_IDS = ("BGM",)
 
 
 @dataclass(frozen=True)
@@ -55,14 +49,6 @@ class StepSchedule:
         """Vector (eta_1, ..., eta_T)."""
         t = np.arange(1, T + 1, dtype=np.float64)
         return self.eta1 / self.kappa_sq * t ** (-self.theta)
-
-    def eta_sum(self, lo: int, hi: int) -> float:
-        """Compensated sum of eta_t for t in [lo, hi]; 0 when empty."""
-        return sum_range(self.eta, lo, hi)
-
-
-def make_schedule(eta1: float, theta: float = 0.0, kappa_sq: float = 1.0) -> StepSchedule:
-    return StepSchedule(eta1=eta1, theta=theta, kappa_sq=kappa_sq)
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,9 @@ class Recipe:
 
     @property
     def is_batch(self) -> bool:
-        return self.corollary in BATCH_RECIPE_IDS
+        """BGM, the one recipe that runs the deterministic full-gradient
+        iteration instead of sampled mini-batches."""
+        return self.corollary == "BGM"
 
     def to_json_dict(self) -> dict:
         return {

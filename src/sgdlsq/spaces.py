@@ -54,41 +54,36 @@ class AnchorSet:
 class HypothesisVector:
     """One element of the hypothesis space.
 
-    ``coeffs`` holds coordinates (euclidean) or expansion coefficients
-    (kernel, one per anchor). All entries are finite; the zero vector is
-    the zero element exactly.
+    ``coeffs`` holds coordinates (euclidean, ``anchors`` None) or
+    expansion coefficients (kernel, one per anchor). All entries are
+    finite; the zero vector is the zero element exactly.
     """
 
-    backend: str
     coeffs: np.ndarray
     anchors: AnchorSet | None = None
 
     def __post_init__(self):
-        if self.backend not in ("euclidean", "kernel"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("hypothesis coefficients must be finite")
-        if self.backend == "kernel":
-            if self.anchors is None:
-                raise ValueError("kernel backend needs an anchor set")
-            if self.coeffs.shape != (self.anchors.n,):
-                raise DimensionMismatch(
-                    "coefficients vs anchor set", self.anchors.n, self.coeffs.shape[0]
-                )
-        elif self.anchors is not None:
-            raise ValueError("euclidean backend takes no anchor set")
+        if self.anchors is not None and self.coeffs.shape != (self.anchors.n,):
+            raise DimensionMismatch("coefficients vs anchor set", self.anchors.n,
+                                    self.coeffs.shape[0])
+
+    @property
+    def backend(self) -> str:
+        return "euclidean" if self.anchors is None else "kernel"
 
 
 def euclidean_vector(coords) -> HypothesisVector:
     arr = np.array(coords, dtype=np.float64).reshape(-1)
     arr.setflags(write=False)
-    return HypothesisVector(backend="euclidean", coeffs=arr)
+    return HypothesisVector(arr)
 
 
 def kernel_vector(coeffs, anchors: AnchorSet) -> HypothesisVector:
     arr = np.array(coeffs, dtype=np.float64).reshape(-1)
     arr.setflags(write=False)
-    return HypothesisVector(backend="kernel", coeffs=arr, anchors=anchors)
+    return HypothesisVector(arr, anchors)
 
 
 def feature_matrix(h, xs) -> np.ndarray:

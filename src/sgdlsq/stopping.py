@@ -46,8 +46,6 @@ def holdout_stop(
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if len(trajectory.checkpoints) == 0:
         raise ValueError("trajectory has no checkpoints")
-    if validation.m == 0:
-        raise ValueError("validation sample is empty")
     y = validation.y
     if metric == "zero-one":
         check_sign_labels(y)

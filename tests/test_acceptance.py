@@ -29,6 +29,7 @@ from sgdlsq import (
     AnchorSet,
     KernelSpec,
     Sample,
+    StepSchedule,
     abs_target,
     acceptance_sweep,
     cross_matrix,
@@ -40,7 +41,6 @@ from sgdlsq import (
     h_norm_error,
     load_csv,
     log_checkpoints,
-    make_schedule,
     minmax_scale,
     misclassification,
     mix_seed,
@@ -127,7 +127,7 @@ def test_criterion_2_plan_average_matches_batch_run():
     start = time.perf_counter()
     rep = unbiasedness_check(
         sample,
-        make_schedule(1.0 / (8 * m)),
+        StepSchedule(1.0 / (8 * m)),
         b=1,
         t=64,
         R=4000,
@@ -154,7 +154,7 @@ def test_criterion_3_decomposition_inequality_and_negligible_sampling_term():
         surr,
         abs_target,
         GAUSS,
-        make_schedule(1.0 / (8 * math.sqrt(m))),
+        StepSchedule(1.0 / (8 * math.sqrt(m))),
         b=10,
         T=500,
         R=50,
@@ -194,7 +194,7 @@ def test_criterion_4_population_bias_decay_bound():
         norms = np.linalg.norm(x_hat, axis=1)
         x_hat[norms > 1] /= norms[norms > 1, None]
         w_star = rng.standard_normal(d)
-        sch = make_schedule(0.5, theta)
+        sch = StepSchedule(0.5, theta)
         traj = run_population(x_hat, lambda p: p @ w_star, sch, T, tuple(range(1, T + 1)))
         f_vals = x_hat @ w_star
         bias = np.sqrt(np.mean((x_hat @ traj.coeffs.T - f_vals[:, None]) ** 2, axis=0))
@@ -294,7 +294,7 @@ def test_criterion_9_classification_parity_across_batch_sizes(tmp_path):
     ):
         T = int(np.ceil(passes_budget * m / b))
         cps = log_checkpoints(T, 15)
-        sch = make_schedule(eta)
+        sch = StepSchedule(eta)
         if name == "full-batch":
             traj = run_batch_gm(train, ctx, sch, T, cps)
         else:

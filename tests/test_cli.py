@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdlsq import Sample, cli, gen_synthetic_abs, save_csv
+from sgdlsq import Sample, cli, gen_synthetic_abs, recipe, save_csv
 from sgdlsq.cli import main
 
 DECOMPOSE_COLUMNS = ["t", "pass", "bias_sq", "sample_var_sq", "comp_var_sq",
@@ -262,6 +262,37 @@ class TestRun:
             assert "--b" in capsys.readouterr().err
             assert not list(tmp_path.glob("x*"))
 
+    def test_one_feature_euclidean_kappa_is_the_largest_square(self, tmp_path):
+        """kappa^2 = max_i ||x_i||^2 for one feature too, so appending an
+        all-zero feature leaves the run unchanged."""
+        s = gen_synthetic_abs(50, seed=6)
+        save_csv(s, tmp_path / "one.csv")
+        save_csv(Sample(x=np.column_stack([s.x, np.zeros(50)]), y=s.y), tmp_path / "two.csv")
+        runs = []
+        for name in ("one", "two"):
+            assert main(["run", "--data", str(tmp_path / f"{name}.csv"), "--backend", "euclidean",
+                         "--b", "1", "--eta1", "0.5", "--T", "200", "--seed", "3",
+                         "--out", str(tmp_path / name)]) == 0
+            runs.append(json.loads((tmp_path / f"{name}.stopping.json").read_text()))
+        assert runs[0]["validation_errors"] == runs[1]["validation_errors"]
+        assert runs[0]["test_error"] == runs[1]["test_error"]
+
+    @pytest.mark.parametrize("space", [["--kernel", "sobolev"], ["--backend", "euclidean"]],
+                             ids=["sobolev", "euclidean"])
+    def test_recipe_step_size_is_scaled_by_kappa(self, tmp_path, space):
+        """A recipe run equals the explicit run with the recipe's b, eta1
+        and T, whose step size is eta1 / kappa^2 (kappa^2 = 1/4 for
+        sobolev, max x^2 for euclidean)."""
+        rec = recipe("C4", 140)  # the training split of m = 200
+        argv = ["run", "--generator", "synthetic-abs", "--m", "200", "--seed", "5", *space]
+        explicit = ["--b", str(rec.b), "--eta1", repr(rec.schedule.eta1), "--T", str(rec.t_star)]
+        runs = []
+        for name, extra in (("recipe", ["--recipe", "C4"]), ("explicit", explicit)):
+            assert main(argv + extra + ["--out", str(tmp_path / name)]) == 0
+            runs.append(json.loads((tmp_path / f"{name}.stopping.json").read_text()))
+        assert runs[0]["checkpoints"][-1] == rec.t_star
+        assert runs[0]["validation_errors"] == runs[1]["validation_errors"]
+
     @pytest.mark.parametrize("extra, key, value", [
         (["--batch", "--b", "1", "--eta1", "0.5", "--T", "30"], "batch", True),
         (["--recipe", "BGM", "--zeta", "0.2", "--gamma", "0.4", "--epsilon", "0.5"],
@@ -300,8 +331,12 @@ class TestExitCodes:
          "config key 'algorithm' must be one of 'sgm', 'batch', got 'bach'"),
         (["run", "--data", "{ragged}", "--b", "1", "--eta1", "0.1", "--T", "5"], 3,
          "{ragged}, line 3: expected 2 cells, found 1"),
+        (["rates", "--N", "0", "--m-grid", "16,24,32", "--trials", "2"], 4,
+         "--N must be at least 1 surrogate point, got 0"),
+        (["run", "--generator", "synthetic-abs", "--b", "1", "--eta1", "0.1", "--T", "5",
+          "--fractions", "nan,0.5,0.5"], 4, "fractions must be finite, got nan, 0.5, 0.5"),
     ], ids=["trials-1", "m-grid", "fractions", "data-not-utf8", "config-not-utf8",
-            "config-algorithm", "data-ragged-row"])
+            "config-algorithm", "data-ragged-row", "N-0", "fractions-nan"])
     def test_bad_input_exit_code_and_message(self, tmp_path, capsys, argv, code, fragment):
         files = {"latin1": tmp_path / "latin1.csv", "bach": tmp_path / "bach.json",
                  "ragged": tmp_path / "ragged.csv"}

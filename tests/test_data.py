@@ -48,7 +48,6 @@ class TestGenSyntheticAbs:
     def test_defaults(self):
         s = gen_synthetic_abs(100, seed=1)
         assert s.m == 100
-        assert "noise_sd=1.0" in s.provenance
 
 
 class TestGenLinearAttainable:

@@ -7,6 +7,7 @@ from sgdlsq import (
     AnchorSet,
     KernelSpec,
     Sample,
+    StepSchedule,
     abs_target,
     decompose,
     decompose_batch,
@@ -18,7 +19,6 @@ from sgdlsq import (
     gen_synthetic_abs,
     h_norm_error,
     kernel_vector,
-    make_schedule,
     mix_seed,
     predict,
     run_batch_gm,
@@ -27,7 +27,7 @@ from sgdlsq import (
     sample_index_plan,
     unbiasedness_check,
 )
-from sgdlsq.sums import fsum
+from sgdlsq.bounds import fsum
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -142,7 +142,7 @@ class TestPopulationBiasBound:
         norms = np.linalg.norm(x_hat, axis=1)
         x_hat[norms > 1] /= norms[norms > 1, None]
         w_star = rng.standard_normal(d)
-        sch = make_schedule(0.5, 0.25)  # eta_1 = 0.5 <= 1/kappa^2 with kappa = 1
+        sch = StepSchedule(0.5, 0.25)  # eta_1 = 0.5 <= 1/kappa^2 with kappa = 1
         T = 200
         _, bias = _population_bias_curve(x_hat, w_star, sch, T)
         r_const = _source_constant(x_hat, w_star, zeta)
@@ -158,7 +158,7 @@ class TestPopulationBiasBound:
         norms = np.linalg.norm(x_hat, axis=1)
         x_hat[norms > 1] /= norms[norms > 1, None]
         w_star = rng.standard_normal(4)
-        traj = run_population(x_hat, lambda p: p @ w_star, make_schedule(0.8), 150,
+        traj = run_population(x_hat, lambda p: p @ w_star, StepSchedule(0.8), 150,
                               tuple(range(1, 151)))
         r_const = _source_constant(x_hat, w_star, zeta)
         assert np.all(np.linalg.norm(traj.coeffs, axis=1) <= r_const + 1e-10)
@@ -167,7 +167,7 @@ class TestPopulationBiasBound:
         rng = np.random.default_rng(4)
         x_hat = rng.random(120)
         anchors = AnchorSet.build(GAUSS, x_hat)
-        traj = run_population(anchors, abs_target, make_schedule(1.0), 80,
+        traj = run_population(anchors, abs_target, StepSchedule(1.0), 80,
                               tuple(range(1, 81)))
         f_vals = abs_target(x_hat)
         bias = np.mean((traj.values(anchors.gram.values) - f_vals) ** 2, axis=1)
@@ -179,7 +179,7 @@ class TestPopulationBiasBound:
 def small_kernel_report():
     sample = gen_synthetic_abs(30, seed=21, noise_sd=1.0)
     surr = AnchorSet.build(GAUSS, np.random.default_rng(2).random(200), check_psd=False)
-    sch = make_schedule(1.0 / 16)
+    sch = StepSchedule(1.0 / 16)
     return decompose(
         sample, surr, abs_target, GAUSS, sch,
         b=5, T=60, R=12, base_seed=777, checkpoints=(1, 2, 5, 10, 20, 40, 60),
@@ -212,7 +212,7 @@ class TestDecompose:
         bias is far below the first-step bias."""
         sample, w_star = gen_linear_attainable(40, 3, [0.8, -0.4, 0.2], noise_sd=0.0, seed=5)
         rep = decompose(
-            sample, sample.x, lambda p: p @ w_star, None, make_schedule(0.5),
+            sample, sample.x, lambda p: p @ w_star, None, StepSchedule(0.5),
             b=4, T=150, R=6, base_seed=11, checkpoints=(1, 150),
         )
         assert rep.bias_sq[-1] < rep.bias_sq[0]
@@ -225,7 +225,7 @@ class TestDecompose:
         sample = Sample(x=np.array([0.4]), y=np.array([1.0]))
         surr = AnchorSet.build(GAUSS, np.linspace(0, 1, 50), check_psd=False)
         rep = decompose(
-            sample, surr, abs_target, GAUSS, make_schedule(0.25),
+            sample, surr, abs_target, GAUSS, StepSchedule(0.25),
             b=1, T=30, R=4, base_seed=3, checkpoints=(1, 10, 30),
         )
         np.testing.assert_array_equal(rep.comp_var_sq, np.zeros(3))
@@ -235,7 +235,7 @@ class TestDecompose:
     def test_full_batch_sampling_shrinks_comp_var(self):
         sample = gen_synthetic_abs(16, seed=9)
         surr = AnchorSet.build(GAUSS, np.random.default_rng(8).random(100), check_psd=False)
-        sch = make_schedule(1.0 / 16)
+        sch = StepSchedule(1.0 / 16)
         common = dict(T=40, R=16, base_seed=55, checkpoints=(40,))
         rep_b1 = decompose(sample, surr, abs_target, GAUSS, sch, b=1, **common)
         rep_bm = decompose(sample, surr, abs_target, GAUSS, sch, b=16, **common)
@@ -254,7 +254,7 @@ class TestDecompose:
         else:
             sample, f_true = gen_synthetic_abs(12, seed=31), abs_target
             surr = np.random.default_rng(1).random(60)
-        sch = make_schedule(0.05)
+        sch = StepSchedule(0.05)
         cps = (5, 12, 25)
         rep = decompose(sample, surr, f_true, kernel, sch, b=3, T=25, R=8, base_seed=42,
                         checkpoints=cps)
@@ -277,7 +277,7 @@ class TestDecompose:
     def test_requires_two_trials(self):
         sample = gen_synthetic_abs(5, seed=0)
         with pytest.raises(ValueError):
-            decompose(sample, sample.x, abs_target, None, make_schedule(0.1),
+            decompose(sample, sample.x, abs_target, None, StepSchedule(0.1),
                       b=1, T=5, R=1, base_seed=0)
 
     def test_trial_divergence_names_trial_and_iteration(self):
@@ -291,7 +291,7 @@ class TestDecompose:
         sample = Sample(x=x, y=np.ones(6))
         with pytest.raises(DivergenceError) as err:
             decompose(sample, x, lambda p: np.zeros(p.shape[0]), None,
-                      make_schedule(4.0), b=1, T=400, R=3, base_seed=2)
+                      StepSchedule(4.0), b=1, T=400, R=3, base_seed=2)
         assert "trial" in str(err.value)
         assert err.value.iteration >= 1
 
@@ -300,7 +300,7 @@ class TestDecomposeBatch:
     def test_schema_and_exact_inequality(self):
         sample = gen_synthetic_abs(25, seed=13)
         surr = AnchorSet.build(GAUSS, np.random.default_rng(4).random(150), check_psd=False)
-        rep = decompose_batch(sample, surr, abs_target, GAUSS, make_schedule(0.125), 40,
+        rep = decompose_batch(sample, surr, abs_target, GAUSS, StepSchedule(0.125), 40,
                               checkpoints=(1, 10, 40))
         assert rep.r_trials == 0
         np.testing.assert_array_equal(rep.comp_var_sq, np.zeros(3))
@@ -310,13 +310,13 @@ class TestDecomposeBatch:
 class TestUnbiasednessCheck:
     def test_step_one_is_exact(self):
         sample = gen_synthetic_abs(6, seed=2)
-        rep = unbiasedness_check(sample, make_schedule(0.02), b=1, t=1, R=100, base_seed=5)
+        rep = unbiasedness_check(sample, StepSchedule(0.02), b=1, t=1, R=100, base_seed=5)
         assert rep.deviation == 0.0
         assert rep.passed
 
     def test_single_point_sample_is_exact(self):
         sample = Sample(x=np.array([0.7]), y=np.array([2.0]))
-        rep = unbiasedness_check(sample, make_schedule(0.1), b=1, t=12, R=100, base_seed=1)
+        rep = unbiasedness_check(sample, StepSchedule(0.1), b=1, t=12, R=100, base_seed=1)
         assert rep.deviation == 0.0
         assert rep.trace_variance == 0.0
         assert rep.passed
@@ -324,7 +324,7 @@ class TestUnbiasednessCheck:
     def test_kernel_backend_four_sigma(self):
         sample = gen_synthetic_abs(10, seed=14)
         ctx = AnchorSet.build(GAUSS, sample.x)
-        rep = unbiasedness_check(sample, make_schedule(1.0 / 80), b=2, t=24, R=300,
+        rep = unbiasedness_check(sample, StepSchedule(1.0 / 80), b=2, t=24, R=300,
                                  base_seed=9, ctx=ctx)
         assert rep.passed
         assert rep.bound == pytest.approx(4 * math.sqrt(rep.trace_variance / 300))
@@ -332,4 +332,4 @@ class TestUnbiasednessCheck:
     def test_r_floor_enforced(self):
         sample = gen_synthetic_abs(4, seed=0)
         with pytest.raises(ValueError):
-            unbiasedness_check(sample, make_schedule(0.1), b=1, t=4, R=50, base_seed=0)
+            unbiasedness_check(sample, StepSchedule(0.1), b=1, t=4, R=50, base_seed=0)

@@ -12,12 +12,12 @@ from sgdlsq import (
     DivergenceError,
     KernelSpec,
     Sample,
+    StepSchedule,
     gen_linear_attainable,
     gen_synthetic_abs,
     kappa_sq,
     log_checkpoints,
     make_rng,
-    make_schedule,
     mean_square_error,
     mix_seed,
     predict,
@@ -146,7 +146,7 @@ class TestRunSgm:
         sample = Sample(x=sample.x, y=np.zeros(8))
         ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(8, 2, 30, seed=1)
-        traj = run_sgm(sample, ctx, make_schedule(0.5), plan, checkpoints=(1, 10, 30))
+        traj = run_sgm(sample, ctx, StepSchedule(0.5), plan, checkpoints=(1, 10, 30))
         np.testing.assert_array_equal(traj.coeffs, np.zeros((3, 8)))
 
     def test_scalar_hand_recurrence(self):
@@ -154,7 +154,7 @@ class TestRunSgm:
         # to 1 each step
         sample = Sample(x=np.array([1.0]), y=np.array([1.0]))
         plan = sample_index_plan(1, 1, 3, seed=0)
-        traj = run_sgm(sample, None, make_schedule(0.5), plan, checkpoints=(1, 2, 3))
+        traj = run_sgm(sample, None, StepSchedule(0.5), plan, checkpoints=(1, 2, 3))
         np.testing.assert_allclose(traj.coeffs[:, 0], [0.5, 0.75, 0.875], rtol=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -163,7 +163,7 @@ class TestRunSgm:
         sample = gen_synthetic_abs(8, seed=seed)
         ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(8, b, 40, seed=seed + 100)
-        sch = make_schedule(0.3, 0.25)
+        sch = StepSchedule(0.3, 0.25)
         traj = run_sgm(sample, ctx, sch, plan, checkpoints=(40,))
         oracle = _kernel_sgm_oracle(sample, ctx.gram.values, sch.etas(40), plan)
         np.testing.assert_allclose(traj.final.coeffs, oracle, rtol=1e-12, atol=1e-14)
@@ -172,7 +172,7 @@ class TestRunSgm:
         sample = gen_synthetic_abs(16, seed=2)
         ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(16, 4, 50, seed=9)
-        sch = make_schedule(0.1)
+        sch = StepSchedule(0.1)
         a = run_sgm(sample, ctx, sch, plan, checkpoints=(50,))
         b = run_sgm(sample, ctx, sch, plan, checkpoints=(50,))
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
@@ -184,7 +184,7 @@ class TestRunSgm:
         sample = gen_synthetic_abs(m, seed=7)
         ctx = AnchorSet.build(GAUSS, sample.x)
         b = 10
-        sch = make_schedule(1.0 / (8 * np.sqrt(m)), 0.0, kappa_sq(GAUSS))
+        sch = StepSchedule(1.0 / (8 * np.sqrt(m)), 0.0, kappa_sq(GAUSS))
         plan = sample_index_plan(m, b, 300, seed=3)
         traj = run_sgm(sample, ctx, sch, plan, checkpoints=log_checkpoints(300, 10))
         errs = [mean_square_error(traj.vector_at(t), sample.x, sample.y)
@@ -196,33 +196,33 @@ class TestRunSgm:
         sample = Sample(x=np.array([1.0]), y=np.array([1.0]))
         plan = sample_index_plan(1, 1, 200, seed=0)
         with pytest.raises(DivergenceError) as err:
-            run_sgm(sample, None, make_schedule(4.0), plan)
+            run_sgm(sample, None, StepSchedule(4.0), plan)
         assert err.value.iteration >= 1
 
     def test_plan_sample_mismatch(self):
         sample = gen_synthetic_abs(5, seed=0)
         plan = sample_index_plan(6, 1, 3, seed=0)
         with pytest.raises(ValueError):
-            run_sgm(sample, None, make_schedule(0.1), plan)
+            run_sgm(sample, None, StepSchedule(0.1), plan)
 
     def test_checkpoint_passes(self):
         sample = gen_synthetic_abs(10, seed=0)
         plan = sample_index_plan(10, 3, 20, seed=0)
-        traj = run_sgm(sample, None, make_schedule(0.01), plan, checkpoints=(1, 7, 20))
+        traj = run_sgm(sample, None, StepSchedule(0.01), plan, checkpoints=(1, 7, 20))
         assert traj.passes == (1, 3, 6)  # ceil(3t/10)
 
 
 class TestRunBatchGm:
     def test_zero_targets(self):
         sample = Sample(x=np.array([0.2, 0.8]), y=np.zeros(2))
-        traj = run_batch_gm(sample, None, make_schedule(0.5), 10, checkpoints=(10,))
+        traj = run_batch_gm(sample, None, StepSchedule(0.5), 10, checkpoints=(10,))
         np.testing.assert_array_equal(traj.final.coeffs, [0.0])
 
     def test_two_point_hand_gradient(self):
         # points {1, 1}, targets {0, 1}, eta = 1: first step lands on the
         # least-squares mean 0.5 and stays there
         sample = Sample(x=np.array([1.0, 1.0]), y=np.array([0.0, 1.0]))
-        traj = run_batch_gm(sample, None, make_schedule(1.0), 3, checkpoints=(1, 2, 3))
+        traj = run_batch_gm(sample, None, StepSchedule(1.0), 3, checkpoints=(1, 2, 3))
         np.testing.assert_allclose(traj.coeffs[:, 0], [0.5, 0.5, 0.5], rtol=1e-15)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -232,7 +232,7 @@ class TestRunBatchGm:
         y = rng.standard_normal(12)
         sample = Sample(x=x, y=y)
         eta = 0.2
-        traj = run_batch_gm(sample, None, make_schedule(eta), 1, checkpoints=(1,))
+        traj = run_batch_gm(sample, None, StepSchedule(eta), 1, checkpoints=(1,))
         # hand gradient at w = 0: -(eta/m) * sum_i (0 - y_i) x_i
         oracle = eta * (x.T @ y) / 12
         np.testing.assert_allclose(traj.final.coeffs, oracle, rtol=1e-12, atol=1e-15)
@@ -243,7 +243,7 @@ class TestRunBatchGm:
         cannot increase the training error (convex quadratic, small step)."""
         sample = gen_synthetic_abs(30, seed=4)
         ctx = AnchorSet.build(GAUSS, sample.x) if kernelized else None
-        sch = make_schedule(1.0, 0.0, kappa_sq(GAUSS))  # eta * kappa^2 = 1
+        sch = StepSchedule(1.0, 0.0, kappa_sq(GAUSS))  # eta * kappa^2 = 1
         traj = run_batch_gm(sample, ctx, sch, 60, checkpoints=tuple(range(1, 61)))
         errs = np.array([mean_square_error(traj.vector_at(t), sample.x, sample.y)
                          for t in traj.checkpoints])
@@ -253,14 +253,14 @@ class TestRunBatchGm:
 class TestRunPopulation:
     def test_zero_target(self):
         traj = run_population(np.linspace(0, 1, 20), lambda x: np.zeros_like(x),
-                              make_schedule(0.5), 10, checkpoints=(10,))
+                              StepSchedule(0.5), 10, checkpoints=(10,))
         np.testing.assert_array_equal(traj.final.coeffs, [0.0])
 
     def test_single_point_hand_recurrence(self):
         traj = run_population(
             np.array([1.0]),
             lambda x: np.full_like(np.atleast_1d(x), 2.0),
-            make_schedule(0.5),
+            StepSchedule(0.5),
             3,
             checkpoints=(1, 2, 3),
         )
@@ -270,7 +270,7 @@ class TestRunPopulation:
         rng = np.random.default_rng(0)
         anchors = AnchorSet.build(GAUSS, rng.random(50))
         f = lambda x: np.abs(x - 0.5) - 0.5
-        sch = make_schedule(0.25)
+        sch = StepSchedule(0.25)
         a = run_population(anchors, f, sch, 40, checkpoints=(40,))
         b = run_population(anchors, f, sch, 40, checkpoints=(40,))
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
@@ -350,7 +350,7 @@ class TestPopulationFilter:
         """run_population equals run_batch_gm on Sample(pts, f(pts)) bit
         for bit, for both backends and the three kernels."""
         pts, ctx, _, k_sq = _surrogate_case(kind, n, d, seed)
-        sch = make_schedule(eta1, theta, k_sq)
+        sch = StepSchedule(eta1, theta, k_sq)
         cps = log_checkpoints(T, 8)
         pop = run_population(pts if ctx is None else ctx, _target, sch, T, cps)
         ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, T, cps)
@@ -376,7 +376,7 @@ class TestPopulationFilter:
         test_long_euclidean_filter_matches_extended_precision_loop."""
         pts, ctx, to_vals, k_sq = _surrogate_case(kind, n, d, seed)
         sample = Sample(pts, _noisy(pts, seed))
-        sch = make_schedule(eta1, theta, k_sq)
+        sch = StepSchedule(eta1, theta, k_sq)
         cps = log_checkpoints(T, 8)
         with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
             got = run_batch_gm(sample, ctx, sch, T, cps).coeffs
@@ -393,7 +393,7 @@ class TestPopulationFilter:
         forming X^T c_t instead cancels two terms and drifts to ~1e-12."""
         pts, _, _, k_sq = _surrogate_case("euclidean", 200, 3, seed=1)
         sample = Sample(pts, _noisy(pts, 2))
-        sch = make_schedule(eta1, 0.0, k_sq)
+        sch = StepSchedule(eta1, 0.0, k_sq)
         cps = log_checkpoints(8000, 8)
         with mock.patch.object(iterations, "_gm_steps", side_effect=AssertionError("loop ran")):
             got = run_batch_gm(sample, None, sch, 8000, cps).coeffs
@@ -410,7 +410,7 @@ class TestPopulationFilter:
         """eta_1 lam_max / N > 2: the loop runs and its divergence is
         reported as the population's, at the same step."""
         pts, ctx, _, k_sq = _surrogate_case(kind, 40, 2, seed=3)
-        sch = make_schedule(6.0, 0.0, k_sq)
+        sch = StepSchedule(6.0, 0.0, k_sq)
         with pytest.raises(DivergenceError) as loop:
             run_batch_gm(Sample(pts, _target(pts)), ctx, sch, 400)
         backend = "euclidean" if ctx is None else "kernel"
@@ -425,7 +425,7 @@ class TestPopulationFilter:
         step."""
         pts, ctx, gram, k_sq = _surrogate_case("gaussian", 200, 1, seed=8)
         sample = Sample(pts, _noisy(pts, 8, scale=1e11))
-        sch = make_schedule(1.0, 0.0, k_sq)
+        sch = StepSchedule(1.0, 0.0, k_sq)
         assert sch.etas(1)[0] * np.linalg.eigvalsh(gram).max() / 200 <= 2
         assert iterations._pivoted_cholesky(gram, iterations._factor_budget(2000, 200, 200**2)) \
             is not None
@@ -445,7 +445,7 @@ class TestPopulationFilter:
         pts, ctx, _, k_sq = _surrogate_case("sobolev", n, 1, seed=4)
         budget = iterations._factor_budget(T, n, n * n)
         assert iterations._pivoted_cholesky(ctx.gram.values, budget) is None
-        sch = make_schedule(0.5, 0.3, k_sq)
+        sch = StepSchedule(0.5, 0.3, k_sq)
         sample = Sample(pts, _noisy(pts, 4))
         got = run_batch_gm(sample, ctx, sch, T, range(1, T + 1))
         np.testing.assert_array_equal(got.coeffs, _batch_loop(sample, ctx.gram.values,
@@ -455,7 +455,7 @@ class TestPopulationFilter:
         """d far above N: X^T X (d x d) and its eigh would cost far more
         than two short loop steps, so the loop runs: equal bit for bit."""
         pts, _, _, k_sq = _surrogate_case("euclidean", 20, 2000, seed=6)
-        sch = make_schedule(0.5, 0.0, k_sq)
+        sch = StepSchedule(0.5, 0.0, k_sq)
         sample = Sample(pts, _noisy(pts, 6))
         got = run_batch_gm(sample, None, sch, 2, (1, 2))
         np.testing.assert_array_equal(got.coeffs, _batch_loop(sample, None, sch.etas(2), {1, 2}))
@@ -465,7 +465,7 @@ class TestPopulationFilter:
         """Low-rank factors within budget run no step loop at all."""
         pts, ctx, gram, k_sq = _surrogate_case(kind, 200, d, seed=7)
         sample = Sample(pts, _noisy(pts, 7))
-        sch = make_schedule(1.0, 0.2, k_sq)
+        sch = StepSchedule(1.0, 0.2, k_sq)
         cps = log_checkpoints(1000, 8)
         with mock.patch.object(iterations, "_gm_steps", side_effect=AssertionError("loop ran")):
             got = run_batch_gm(sample, ctx, sch, 1000, cps)
@@ -479,7 +479,7 @@ class TestUnbiasednessSmall:
         agrees with batch GM within 4 estimated standard errors."""
         m, t, R = 8, 16, 400
         sample = gen_synthetic_abs(m, seed=10)
-        sch = make_schedule(1.0 / (8 * m))
+        sch = StepSchedule(1.0 / (8 * m))
         batch = run_batch_gm(sample, None, sch, t, checkpoints=(t,)).final.coeffs
         acc = np.zeros((R, 1))
         for r in range(R):
@@ -540,7 +540,7 @@ class TestLockstepTrials:
         samples = [_trial_sample(kernel, m, mix_seed(seed, r if stacked else 0))
                    for r in range(R)]
         plans = [sample_index_plan(m, b, T, mix_seed(seed + 1, r)) for r in range(R)]
-        sch = make_schedule(eta1, theta)
+        sch = StepSchedule(eta1, theta)
         ctxs = [AnchorSet.build(GAUSS, s.x, check_psd=False) if kernel else None
                 for s in samples]
         if stacked:
@@ -567,7 +567,7 @@ class TestLockstepTrials:
         x = np.array([[1.0, 0.0], [0.01, 0.0], [0.0, 0.01],
                       [0.01, 0.01], [0.0, 0.005], [0.005, 0.0]])
         sample = Sample(x=x, y=np.ones(6))
-        sch = make_schedule(4.0)
+        sch = StepSchedule(4.0)
         plans = [sample_index_plan(6, 1, 400, seed=70 + r) for r in range(6)]
         first = {}
         for r, plan in enumerate(plans):
@@ -585,7 +585,7 @@ class TestLockstepTrials:
 
     def test_rejects_inconsistent_plans_and_contexts(self):
         sample = gen_synthetic_abs(6, seed=1)
-        sch = make_schedule(0.1)
+        sch = StepSchedule(0.1)
         with pytest.raises(ValueError, match="must share"):
             run_sgm_trials(sample, None, sch, [sample_index_plan(6, 1, 5, 0),
                                                sample_index_plan(6, 2, 5, 1)])

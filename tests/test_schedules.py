@@ -5,7 +5,7 @@ import pytest
 
 from sgdlsq import (
     RECIPE_IDS,
-    make_schedule,
+    StepSchedule,
     passes,
     recipe,
     recipe_table,
@@ -15,53 +15,50 @@ from sgdlsq import (
 
 class TestStepSchedule:
     def test_constant(self):
-        sch = make_schedule(1.0, 0.0, 1.0)
+        sch = StepSchedule(1.0, 0.0, 1.0)
         assert all(sch.eta(t) == 1.0 for t in (1, 5, 1000))
 
     def test_decaying_value(self):
-        assert make_schedule(0.5, 0.5, 1.0).eta(4) == pytest.approx(0.25, abs=1e-15)
+        assert StepSchedule(0.5, 0.5, 1.0).eta(4) == pytest.approx(0.25, abs=1e-15)
 
     def test_sec9_simple_sgm_setting(self):
         # eta_t = 1/(8m) at m=100 corresponds to eta1 = 1/800, theta = 0
-        sch = make_schedule(1.0 / 800, 0.0, 1.0)
+        sch = StepSchedule(1.0 / 800, 0.0, 1.0)
         assert sch.eta(1) == sch.eta(999) == 1.0 / 800
 
     def test_kappa_normalization(self):
-        sch = make_schedule(0.5, 0.0, 0.25)
+        sch = StepSchedule(0.5, 0.0, 0.25)
         assert sch.eta(1) == 2.0
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.99])
     def test_monotone_nonincreasing(self, theta):
-        etas = make_schedule(0.7, theta).etas(200)
+        etas = StepSchedule(0.7, theta).etas(200)
         assert np.all(np.diff(etas) <= 0)
         assert np.all(etas > 0)
-
-    def test_eta_sum_empty_range_is_zero(self):
-        assert make_schedule(1.0).eta_sum(5, 4) == 0.0
 
     def test_invalid_parameters(self):
         for bad in ({"eta1": 0.0}, {"eta1": -1.0}, {"theta": 1.0}, {"theta": -0.1}):
             with pytest.raises(ValueError):
-                make_schedule(**{"eta1": 0.5, "theta": 0.0, **bad})
+                StepSchedule(**{"eta1": 0.5, "theta": 0.0, **bad})
 
 
 class TestValidateSchedule:
     def test_ok_case(self):
-        chk = validate_schedule(make_schedule(0.001), 1000)
+        chk = validate_schedule(StepSchedule(0.001), 1000)
         assert chk.ok and chk.ratio < 1
 
     def test_warning_case(self):
-        chk = validate_schedule(make_schedule(0.02), 1000)
+        chk = validate_schedule(StepSchedule(0.02), 1000)
         assert not chk.ok
         assert chk.ratio == pytest.approx(0.02 * 8 * (math.log(1000) + 1), rel=1e-12)
         assert chk.ratio == pytest.approx(1.265, abs=5e-4)
 
     def test_tiny_step_always_ok(self):
-        assert validate_schedule(make_schedule(1e-12), 10**6).ok
+        assert validate_schedule(StepSchedule(1e-12), 10**6).ok
 
     def test_requires_t_at_least_3(self):
         with pytest.raises(ValueError):
-            validate_schedule(make_schedule(0.1), 2)
+            validate_schedule(StepSchedule(0.1), 2)
 
 
 class TestPasses:

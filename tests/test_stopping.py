@@ -7,10 +7,10 @@ from sgdlsq import (
     AnchorSet,
     KernelSpec,
     Sample,
+    StepSchedule,
     StoppingOutcome,
     gen_synthetic_abs,
     holdout_stop,
-    make_schedule,
     mean_square_error,
     misclassification,
     run_batch_gm,
@@ -90,7 +90,7 @@ class TestHoldoutStop:
         val = gen_synthetic_abs(40, seed=2)
         ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(60, 8, 120, seed=3)
-        traj = run_sgm(sample, ctx, make_schedule(1.0 / 16), plan,
+        traj = run_sgm(sample, ctx, StepSchedule(1.0 / 16), plan,
                        checkpoints=(1, 5, 10, 20, 40, 80, 120))
         out = holdout_stop(traj, val)
         assert out.chosen_t in traj.checkpoints
