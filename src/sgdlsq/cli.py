@@ -83,6 +83,7 @@ _FIELDS = {
         _Field("recipe", str, "C3", choices=RECIPE_IDS),
         _Field("zeta", float, 0.5),
         _Field("gamma", float, 1.0),
+        _Field("epsilon", float),
         _Field("c_eta", float, 0.125),
         _Field("m_grid", str, "64,128,256,512,1024"),
         _Field("trials", int, 20),
@@ -251,7 +252,8 @@ def cmd_rates(args):
     f_surr = abs_target(surr)
     rows = []
     for mi, m in enumerate(m_grid):
-        rec = recipe(cfg["recipe"], m, zeta=cfg["zeta"], gamma=cfg["gamma"], c_eta=cfg["c_eta"])
+        rec = recipe(cfg["recipe"], m, zeta=cfg["zeta"], gamma=cfg["gamma"], eps=cfg["epsilon"],
+                     c_eta=cfg["c_eta"])
         streams = [mix_seed(cfg["seed"], 1 + mi * trials + trial)
                    for trial in range(trials)]
         samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=cfg["noise_sd"])
@@ -300,9 +302,16 @@ def cmd_rates(args):
 
 def cmd_recipes(args):
     cfg = _resolve(args, "recipes")
-    ids = [cfg["id"]] if cfg["id"] else list(RECIPE_IDS)
-    table = recipe_table(cfg["m"], zeta=cfg["zeta"], gamma=cfg["gamma"], eps=cfg["epsilon"],
-                         c_eta=cfg["c_eta"], ids=ids)
+    params = dict(zeta=cfg["zeta"], gamma=cfg["gamma"], eps=cfg["epsilon"], c_eta=cfg["c_eta"])
+    if cfg["id"]:
+        table = [recipe(cfg["id"], cfg["m"], **params)]
+    else:
+        table = recipe_table(cfg["m"], **params)
+        listed = {r.corollary for r in table}
+        skipped = [rid for rid in RECIPE_IDS if rid not in listed]
+        if skipped:
+            print(f"not defined at m = {cfg['m']}, left out: {', '.join(skipped)}",
+                  file=sys.stderr)
     payload = {"config": _provenance(cfg), "recipes": [r.to_json_dict() for r in table]}
     if args.out:
         _write_json(args.out, payload)
@@ -353,13 +362,14 @@ def cmd_run(args):
     if train is None or val is None:
         raise ValueError("train and validation splits must be nonempty")
 
+    # the config records only the kernel and bandwidth the run reads
     if cfg["backend"] == "kernel":
-        sigma = cfg["sigma"] if cfg["kernel"] == "gaussian" else None
-        kernel = KernelSpec(cfg["kernel"], sigma=sigma)
+        cfg["sigma"] = cfg["sigma"] if cfg["kernel"] == "gaussian" else None
+        kernel = KernelSpec(cfg["kernel"], sigma=cfg["sigma"])
         ksq = kappa_sq(kernel, train.x)
         ctx = AnchorSet.build(kernel, train.x, check_psd=False)
     else:
-        kernel, ctx = None, None
+        cfg["kernel"] = cfg["sigma"] = kernel = ctx = None
         ksq = kappa_sq(KernelSpec("linear"), train.x)
 
     if cfg["recipe"]:

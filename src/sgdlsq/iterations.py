@@ -13,6 +13,9 @@ All three start from the zero element and share the step-size law from
   pure function of its inputs and every rerun is bit-identical.
 * A single run is inherently sequential; independent runs (distinct
   plans) advance in lockstep as one block (:func:`run_sgm_trials`).
+  Single-point (b = 1) runs advance a block of steps per triangular
+  solve over their inputs or a low-rank factor of the Gram, within
+  1e-12 relative of the step loop, which runs where they cannot.
 * Batch GM is computed in closed form as a spectral filter of a
   factor of the Gram or of the euclidean inputs; its step loop runs
   only as the fallback, when the factor is over budget or the iterate
@@ -44,6 +47,19 @@ _DIVERGENCE_LIMIT = 1e12
 # Bytes of per-trial data (stacked Grams or inputs plus one step's rows)
 # run_sgm_trials holds at once: eight m=1024 Grams; more trials run in chunks.
 _STACK_BYTES = 64 << 20
+
+# Steps per triangular solve on the blocked single-point SGM path: the
+# batched LU costs O(B^3) per block, and 16 measured fastest (64 slower).
+_BLOCK = 16
+
+# A blocked kernel run reads its residuals off phi z, with z = phi^T a
+# carried step by step and phi phi^T ~= K. Over long runs the
+# coefficients drift in K's null space and the rounding of both adds up,
+# so the run is kept only where phi z matches the Gram's K a to this
+# relative bound at every checkpoint. Across 197 random linear and
+# gaussian runs (m <= 120, T <= 40000) the blocked values were at most
+# 1.8 times this check from the step loop's.
+_FACTOR_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -165,19 +181,29 @@ def _kernel_ctx(sample: Sample, ctx: AnchorSet) -> np.ndarray:
 
 
 def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None) -> np.ndarray:
-    """Mini-batch SGM over R index plans at once, in lockstep.
+    """Mini-batch SGM over R index plans at once.
 
     ``samples`` is one :class:`Sample` shared by all trials or one per
     plan. ``ctx`` is ``None`` (euclidean), an :class:`AnchorSet` on the
     shared sample's points, or a :class:`KernelSpec` with per-trial
     samples, whose Grams (or inputs) are stacked in chunks of trials
-    within ``_STACK_BYTES``. Each step gathers the sampled rows of all
-    trials as one (R, b, w) block and contracts it with the (R, w)
-    iterate block, so trial r follows a single run on plan r bit for
-    bit. Returns the checkpoint iterates, (n_cp, R, w) with w = m
-    (kernel) or d (euclidean). Divergence raises
-    ``DivergenceError(t, "trial r")`` for the earliest diverging step t
-    and the lowest trial r diverging at it.
+    within ``_STACK_BYTES``. Returns the checkpoint iterates,
+    (n_cp, R, w) with w = m (kernel) or d (euclidean).
+
+    With b = 1 a trial runs on the blocked path (:func:`_blocked_sgm`),
+    ``_BLOCK`` steps per triangular solve, when it has a feature matrix
+    (:func:`_step_features`: its inputs, or a pivoted-Cholesky factor of
+    its Gram within the rank budget) on which every step keeps
+    eta_t ||phi_j||^2 <= 1. It stays within 1e-12 relative of the step
+    loop, not bit for bit. Every other trial, every blocked trial whose
+    iterate bound could reach half the divergence limit, and every
+    blocked kernel trial whose values phi z stray from the Gram's K a
+    (``_FACTOR_TOL``) runs the lockstep step loop from step 0: each step gathers the sampled rows
+    of those trials as one (R, b, w) block and contracts it with the
+    (R, w) iterate block. Either way trial r follows a single run on
+    plan r bit for bit. Divergence raises ``DivergenceError(t, "trial r")``
+    for the earliest diverging step t and the lowest trial r diverging
+    at it, both as the step loop finds them.
     """
     plans = list(plans)
     stacked = not isinstance(samples, Sample)
@@ -201,38 +227,160 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
     chunk = max(1, _STACK_BYTES // (8 * w * (b + (m if stacked else 0))))
     diverged = None
     for lo in range(0, R, chunk):
-        n = min(chunk, R - lo)
-        # flat[t - 1] locates each trial's sampled rows in the stacked
-        # samples and its sampled coefficients in A.ravel()
-        flat = idx[:, lo:lo + n] + (np.arange(n) * m)[:, None]
-        gidx = flat if stacked else idx[:, lo:lo + n]
+        trials = np.arange(lo, min(lo + chunk, R))
         if stacked:
-            src = np.empty((n, m, w))
-            for j, s in enumerate(samples[lo:lo + n]):
-                src[j] = build_gram(ctx, s.x, check_psd=False).values if kernel else _as_matrix(s.x)
-            src = src.reshape(-1, w)
-            ys = np.concatenate([s.y for s in samples[lo:lo + n]])
-        A = np.zeros((n, w))
+            src = np.empty((len(trials), m, w))
+            for j, r in enumerate(trials):
+                x = samples[r].x
+                src[j] = build_gram(ctx, x, check_psd=False).values if kernel else _as_matrix(x)
+            ys = np.concatenate([samples[r].y for r in trials])
+        # positions in the chunk of the trials left to the step loop
+        loop = np.arange(len(trials))
+        if b == 1:
+            loop = _run_blocked(src, ys, idx[:, lo:lo + len(trials), 0], kernel, etas, cps, out,
+                                trials)
+        if not loop.size:
+            continue
+        sel = trials[loop]
+        own = idx[:, sel] if len(sel) < len(trials) else idx[:, lo:lo + len(sel)]  # no copy
+        # picks[t - 1] locates each trial's sampled coefficients in
+        # A.ravel(), rows[t - 1] its sampled rows in the chunk's samples
+        picks = own + (np.arange(len(sel)) * m)[:, None]
+        rows = own + (loop * m)[:, None] if stacked else own
+        flat_src = src.reshape(-1, w)
+        A = np.zeros((len(sel), w))
         a = A.reshape(-1)
         for t in range(1, T + 1 if diverged is None else diverged[0]):
-            rows = src[gidx[t - 1]]
-            resid = np.matmul(rows, A[:, :, None])[..., 0] - ys[gidx[t - 1]]
+            P = flat_src[rows[t - 1]]
+            resid = np.matmul(P, A[:, :, None])[..., 0] - ys[rows[t - 1]]
             if kernel:
-                np.subtract.at(a, flat[t - 1], etas[t - 1] * resid)
+                np.subtract.at(a, picks[t - 1], etas[t - 1] * resid)
                 # only the sampled coefficients can change, so checking
                 # them keeps the divergence guard O(b) per trial
-                guard = np.abs(a[flat[t - 1]])
+                guard = np.abs(a[picks[t - 1]])
             else:
-                A -= etas[t - 1] * np.matmul(rows.transpose(0, 2, 1), resid[:, :, None])[..., 0]
+                A -= etas[t - 1] * np.matmul(P.transpose(0, 2, 1), resid[:, :, None])[..., 0]
                 guard = np.abs(A)
             if not guard.max() <= _DIVERGENCE_LIMIT:  # also catches nan
-                diverged = t, lo + int(np.argmax(~(guard <= _DIVERGENCE_LIMIT).all(axis=1)))
+                diverged = t, int(sel[np.argmax(~(guard <= _DIVERGENCE_LIMIT).all(axis=1))])
                 break
             if t in cp_pos:
-                out[cp_pos[t], lo:lo + n] = A
+                out[cp_pos[t], sel] = A
     if diverged is not None:
         raise DivergenceError(diverged[0], f"trial {diverged[1]}")
     return out
+
+
+def _step_features(mat, kernel, etas):
+    """The feature rows phi (m, k) a single-point trial runs on blocked:
+    its inputs, or for a kernel the rows of L from the pivoted-Cholesky
+    factor K ~= L L^T (as batch GM cuts it) when its rank is within
+    :func:`_factor_budget`. None when there is no such factor or when
+    eta_1 ||phi_j||^2 > 1 for some row: the step condition keeps every
+    entry of the block systems at most 1, so their LU never pivots."""
+    if kernel:
+        m = len(mat)
+        rows = _pivoted_cholesky(mat, _factor_budget(len(etas), m, m, quarters=2))
+        if rows is None:
+            return None
+        mat = np.ascontiguousarray(rows.T)
+    if etas[0] * np.einsum("ij,ij->i", mat, mat).max() > 1:
+        return None
+    return mat
+
+
+def _run_blocked(src, ys, sampled, kernel, etas, cps, out, trials):
+    """Runs the chunk's trials that have step features (one shared
+    ``src`` or one per trial, stacked) on :func:`_blocked_sgm`, in groups
+    of equal feature width, and writes their checkpoints into
+    ``out[:, trials]``. Returns the positions in the chunk left to the
+    step loop: no features, a bound on the iterate, sum_t |eta_t rho_t|
+    (times max|X| for euclidean), over half the limit, or (kernel) sample
+    values phi z off the Gram's K a by more than ``_FACTOR_TOL``."""
+    m = src.shape[-2]
+    shared = src.ndim == 2
+    feats = [_step_features(s, kernel, etas) for s in ([src] if shared else src)]
+    groups, loop = {}, []
+    for j in range(len(trials)):
+        f = feats[0 if shared else j]
+        if f is None:
+            loop.append(j)
+        else:
+            groups.setdefault(f.shape[1], []).append(j)
+    for members in map(np.array, groups.values()):
+        # group trial j's point r is row r + j m of stacked samples and
+        # coefficient r + j m of the flattened coefficient block
+        shift = (np.arange(len(members)) * m)[:, None]
+        if shared:  # the group is the whole chunk, on one sample's rows
+            phi, y, rows = feats[0], ys, sampled
+        else:  # the rows already carry the shift
+            phi = np.concatenate([feats[j] for j in members])
+            y = ys.reshape(-1, m)[members].reshape(-1)
+            rows, shift = sampled[:, members] + shift.T, 0
+        coef, zs, reach = _blocked_sgm(phi, y, rows, shift if kernel else None, m, etas, cps)
+        if not kernel:
+            reach *= np.abs(phi).reshape(-1, m * phi.shape[1]).max(axis=1)
+        ok = reach < _DIVERGENCE_LIMIT / 2  # also false for nan
+        for j in np.flatnonzero(ok) if kernel else ():
+            gram, f = (src, feats[0]) if shared else (src[members[j]], feats[members[j]])
+            vals = coef[:, j] @ gram
+            ok[j] = np.abs(zs[:, j] @ f.T - vals).max() <= _FACTOR_TOL * np.abs(vals).max()
+        out[:, trials[members[ok]]] = coef[:, ok]
+        loop.extend(members[~ok])
+    return np.sort(np.array(loop, dtype=np.int64))
+
+
+def _blocked_sgm(phi, ys, rows, shift, width, etas, cps):
+    """Single-point SGM for g trials on feature rows ``phi``, ``_BLOCK``
+    steps per triangular solve.
+
+    The iterate is z = phi^T a (kernel, K ~= phi phi^T, a the
+    coefficients) or the coordinates (euclidean, phi = X). In a block of
+    B steps with sampled rows P (B, k), the residuals rho solve the unit
+    lower-triangular (Gauss-Seidel) system
+    (I + tril(P P^T, -1) diag(eta)) rho = P z - y, and then
+    z <- z - eta_1 rho_1 P_1 - ... - eta_B rho_B P_B, subtracted in step
+    order as the loop does, so a zero input feature stays exactly zero
+    (a sum would go pairwise where it runs along a contiguous axis, as
+    for one feature and one trial). ``rows`` (T, g) gives each step's
+    row of ``phi`` and ``ys`` per trial; for a kernel, row + ``shift``
+    (g, 1) is its coefficient in the flattened (g, width) block
+    (``shift`` is None for euclidean, whose iterate is z). Blocks are cut
+    at the checkpoints. Returns the checkpoint iterates (n_cp, g, w),
+    the checkpoint z (n_cp, g, k) and, per trial, sum_t |eta_t rho_t|,
+    which bounds every |a| (and, times max|X|, every |z|) along the run.
+    """
+    T, g = rows.shape
+    z = np.zeros((g, phi.shape[1]))
+    coef = z if shift is None else np.zeros((g, width))
+    out = np.empty((len(cps),) + coef.shape)
+    zs = out if shift is None else np.empty((len(cps),) + z.shape)
+    reach = np.zeros(g)
+    lower, eye = np.tri(_BLOCK, k=-1), np.eye(_BLOCK)
+    # z and the block's updates, reduced by subtraction in step order
+    updates = np.empty((_BLOCK + 1,) + z.shape)
+    edges = sorted({0, T, *cps})
+    # a trial that diverges here is rerun by the step loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            for t0 in range(lo, hi, _BLOCK):
+                t1 = min(t0 + _BLOCK, hi)
+                n, eta, at = t1 - t0, etas[t0:t1], rows[t0:t1].T
+                P = phi[at]
+                system = np.matmul(P, P.transpose(0, 2, 1))
+                system *= lower[:n, :n] * eta
+                system += eye[:n, :n]
+                r0 = np.matmul(P, z[:, :, None]) - ys[at][:, :, None]
+                u = np.linalg.solve(system, r0)[..., 0] * eta
+                updates[0] = z
+                np.multiply(u.T[:, :, None], P.transpose(1, 0, 2), out=updates[1:n + 1])
+                np.subtract.reduce(updates[:n + 1], axis=0, out=z)
+                if shift is not None:
+                    np.subtract.at(coef.reshape(-1), at + shift, u)
+                reach += np.abs(u).sum(axis=1)
+            if i < len(cps):
+                out[i], zs[i] = coef, z
+    return out, zs, reach
 
 
 def run_sgm(
@@ -277,17 +425,19 @@ def _pivoted_cholesky(gram, max_rank):
     return rows if resid.sum() <= tol else None
 
 
-def _factor_budget(T, n, step_cost):
+def _factor_budget(T, n, step_cost, quarters=7):
     """Largest rank k of a factor worth building in place of T loop steps
-    of step_cost multiply-adds each.
+    of step_cost multiply-adds each, when the factor and its use cost
+    ``quarters`` k^2 n / 4 multiply-adds.
 
-    Counted: k^2 n / 2 for the pivots, k^2 n for L^T L and k^3 for its
-    eigh, which is at most k^2 n / 4 because k <= n / 4 also keeps the
-    factor at a quarter of an n x n Gram. The factor may cost a quarter
-    of the loop, so pivots given up at the budget have spent a
-    fourteenth of it. An operation count, not a measurement.
+    Batch GM counts 7: k^2 n / 2 for the pivots, k^2 n for L^T L and k^3
+    for its eigh, which is at most k^2 n / 4 because k <= n / 4 also keeps
+    the factor at a quarter of an n x n Gram. Single-point SGM counts the
+    pivots alone, 2. The factor may cost a quarter of the loop, so pivots
+    given up at the budget have spent a fourteenth of it (batch GM) or a
+    quarter (SGM). An operation count, not a measurement.
     """
-    return min(n // 4, math.isqrt(int(T) * step_cost // (7 * n)))
+    return min(n // 4, math.isqrt(int(T) * step_cost // (quarters * n)))
 
 
 def _gm_steps(grad, w, etas, cp_pos, out, where):

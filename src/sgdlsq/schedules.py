@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 RECIPE_IDS = ("C3", "C4", "C5", "C6", "C7", "BGM", "C11", "C12", "B1", "B2", "B3")
+# the recipes whose step size scales with 1/ln m, undefined at m = 1
+_LOG_M_IDS = ("C6", "C7", "B2", "B3")
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,12 @@ class StepSchedule:
             raise ValueError(f"eta1 must be positive and finite, got {self.eta1}")
         if not (0.0 <= self.theta < 1.0):
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
-        if not (np.isfinite(self.kappa_sq) and self.kappa_sq >= 1e-12):
-            raise ValueError(f"kappa_sq must be >= 1e-12, got {self.kappa_sq}")
+        # any positive bound on K(x, x) will do: points near 0 give a
+        # linear kernel's kappa^2 far below 1
+        if not (0 < self.kappa_sq < math.inf
+                and math.isfinite(float(self.eta1) / float(self.kappa_sq))):
+            raise ValueError(f"kappa_sq must be positive with eta1 / kappa_sq finite, "
+                             f"got {self.kappa_sq}")
 
     def eta(self, t: int) -> float:
         if t < 1:
@@ -162,7 +168,7 @@ def recipe(
 
     alpha = 2.0 * zeta + gamma
     log_m = math.log(m)
-    if rid in ("C6", "C7", "B2", "B3") and log_m <= 0:
+    if rid in _LOG_M_IDS and log_m <= 0:
         raise ValueError(f"recipe {rid} needs m >= 2 (its step size scales with 1/ln m)")
 
     def needs_eps():
@@ -243,7 +249,10 @@ def recipe_table(
     gamma: float = 1.0,
     eps: float | None = None,
     c_eta: float = 0.125,
-    ids=RECIPE_IDS,
 ) -> list[Recipe]:
-    """All recipes that are constructible from the given parameters."""
-    return [recipe(rid, m, zeta=zeta, gamma=gamma, eps=eps, c_eta=c_eta) for rid in ids]
+    """The recipes defined at sample size ``m``, in ``RECIPE_IDS`` order: at
+    m = 1 those whose step size scales with 1/ln m (C6, C7, B2, B3) are
+    left out. Parameters no recipe accepts, or a missing ``eps`` where the
+    regime needs it, still raise."""
+    return [recipe(rid, m, zeta=zeta, gamma=gamma, eps=eps, c_eta=c_eta)
+            for rid in RECIPE_IDS if m != 1 or rid not in _LOG_M_IDS]

@@ -57,6 +57,17 @@ class TestRecipes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["recipes"][0]["corollary"] == "C4"
 
+    def test_recipes_undefined_at_the_sample_size_are_left_out(self, capsys):
+        """At m = 1 the 1/ln m recipes are undefined: the table lists the
+        rest and names the left-out ones; asking for one by id fails."""
+        assert main(["recipes", "--m", "1"]) == 0
+        captured = capsys.readouterr()
+        ids = [r["corollary"] for r in json.loads(captured.out)["recipes"]]
+        assert ids == ["C3", "C4", "C5", "BGM", "C11", "C12", "B1"]
+        assert "C6, C7, B2, B3" in captured.err
+        assert main(["recipes", "--m", "1", "--id", "C6"]) == 4
+        assert "C6 needs m >= 2" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_small_explicit_run(self, tmp_path):
@@ -186,6 +197,19 @@ class TestRates:
         assert [int(r["m"]) for r in rows] == [16, 32, 64]
         assert all(float(r["excess_risk"]) > 0 for r in rows)
 
+    def test_epsilon_reaches_the_recipe(self, tmp_path, capsys):
+        """Where 2 zeta + gamma <= 1 the recipe needs epsilon; rates takes
+        it as recipes and run do, and records it."""
+        argv = ["rates", "--recipe", "BGM", "--zeta", "0.2", "--gamma", "0.4", "--m-grid",
+                "4,8,16", "--trials", "2", "--N", "20", "--out", str(tmp_path / "r")]
+        assert main(argv) == 4
+        assert "requires epsilon" in capsys.readouterr().err
+        assert main(argv + ["--epsilon", "0.5"]) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["config"]["epsilon"] == 0.5
+        assert [row["t_star"] for row in payload["rows"]] == [
+            recipe("BGM", m, zeta=0.2, gamma=0.4, eps=0.5).t_star for m in (4, 8, 16)]
+
 
 class TestRun:
     def test_generator_training(self, tmp_path):
@@ -262,6 +286,22 @@ class TestRun:
             assert "--b" in capsys.readouterr().err
             assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("space, kernel", [
+        (["--backend", "euclidean", "--kernel", "sobolev"], None),
+        (["--kernel", "sobolev"], "sobolev"),
+        ([], "gaussian"),
+    ], ids=["euclidean", "sobolev", "gaussian"])
+    def test_config_records_only_the_kernel_settings_read(self, tmp_path, space, kernel):
+        """A euclidean run reads neither --kernel nor --sigma and a
+        sobolev run no --sigma; both artifacts record those as null."""
+        assert main(["run", "--generator", "synthetic-abs", "--m", "40", *space, "--sigma",
+                     "0.3", "--b", "1", "--eta1", "0.1", "--T", "5",
+                     "--out", str(tmp_path / "r")]) == 0
+        for suffix in (".model.json", ".stopping.json"):
+            config = json.loads((tmp_path / ("r" + suffix)).read_text())["config"]
+            assert (config["kernel"], config["sigma"]) == (
+                kernel, 0.3 if kernel == "gaussian" else None)
+
     def test_one_feature_euclidean_kappa_is_the_largest_square(self, tmp_path):
         """kappa^2 = max_i ||x_i||^2 for one feature too, so appending an
         all-zero feature leaves the run unchanged."""
@@ -276,6 +316,21 @@ class TestRun:
             runs.append(json.loads((tmp_path / f"{name}.stopping.json").read_text()))
         assert runs[0]["validation_errors"] == runs[1]["validation_errors"]
         assert runs[0]["test_error"] == runs[1]["test_error"]
+
+    @pytest.mark.parametrize("space", [["--kernel", "linear"], ["--backend", "euclidean"]],
+                             ids=["linear", "euclidean"])
+    def test_points_near_zero_start(self, tmp_path, space):
+        """kappa^2 = max x^2 is about 1e-14 for points within 1e-7 of 0;
+        the run starts and its step size eta1 / kappa^2 keeps it stable.
+        The labels shrink with the points, so the kernel coefficients,
+        of order y / kappa^2, stay below the divergence limit."""
+        s = gen_synthetic_abs(40, seed=7)
+        save_csv(Sample(x=s.x * 1e-7, y=s.y * 1e-7), tmp_path / "near0.csv")
+        assert main(["run", "--data", str(tmp_path / "near0.csv"), *space, "--b", "1",
+                     "--eta1", "0.5", "--T", "50", "--seed", "3",
+                     "--out", str(tmp_path / "r")]) == 0
+        stopping = json.loads((tmp_path / "r.stopping.json").read_text())
+        assert np.isfinite(stopping["validation_errors"]).all()
 
     @pytest.mark.parametrize("space", [["--kernel", "sobolev"], ["--backend", "euclidean"]],
                              ids=["sobolev", "euclidean"])

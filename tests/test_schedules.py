@@ -36,8 +36,14 @@ class TestStepSchedule:
         assert np.all(np.diff(etas) <= 0)
         assert np.all(etas > 0)
 
+    def test_any_positive_kappa_is_accepted(self):
+        """A linear kernel's kappa^2 = max x^2 over points near 0."""
+        assert StepSchedule(0.5, 0.0, 1.2e-13).eta(1) == 0.5 / 1.2e-13
+
     def test_invalid_parameters(self):
-        for bad in ({"eta1": 0.0}, {"eta1": -1.0}, {"theta": 1.0}, {"theta": -0.1}):
+        for bad in ({"eta1": 0.0}, {"eta1": -1.0}, {"theta": 1.0}, {"theta": -0.1},
+                    {"kappa_sq": 0.0}, {"kappa_sq": -1.0}, {"kappa_sq": float("nan")},
+                    {"kappa_sq": 1e-320}):
             with pytest.raises(ValueError):
                 StepSchedule(**{"eta1": 0.5, "theta": 0.0, **bad})
 
@@ -153,6 +159,12 @@ class TestRecipes:
     def test_table_covers_all_ids(self):
         table = recipe_table(100, eps=0.3)
         assert [r.corollary for r in table] == list(RECIPE_IDS)
+
+    def test_table_at_one_point_leaves_out_the_log_m_recipes(self):
+        table = recipe_table(1, eps=0.3)
+        assert [r.corollary for r in table] == ["C3", "C4", "C5", "BGM", "C11", "C12", "B1"]
+        with pytest.raises(ValueError, match="requires epsilon"):
+            recipe_table(1, zeta=0.2, gamma=0.4)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
