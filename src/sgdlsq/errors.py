@@ -19,7 +19,8 @@ class KernelDomainError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate left the admissible range (non-finite or > 1e12)."""
+    """An iterate left the admissible range: non-finite, or above 1e12
+    (kernel coefficients times the Gram's largest diagonal)."""
 
     def __init__(self, iteration, detail=""):
         self.iteration = int(iteration)

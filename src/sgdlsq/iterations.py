@@ -42,6 +42,8 @@ from .rng import make_rng
 from .schedules import StepSchedule, passes
 from .spaces import AnchorSet, HypothesisVector
 
+# Bound on max|w| (euclidean) or max|a| times the Gram's largest diagonal
+# (kernel, see _coef_scale) past which a run counts as diverged.
 _DIVERGENCE_LIMIT = 1e12
 
 # Bytes of per-trial data (stacked Grams or inputs plus one step's rows)
@@ -163,8 +165,8 @@ def log_checkpoints(T: int, count: int = 30) -> tuple:
     """About ``count`` log-spaced step counts from 1 to T inclusive."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    grid = np.unique(np.geomspace(1, T, num=min(count, T)).round().astype(int))
-    return tuple(int(v) for v in grid)
+    # not np.unique, which imports numpy.ma (about 10-20 ms) on first use
+    return tuple(sorted(set(np.geomspace(1, T, num=min(count, T)).round().astype(int).tolist())))
 
 
 def _as_matrix(x):
@@ -178,6 +180,14 @@ def _kernel_ctx(sample: Sample, ctx: AnchorSet) -> np.ndarray:
         raise ValueError("kernel runs anchor the iterate on the sample points; "
                          "the anchor set must be built from sample.x")
     return ctx.gram.values
+
+
+def _coef_scale(gram):
+    """Largest diagonal K(x_i, x_i) of a Gram, or of each Gram of a
+    stack (R, m, m). Kernel coefficients a scale like y / K(x, x), so the
+    divergence guard reads max|a| times this, in the units of y; a
+    gaussian Gram's is 1, which leaves its guard as max|a|."""
+    return np.diagonal(gram, axis1=-2, axis2=-1).max(axis=-1)
 
 
 def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None) -> np.ndarray:
@@ -248,6 +258,8 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
         picks = own + (np.arange(len(sel)) * m)[:, None]
         rows = own + (loop * m)[:, None] if stacked else own
         flat_src = src.reshape(-1, w)
+        if kernel:
+            scale = _coef_scale(src)[loop, None] if stacked else _coef_scale(src)
         A = np.zeros((len(sel), w))
         a = A.reshape(-1)
         for t in range(1, T + 1 if diverged is None else diverged[0]):
@@ -257,7 +269,7 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
                 np.subtract.at(a, picks[t - 1], etas[t - 1] * resid)
                 # only the sampled coefficients can change, so checking
                 # them keeps the divergence guard O(b) per trial
-                guard = np.abs(a[picks[t - 1]])
+                guard = np.abs(a[picks[t - 1]]) * scale
             else:
                 A -= etas[t - 1] * np.matmul(P.transpose(0, 2, 1), resid[:, :, None])[..., 0]
                 guard = np.abs(A)
@@ -295,10 +307,12 @@ def _run_blocked(src, ys, sampled, kernel, etas, cps, out, trials):
     of equal feature width, and writes their checkpoints into
     ``out[:, trials]``. Returns the positions in the chunk left to the
     step loop: no features, a bound on the iterate, sum_t |eta_t rho_t|
-    (times max|X| for euclidean), over half the limit, or (kernel) sample
-    values phi z off the Gram's K a by more than ``_FACTOR_TOL``."""
+    (times the Gram's largest diagonal, or max|X| for euclidean), over
+    half the limit, or (kernel) sample values phi z off the Gram's K a by
+    more than ``_FACTOR_TOL``."""
     m = src.shape[-2]
     shared = src.ndim == 2
+    scale = _coef_scale(src) if kernel else None
     feats = [_step_features(s, kernel, etas) for s in ([src] if shared else src)]
     groups, loop = {}, []
     for j in range(len(trials)):
@@ -318,7 +332,9 @@ def _run_blocked(src, ys, sampled, kernel, etas, cps, out, trials):
             y = ys.reshape(-1, m)[members].reshape(-1)
             rows, shift = sampled[:, members] + shift.T, 0
         coef, zs, reach = _blocked_sgm(phi, y, rows, shift if kernel else None, m, etas, cps)
-        if not kernel:
+        if kernel:
+            reach *= scale if shared else scale[members]
+        else:
             reach *= np.abs(phi).reshape(-1, m * phi.shape[1]).max(axis=1)
         ok = reach < _DIVERGENCE_LIMIT / 2  # also false for nan
         for j in np.flatnonzero(ok) if kernel else ():
@@ -440,14 +456,14 @@ def _factor_budget(T, n, step_cost, quarters=7):
     return min(n // 4, math.isqrt(int(T) * step_cost // (quarters * n)))
 
 
-def _gm_steps(grad, w, etas, cp_pos, out, where):
+def _gm_steps(grad, w, etas, cp_pos, out, where, scale):
     """The batch-GM step loop w <- w - eta_t grad(w) (eta_t already over
     m), in place; writes w at step t into row ``cp_pos[t]`` of ``out``.
     Raises ``DivergenceError(t, where)`` at the first step where
-    max|w| > 1e12."""
+    max|w| times ``scale`` (:func:`_coef_scale` for kernels) > 1e12."""
     for t, eta in enumerate(etas, 1):
         w -= eta * grad(w)
-        if not np.abs(w).max() <= _DIVERGENCE_LIMIT:  # also catches nan
+        if not np.abs(w).max() * scale <= _DIVERGENCE_LIMIT:  # also catches nan
             raise DivergenceError(t, where)
         if t in cp_pos:
             out[cp_pos[t]] = w
@@ -479,7 +495,9 @@ def run_batch_gm(
     (2) eta_1 lam_max/m <= 2, so every |1 - eta_t lam/m| <= 1 (the
     schedule is non-increasing) and ||c_t||_2 <= s_T ||y||_2, or
     ||w_t||_2 <= sqrt(lam_max) s_T ||y||_2 for euclidean; and (3) that
-    bound is at most half the divergence limit, so no step could raise.
+    bound (for kernels times the Gram's largest diagonal, as the loop's
+    guard reads it) is at most half the divergence limit, so no step
+    could raise.
     Otherwise the step loop runs and raises
     ``DivergenceError(t, "batch/<backend>")`` at the first diverging step.
     """
@@ -490,19 +508,21 @@ def run_batch_gm(
     etas = schedule.etas(T) / m
     if kernel:
         gram = _kernel_ctx(sample, ctx)
+        scale = _coef_scale(gram)
         rows = _pivoted_cholesky(gram, _factor_budget(T, m, m * m))
     else:
         x = _as_matrix(sample.x)
         rows = x.T if x.shape[1] <= _factor_budget(T, m, 2 * m * x.shape[1]) else None
+        scale = 1.0
     out = np.empty((len(cps), m if kernel else x.shape[1]))
     if rows is not None:
         lam, w = np.linalg.eigh(rows @ rows.T)
         lam_max = lam.max(initial=0.0)
-        reach = etas.sum() * np.linalg.norm(y) * (1.0 if kernel else np.sqrt(lam_max))
+        reach = etas.sum() * np.linalg.norm(y) * (scale if kernel else np.sqrt(lam_max))
     if rows is None or etas[0] * lam_max > 2 or reach > _DIVERGENCE_LIMIT / 2:
         grad = (lambda c: gram @ c - y) if kernel else (lambda v: x.T @ (x @ v - y))
         where = "batch/kernel" if kernel else "batch/euclidean"
-        _gm_steps(grad, np.zeros(out.shape[1]), etas, cp_pos, out, where)
+        _gm_steps(grad, np.zeros(out.shape[1]), etas, cp_pos, out, where, scale)
     else:
         proj = w.T @ (rows @ y)
         s = 0.0

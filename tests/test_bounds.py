@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlsq import (
     StepSchedule,
@@ -9,9 +12,31 @@ from sgdlsq import (
     check_contraction_bound,
     check_convolution_bound,
     check_sum_bounds,
+    make_rng,
     verdicts_to_csv,
 )
 from sgdlsq.bounds import fsum, log_spaced_ts, sweep_contraction
+
+
+def _bits(verdicts):
+    """Each verdict as (lemma, params in order, lhs and bound bit patterns)."""
+    return [(v.lemma, list(v.params.items()), v.lhs.hex(), v.bound.hex()) for v in verdicts]
+
+
+def _contraction_reference(n_spectra, zetas, thetas, t_max, seed, dim):
+    """sweep_contraction as one check_contraction_bound call per point."""
+    rng = make_rng(seed)
+    ts = log_spaced_ts(t_max, count=6, t_min=2)
+    out = []
+    for _ in range(n_spectra):
+        eigs = rng.random(dim) * (1.0 - 1e-9) + 1e-9
+        for theta in thetas:
+            schedule = StepSchedule(eta1=1.0, theta=theta, kappa_sq=1.0)
+            for zeta in zetas:
+                for t in ts:
+                    for k in (0, t // 2):
+                        out.append(check_contraction_bound(eigs, schedule, zeta, k, t))
+    return out
 
 
 class TestRangeConventions:
@@ -101,6 +126,46 @@ class TestContractionBound:
         verdicts = sweep_contraction(n_spectra=100, seed=17)
         assert len(verdicts) > 1000
         assert all(v.passed for v in verdicts)
+
+
+class TestGroupedContractionSweep:
+    """sweep_contraction, grouped per (theta, t, k) cut, equals the
+    one-point check_contraction_bound verdict for verdict, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_spectra=st.integers(0, 12), dim=st.integers(1, 30), t_max=st.integers(2, 300),
+           seed=st.integers(0, 2**63),
+           zetas=st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                          min_size=1, max_size=4, unique=True),
+           thetas=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
+    def test_equals_the_one_point_checks(self, n_spectra, dim, t_max, seed, zetas, thetas):
+        args = (n_spectra, tuple(zetas), tuple(thetas), t_max, seed, dim)
+        assert _bits(sweep_contraction(*args)) == _bits(_contraction_reference(*args))
+
+    def test_no_spectra_is_empty(self):
+        assert sweep_contraction(n_spectra=0) == []
+
+    def test_empty_spectrum_is_refused(self):
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            sweep_contraction(n_spectra=3, dim=0)
+
+    def test_nonpositive_zeta_is_refused(self):
+        with pytest.raises(ValueError, match="zeta must be > 0"):
+            sweep_contraction(n_spectra=2, zetas=(1.0, 0.0))
+
+
+class TestLogSpacedTs:
+    def test_equals_unique_of_the_rounded_grid(self):
+        for t_max, count, t_min in itertools.product(
+                [1, 2, 3, 7, 50, 200, 500, 10_000, 123_457], [1, 2, 6, 25, 100], [1, 2, 3]):
+            if t_max < t_min:
+                with pytest.raises(ValueError):
+                    log_spaced_ts(t_max, count, t_min)
+                continue
+            grid = log_spaced_ts(t_max, count, t_min)
+            want = np.unique(np.geomspace(t_min, t_max, num=count).round().astype(int))
+            assert type(grid) is list and all(type(v) is int for v in grid)
+            assert grid == want.tolist()
 
 
 class TestAcceptanceSweep:

@@ -3,13 +3,21 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdlsq import Sample, cli, gen_synthetic_abs, recipe, save_csv
+import sgdlsq
+from sgdlsq import (Sample, StepSchedule, check_contraction_bound, check_convolution_bound,
+                    check_sum_bounds, cli, gen_synthetic_abs, make_rng, recipe, save_csv,
+                    verdicts_to_csv)
+from sgdlsq.bounds import log_spaced_ts
 from sgdlsq.cli import main
 
 DECOMPOSE_COLUMNS = ["t", "pass", "bias_sq", "sample_var_sq", "comp_var_sq",
@@ -30,6 +38,58 @@ class TestLemmas:
         rows = _read_csv(out)
         assert rows and all(r["pass"] == "True" for r in rows)
         assert set(rows[0]) == {"lemma", "params", "lhs", "bound", "slack", "pass"}
+
+    def test_csv_equals_the_one_point_checks(self, tmp_path):
+        """The verdict CSV is byte for byte that of the shipped grid
+        checked one point at a time."""
+        ts = log_spaced_ts(500)
+        ref = [v for theta in [round(0.1 * i, 1) for i in range(10)] for t in ts
+               for v in check_sum_bounds(theta, t)]
+        ref += [check_convolution_bound(q, t) for q in [-1.0, 0.0, 0.5, 1.0, 2.0]
+                for t in ts if t >= 3]
+        rng = make_rng(7)
+        for _ in range(100):
+            eigs = rng.random(24) * (1.0 - 1e-9) + 1e-9
+            for theta in (0.0, 0.5):
+                schedule = StepSchedule(eta1=1.0, theta=theta, kappa_sq=1.0)
+                ref += [check_contraction_bound(eigs, schedule, zeta, k, t)
+                        for zeta in (0.5, 1.0, 2.0)
+                        for t in log_spaced_ts(200, count=6, t_min=2) for k in (0, t // 2)]
+        verdicts_to_csv(ref, tmp_path / "ref.csv")
+        assert main(["lemmas", "--max-t", "500", "--out", str(tmp_path / "got.csv")]) == 0
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_MA_PROBE = """
+import json, sys
+import sgdlsq.cli
+seen = ["numpy.ma" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert sgdlsq.cli.main(argv) == 0
+    seen.append("numpy.ma" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    """numpy.ma takes about 10-20 ms to import; np.unique imports it on first
+    use, and no command needs it."""
+    runs = [
+        ["lemmas", "--max-t", "100", "--out", str(tmp_path / "v.csv")],
+        ["decompose", "--m", "10", "--b", "1", "--eta1", "0.5", "--T", "20", "--R", "2",
+         "--N", "30", "--checkpoints", "3", "--out", str(tmp_path / "d")],
+        ["run", "--generator", "synthetic-abs", "--m", "40", "--b", "1", "--eta1", "0.1",
+         "--T", "5", "--out", str(tmp_path / "r")],
+    ]
+    src = str(Path(sgdlsq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _MA_PROBE, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    if seen[0]:
+        pytest.skip("numpy.ma is imported with sgdlsq.cli")
+    assert seen == [False] * (1 + len(runs))
 
 
 class TestRecipes:
@@ -321,16 +381,19 @@ class TestRun:
                              ids=["linear", "euclidean"])
     def test_points_near_zero_start(self, tmp_path, space):
         """kappa^2 = max x^2 is about 1e-14 for points within 1e-7 of 0;
-        the run starts and its step size eta1 / kappa^2 keeps it stable.
-        The labels shrink with the points, so the kernel coefficients,
-        of order y / kappa^2, stay below the divergence limit."""
+        the run starts and its step size eta1 / kappa^2 keeps it stable,
+        with labels shrunk with the points or of order 1. With the latter
+        the kernel coefficients, of order y / kappa^2, reach 1e14; the
+        divergence guard reads them times the Gram's largest diagonal, so
+        the run still finishes."""
         s = gen_synthetic_abs(40, seed=7)
-        save_csv(Sample(x=s.x * 1e-7, y=s.y * 1e-7), tmp_path / "near0.csv")
-        assert main(["run", "--data", str(tmp_path / "near0.csv"), *space, "--b", "1",
-                     "--eta1", "0.5", "--T", "50", "--seed", "3",
-                     "--out", str(tmp_path / "r")]) == 0
-        stopping = json.loads((tmp_path / "r.stopping.json").read_text())
-        assert np.isfinite(stopping["validation_errors"]).all()
+        for y_scale in (1e-7, 1.0):
+            save_csv(Sample(x=s.x * 1e-7, y=s.y * y_scale), tmp_path / "near0.csv")
+            assert main(["run", "--data", str(tmp_path / "near0.csv"), *space, "--b", "1",
+                         "--eta1", "0.5", "--T", "50", "--seed", "3",
+                         "--out", str(tmp_path / "r")]) == 0
+            stopping = json.loads((tmp_path / "r.stopping.json").read_text())
+            assert np.isfinite(stopping["validation_errors"]).all()
 
     @pytest.mark.parametrize("space", [["--kernel", "sobolev"], ["--backend", "euclidean"]],
                              ids=["sobolev", "euclidean"])

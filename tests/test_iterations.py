@@ -1,3 +1,4 @@
+import itertools
 import re
 from unittest import mock
 
@@ -67,6 +68,16 @@ class TestIndexPlan:
         plan = sample_index_plan(10, 2, 5, seed=1)
         with pytest.raises(ValueError):
             plan.indices[0, 0] = 3
+
+
+class TestLogCheckpoints:
+    def test_equals_unique_of_the_rounded_grid(self):
+        for T, count in itertools.product([1, 2, 3, 7, 50, 300, 5000, 123_457],
+                                          [1, 2, 8, 10, 30, 100]):
+            grid = log_checkpoints(T, count)
+            want = np.unique(np.geomspace(1, T, num=min(count, T)).round().astype(int))
+            assert type(grid) is tuple and all(type(v) is int for v in grid)
+            assert grid == tuple(want.tolist())
 
 
 class TestTrajectory:
@@ -338,6 +349,36 @@ _CASES = dict(
     theta=st.floats(0.0, 0.9, exclude_max=True),
     seed=st.integers(0, 2**32),
 )
+
+
+class TestKernelGuardScale:
+    """Kernel coefficients scale like y / K(x, x). On points within 1e-7
+    of 0 with labels of order 1 they pass 1e12 while the sample values
+    stay of order 1; the guard reads max|a| times the Gram's largest
+    diagonal, on every path."""
+
+    def _case(self):
+        s = gen_synthetic_abs(40, seed=7)
+        sample = Sample(s.x * 1e-7, s.y)
+        spec = KernelSpec("linear")
+        return sample, AnchorSet.build(spec, sample.x), StepSchedule(0.5, 0.0,
+                                                                     kappa_sq(spec, sample.x))
+
+    @pytest.mark.parametrize("b", [1, 2], ids=["blocked", "lockstep"])
+    def test_sgm_runs(self, b):
+        sample, ctx, sch = self._case()
+        traj = run_sgm(sample, ctx, sch, sample_index_plan(40, b, 50, seed=3), (10, 50))
+        assert np.abs(traj.coeffs).max() > 1e12
+        assert np.abs(traj.values(ctx.gram.values)).max() < 10
+
+    def test_batch_filter_and_loop_run(self):
+        sample, ctx, sch = self._case()
+        filt = run_batch_gm(sample, ctx, sch, 50, (10, 50))
+        with mock.patch.object(iterations, "_pivoted_cholesky", return_value=None):
+            loop = run_batch_gm(sample, ctx, sch, 50, (10, 50))
+        assert np.abs(loop.coeffs).max() > 1e12
+        gram = ctx.gram.values
+        _assert_rel(filt.values(gram), loop.values(gram), 1e-12)
 
 
 class TestPopulationFilter:
