@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,12 +242,17 @@ class TestDecompose:
         rep_bm = decompose(sample, surr, abs_target, GAUSS, sch, b=16, **common)
         assert rep_bm.comp_var_sq[0] < 0.5 * rep_b1.comp_var_sq[0]
 
-    @pytest.mark.parametrize("kernel", [GAUSS, None], ids=["kernel", "euclidean"])
-    def test_matches_per_trial_loop(self, kernel):
-        """The lockstep trials and the one-shot evaluation of every
-        checkpoint give the terms of the one-run-at-a-time computation,
-        to 1e-12 relative (the surrogate values come from one matrix
-        product instead of one per checkpoint vector)."""
+    @pytest.mark.parametrize("kernel,cps", [
+        pytest.param(kernel, cps, id=f"{name}{suffix}")
+        for suffix, cps in [("", (5, 12, 25)), ("-dense", tuple(range(1, 26))), ("-single", (25,))]
+        for name, kernel in [("kernel", GAUSS), ("euclidean", None)]
+    ])
+    def test_matches_per_trial_loop(self, kernel, cps):
+        """The lockstep trials and the per-checkpoint reduction of their
+        surrogate values give the terms of the one-run-at-a-time
+        computation, to 1e-12 relative (each checkpoint's values come
+        from one (R, N) matrix product instead of one per trial vector),
+        on a few checkpoints, on every step and on a single one."""
         if kernel is None:
             sample, w_star = gen_linear_attainable(20, 3, [0.5, -0.2, 0.1], noise_sd=0.3, seed=4)
             surr = np.random.default_rng(3).standard_normal((90, 3)) / 2
@@ -255,7 +261,6 @@ class TestDecompose:
             sample, f_true = gen_synthetic_abs(12, seed=31), abs_target
             surr = np.random.default_rng(1).random(60)
         sch = StepSchedule(0.05)
-        cps = (5, 12, 25)
         rep = decompose(sample, surr, f_true, kernel, sch, b=3, T=25, R=8, base_seed=42,
                         checkpoints=cps)
         ctx = None if kernel is None else AnchorSet.build(kernel, sample.x)
@@ -294,6 +299,25 @@ class TestDecompose:
                       StepSchedule(4.0), b=1, T=400, R=3, base_seed=2)
         assert "trial" in str(err.value)
         assert err.value.iteration >= 1
+
+    def test_scratch_memory_does_not_grow_with_checkpoints(self):
+        """Every step a checkpoint: the trials' surrogate values are
+        reduced one checkpoint at a time, so the traced peak stays well
+        below one (n_cp, R, N) float64 block. numpy's data buffers are
+        traced by tracemalloc, so the bound holds on any machine."""
+        sample = gen_synthetic_abs(30, seed=2)
+        surr = AnchorSet.build(GAUSS, np.random.default_rng(6).random(1000), check_psd=False)
+        T = R = 40
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rep = decompose(sample, surr, abs_target, GAUSS, StepSchedule(1 / 30), b=1,
+                            T=T, R=R, base_seed=8, checkpoints=range(1, T + 1))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(rep.checkpoints) == T
+        assert peak < len(rep.checkpoints) * R * surr.n * 8 / 2
 
 
 class TestDecomposeBatch:
