@@ -15,7 +15,6 @@
 import numpy as np
 
 from sgdlsq import (
-    AnchorSet,
     KernelSpec,
     StepSchedule,
     abs_target,
@@ -29,7 +28,9 @@ kernel = KernelSpec("gaussian", sigma=0.2)
 sample = gen_synthetic_abs(m, seed=12, noise_sd=1.0)
 
 # surrogate measure: 2000 uniform points standing in for the input law
-surrogate = AnchorSet.build(kernel, np.linspace(0.0, 1.0, 2000), check_psd=False)
+# (decompose builds no 2000 x 2000 Gram on them while the population
+# iteration runs as its low-rank filter)
+surrogate = np.linspace(0.0, 1.0, 2000)
 
 schedule = StepSchedule(1.0 / (8 * np.sqrt(m)))  # the sqrt-batch step size
 report = decompose(

@@ -200,15 +200,14 @@ def cmd_decompose(args):
         surr = np.linspace(0.0, 1.0, cfg["N"])
     else:  # iid
         surr = make_rng(mix_seed(cfg["seed"], 1)).random(cfg["N"])
-    surr_anchor = AnchorSet.build(kernel, surr, check_psd=False)
     cps = log_checkpoints(cfg["T"], cfg["checkpoints"])
 
     if cfg["algorithm"] == "batch":
-        report = decompose_batch(sample, surr_anchor, abs_target, kernel, schedule, cfg["T"], cps)
+        report = decompose_batch(sample, surr, abs_target, kernel, schedule, cfg["T"], cps)
     else:
         report = decompose(
             sample,
-            surr_anchor,
+            surr,
             abs_target,
             kernel,
             schedule,

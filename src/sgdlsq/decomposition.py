@@ -186,7 +186,9 @@ def fit_rate(pairs) -> RateFit:
 def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
     """What both reports share: the surrogate targets, the training
     context, the matrix taking training coefficients to surrogate values,
-    the batch iterate's surrogate values, bias^2 and sample variance^2."""
+    the batch iterate's surrogate values, bias^2 and sample variance^2.
+    Only the points of an :class:`AnchorSet` surrogate are read, so both
+    forms of the surrogate take the same path."""
     pts = surrogate.points if isinstance(surrogate, AnchorSet) else np.asarray(surrogate, float)
     f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(f_vals)):
@@ -196,14 +198,11 @@ def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
         pop_vals = run_population(pts, f_true, schedule, T, cps).values(eval_mat)
     else:
         ctx = AnchorSet.build(kernel, sample.x, check_psd=None)
-        surr_run = (
-            surrogate
-            if isinstance(surrogate, AnchorSet)
-            else AnchorSet.build(kernel, pts, check_psd=False)
-        )
         eval_mat = cross_matrix(kernel, pts, sample.x)
-        # population expansions are anchored on the surrogate itself
-        pop_vals = run_population(surr_run, f_true, schedule, T, cps).values(surr_run.gram.values)
+        # population expansions are anchored on the surrogate itself,
+        # whose Gram is built only if the population's step loop runs
+        surr = AnchorSet.lazy(kernel, pts)
+        pop_vals = surr.gram_product(run_population(surr, f_true, schedule, T, cps).coeffs)
     batch_vals = run_batch_gm(sample, ctx, schedule, T, cps).values(eval_mat)
     bias_sq = np.mean((pop_vals - f_vals[None, :]) ** 2, axis=1)
     sample_var_sq = np.mean((batch_vals - pop_vals) ** 2, axis=1)
@@ -228,9 +227,12 @@ def decompose(
     iteration once on the sample, and R mini-batch runs whose plans use
     seeds ``mix_seed(base_seed, r)`` for r = 0..R-1. ``kernel=None``
     selects the euclidean backend, in which case ``surrogate`` is a
-    coordinate array. The R trials advance together through
-    :func:`run_sgm_trials`.
+    coordinate array; with a kernel it is an :class:`AnchorSet` or its
+    points. The R trials advance together through :func:`run_sgm_trials`.
 
+    No N x N surrogate Gram is built unless the population's step loop
+    runs: its factor reads k kernel rows and its surrogate values are
+    formed ``_TILE`` rows of K at a time (:meth:`AnchorSet.gram_product`).
     The trials' surrogate values are formed and reduced one checkpoint
     at a time: one (R, N) product per checkpoint into a reused buffer,
     so the scratch memory is O(R N) whatever the number of checkpoints.
@@ -375,7 +377,7 @@ def unbiasedness_check(
         dev_norm = float(np.sqrt(dev @ dev))
         trace_var = float(np.sum(centered**2) / (R - 1))
     else:
-        gram = ctx.gram.values
+        gram = ctx.gram_values()
         dev_norm = float(np.sqrt(max(dev @ (gram @ dev), 0.0)))
         trace_var = float(max(np.sum(centered * (centered @ gram)), 0.0) / (R - 1))
     bound = 4.0 * math.sqrt(trace_var / R)

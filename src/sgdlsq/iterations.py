@@ -173,13 +173,13 @@ def _as_matrix(x):
     return x[:, None] if x.ndim == 1 else x
 
 
-def _kernel_ctx(sample: Sample, ctx: AnchorSet) -> np.ndarray:
+def _check_anchors(sample: Sample, ctx: AnchorSet) -> AnchorSet:
     if ctx.n != sample.m:
         raise DimensionMismatch("anchor set vs sample", sample.m, ctx.n)
     if not np.array_equal(ctx.points, sample.x):
         raise ValueError("kernel runs anchor the iterate on the sample points; "
                          "the anchor set must be built from sample.x")
-    return ctx.gram.values
+    return ctx
 
 
 def _coef_scale(gram):
@@ -227,7 +227,8 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
     if kernel and stacked != isinstance(ctx, KernelSpec):
         raise ValueError("per-trial samples take a KernelSpec, a shared sample an AnchorSet")
     if not stacked:
-        src, ys = _kernel_ctx(samples[0], ctx) if kernel else _as_matrix(samples[0].x), samples[0].y
+        ys = samples[0].y
+        src = _check_anchors(samples[0], ctx).gram_values() if kernel else _as_matrix(samples[0].x)
     w = m if kernel else samples[0].dim
     cps = normalize_checkpoints(checkpoints, T)
     cp_pos = {t: i for i, t in enumerate(cps)}
@@ -425,10 +426,15 @@ def run_sgm(
 
 
 def _pivoted_cholesky(gram, max_rank):
-    """Rows (k, N) of L^T with gram ~= L L^T, pivoting on the largest
+    """Rows (k, N) of L^T with K ~= L L^T, pivoting on the largest
     residual diagonal until it sums to <= 1e-15 trace; None when that
-    takes more than max_rank pivots."""
-    resid = np.diagonal(gram).copy()
+    takes more than max_rank pivots. ``gram`` is K itself or an
+    :class:`AnchorSet`, whose rows and diagonal come from the kernel
+    while its Gram is unbuilt: k rows of K, never all N."""
+    if isinstance(gram, AnchorSet):
+        resid, row = gram.diagonal().copy(), gram.row
+    else:
+        resid, row = np.diagonal(gram).copy(), gram.__getitem__
     tol = 1e-15 * resid.sum()
     # pages of the buffer become resident only as rows are written
     rows = np.empty((max_rank, len(resid)))
@@ -436,7 +442,7 @@ def _pivoted_cholesky(gram, max_rank):
         if resid.sum() <= tol:
             return rows[:k]
         p = int(np.argmax(resid))
-        rows[k] = (gram[p] - rows[:k, p] @ rows[:k]) / np.sqrt(resid[p])
+        rows[k] = (row(p) - rows[:k, p] @ rows[:k]) / np.sqrt(resid[p])
         resid -= rows[k] ** 2
     return rows if resid.sum() <= tol else None
 
@@ -500,6 +506,17 @@ def run_batch_gm(
     could raise.
     Otherwise the step loop runs and raises
     ``DivergenceError(t, "batch/<backend>")`` at the first diverging step.
+    The factor reads k rows and the diagonal of ``ctx``, so a lazy
+    :class:`AnchorSet` builds its Gram only for the loop.
+
+    Accuracy: the kernel filter's sample values K c_t stay within
+    10 s_T lam_max eps max|y| of a step loop run in extended precision,
+    lam_max the Gram's largest eigenvalue and eps the float64 epsilon;
+    the float64 loop errs by the same order. Relative to the values this
+    is 10 s_T lam_max eps wherever they are of the size of y, as at
+    T = 8000 in the tests (up to 3e-12), and more where they are far
+    smaller: the factor's backward error, about eps ||K||, times the
+    filter's sensitivity s_T.
     """
     cps = normalize_checkpoints(checkpoints, T)
     cp_pos = {t: i for i, t in enumerate(cps)}
@@ -507,9 +524,8 @@ def run_batch_gm(
     m, y = sample.m, sample.y
     etas = schedule.etas(T) / m
     if kernel:
-        gram = _kernel_ctx(sample, ctx)
-        scale = _coef_scale(gram)
-        rows = _pivoted_cholesky(gram, _factor_budget(T, m, m * m))
+        scale = _check_anchors(sample, ctx).diagonal().max()
+        rows = _pivoted_cholesky(ctx, _factor_budget(T, m, m * m))
     else:
         x = _as_matrix(sample.x)
         rows = x.T if x.shape[1] <= _factor_budget(T, m, 2 * m * x.shape[1]) else None
@@ -520,6 +536,8 @@ def run_batch_gm(
         lam_max = lam.max(initial=0.0)
         reach = etas.sum() * np.linalg.norm(y) * (scale if kernel else np.sqrt(lam_max))
     if rows is None or etas[0] * lam_max > 2 or reach > _DIVERGENCE_LIMIT / 2:
+        if kernel:
+            gram = ctx.gram_values()
         grad = (lambda c: gram @ c - y) if kernel else (lambda v: x.T @ (x @ v - y))
         where = "batch/kernel" if kernel else "batch/euclidean"
         _gm_steps(grad, np.zeros(out.shape[1]), etas, cp_pos, out, where, scale)
@@ -550,9 +568,11 @@ def run_population(
 
     ``surrogate`` is an :class:`AnchorSet` (kernel backend; the iterate
     is an expansion over the surrogate points) or a plain coordinate
-    array (euclidean backend). ``f_true`` must be vectorized: it maps
-    the surrogate points to their exact target values f. A divergence
-    is reported as ``population/<backend>``.
+    array (euclidean backend). On a lazy anchor set (:meth:`AnchorSet.lazy`)
+    the filter builds no Gram; the step loop builds and keeps it.
+    ``f_true`` must be vectorized: it maps the surrogate points to their
+    exact target values f. A divergence is reported as
+    ``population/<backend>``.
     """
     kernel = isinstance(surrogate, AnchorSet)
     backend = "kernel" if kernel else "euclidean"

@@ -181,10 +181,19 @@ class GramMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def max_asymmetry(self) -> float:
-        """max |K_ij - K_ji|, taken tile by tile."""
+    def asymmetry(self) -> tuple:
+        """(max |K_ij - K_ji|, max |K_ij|), in one pass over the tiles on
+        and above the diagonal and their mirrors."""
         g = self.values
-        return max(float(np.max(np.abs(g[r, c] - g[c, r].T))) for r, c in _upper_tiles(self.n))
+        gap, hi, lo = 0.0, -np.inf, np.inf
+        buf = np.empty((min(_TILE, self.n),) * 2)
+        for r, c in _upper_tiles(self.n):
+            upper, lower = g[r, c], g[c, r]
+            diff = np.subtract(upper, lower.T, out=buf[:upper.shape[0], :upper.shape[1]])
+            gap = max(gap, float(diff.max()), -float(diff.min()))
+            hi = max(hi, float(upper.max()), float(lower.max()))
+            lo = min(lo, float(upper.min()), float(lower.min()))
+        return gap, max(hi, -lo)
 
 
 # Grams up to this size get an automatic full eigenvalue check at build
@@ -255,7 +264,17 @@ def kappa_sq(spec: KernelSpec, points=None) -> float:
         return 0.25
     if points is None:
         raise ValueError("kappa_sq for the linear kernel needs the point set")
-    pts = _as_points(points)
-    if pts.ndim == 1:
-        return float(np.max(pts**2))
-    return float(np.max(np.sum(pts**2, axis=1)))
+    return float(np.max(kernel_diagonal(spec, points)))
+
+
+def kernel_diagonal(spec: KernelSpec, points) -> np.ndarray:
+    """K(x_i, x_i) for each point, by the kernel's formula: 1 (gaussian),
+    (1 - x) x (sobolev), |x|^2 (linear). On scalar inputs it equals the
+    diagonal of :func:`build_gram` bit for bit; on the gaussian
+    inner-product path the Gram's diagonal is 1 only to rounding."""
+    a, _ = _operands(spec, points, points)
+    if spec.kind == "gaussian":
+        return np.ones(a.shape[0])
+    if spec.kind == "sobolev":
+        return (1.0 - a) * a
+    return np.sum(a**2, axis=1)

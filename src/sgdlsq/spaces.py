@@ -18,24 +18,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .kernels import GramMatrix, KernelSpec, build_gram, cross_matrix
+from .kernels import _TILE, GramMatrix, KernelSpec, build_gram, cross_matrix, kernel_diagonal
 
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Ordered anchor points plus their Gram matrix."""
+    """Ordered anchor points, their kernel and their Gram matrix.
+
+    A set made by :meth:`build` holds its Gram from the start. One made
+    by :meth:`lazy` has ``gram`` None until :meth:`gram_values` first
+    builds it; until then :meth:`diagonal`, :meth:`row` and
+    :meth:`gram_product` read the kernel, so a low-rank factor and the
+    values of an expansion at the anchors need no n x n matrix.
+    """
 
     points: np.ndarray
     kernel: KernelSpec
-    gram: GramMatrix
+    gram: GramMatrix | None = None
 
     def __post_init__(self):
+        if self.gram is None:
+            if self.n == 0:
+                raise ValueError("cannot build a Gram matrix from an empty point list")
+            return
         for size in self.gram.values.shape:
             if size != self.n:
                 raise DimensionMismatch("anchor set vs Gram matrix", self.n, size)
-        g = self.gram.values
-        scale = max(float(g.max()), -float(g.min()), 1e-300)
-        if self.gram.max_asymmetry() > 1e-12 * scale:
+        gap, scale = self.gram.asymmetry()
+        if gap > 1e-12 * max(scale, 1e-300):
             raise ValueError("Gram matrix is not symmetric within tolerance")
 
     @property
@@ -48,6 +58,49 @@ class AnchorSet:
         gram = build_gram(kernel, pts, check_psd=check_psd)
         pts.setflags(write=False)
         return cls(points=pts, kernel=kernel, gram=gram)
+
+    @classmethod
+    def lazy(cls, kernel: KernelSpec, points) -> "AnchorSet":
+        """The anchor set of ``points`` with its Gram left unbuilt."""
+        pts = np.array(points, dtype=np.float64)
+        pts.setflags(write=False)
+        return cls(points=pts, kernel=kernel)
+
+    def gram_values(self) -> np.ndarray:
+        """The Gram matrix, built (without the PSD check) and kept on
+        first use by a lazy set."""
+        if self.gram is None:
+            object.__setattr__(self, "gram", build_gram(self.kernel, self.points, check_psd=False))
+        return self.gram.values
+
+    def diagonal(self) -> np.ndarray:
+        """K(x_i, x_i) for each anchor: the Gram's diagonal, or
+        :func:`~sgdlsq.kernels.kernel_diagonal` while it is unbuilt."""
+        if self.gram is None:
+            return kernel_diagonal(self.kernel, self.points)
+        return np.diagonal(self.gram.values)
+
+    def row(self, i: int) -> np.ndarray:
+        """K(x_i, x_j) over every anchor j: the Gram's row i, or one
+        cross-matrix row while it is unbuilt (on scalar inputs the
+        Gram's row bit for bit)."""
+        if self.gram is None:
+            return cross_matrix(self.kernel, self.points[i:i + 1], self.points)[0]
+        return self.gram.values[i]
+
+    def gram_product(self, coeffs) -> np.ndarray:
+        """Row i is K @ coeffs[i], (n_cp, n): the values at the anchors of
+        each expansion. On a built Gram one matrix-vector product per row,
+        as :meth:`~sgdlsq.iterations.Trajectory.values` forms them;
+        otherwise ``_TILE`` rows of K at a time, each multiplied by every
+        row of ``coeffs`` in one product, in O(_TILE n + n_cp n) memory."""
+        if self.gram is not None:
+            return np.matmul(self.gram.values, coeffs[:, :, None])[..., 0]
+        out = np.empty((len(coeffs), self.n))
+        for lo in range(0, self.n, _TILE):  # one tile alive at a time
+            out[:, lo:lo + _TILE] = coeffs @ cross_matrix(self.kernel, self.points[lo:lo + _TILE],
+                                                          self.points).T
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from sgdlsq import (
     sample_index_plan,
     unbiasedness_check,
 )
+from sgdlsq import iterations
 from sgdlsq.bounds import fsum
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
@@ -318,6 +320,42 @@ class TestDecompose:
             tracemalloc.stop()
         assert len(rep.checkpoints) == T
         assert peak < len(rep.checkpoints) * R * surr.n * 8 / 2
+
+    def test_filter_path_builds_no_surrogate_gram(self):
+        """On the population filter's path decompose holds no N x N
+        surrogate matrix: the factor reads its pivots' kernel rows and the
+        values are formed 256 rows of K at a time, so the traced peak stays
+        below a quarter of one N x N float64 Gram."""
+        sample = gen_synthetic_abs(30, seed=2)
+        surr = np.random.default_rng(6).random(1500)
+        with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                rep = decompose(sample, surr, abs_target, GAUSS, StepSchedule(1 / 30), b=1,
+                                T=20, R=4, base_seed=8, checkpoints=(5, 10, 20))
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert all(len(call.args[1]) == sample.m for call in loop.call_args_list)  # not N
+        assert all(rep.ineq_ok)
+        assert peak < len(surr) ** 2 * 8 / 4
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["sgm", "batch"])
+    def test_anchor_set_and_points_take_the_same_path(self, batch):
+        """Only the surrogate's points are read: an anchor set with its
+        Gram built gives the report its points give, bit for bit."""
+        sample = gen_synthetic_abs(20, seed=9)
+        pts = np.random.default_rng(4).random(300)
+        args = (abs_target, GAUSS, StepSchedule(0.1))
+        kw = dict(T=30, checkpoints=(3, 10, 30))
+        if not batch:
+            kw.update(b=2, R=3, base_seed=1)
+        run = decompose_batch if batch else decompose
+        a = run(sample, AnchorSet.build(GAUSS, pts), *args, **kw)
+        b = run(sample, pts, *args, **kw)
+        assert a.rows() == b.rows()
+        np.testing.assert_array_equal(a.combined_se, b.combined_se)
 
 
 class TestDecomposeBatch:

@@ -29,7 +29,7 @@ from sgdlsq import (
     run_sgm_trials,
     sample_index_plan,
 )
-from sgdlsq import iterations
+from sgdlsq import iterations, kernels, spaces
 from sgdlsq.iterations import Trajectory
 from sgdlsq.spaces import feature_matrix
 
@@ -514,6 +514,117 @@ class TestPopulationFilter:
             got = run_batch_gm(sample, ctx, sch, 1000, cps)
         want = _batch_loop(sample, None if ctx is None else gram, sch.etas(1000), set(cps))
         _assert_rel(got.coeffs, want, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    def test_long_kernel_filter_meets_its_stated_bound(self, kind):
+        """At T = 8000 and eta_1 in {0.3, 1, 1.9} the kernel filter's
+        sample values stay within 10 s_T lam_max eps relative of the step
+        loop run in extended precision, the bound run_batch_gm states
+        (they read up to 3 s_T lam_max eps here, the float64 loop about
+        0.5). The three loops advance as the columns of one block."""
+        pts, ctx, gram, k_sq = _surrogate_case(kind, 200, 1, seed=1)
+        sample = Sample(pts, _noisy(pts, 2))
+        cps = log_checkpoints(8000, 8)
+        schedules = [StepSchedule(eta1, 0.0, k_sq) for eta1 in (0.3, 1.0, 1.9)]
+        with mock.patch.object(iterations, "_gm_steps", side_effect=AssertionError("loop ran")):
+            got = [run_batch_gm(sample, ctx, sch, 8000, cps).coeffs @ gram for sch in schedules]
+        etas = np.array([sch.etas(8000) for sch in schedules]).T / 200  # (T, 3)
+        k, y = gram.astype(np.longdouble), sample.y.astype(np.longdouble)[:, None]
+        a, want = np.zeros((200, 3), dtype=np.longdouble), []
+        for t, eta in enumerate(etas.astype(np.longdouble), 1):
+            a -= eta * (np.dot(k, a) - y)  # np.dot: matmul is 3x slower on long doubles
+            if t in cps:
+                want.append(np.dot(k, a))
+        want = np.array(want, dtype=np.float64)  # (n_cp, 200, 3)
+        bounds = 10 * etas.sum(axis=0) * np.linalg.eigvalsh(gram).max() * np.finfo(float).eps
+        for j, rtol in enumerate(bounds):
+            _assert_rel(got[j], want[:, :, j], rtol)
+
+
+def _gram_free_case(kind, n, d, seed):
+    """A kernel and its surrogate points: d-dimensional for gaussian and
+    linear kernels when d > 1, scalar otherwise. A d-dimensional gaussian
+    has sigma = 1, low enough in rank for the filter to run."""
+    multi = d > 1 and kind != "sobolev"
+    sigma = 1.0 if multi else 0.2
+    spec = KernelSpec(kind, sigma=sigma if kind == "gaussian" else None)
+    rng = make_rng(seed)
+    return spec, rng.random((n, d)) if multi else rng.random(n)
+
+
+def _population_both_ways(spec, pts, sch, T, cps):
+    """Population surrogate values on a lazy anchor set (Gram-free where
+    the filter runs) and on a built one; the lazy set; and whether the
+    step loop ran on each. Within a pivot of the factor budget the two
+    may take different paths, as their rows differ in the last bits on
+    the inner-product paths."""
+    lazy, built = AnchorSet.lazy(spec, pts), AnchorSet.build(spec, pts, check_psd=False)
+    runs, ran = [], []
+    for ctx in (lazy, built):
+        with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
+            runs.append(run_population(ctx, _target, sch, T, cps))
+        ran.append(loop.called)
+    return lazy.gram_product(runs[0].coeffs), runs[1].values(built.gram.values), lazy, ran
+
+
+class TestGramFreePopulation:
+    """On a lazy anchor set the population filter pivots on kernel rows
+    and its values are formed by tiles of K; the Gram is built only where
+    the step loop runs, and then the run is the built set's bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "sobolev", "linear"]), n=st.integers(1, 300),
+           d=st.integers(1, 3), T=st.integers(1, 400), eta1=st.floats(0.01, 1.99),
+           theta=st.floats(0.0, 0.9, exclude_max=True), seed=st.integers(0, 2**32))
+    def test_values_match_the_built_gram(self, kind, n, d, T, eta1, theta, seed):
+        spec, pts = _gram_free_case(kind, n, d, seed)
+        sch = StepSchedule(eta1, theta, kappa_sq(spec, pts))
+        got, want, lazy, ran = _population_both_ways(spec, pts, sch, T, log_checkpoints(T, 8))
+        assert (lazy.gram is not None) == ran[0]  # built for the loop only
+        if all(ran):
+            np.testing.assert_array_equal(got, want)
+        _assert_rel(got, want, 1e-12)
+
+    def test_filter_reads_kernel_rows_and_tiles(self):
+        """A factor of rank k (about 20) of 2000 points reads k kernel
+        rows, and the values one cross matrix per tile; no Gram is built."""
+        spec, pts = _gram_free_case("gaussian", 2000, 1, seed=5)
+        gram = AnchorSet.build(spec, pts, check_psd=False).gram.values
+        k = len(iterations._pivoted_cholesky(gram, iterations._factor_budget(60, 2000, 2000**2)))
+        lazy = AnchorSet.lazy(spec, pts)
+        sch = StepSchedule(1 / 8, 0.0, 1.0)
+        with mock.patch("sgdlsq.spaces.cross_matrix", wraps=spaces.cross_matrix) as cross, \
+                mock.patch("sgdlsq.spaces.build_gram", side_effect=AssertionError("Gram built")):
+            traj = run_population(lazy, _target, sch, 60, (20, 60))
+            rank = cross.call_count
+            lazy.gram_product(traj.coeffs)
+        assert hasattr(lazy, "gram") and lazy.gram is None
+        assert rank == k < 30
+        assert cross.call_count - rank == -(-2000 // kernels._TILE)
+
+    def test_full_rank_sobolev_builds_the_gram(self):
+        """A full-rank sobolev surrogate exceeds the factor budget: the
+        loop runs on the Gram it builds, bit for bit the built set's."""
+        spec, pts = _gram_free_case("sobolev", 200, 1, seed=4)
+        sch = StepSchedule(0.5, 0.3, 0.25)
+        got, want, lazy, ran = _population_both_ways(spec, pts, sch, 5, (1, 3, 5))
+        assert ran == [True, True] and lazy.gram is not None
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "sobolev"])
+    def test_growth_raises_at_the_same_step(self, kind):
+        """eta_1 lam_max / N > 2: the loop runs on the built Gram and
+        raises at the built set's step, as the population's."""
+        spec, pts = _gram_free_case(kind, 40, 1, seed=3)
+        sch = StepSchedule(6.0 if kind == "gaussian" else 40.0, 0.0, kappa_sq(spec, pts))
+        with pytest.raises(DivergenceError) as built:
+            run_population(AnchorSet.build(spec, pts), _target, sch, 400)
+        lazy = AnchorSet.lazy(spec, pts)
+        with pytest.raises(DivergenceError) as err:
+            run_population(lazy, _target, sch, 400)
+        assert (err.value.iteration, str(err.value)) == (built.value.iteration, str(built.value))
+        assert "population/kernel" in str(err.value)
+        assert lazy.gram is not None
 
 
 class TestUnbiasednessSmall:

@@ -190,6 +190,59 @@ class TestAnchorSymmetryCheck:
             AnchorSet(points=pts, kernel=GAUSS, gram=GramMatrix(values))
 
 
+class TestLazyAnchorSet:
+    """A lazy anchor set reads its rows and diagonal off the kernel until
+    its Gram is first used; on scalar inputs they are the Gram's bit for
+    bit."""
+
+    @pytest.mark.parametrize("spec", [GAUSS, SOB, LIN], ids=lambda s: s.kind)
+    def test_rows_and_diagonal_equal_the_grams_on_scalar_inputs(self, spec):
+        pts = np.random.default_rng(3).random(300)
+        gram = build_gram(spec, pts, check_psd=False).values
+        lazy = AnchorSet.lazy(spec, pts)
+        np.testing.assert_array_equal(lazy.diagonal(), np.diagonal(gram))
+        np.testing.assert_array_equal(kernels.kernel_diagonal(spec, pts), np.diagonal(gram))
+        for i in (0, 17, 255, 256, 299):
+            np.testing.assert_array_equal(lazy.row(i), gram[i])
+        assert lazy.gram is None
+
+    def test_vector_inputs_agree_to_rounding(self):
+        pts = np.random.default_rng(4).random((50, 3))
+        for spec in (GAUSS, LIN):
+            gram = build_gram(spec, pts, check_psd=False).values
+            lazy = AnchorSet.lazy(spec, pts)
+            np.testing.assert_allclose(lazy.diagonal(), np.diagonal(gram), rtol=1e-14)
+            np.testing.assert_allclose(lazy.row(7), gram[7], rtol=1e-13, atol=1e-15)
+
+    def test_gram_is_built_on_first_use_and_kept(self):
+        pts = np.linspace(0.0, 1.0, 30)
+        lazy = AnchorSet.lazy(GAUSS, pts)
+        assert hasattr(lazy, "gram") and lazy.gram is None  # looking does not build
+        values = lazy.gram_values()
+        assert lazy.gram_values() is values
+        np.testing.assert_array_equal(values, build_gram(GAUSS, pts).values)
+        assert np.shares_memory(lazy.row(3), values)
+
+    def test_gram_product_by_tiles_matches_the_gram(self):
+        pts = np.random.default_rng(5).random(700)
+        coeffs = np.random.default_rng(6).standard_normal((4, 700))
+        lazy, built = AnchorSet.lazy(GAUSS, pts), AnchorSet.build(GAUSS, pts, check_psd=False)
+        got = lazy.gram_product(coeffs)
+        want = built.gram_product(coeffs)
+        np.testing.assert_array_equal(want, np.matmul(built.gram.values, coeffs[:, :, None])[..., 0])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert lazy.gram is None
+
+    def test_empty_point_list_is_refused(self):
+        with pytest.raises(ValueError, match="empty point list"):
+            AnchorSet.lazy(GAUSS, [])
+
+    def test_linear_kappa_sq_is_the_largest_diagonal(self):
+        pts = np.random.default_rng(7).random((20, 4))
+        assert kappa_sq(LIN, pts) == float(np.max(np.sum(pts**2, axis=1)))
+        assert kappa_sq(LIN, pts[:, 0]) == float(np.max(pts[:, 0] ** 2))
+
+
 class TestKappaSq:
     def test_analytic_values(self):
         assert kappa_sq(GAUSS) == 1.0
