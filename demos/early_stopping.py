@@ -33,7 +33,9 @@ for rec in recipe_table(m, zeta=0.5, gamma=1.0, eps=0.3):
 sample = gen_synthetic_abs(m, seed=3, noise_sd=1.0)
 train, val, test = split(sample, (0.6, 0.2, 0.2), seed=4)
 kernel = KernelSpec("gaussian", sigma=0.2)
-ctx = AnchorSet.build(kernel, train.x, check_psd=False)
+# as `sgdlsq run` does: SGM builds the Gram for its run only, and hold-out
+# and the test error read the kernel at the points they evaluate
+ctx = AnchorSet.lazy(kernel, train.x)
 
 b = int(np.ceil(np.sqrt(train.m)))
 schedule = StepSchedule(1.0 / (8 * np.sqrt(train.m)))

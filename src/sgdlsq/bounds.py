@@ -18,7 +18,6 @@ Check ids:
   with eta_1 * max(sigma) <= 1.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -53,7 +52,11 @@ class LemmaVerdict:
 
     @property
     def passed(self) -> bool:
-        return self.slack >= -_PASS_TOL * max(1.0, abs(self.bound))
+        return _passes(self.slack, self.bound)
+
+
+def _passes(slack, bound) -> bool:
+    return slack >= -_PASS_TOL * max(1.0, abs(bound))
 
 
 def check_sum_bounds(theta: float, t: int):
@@ -220,16 +223,38 @@ def sweep_contraction(
     ]
 
 
+def _csv_field(text):
+    """``text`` as ``csv.writer`` writes it by default: in quotes, with
+    each quote doubled, if it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def verdicts_to_csv(verdicts, path) -> None:
-    """Write verdicts as CSV: lemma, params, lhs, bound, slack, pass."""
+    """Write verdicts as CSV: lemma, params, lhs, bound, slack, pass.
+
+    One formatted line per verdict, byte for byte what ``csv.writer``
+    writes (CRLF line ends, minimal quoting), with ``slack`` and ``pass``
+    computed as :class:`LemmaVerdict` computes them. The lemma and params
+    fields are formatted once per distinct printed text of the lemma and
+    the params' items: 0.0 and -0.0, or 1 and 1.0, compare (and hash)
+    equal but print differently.
+    """
+    heads = {}
+    lines = ["lemma,params,lhs,bound,slack,pass\r\n"]
+    for v in verdicts:
+        params = v.params
+        key = (v.lemma, *map(format, params), *map(format, params.values()))
+        head = heads.get(key)
+        if head is None:
+            text = ";".join(f"{k}={val}" for k, val in params.items())
+            head = heads[key] = f"{_csv_field(v.lemma)},{_csv_field(text)}"
+        lhs, bound = v.lhs, v.bound
+        slack = bound - lhs
+        lines.append(f"{head},{lhs!r},{bound!r},{slack!r},{_passes(slack, bound)}\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lemma", "params", "lhs", "bound", "slack", "pass"])
-        for v in verdicts:
-            params = ";".join(f"{key}={val}" for key, val in v.params.items())
-            writer.writerow(
-                [v.lemma, params, repr(v.lhs), repr(v.bound), repr(v.slack), v.passed]
-            )
+        fh.writelines(lines)
 
 
 def acceptance_sweep(t_max: int = 10_000) -> list:

@@ -366,9 +366,8 @@ def cmd_run(args):
         cfg["sigma"] = cfg["sigma"] if cfg["kernel"] == "gaussian" else None
         kernel = KernelSpec(cfg["kernel"], sigma=cfg["sigma"])
         ksq = kappa_sq(kernel, train.x)
-        ctx = AnchorSet.build(kernel, train.x, check_psd=False)
     else:
-        cfg["kernel"] = cfg["sigma"] = kernel = ctx = None
+        cfg["kernel"] = cfg["sigma"] = kernel = None
         ksq = kappa_sq(KernelSpec("linear"), train.x)
 
     if cfg["recipe"]:
@@ -392,8 +391,13 @@ def cmd_run(args):
     cps = log_checkpoints(T, cfg["checkpoints"])
 
     if algorithm == "batch":
+        # batch GM's factor pivots on the Gram's own rows, so its set is eager
+        ctx = AnchorSet.build(kernel, train.x, check_psd=False) if kernel else None
         traj = run_batch_gm(train, ctx, schedule, T, cps)
     else:
+        # SGM builds a lazy set's Gram for its run only: hold-out and the
+        # test error read the kernel, not the Gram
+        ctx = AnchorSet.lazy(kernel, train.x) if kernel else None
         plan = sample_index_plan(train.m, b, T, mix_seed(cfg["seed"], 2))
         traj = run_sgm(train, ctx, schedule, plan, cps)
     outcome = holdout_stop(traj, val, metric=cfg["metric"])

@@ -197,8 +197,14 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
     plan. ``ctx`` is ``None`` (euclidean), an :class:`AnchorSet` on the
     shared sample's points, or a :class:`KernelSpec` with per-trial
     samples, whose Grams (or inputs) are stacked in chunks of trials
-    within ``_STACK_BYTES``. Returns the checkpoint iterates,
-    (n_cp, R, w) with w = m (kernel) or d (euclidean).
+    within ``_STACK_BYTES``. The run reads an anchor set's Gram where
+    the set holds one; for a lazy set (:meth:`AnchorSet.lazy`) it builds
+    its own, with the checks of ``AnchorSet.build(check_psd=False)``,
+    and frees it on return, so the Gram lives only while SGM reads it.
+    Besides its Grams the run holds O(R b w) per step, plus the (T, R, b)
+    index table when R > 1 (one plan's table is read in place). Returns
+    the checkpoint iterates, (n_cp, R, w) with w = m (kernel) or d
+    (euclidean).
 
     With b = 1 a trial runs on the blocked path (:func:`_blocked_sgm`),
     ``_BLOCK`` steps per triangular solve, when it has a feature matrix
@@ -208,12 +214,13 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
     loop, not bit for bit. Every other trial, every blocked trial whose
     iterate bound could reach half the divergence limit, and every
     blocked kernel trial whose values phi z stray from the Gram's K a
-    (``_FACTOR_TOL``) runs the lockstep step loop from step 0: each step gathers the sampled rows
-    of those trials as one (R, b, w) block and contracts it with the
-    (R, w) iterate block. Either way trial r follows a single run on
-    plan r bit for bit. Divergence raises ``DivergenceError(t, "trial r")``
-    for the earliest diverging step t and the lowest trial r diverging
-    at it, both as the step loop finds them.
+    (``_FACTOR_TOL``) runs the lockstep step loop from step 0: each step
+    gathers the sampled rows of those trials as one (R, b, w) block and
+    contracts it with the (R, w) iterate block. Either way trial r
+    follows a single run on plan r bit for bit. Divergence raises
+    ``DivergenceError(t, "trial r")`` for the earliest diverging step t
+    and the lowest trial r diverging at it, both as the step loop finds
+    them.
     """
     plans = list(plans)
     stacked = not isinstance(samples, Sample)
@@ -228,12 +235,15 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
         raise ValueError("per-trial samples take a KernelSpec, a shared sample an AnchorSet")
     if not stacked:
         ys = samples[0].y
-        src = _check_anchors(samples[0], ctx).gram_values() if kernel else _as_matrix(samples[0].x)
+        # a lazy set's Gram is built for this run only and freed on return
+        src = (_check_anchors(samples[0], ctx).gram_values(keep=False) if kernel
+               else _as_matrix(samples[0].x))
     w = m if kernel else samples[0].dim
     cps = normalize_checkpoints(checkpoints, T)
     cp_pos = {t: i for i, t in enumerate(cps)}
     etas = schedule.etas(T) / b
-    idx = np.stack([p.indices for p in plans], axis=1)  # (T, R, b)
+    # (T, R, b): one plan's table as a view, more plans stacked
+    idx = plans[0].indices[:, None] if R == 1 else np.stack([p.indices for p in plans], axis=1)
     out = np.empty((len(cps), R, w))
     chunk = max(1, _STACK_BYTES // (8 * w * (b + (m if stacked else 0))))
     diverged = None
@@ -253,24 +263,28 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
         if not loop.size:
             continue
         sel = trials[loop]
-        own = idx[:, sel] if len(sel) < len(trials) else idx[:, lo:lo + len(sel)]  # no copy
-        # picks[t - 1] locates each trial's sampled coefficients in
-        # A.ravel(), rows[t - 1] its sampled rows in the chunk's samples
-        picks = own + (np.arange(len(sel)) * m)[:, None]
-        rows = own + (loop * m)[:, None] if stacked else own
+        cols = sel if len(sel) < len(trials) else slice(lo, lo + len(sel))
+        # idx[t - 1, cols] + pick_off locates each trial's sampled
+        # coefficients in A.ravel(), + row_off its sampled rows in the
+        # chunk's samples; both per step, so no (T, R, b) table is formed
+        pick_off = (np.arange(len(sel)) * m)[:, None]
+        row_off = (loop * m)[:, None] if stacked else 0
         flat_src = src.reshape(-1, w)
         if kernel:
             scale = _coef_scale(src)[loop, None] if stacked else _coef_scale(src)
         A = np.zeros((len(sel), w))
         a = A.reshape(-1)
         for t in range(1, T + 1 if diverged is None else diverged[0]):
-            P = flat_src[rows[t - 1]]
-            resid = np.matmul(P, A[:, :, None])[..., 0] - ys[rows[t - 1]]
+            at = idx[t - 1, cols]
+            rows = at + row_off
+            P = flat_src[rows]
+            resid = np.matmul(P, A[:, :, None])[..., 0] - ys[rows]
             if kernel:
-                np.subtract.at(a, picks[t - 1], etas[t - 1] * resid)
+                picks = at + pick_off
+                np.subtract.at(a, picks, etas[t - 1] * resid)
                 # only the sampled coefficients can change, so checking
                 # them keeps the divergence guard O(b) per trial
-                guard = np.abs(a[picks[t - 1]]) * scale
+                guard = np.abs(a[picks]) * scale
             else:
                 A -= etas[t - 1] * np.matmul(P.transpose(0, 2, 1), resid[:, :, None])[..., 0]
                 guard = np.abs(A)

@@ -21,15 +21,23 @@ from .errors import DimensionMismatch
 from .kernels import _TILE, GramMatrix, KernelSpec, build_gram, cross_matrix, kernel_diagonal
 
 
+def _check_symmetric(gram: GramMatrix):
+    gap, scale = gram.asymmetry()
+    if gap > 1e-12 * max(scale, 1e-300):
+        raise ValueError("Gram matrix is not symmetric within tolerance")
+
+
 @dataclass(frozen=True)
 class AnchorSet:
     """Ordered anchor points, their kernel and their Gram matrix.
 
     A set made by :meth:`build` holds its Gram from the start. One made
     by :meth:`lazy` has ``gram`` None until :meth:`gram_values` first
-    builds it; until then :meth:`diagonal`, :meth:`row` and
-    :meth:`gram_product` read the kernel, so a low-rank factor and the
-    values of an expansion at the anchors need no n x n matrix.
+    builds and keeps it (``gram_values(keep=False)`` builds one that
+    lives only as long as its caller holds it); until then
+    :meth:`diagonal`, :meth:`row` and :meth:`gram_product` read the
+    kernel, so a low-rank factor and the values of an expansion at the
+    anchors need no n x n matrix.
     """
 
     points: np.ndarray
@@ -44,9 +52,7 @@ class AnchorSet:
         for size in self.gram.values.shape:
             if size != self.n:
                 raise DimensionMismatch("anchor set vs Gram matrix", self.n, size)
-        gap, scale = self.gram.asymmetry()
-        if gap > 1e-12 * max(scale, 1e-300):
-            raise ValueError("Gram matrix is not symmetric within tolerance")
+        _check_symmetric(self.gram)
 
     @property
     def n(self) -> int:
@@ -66,12 +72,18 @@ class AnchorSet:
         pts.setflags(write=False)
         return cls(points=pts, kernel=kernel)
 
-    def gram_values(self) -> np.ndarray:
-        """The Gram matrix, built (without the PSD check) and kept on
-        first use by a lazy set."""
-        if self.gram is None:
-            object.__setattr__(self, "gram", build_gram(self.kernel, self.points, check_psd=False))
-        return self.gram.values
+    def gram_values(self, keep=True) -> np.ndarray:
+        """The Gram matrix. A lazy set builds it with the checks of
+        ``build(check_psd=False)`` and keeps it, or with ``keep=False``
+        returns it without keeping it, so that it is freed once the
+        caller drops it."""
+        if self.gram is not None:
+            return self.gram.values
+        gram = build_gram(self.kernel, self.points, check_psd=False)
+        _check_symmetric(gram)
+        if keep:
+            object.__setattr__(self, "gram", gram)
+        return gram.values
 
     def diagonal(self) -> np.ndarray:
         """K(x_i, x_i) for each anchor: the Gram's diagonal, or

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -15,7 +17,7 @@ from sgdlsq import (
     make_rng,
     verdicts_to_csv,
 )
-from sgdlsq.bounds import fsum, log_spaced_ts, sweep_contraction
+from sgdlsq.bounds import LemmaVerdict, fsum, log_spaced_ts, sweep_contraction
 
 
 def _bits(verdicts):
@@ -176,6 +178,32 @@ class TestAcceptanceSweep:
         verdicts_to_csv(verdicts, path)
         header = path.read_text().splitlines()[0]
         assert header == "lemma,params,lhs,bound,slack,pass"
+
+    def test_csv_equals_csv_writer(self, tmp_path):
+        """The CSV is byte for byte what csv.writer writes for each
+        verdict's fields: params that compare equal but print differently
+        (0.0 and -0.0; 1, 1.0 and True) keep their own text, fields with
+        commas, quotes or line breaks are quoted, and nan/inf values and
+        failing verdicts print as repr and False."""
+        nan, inf = float("nan"), float("inf")
+        params = [{"theta": 0.0, "t": 1}, {"theta": -0.0, "t": 1.0}, {"theta": 0.0, "t": True},
+                  {"theta": 0.0, "t": 1}, {}, {"note": 'a,"b"', "s": "x\ny"}, {"q": (1, 2)}]
+        values = [(0.5, 1.0), (nan, 1.0), (1.0, inf), (-inf, -inf), (2.0, 1.0), (1.0, nan)]
+        verdicts = [LemmaVerdict(lemma, dict(p), lhs, bound)
+                    for lemma in ("sum-lower", "odd,lemma")
+                    for p in params for lhs, bound in values]
+        verdicts += sweep_contraction(n_spectra=2, t_max=20)
+        path = tmp_path / "verdicts.csv"
+        verdicts_to_csv(verdicts, path)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["lemma", "params", "lhs", "bound", "slack", "pass"])
+        for v in verdicts:
+            text = ";".join(f"{key}={val}" for key, val in v.params.items())
+            writer.writerow([v.lemma, text, repr(v.lhs), repr(v.bound), repr(v.slack), v.passed])
+        got = path.read_bytes()
+        assert got == ref.getvalue().encode("utf-8")
+        assert b"theta=-0.0;t=1.0" in got and b"theta=0.0;t=True" in got
 
     def test_verdict_slack_sign_convention(self):
         v = check_convolution_bound(1.0, 3)

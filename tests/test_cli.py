@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdlsq
-from sgdlsq import (Sample, StepSchedule, check_contraction_bound, check_convolution_bound,
-                    check_sum_bounds, cli, gen_synthetic_abs, make_rng, recipe, save_csv,
-                    verdicts_to_csv)
+from sgdlsq import (AnchorSet, Sample, StepSchedule, check_contraction_bound,
+                    check_convolution_bound, check_sum_bounds, cli, gen_synthetic_abs, make_rng,
+                    recipe, save_csv, verdicts_to_csv)
 from sgdlsq.bounds import log_spaced_ts
 from sgdlsq.cli import main
 
@@ -422,6 +424,52 @@ class TestRun:
         assert code == 0
         for suffix in (".model.json", ".stopping.json"):
             assert json.loads((tmp_path / ("r" + suffix)).read_text())["config"][key] == value
+
+    @pytest.mark.parametrize("extra", [
+        ["--b", "6", "--eta1", "0.5", "--T", "150"],
+        ["--recipe", "C4"],
+        ["--batch", "--eta1", "0.5", "--T", "150"],
+        ["--recipe", "BGM"],
+    ], ids=["sgm", "sgm-recipe", "batch", "batch-recipe"])
+    def test_artifacts_equal_those_of_an_eager_anchor_set(self, tmp_path, extra):
+        """SGM runs on a lazy anchor set, whose Gram the engine builds for
+        the run only; batch GM keeps an eager one. Either way the artifacts
+        are byte for byte those of a run on an eagerly built set, here on
+        3-feature gaussian inputs (the inner-product path)."""
+        x = make_rng(4).random((160, 3))
+        data = tmp_path / "d.csv"
+        save_csv(Sample(x=x, y=np.sin(4 * x[:, 0]) + x[:, 1] * x[:, 2]), data)
+        argv = ["run", "--data", str(data), "--sigma", "0.7", "--seed", "2", *extra]
+        assert main(argv + ["--out", str(tmp_path / "lazy")]) == 0
+        with mock.patch.object(AnchorSet, "lazy", side_effect=lambda kernel, points:
+                               AnchorSet.build(kernel, points, check_psd=False)) as lazy:
+            assert main(argv + ["--out", str(tmp_path / "eager")]) == 0
+        assert lazy.called == ("--batch" not in extra and "BGM" not in extra)
+        for suffix in (".model.json", ".stopping.json"):
+            assert ((tmp_path / ("lazy" + suffix)).read_bytes()
+                    == (tmp_path / ("eager" + suffix)).read_bytes())
+
+    def test_no_gram_is_alive_at_holdout(self, tmp_path, monkeypatch):
+        """A kernel SGM run frees its m x m training Gram when SGM
+        returns: at the entry of hold-out stopping (m = 700) no traced
+        block is that large."""
+        largest = []
+
+        def probe(trajectory, validation, metric):
+            largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+            return cli_holdout(trajectory, validation, metric=metric)
+
+        cli_holdout = cli.holdout_stop
+        monkeypatch.setattr(cli, "holdout_stop", probe)
+        tracemalloc.start()
+        try:
+            code = main(["run", "--generator", "synthetic-abs", "--m", "1000", "--b", "10",
+                         "--eta1", "0.5", "--T", "100", "--out", str(tmp_path / "r")])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(json.loads((tmp_path / "r.model.json").read_text())["coefficients"]) == 700
+        assert largest and largest[0] < 8 * 700 * 700
 
 
 class TestUsageErrors:
