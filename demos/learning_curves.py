@@ -18,7 +18,7 @@ from sgdlsq import (
     mix_seed,
     recipe,
     run_sgm_trials,
-    sample_index_plan,
+    sample_index_table,
 )
 
 kernel = KernelSpec("gaussian", sigma=0.2)
@@ -33,9 +33,9 @@ for mi, m in enumerate(m_grid):
     rec = recipe("C3", m, zeta=0.5, gamma=1.0, c_eta=0.125)
     streams = [mix_seed(mix_seed(11, mi), trial) for trial in range(trials)]
     samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=1.0) for s in streams]
-    plans = [sample_index_plan(m, rec.b, rec.t_star, mix_seed(s, 1)) for s in streams]
+    table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
     # the trials advance together as one (trials, m) block of coefficients
-    finals = run_sgm_trials(samples, kernel, rec.schedule, plans, (rec.t_star,))[0]
+    finals = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))[0]
     # excess risk: mean squared gap to the target over the surrogate points
     risks = [np.mean((cross_matrix(kernel, surrogate, s.x) @ c - f_surrogate) ** 2)
              for s, c in zip(samples, finals)]

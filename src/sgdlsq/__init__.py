@@ -51,6 +51,7 @@ from .iterations import (
     run_sgm,
     run_sgm_trials,
     sample_index_plan,
+    sample_index_table,
 )
 from .kernels import GramMatrix, KernelSpec, build_gram, cross_matrix, kappa_sq
 from .rng import make_rng, mix_seed

@@ -28,6 +28,9 @@ from .schedules import StepSchedule
 
 _PASS_TOL = 1e-12
 
+# verdicts_to_csv writes its lines in chunks of this many
+_CSV_CHUNK = 1024
+
 
 def fsum(values):
     """Exactly rounded sum of an iterable or array of floats."""
@@ -154,6 +157,8 @@ def log_spaced_ts(t_max: int, count: int = 25, t_min: int = 1) -> list:
     """Distinct integer grid points from t_min to t_max, log spaced."""
     if t_max < t_min:
         raise ValueError(f"t_max must be >= {t_min}, got {t_max}")
+    if count < 1:
+        raise ValueError(f"grid point count must be >= 1, got {count}")
     # not np.unique, which imports numpy.ma (about 10-20 ms) on first use
     return sorted(set(np.geomspace(t_min, t_max, num=count).round().astype(int).tolist()))
 
@@ -181,9 +186,11 @@ def sweep_contraction(
     """Random-spectrum sweep: spectra in (0, 1], several (k, t) cuts.
 
     Grouped per cut: for each theta and (t, k) one (n_spectra, dim, t-k)
-    product gives every spectrum's contraction factors, and each zeta one
-    max over that block. The verdicts equal :func:`check_contraction_bound`
-    on each (spectrum, theta, zeta, t, k) bit for bit, in that order.
+    product, formed in place in one buffer (:func:`_contraction_grid`),
+    gives every spectrum's contraction factors, and each zeta one max
+    over that block. The verdicts equal
+    :func:`check_contraction_bound` on each (spectrum, theta, zeta, t, k)
+    bit for bit, in that order.
     """
     rng = make_rng(seed)
     ts = log_spaced_ts(t_max, count=6, t_min=2)
@@ -197,17 +204,7 @@ def sweep_contraction(
     schedules = [StepSchedule(eta1=1.0, theta=theta, kappa_sq=1.0) for theta in thetas]
     for schedule in schedules:
         _check_contraction_inputs(spectra, schedule, zetas, cuts)
-    powers = [spectra**zeta for zeta in zetas]
-    lhs = np.empty((n_spectra, len(thetas), len(zetas), len(cuts)))
-    bound = np.empty(lhs.shape[1:])
-    for i, schedule in enumerate(schedules):
-        for c, (t, k) in enumerate(cuts):
-            etas = schedule.etas(t)[k:t]
-            prods = np.prod(1.0 - spectra[:, :, None] * etas, axis=2)
-            eta_total = fsum(etas)
-            for j, zeta in enumerate(zetas):
-                lhs[:, i, j, c] = np.max(prods * powers[j], axis=1)
-                bound[i, j, c] = (zeta / (math.e * eta_total)) ** zeta
+    lhs, bound = _contraction_grid(spectra, schedules, zetas, cuts)
     return [
         LemmaVerdict(
             lemma="contraction",
@@ -223,6 +220,29 @@ def sweep_contraction(
     ]
 
 
+def _contraction_grid(spectra, schedules, zetas, cuts):
+    """The sweep's left-hand sides, (n_spectra, theta, zeta, cut), and
+    bounds, (theta, zeta, cut). The factors 1 - sigma eta_l of each cut
+    are formed in place in one buffer, sized for the longest cut and
+    freed on return."""
+    powers = [spectra**zeta for zeta in zetas]
+    lhs = np.empty((len(spectra), len(schedules), len(zetas), len(cuts)))
+    bound = np.empty(lhs.shape[1:])
+    buf = np.empty(spectra.size * max(t - k for t, k in cuts))
+    for i, schedule in enumerate(schedules):
+        for c, (t, k) in enumerate(cuts):
+            etas = schedule.etas(t)[k:t]
+            # contiguous, as the out-of-place product was
+            factors = buf[:spectra.size * len(etas)].reshape(spectra.shape + etas.shape)
+            np.multiply(spectra[:, :, None], etas, out=factors)
+            prods = np.prod(np.subtract(1.0, factors, out=factors), axis=2)
+            eta_total = fsum(etas)
+            for j, zeta in enumerate(zetas):
+                lhs[:, i, j, c] = np.max(prods * powers[j], axis=1)
+                bound[i, j, c] = (zeta / (math.e * eta_total)) ** zeta
+    return lhs, bound
+
+
 def _csv_field(text):
     """``text`` as ``csv.writer`` writes it by default: in quotes, with
     each quote doubled, if it holds a comma, a quote or a line break."""
@@ -234,26 +254,30 @@ def _csv_field(text):
 def verdicts_to_csv(verdicts, path) -> None:
     """Write verdicts as CSV: lemma, params, lhs, bound, slack, pass.
 
-    One formatted line per verdict, byte for byte what ``csv.writer``
-    writes (CRLF line ends, minimal quoting), with ``slack`` and ``pass``
-    computed as :class:`LemmaVerdict` computes them. The lemma and params
+    One formatted line per verdict, written ``_CSV_CHUNK`` lines at a
+    time, byte for byte what ``csv.writer`` writes (CRLF line ends,
+    minimal quoting), with ``slack`` and ``pass`` computed as
+    :class:`LemmaVerdict` computes them. The lemma and params
     fields are formatted once per distinct printed text of the lemma and
     the params' items: 0.0 and -0.0, or 1 and 1.0, compare (and hash)
     equal but print differently.
     """
     heads = {}
-    lines = ["lemma,params,lhs,bound,slack,pass\r\n"]
-    for v in verdicts:
-        params = v.params
-        key = (v.lemma, *map(format, params), *map(format, params.values()))
-        head = heads.get(key)
-        if head is None:
-            text = ";".join(f"{k}={val}" for k, val in params.items())
-            head = heads[key] = f"{_csv_field(v.lemma)},{_csv_field(text)}"
-        lhs, bound = v.lhs, v.bound
-        slack = bound - lhs
-        lines.append(f"{head},{lhs!r},{bound!r},{slack!r},{_passes(slack, bound)}\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        lines = ["lemma,params,lhs,bound,slack,pass\r\n"]
+        for v in verdicts:
+            params = v.params
+            key = (v.lemma, *map(format, params), *map(format, params.values()))
+            head = heads.get(key)
+            if head is None:
+                text = ";".join(f"{k}={val}" for k, val in params.items())
+                head = heads[key] = f"{_csv_field(v.lemma)},{_csv_field(text)}"
+            lhs, bound = v.lhs, v.bound
+            slack = bound - lhs
+            lines.append(f"{head},{lhs!r},{bound!r},{slack!r},{_passes(slack, bound)}\r\n")
+            if len(lines) >= _CSV_CHUNK:
+                fh.writelines(lines)
+                lines.clear()
         fh.writelines(lines)
 
 

@@ -31,7 +31,7 @@ from .data import abs_target, gen_synthetic_abs, load_csv, minmax_scale, misclas
 from .decomposition import decompose, decompose_batch, fit_rate
 from .errors import DataFormatError, DivergenceError
 from .iterations import (log_checkpoints, run_batch_gm, run_sgm, run_sgm_trials,
-                         sample_index_plan)
+                         sample_index_plan, sample_index_table)
 from .kernels import KernelSpec, cross_matrix, kappa_sq
 from .rng import GENERATOR_NAME, SEED_MIXER_NAME, make_rng, mix_seed
 from .schedules import RECIPE_IDS, StepSchedule, recipe, recipe_table, validate_schedule
@@ -192,6 +192,8 @@ def _write_json(path, payload):
 def cmd_decompose(args):
     cfg = _resolve(args, "decompose", _PRESETS.get(args.preset))
     cfg["preset"] = args.preset
+    if cfg["N"] < 1:
+        raise ValueError(f"--N must be at least 1 surrogate point, got {cfg['N']}")
 
     sample = gen_synthetic_abs(cfg["m"], seed=mix_seed(cfg["seed"], 0), noise_sd=cfg["noise_sd"])
     kernel = KernelSpec("gaussian", sigma=cfg["sigma"])
@@ -261,8 +263,8 @@ def cmd_rates(args):
             finals = [run_batch_gm(s, AnchorSet.build(kernel, s.x, check_psd=False), rec.schedule,
                                    rec.t_star, (rec.t_star,)).final.coeffs for s in samples]
         else:
-            plans = [sample_index_plan(m, rec.b, rec.t_star, mix_seed(s, 1)) for s in streams]
-            finals = run_sgm_trials(samples, kernel, rec.schedule, plans, (rec.t_star,))[0]
+            table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
+            finals = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))[0]
         # excess risk over the surrogate points, computed as excess_risk does
         risks = [float(np.mean((cross_matrix(kernel, surr, s.x) @ c - f_surr) ** 2))
                  for s, c in zip(samples, finals)]

@@ -41,7 +41,7 @@ from .iterations import (
     run_batch_gm,
     run_population,
     run_sgm_trials,
-    sample_index_plan,
+    sample_index_table,
 )
 from .kernels import KernelSpec, cross_matrix
 from .rng import mix_seed
@@ -49,6 +49,10 @@ from .schedules import StepSchedule, passes
 from .spaces import AnchorSet, HypothesisVector, mean_square_error
 
 _SLACK = 1e-12
+
+# Trials whose surrogate values one product forms in the reduction: the
+# scratch is two (_TRIAL_CHUNK, N) blocks, whatever R.
+_TRIAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -232,10 +236,11 @@ def decompose(
 
     No N x N surrogate Gram is built unless the population's step loop
     runs: its factor reads k kernel rows and its surrogate values are
-    formed ``_TILE`` rows of K at a time (:meth:`AnchorSet.gram_product`).
-    The trials' surrogate values are formed and reduced one checkpoint
-    at a time: one (R, N) product per checkpoint into a reused buffer,
-    so the scratch memory is O(R N) whatever the number of checkpoints.
+    formed a tile of K at a time (:meth:`AnchorSet.gram_product`). The
+    trials run on one (T, R, b) index table (:func:`sample_index_table`),
+    and their surrogate values are formed and reduced one checkpoint and
+    ``_TRIAL_CHUNK`` trials at a time into reused buffers, so the scratch
+    memory is O(_TRIAL_CHUNK N) whatever R and the number of checkpoints.
     The terms stay within 1e-12 relative of evaluating every checkpoint
     in one stacked product.
     """
@@ -245,18 +250,23 @@ def decompose(
     f_vals, ctx, eval_mat, batch_vals, bias_sq, sample_var_sq = _deterministic_terms(
         sample, surrogate, f_true, kernel, schedule, T, cps)
 
-    plans = [sample_index_plan(sample.m, b, T, mix_seed(base_seed, r)) for r in range(R)]
-    block = run_sgm_trials(sample, ctx, schedule, plans, cps)  # (n_cp, R, w)
-    vals = np.empty((R, eval_mat.shape[0]))  # one checkpoint's trial values
+    seeds = [mix_seed(base_seed, r) for r in range(R)]
+    # (n_cp, R, w); the index table lives only while the trials run
+    block = run_sgm_trials(sample, ctx, schedule, sample_index_table(sample.m, b, T, seeds), cps)
+    # one chunk of one checkpoint's trial values
+    vals = np.empty((min(R, _TRIAL_CHUNK), eval_mat.shape[0]))
     sq = np.empty_like(vals)
     tot_trials = np.empty((R, len(cps)))
     comp_trials = np.empty((R, len(cps)))
     for i in range(len(cps)):
-        np.matmul(block[i], eval_mat.T, out=vals)
-        np.subtract(vals, f_vals, out=sq)
-        tot_trials[:, i] = np.square(sq, out=sq).mean(axis=1)
-        np.subtract(vals, batch_vals[i], out=sq)
-        comp_trials[:, i] = np.square(sq, out=sq).mean(axis=1)
+        for lo in range(0, R, len(vals)):
+            hi = min(lo + len(vals), R)
+            v, d = vals[:hi - lo], sq[:hi - lo]
+            np.matmul(block[i, lo:hi], eval_mat.T, out=v)
+            np.subtract(v, f_vals, out=d)
+            tot_trials[lo:hi, i] = np.square(d, out=d).mean(axis=1)
+            np.subtract(v, batch_vals[i], out=d)
+            comp_trials[lo:hi, i] = np.square(d, out=d).mean(axis=1)
 
     comp_var_sq = comp_trials.mean(axis=0)
     total = tot_trials.mean(axis=0)
@@ -366,8 +376,8 @@ def unbiasedness_check(
         return UnbiasednessReport(
             deviation=0.0, trace_variance=0.0, bound=0.0, r_trials=R, t=t
         )
-    plans = [sample_index_plan(sample.m, b, steps, mix_seed(base_seed, r)) for r in range(R)]
-    coeffs = run_sgm_trials(sample, ctx, schedule, plans, (steps,))[0]
+    table = sample_index_table(sample.m, b, steps, [mix_seed(base_seed, r) for r in range(R)])
+    coeffs = run_sgm_trials(sample, ctx, schedule, table, (steps,))[0]
     batch = run_batch_gm(sample, ctx, schedule, steps, checkpoints=(steps,)).final.coeffs
     # anchoring the mean on the first trial keeps identical trials exact
     mean = coeffs[0] + (coeffs - coeffs[0]).mean(axis=0)

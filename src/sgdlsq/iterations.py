@@ -84,15 +84,37 @@ class IndexPlan:
             raise ValueError("index plan entries must lie in [0, m)")
 
 
-def sample_index_plan(m: int, b: int, T: int, seed: int) -> IndexPlan:
-    """Draw the T x b table of i.i.d. uniform indices for one run."""
+def _check_plan_shape(m, b, T):
     if not 1 <= b <= m:
         raise ValueError(f"mini-batch size {b} out of range [1, {m}]")
     if T < 1:
         raise ValueError(f"iteration count must be >= 1, got {T}")
+
+
+def sample_index_plan(m: int, b: int, T: int, seed: int) -> IndexPlan:
+    """Draw the T x b table of i.i.d. uniform indices for one run."""
+    _check_plan_shape(m, b, T)
     idx = make_rng(seed).integers(0, m, size=(T, b), dtype=np.int64)
     idx.setflags(write=False)
     return IndexPlan(m=m, b=b, T=T, indices=idx)
+
+
+def sample_index_table(m: int, b: int, T: int, seeds) -> np.ndarray:
+    """The read-only (T, R, b) index table of R runs, one per seed: column
+    r holds the draws of ``sample_index_plan(m, b, T, seeds[r])``, so
+    trial r of :func:`run_sgm_trials` on the table equals :func:`run_sgm`
+    on that plan. The entries are int32 when R m < 2^31 (every offset the
+    engine adds to an index stays below R m), else int64: half the bytes
+    of R plans."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    _check_plan_shape(m, b, T)
+    table = np.empty((T, len(seeds), b), np.int32 if len(seeds) * m < 2**31 else np.int64)
+    for r, seed in enumerate(seeds):
+        table[:, r] = sample_index_plan(m, b, T, seed).indices
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -165,6 +187,8 @@ def log_checkpoints(T: int, count: int = 30) -> tuple:
     """About ``count`` log-spaced step counts from 1 to T inclusive."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if count < 1:
+        raise ValueError(f"checkpoint count must be >= 1, got {count}")
     # not np.unique, which imports numpy.ma (about 10-20 ms) on first use
     return tuple(sorted(set(np.geomspace(1, T, num=min(count, T)).round().astype(int).tolist())))
 
@@ -190,21 +214,24 @@ def _coef_scale(gram):
     return np.diagonal(gram, axis1=-2, axis2=-1).max(axis=-1)
 
 
-def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None) -> np.ndarray:
+def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None) -> np.ndarray:
     """Mini-batch SGM over R index plans at once.
 
-    ``samples`` is one :class:`Sample` shared by all trials or one per
-    plan. ``ctx`` is ``None`` (euclidean), an :class:`AnchorSet` on the
-    shared sample's points, or a :class:`KernelSpec` with per-trial
-    samples, whose Grams (or inputs) are stacked in chunks of trials
-    within ``_STACK_BYTES``. The run reads an anchor set's Gram where
-    the set holds one; for a lazy set (:meth:`AnchorSet.lazy`) it builds
-    its own, with the checks of ``AnchorSet.build(check_psd=False)``,
-    and frees it on return, so the Gram lives only while SGM reads it.
-    Besides its Grams the run holds O(R b w) per step, plus the (T, R, b)
-    index table when R > 1 (one plan's table is read in place). Returns
-    the checkpoint iterates, (n_cp, R, w) with w = m (kernel) or d
-    (euclidean).
+    ``table`` is the (T, R, b) index table of the R runs, read in place:
+    one :func:`sample_index_table` draw, or one plan's indices as a
+    (T, 1, b) view (:func:`run_sgm`). ``samples`` is one :class:`Sample`
+    shared by all trials or one per plan. ``ctx`` is ``None``
+    (euclidean), an :class:`AnchorSet` on the shared sample's points, or
+    a :class:`KernelSpec` with per-trial samples, whose Grams (or
+    inputs) are stacked in chunks of trials within ``_STACK_BYTES``. The
+    run reads an anchor set's Gram where the set holds one; for a lazy
+    set (:meth:`AnchorSet.lazy`) it builds its own, with the checks of
+    ``AnchorSet.build(check_psd=False)``, and frees it on return, so the
+    Gram lives only while SGM reads it. Besides its Grams, the index
+    table and the returned block, the run holds O(R b w) per step, and a
+    blocked run writes its checkpoints straight into the returned block.
+    Returns the checkpoint iterates, (n_cp, R, w) with w = m (kernel) or
+    d (euclidean).
 
     With b = 1 a trial runs on the blocked path (:func:`_blocked_sgm`),
     ``_BLOCK`` steps per triangular solve, when it has a feature matrix
@@ -222,13 +249,16 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
     and the lowest trial r diverging at it, both as the step loop finds
     them.
     """
-    plans = list(plans)
     stacked = not isinstance(samples, Sample)
     samples = list(samples) if stacked else [samples]
-    if not plans or (stacked and len(samples) != len(plans)):
-        raise ValueError(f"need one sample per index plan, got {len(samples)} for {len(plans)}")
-    R, m, b, T = len(plans), samples[0].m, plans[0].b, plans[0].T
-    if any((p.m, p.b, p.T) != (m, b, T) for p in plans) or any(s.m != m for s in samples):
+    if not samples:
+        raise ValueError("need one sample per index plan, got none")
+    m = samples[0].m
+    _check_table(table, m)
+    T, R, b = table.shape
+    if not R or (stacked and len(samples) != R):
+        raise ValueError(f"need one sample per index plan, got {len(samples)} for {R}")
+    if any(s.m != m for s in samples):
         raise ValueError("index plans and samples must share the sample size, b and T")
     kernel = ctx is not None
     if kernel and stacked != isinstance(ctx, KernelSpec):
@@ -242,8 +272,6 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
     cps = normalize_checkpoints(checkpoints, T)
     cp_pos = {t: i for i, t in enumerate(cps)}
     etas = schedule.etas(T) / b
-    # (T, R, b): one plan's table as a view, more plans stacked
-    idx = plans[0].indices[:, None] if R == 1 else np.stack([p.indices for p in plans], axis=1)
     out = np.empty((len(cps), R, w))
     chunk = max(1, _STACK_BYTES // (8 * w * (b + (m if stacked else 0))))
     diverged = None
@@ -258,15 +286,16 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
         # positions in the chunk of the trials left to the step loop
         loop = np.arange(len(trials))
         if b == 1:
-            loop = _run_blocked(src, ys, idx[:, lo:lo + len(trials), 0], kernel, etas, cps, out,
+            loop = _run_blocked(src, ys, table[:, lo:lo + len(trials), 0], kernel, etas, cps, out,
                                 trials)
         if not loop.size:
             continue
         sel = trials[loop]
         cols = sel if len(sel) < len(trials) else slice(lo, lo + len(sel))
-        # idx[t - 1, cols] + pick_off locates each trial's sampled
+        # table[t - 1, cols] + pick_off locates each trial's sampled
         # coefficients in A.ravel(), + row_off its sampled rows in the
-        # chunk's samples; both per step, so no (T, R, b) table is formed
+        # chunk's samples; both per step, so no (T, R, b) table of positions
+        # is formed
         pick_off = (np.arange(len(sel)) * m)[:, None]
         row_off = (loop * m)[:, None] if stacked else 0
         flat_src = src.reshape(-1, w)
@@ -275,7 +304,8 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
         A = np.zeros((len(sel), w))
         a = A.reshape(-1)
         for t in range(1, T + 1 if diverged is None else diverged[0]):
-            at = idx[t - 1, cols]
+            # one cast per step; each gather and add would cast int32 indices
+            at = table[t - 1, cols].astype(np.intp, copy=False)
             rows = at + row_off
             P = flat_src[rows]
             resid = np.matmul(P, A[:, :, None])[..., 0] - ys[rows]
@@ -296,6 +326,18 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, plans, checkpoints=None
     if diverged is not None:
         raise DivergenceError(diverged[0], f"trial {diverged[1]}")
     return out
+
+
+def _check_table(table, m):
+    """Refuse an index table that is not an integer (T, R, b) block of
+    positions in [0, m) with T >= 1 and 1 <= b <= m."""
+    if (not isinstance(table, np.ndarray) or table.ndim != 3 or table.dtype.kind not in "iu"
+            or table.shape[0] < 1 or not 1 <= table.shape[2] <= m):
+        got = f"{table.dtype} {table.shape}" if isinstance(table, np.ndarray) else type(table)
+        raise ValueError(f"need an integer (T, R, b) index table with T >= 1 and "
+                         f"1 <= b <= {m}, got {got}")
+    if table.size and (table.min() < 0 or table.max() >= m):
+        raise ValueError(f"index table entries must lie in [0, {m})")
 
 
 def _step_features(mat, kernel, etas):
@@ -342,26 +384,30 @@ def _run_blocked(src, ys, sampled, kernel, etas, cps, out, trials):
         shift = (np.arange(len(members)) * m)[:, None]
         if shared:  # the group is the whole chunk, on one sample's rows
             phi, y, rows = feats[0], ys, sampled
+            checks = [(src, phi, slice(None))]
         else:  # the rows already carry the shift
             phi = np.concatenate([feats[j] for j in members])
             y = ys.reshape(-1, m)[members].reshape(-1)
             rows, shift = sampled[:, members] + shift.T, 0
-        coef, zs, reach = _blocked_sgm(phi, y, rows, shift if kernel else None, m, etas, cps)
+            checks = [(src[j], feats[j], slice(i, i + 1)) for i, j in enumerate(members)]
+        # consecutive trials run straight into their columns of out; a
+        # trial dropped below is rewritten there by the step loop
+        first, n_in = trials[members[0]], members[-1] - members[0] + 1
+        dest = out[:, first:first + n_in] if n_in == len(members) else None
+        coef, fits, reach = _blocked_sgm(phi, y, rows, shift if kernel else None, m, etas, cps,
+                                         dest, checks if kernel else ())
         if kernel:
             reach *= scale if shared else scale[members]
         else:
             reach *= np.abs(phi).reshape(-1, m * phi.shape[1]).max(axis=1)
-        ok = reach < _DIVERGENCE_LIMIT / 2  # also false for nan
-        for j in np.flatnonzero(ok) if kernel else ():
-            gram, f = (src, feats[0]) if shared else (src[members[j]], feats[members[j]])
-            vals = coef[:, j] @ gram
-            ok[j] = np.abs(zs[:, j] @ f.T - vals).max() <= _FACTOR_TOL * np.abs(vals).max()
-        out[:, trials[members[ok]]] = coef[:, ok]
+        ok = (reach < _DIVERGENCE_LIMIT / 2) & fits  # also false for nan
+        if dest is None:
+            out[:, trials[members[ok]]] = coef[:, ok]
         loop.extend(members[~ok])
     return np.sort(np.array(loop, dtype=np.int64))
 
 
-def _blocked_sgm(phi, ys, rows, shift, width, etas, cps):
+def _blocked_sgm(phi, ys, rows, shift, width, etas, cps, out=None, checks=()):
     """Single-point SGM for g trials on feature rows ``phi``, ``_BLOCK``
     steps per triangular solve.
 
@@ -377,18 +423,25 @@ def _blocked_sgm(phi, ys, rows, shift, width, etas, cps):
     row of ``phi`` and ``ys`` per trial; for a kernel, row + ``shift``
     (g, 1) is its coefficient in the flattened (g, width) block
     (``shift`` is None for euclidean, whose iterate is z). Blocks are cut
-    at the checkpoints. Returns the checkpoint iterates (n_cp, g, w),
-    the checkpoint z (n_cp, g, k) and, per trial, sum_t |eta_t rho_t|,
-    which bounds every |a| (and, times max|X|, every |z|) along the run.
+    at the checkpoints. Each check (K, f, trials) of ``checks`` compares
+    the values f z of those trials with K a at every checkpoint. Returns
+    the checkpoint iterates (n_cp, g, w), written into ``out`` where it
+    is given; per trial, whether f z stayed within ``_FACTOR_TOL`` of the
+    largest |K a| (True where unchecked); and per trial
+    sum_t |eta_t rho_t|, which bounds every |a| (and, times max|X|,
+    every |z|) along the run.
     """
     T, g = rows.shape
     z = np.zeros((g, phi.shape[1]))
     coef = z if shift is None else np.zeros((g, width))
-    out = np.empty((len(cps),) + coef.shape)
-    zs = out if shift is None else np.empty((len(cps),) + z.shape)
+    if out is None:
+        out = np.empty((len(cps),) + coef.shape)
+    # per trial, the largest |f z - K a| and |K a| over the checkpoints
+    gap, top = np.zeros(g), np.zeros(g)
     reach = np.zeros(g)
     lower, eye = np.tri(_BLOCK, k=-1), np.eye(_BLOCK)
-    # z and the block's updates, reduced by subtraction in step order
+    # z, then the block's sampled rows, which become its updates in
+    # place; reduced by subtraction in step order
     updates = np.empty((_BLOCK + 1,) + z.shape)
     edges = sorted({0, T, *cps})
     # a trial that diverges here is rerun by the step loop
@@ -397,21 +450,27 @@ def _blocked_sgm(phi, ys, rows, shift, width, etas, cps):
             for t0 in range(lo, hi, _BLOCK):
                 t1 = min(t0 + _BLOCK, hi)
                 n, eta, at = t1 - t0, etas[t0:t1], rows[t0:t1].T
-                P = phi[at]
+                # "clip" writes into out directly ("raise" buffers); rows are in range
+                sampled = np.take(phi, rows[t0:t1], axis=0, out=updates[1:n + 1], mode="clip")
+                P = sampled.transpose(1, 0, 2)
                 system = np.matmul(P, P.transpose(0, 2, 1))
                 system *= lower[:n, :n] * eta
                 system += eye[:n, :n]
                 r0 = np.matmul(P, z[:, :, None]) - ys[at][:, :, None]
                 u = np.linalg.solve(system, r0)[..., 0] * eta
                 updates[0] = z
-                np.multiply(u.T[:, :, None], P.transpose(1, 0, 2), out=updates[1:n + 1])
+                sampled *= u.T[:, :, None]
                 np.subtract.reduce(updates[:n + 1], axis=0, out=z)
                 if shift is not None:
                     np.subtract.at(coef.reshape(-1), at + shift, u)
                 reach += np.abs(u).sum(axis=1)
             if i < len(cps):
-                out[i], zs[i] = coef, z
-    return out, zs, reach
+                out[i] = coef
+                for gram, f, sel in checks:
+                    vals = coef[sel] @ gram
+                    gap[sel] = np.maximum(gap[sel], np.abs(z[sel] @ f.T - vals).max(axis=1))
+                    top[sel] = np.maximum(top[sel], np.abs(vals).max(axis=1))
+    return out, gap <= _FACTOR_TOL * top, reach
 
 
 def run_sgm(
@@ -432,7 +491,7 @@ def run_sgm(
     """
     cps = normalize_checkpoints(checkpoints, plan.T)
     try:
-        block = run_sgm_trials(sample, ctx, schedule, [plan], cps)
+        block = run_sgm_trials(sample, ctx, schedule, plan.indices[:, None], cps)
     except DivergenceError as exc:
         backend = "euclidean" if ctx is None else "kernel"
         raise DivergenceError(exc.iteration, f"sgm/{backend}") from None

@@ -21,6 +21,21 @@ from .errors import DimensionMismatch
 from .kernels import _TILE, GramMatrix, KernelSpec, build_gram, cross_matrix, kernel_diagonal
 
 
+# Most floats in one tile of K that AnchorSet.gram_product forms
+_PRODUCT_FLOATS = 1 << 17
+
+
+def _product_tiles(n):
+    """Row bounds of the tiles of K that gram_product forms over n
+    anchors: the fewest tiles of at most _TILE rows and _PRODUCT_FLOATS
+    floats (or one row, where a row is longer), split evenly (31 tiles of
+    64 or 65 rows at n = 2000). Even
+    tiles leave no sliver of a few rows, whose product a BLAS may hand to
+    a small-matrix kernel that rounds differently."""
+    count = -(-n // min(_TILE, max(1, _PRODUCT_FLOATS // n)))
+    return [i * n // count for i in range(count + 1)]
+
+
 def _check_symmetric(gram: GramMatrix):
     gap, scale = gram.asymmetry()
     if gap > 1e-12 * max(scale, 1e-300):
@@ -104,14 +119,15 @@ class AnchorSet:
         """Row i is K @ coeffs[i], (n_cp, n): the values at the anchors of
         each expansion. On a built Gram one matrix-vector product per row,
         as :meth:`~sgdlsq.iterations.Trajectory.values` forms them;
-        otherwise ``_TILE`` rows of K at a time, each multiplied by every
-        row of ``coeffs`` in one product, in O(_TILE n + n_cp n) memory."""
+        otherwise one tile of K at a time (:func:`_product_tiles`), each
+        multiplied by every row of ``coeffs`` in one product, in
+        O(_PRODUCT_FLOATS + n_cp n) memory."""
         if self.gram is not None:
             return np.matmul(self.gram.values, coeffs[:, :, None])[..., 0]
         out = np.empty((len(coeffs), self.n))
-        for lo in range(0, self.n, _TILE):  # one tile alive at a time
-            out[:, lo:lo + _TILE] = coeffs @ cross_matrix(self.kernel, self.points[lo:lo + _TILE],
-                                                          self.points).T
+        bounds = _product_tiles(self.n)
+        for lo, hi in zip(bounds, bounds[1:]):  # one tile alive at a time
+            out[:, lo:hi] = coeffs @ cross_matrix(self.kernel, self.points[lo:hi], self.points).T
         return out
 
 

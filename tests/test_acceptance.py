@@ -50,6 +50,7 @@ from sgdlsq import (
     run_sgm,
     run_sgm_trials,
     sample_index_plan,
+    sample_index_table,
     save_csv,
     split,
     unbiasedness_check,
@@ -80,8 +81,8 @@ def _risk_at_tstar(rid, m, trials, base_seed, surrogate):
         finals = [run_batch_gm(s, AnchorSet.build(GAUSS, s.x, check_psd=False), rec.schedule,
                                rec.t_star, (rec.t_star,)).final.coeffs for s in samples]
     else:
-        plans = [sample_index_plan(m, rec.b, rec.t_star, mix_seed(s, 1)) for s in streams]
-        finals = run_sgm_trials(samples, GAUSS, rec.schedule, plans, (rec.t_star,))[0]
+        table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
+        finals = run_sgm_trials(samples, GAUSS, rec.schedule, table, (rec.t_star,))[0]
     f_surr = abs_target(surrogate)
     risks = [np.mean((cross_matrix(GAUSS, surrogate, s.x) @ c - f_surr) ** 2)
              for s, c in zip(samples, finals)]
@@ -254,8 +255,8 @@ def test_criterion_8_norm_convergence_on_attainable_instances():
         streams = [mix_seed(mix_seed(77, mi), trial) for trial in range(10)]
         drawn = [gen_linear_attainable(m, d, w_star, noise_sd=0.5, seed=mix_seed(s, 0))
                  for s in streams]
-        plans = [sample_index_plan(m, rec.b, rec.t_star, mix_seed(s, 1)) for s in streams]
-        finals = run_sgm_trials([smp for smp, _ in drawn], None, rec.schedule, plans,
+        table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
+        finals = run_sgm_trials([smp for smp, _ in drawn], None, rec.schedule, table,
                                 (rec.t_star,))[0]
         vals = [h_norm_error(euclidean_vector(c), w) for c, (_, w) in zip(finals, drawn)]
         errors.append(float(np.mean(vals)))

@@ -501,8 +501,16 @@ class TestExitCodes:
          "--N must be at least 1 surrogate point, got 0"),
         (["run", "--generator", "synthetic-abs", "--b", "1", "--eta1", "0.1", "--T", "5",
           "--fractions", "nan,0.5,0.5"], 4, "fractions must be finite, got nan, 0.5, 0.5"),
+        (["decompose", "--T", "20", "--R", "2", "--N", "30", "--checkpoints", "0"], 4,
+         "checkpoint count must be >= 1, got 0"),
+        (["decompose", "--T", "20", "--R", "2", "--N", "30", "--checkpoints", "-3"], 4,
+         "checkpoint count must be >= 1, got -3"),
+        (["decompose", "--N", "0"], 4, "--N must be at least 1 surrogate point, got 0"),
+        (["decompose", "--preset", "sec9-batch", "--N", "-5"], 4,
+         "--N must be at least 1 surrogate point, got -5"),
     ], ids=["trials-1", "m-grid", "fractions", "data-not-utf8", "config-not-utf8",
-            "config-algorithm", "data-ragged-row", "N-0", "fractions-nan"])
+            "config-algorithm", "data-ragged-row", "N-0", "fractions-nan", "checkpoints-0",
+            "checkpoints-neg", "decompose-N-0", "decompose-batch-N-neg"])
     def test_bad_input_exit_code_and_message(self, tmp_path, capsys, argv, code, fragment):
         files = {"latin1": tmp_path / "latin1.csv", "bach": tmp_path / "bach.json",
                  "ragged": tmp_path / "ragged.csv"}

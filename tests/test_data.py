@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlsq import (
     EmptyDataError,
@@ -157,6 +161,37 @@ class TestSplit:
         assert all(got >= fl for got, fl in zip(sizes, floors))
         xs = np.concatenate([p.x for p in parts if p is not None])
         assert sorted(xs.tolist()) == sorted(s.x.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 300),
+           weights=st.lists(st.integers(0, 20), min_size=1, max_size=4).filter(any),
+           seed=st.integers(0, 2**63))
+    def test_split_properties(self, n, weights, seed):
+        """On rows tagged by position: the splits are disjoint and their
+        union is the sample, their sizes are floor(f m) then one leftover
+        row at a time in declared order, each keeps the sample's row order
+        and whole rows, and the same seed gives the same split."""
+        fracs = [w / sum(weights) for w in weights]
+        tags = np.arange(n, dtype=np.float64)
+        sample = Sample(np.column_stack([tags, np.sin(tags)]), -tags)
+        parts = split(sample, fracs, seed=seed)
+        sizes = [math.floor(f * n) for f in fracs]
+        for i in range(n - sum(sizes)):
+            sizes[i % len(sizes)] += 1
+        assert [0 if p is None else p.m for p in parts] == sizes
+        kept = [p for p in parts if p is not None]
+        for p in kept:
+            rows = p.x[:, 0]
+            assert np.all(np.diff(rows) > 0)
+            np.testing.assert_array_equal(p.x[:, 1], np.sin(rows))
+            np.testing.assert_array_equal(p.y, -rows)
+        every = np.concatenate([p.x[:, 0] for p in kept])
+        assert len(set(every.tolist())) == len(every) == n
+        again = split(sample, fracs, seed=seed)
+        assert [p is None for p in again] == [p is None for p in parts]
+        for p, q in zip(kept, [q for q in again if q is not None]):
+            np.testing.assert_array_equal(p.x, q.x)
+            np.testing.assert_array_equal(p.y, q.y)
 
     def test_bad_fractions(self, sample):
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from sgdlsq import (
     sample_index_plan,
     unbiasedness_check,
 )
-from sgdlsq import iterations
+from sgdlsq import decomposition, iterations
 from sgdlsq.bounds import fsum
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
@@ -253,8 +253,9 @@ class TestDecompose:
         """The lockstep trials and the per-checkpoint reduction of their
         surrogate values give the terms of the one-run-at-a-time
         computation, to 1e-12 relative (each checkpoint's values come
-        from one (R, N) matrix product instead of one per trial vector),
-        on a few checkpoints, on every step and on a single one."""
+        from one matrix product per chunk of trials instead of one per
+        trial vector), on a few checkpoints, on every step and on a
+        single one."""
         if kernel is None:
             sample, w_star = gen_linear_attainable(20, 3, [0.5, -0.2, 0.1], noise_sd=0.3, seed=4)
             surr = np.random.default_rng(3).standard_normal((90, 3)) / 2
@@ -324,7 +325,7 @@ class TestDecompose:
     def test_filter_path_builds_no_surrogate_gram(self):
         """On the population filter's path decompose holds no N x N
         surrogate matrix: the factor reads its pivots' kernel rows and the
-        values are formed 256 rows of K at a time, so the traced peak stays
+        values are formed a tile of K at a time, so the traced peak stays
         below a quarter of one N x N float64 Gram."""
         sample = gen_synthetic_abs(30, seed=2)
         surr = np.random.default_rng(6).random(1500)
@@ -340,6 +341,44 @@ class TestDecompose:
         assert all(len(call.args[1]) == sample.m for call in loop.call_args_list)  # not N
         assert all(rep.ineq_ok)
         assert peak < len(surr) ** 2 * 8 / 4
+
+    def test_scratch_memory_does_not_grow_with_trials(self):
+        """The trials' surrogate values are reduced _TRIAL_CHUNK trials at
+        a time: on a euclidean run with N = 5000 surrogate points, where no
+        other block is of size R N, the traced peak stays under 1 MB for
+        R = 16 and for R = 128, where one (R, N) float64 block is 5.1 MB."""
+        sample, w = gen_linear_attainable(30, 2, [0.5, -0.2], noise_sd=0.3, seed=4)
+        surr = np.random.default_rng(3).standard_normal((5000, 2))
+        for R in (16, 128):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                decompose(sample, surr, lambda p: p @ w, None, StepSchedule(0.05), b=1, T=40,
+                          R=R, base_seed=8, checkpoints=(5, 20, 40))
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+
+    @pytest.mark.parametrize("kernel", [GAUSS, None], ids=["kernel", "euclidean"])
+    def test_terms_do_not_depend_on_the_trial_chunk(self, kernel):
+        """Chunks of 1, 3 or all 11 trials give the same terms to 1e-12
+        relative: each trial's values are one row of a matrix product."""
+        if kernel is None:
+            sample, w = gen_linear_attainable(20, 3, [0.5, -0.2, 0.1], noise_sd=0.3, seed=4)
+            surr, f_true = np.random.default_rng(3).standard_normal((90, 3)), lambda p: p @ w
+        else:
+            sample, f_true = gen_synthetic_abs(12, seed=31), abs_target
+            surr = np.random.default_rng(1).random(60)
+        reports = []
+        for chunk in (1, 3, 11):
+            with mock.patch.object(decomposition, "_TRIAL_CHUNK", chunk):
+                reports.append(decompose(sample, surr, f_true, kernel, StepSchedule(0.05), b=2,
+                                         T=25, R=11, base_seed=42, checkpoints=(3, 10, 25)))
+        for rep in reports[:2]:
+            for name in ("comp_var_sq", "total", "total_se", "combined_se"):
+                np.testing.assert_allclose(getattr(rep, name), getattr(reports[2], name),
+                                           rtol=1e-12, atol=1e-300)
 
     @pytest.mark.parametrize("batch", [False, True], ids=["sgm", "batch"])
     def test_anchor_set_and_points_take_the_same_path(self, batch):

@@ -29,8 +29,9 @@ from sgdlsq import (
     run_sgm,
     run_sgm_trials,
     sample_index_plan,
+    sample_index_table,
 )
-from sgdlsq import iterations, kernels, spaces
+from sgdlsq import iterations, spaces
 from sgdlsq.iterations import Trajectory
 from sgdlsq.spaces import feature_matrix
 
@@ -79,6 +80,56 @@ class TestLogCheckpoints:
             want = np.unique(np.geomspace(1, T, num=min(count, T)).round().astype(int))
             assert type(grid) is tuple and all(type(v) is int for v in grid)
             assert grid == tuple(want.tolist())
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_rejects_a_count_below_one(self, count):
+        with pytest.raises(ValueError, match=f"checkpoint count must be >= 1, got {count}"):
+            log_checkpoints(50, count)
+
+
+class TestIndexTable:
+    """One (T, R, b) table for R runs: column r holds the draws of
+    sample_index_plan(m, b, T, seeds[r])."""
+
+    def test_columns_are_the_plans_draws(self):
+        seeds = [mix_seed(3, r) for r in range(5)]
+        table = sample_index_table(40, 3, 70, seeds)
+        assert table.shape == (70, 5, 3) and table.dtype == np.int32
+        for r, seed in enumerate(seeds):
+            np.testing.assert_array_equal(table[:, r], sample_index_plan(40, 3, 70, seed).indices)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1
+
+    def test_int64_once_offsets_could_pass_int32(self):
+        """R m >= 2^31: an offset r m + i the engine forms could leave int32."""
+        assert sample_index_table(2**30 - 1, 1, 3, [1, 2]).dtype == np.int32
+        wide = sample_index_table(2**30, 1, 3, [1, 2])
+        assert wide.dtype == np.int64
+        np.testing.assert_array_equal(wide[:, 1], sample_index_plan(2**30, 1, 3, 2).indices)
+
+    def test_rejects_what_a_plan_rejects(self):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_index_table(10, 11, 5, [0])
+        with pytest.raises(ValueError, match="iteration count"):
+            sample_index_table(10, 1, 0, [0])
+        with pytest.raises(ValueError, match="at least one seed"):
+            sample_index_table(10, 1, 5, [])
+
+    def test_engine_rejects_bad_tables(self):
+        sample = gen_synthetic_abs(6, seed=1)
+        sch = StepSchedule(0.1)
+        table = sample_index_table(6, 2, 5, [0, 1])
+        with pytest.raises(ValueError, match="one sample per index plan"):
+            run_sgm_trials([sample], None, sch, table)
+        for bad in (table[..., 0], table.astype(float), table[:0], np.full((5, 2, 7), 0),
+                    [sample_index_plan(6, 2, 5, 0)]):
+            with pytest.raises(ValueError, match=r"\(T, R, b\) index table"):
+                run_sgm_trials(sample, None, sch, bad)
+        for entry in (-1, 6):
+            off = table.copy()
+            off[3, 1, 0] = entry
+            with pytest.raises(ValueError, match=r"entries must lie in \[0, 6\)"):
+                run_sgm_trials(sample, None, sch, off)
 
 
 class TestTrajectory:
@@ -600,7 +651,8 @@ class TestGramFreePopulation:
 
     def test_filter_reads_kernel_rows_and_tiles(self):
         """A factor of rank k (about 20) of 2000 points reads k kernel
-        rows, and the values one cross matrix per tile; no Gram is built."""
+        rows, and the values one cross matrix per tile, the fewest tiles
+        of at most 2^17 floats; no Gram is built."""
         spec, pts = _gram_free_case("gaussian", 2000, 1, seed=5)
         gram = AnchorSet.build(spec, pts, check_psd=False).gram.values
         k = len(iterations._pivoted_cholesky(gram, iterations._factor_budget(60, 2000, 2000**2)))
@@ -613,7 +665,7 @@ class TestGramFreePopulation:
             lazy.gram_product(traj.coeffs)
         assert hasattr(lazy, "gram") and lazy.gram is None
         assert rank == k < 30
-        assert cross.call_count - rank == -(-2000 // kernels._TILE)
+        assert cross.call_count - rank == -(-2000 // (spaces._PRODUCT_FLOATS // 2000)) == 31
 
     def test_full_rank_sobolev_builds_the_gram(self):
         """A full-rank sobolev surrogate exceeds the factor budget: the
@@ -676,6 +728,13 @@ def _sequential_sgm(sample, gram, etas, plan, cps):
     return np.array(out)
 
 
+def _plans_and_table(m, b, T, seeds):
+    """R plans, for runs one at a time, and their index table, for the
+    lockstep engine."""
+    seeds = list(seeds)
+    return [sample_index_plan(m, b, T, s) for s in seeds], sample_index_table(m, b, T, seeds)
+
+
 def _trial_sample(kernel, m, seed):
     if kernel:
         return gen_synthetic_abs(m, seed=seed, noise_sd=1.0)
@@ -708,7 +767,7 @@ class TestLockstepTrials:
         cps = tuple(sorted(data.draw(st.sets(st.integers(1, T), min_size=1))))
         samples = [_trial_sample(kernel, m, mix_seed(seed, r if stacked else 0))
                    for r in range(R)]
-        plans = [sample_index_plan(m, b, T, mix_seed(seed + 1, r)) for r in range(R)]
+        plans, table = _plans_and_table(m, b, T, (mix_seed(seed + 1, r) for r in range(R)))
         sch = StepSchedule(eta1, theta)
         ctxs = [AnchorSet.build(GAUSS, s.x, check_psd=False) if kernel else None
                 for s in samples]
@@ -717,7 +776,7 @@ class TestLockstepTrials:
         else:
             engine_in, engine_ctx = samples[0], ctxs[0]
         with mock.patch.object(iterations, "_STACK_BYTES", budget):
-            block = run_sgm_trials(engine_in, engine_ctx, sch, plans, cps)
+            block = run_sgm_trials(engine_in, engine_ctx, sch, table, cps)
         assert block.shape == (len(cps), R, m if kernel else 3)
         for r in range(R):
             ctx = ctxs[r] if stacked else ctxs[0]
@@ -742,7 +801,7 @@ class TestLockstepTrials:
                       [0.01, 0.01], [0.0, 0.005], [0.005, 0.0]])
         sample = Sample(x=x, y=np.ones(6))
         sch = StepSchedule(4.0)
-        plans = [sample_index_plan(6, 1, 400, seed=70 + r) for r in range(6)]
+        plans, table = _plans_and_table(6, 1, 400, range(70, 76))
         first = {}
         for r, plan in enumerate(plans):
             with pytest.raises(DivergenceError) as err:
@@ -753,23 +812,22 @@ class TestLockstepTrials:
         assert r_min > 0 and first[0] > t_min  # the sequential order would name trial 0
         monkeypatch.setattr(iterations, "_STACK_BYTES", budget)
         with pytest.raises(DivergenceError) as err:
-            run_sgm_trials(sample, None, sch, plans)
+            run_sgm_trials(sample, None, sch, table)
         assert err.value.iteration == t_min
         assert re.search(r"trial (\d+)", str(err.value)).group(1) == str(r_min)
 
     def test_rejects_inconsistent_plans_and_contexts(self):
         sample = gen_synthetic_abs(6, seed=1)
         sch = StepSchedule(0.1)
+        table = sample_index_table(6, 1, 5, [0, 1])
         with pytest.raises(ValueError, match="must share"):
-            run_sgm_trials(sample, None, sch, [sample_index_plan(6, 1, 5, 0),
-                                               sample_index_plan(6, 2, 5, 1)])
+            run_sgm_trials([sample, gen_synthetic_abs(7, seed=2)], None, sch, table)
         with pytest.raises(ValueError, match="one sample per index plan"):
-            run_sgm_trials([sample], None, sch, [sample_index_plan(6, 1, 5, r) for r in (0, 1)])
+            run_sgm_trials([sample], None, sch, table)
         with pytest.raises(ValueError, match="one sample per index plan"):
-            run_sgm_trials(sample, None, sch, [])
+            run_sgm_trials(sample, None, sch, table[:, :0])
         with pytest.raises(ValueError, match="KernelSpec"):
-            run_sgm_trials([sample], AnchorSet.build(GAUSS, sample.x), sch,
-                           [sample_index_plan(6, 1, 5, 0)])
+            run_sgm_trials([sample], AnchorSet.build(GAUSS, sample.x), sch, table[:, :1])
 
 
 _WIDE = KernelSpec("gaussian", sigma=1.0)  # rank 9 from m ~ 40 on [0, 1]
@@ -816,12 +874,12 @@ class TestBlockedSgm:
         spec = None if kind == "euclidean" else _SPECS[kind]
         k_sq = kappa_sq(spec or KernelSpec("linear"), np.concatenate([s.x for s in samples]))
         sch = StepSchedule(eta1, theta, k_sq)
-        plans = [sample_index_plan(m, 1, T, mix_seed(seed + 1, r)) for r in range(R)]
+        plans, table = _plans_and_table(m, 1, T, (mix_seed(seed + 1, r) for r in range(R)))
         ctxs = [spec and AnchorSet.build(spec, s.x, check_psd=False) for s in samples]
         if stacked:
-            block = run_sgm_trials(samples, spec, sch, plans, cps)
+            block = run_sgm_trials(samples, spec, sch, table, cps)
         else:
-            block = run_sgm_trials(samples[0], ctxs[0], sch, plans, cps)
+            block = run_sgm_trials(samples[0], ctxs[0], sch, table, cps)
         for r in range(R):
             s = samples[r if stacked else 0]
             single = run_sgm(s, ctxs[r if stacked else 0], sch, plans[r], cps)
@@ -840,12 +898,12 @@ class TestBlockedSgm:
         spec = None if kind == "euclidean" else _SPECS[kind]
         sch = StepSchedule(0.5, 0.1, kappa_sq(spec or KernelSpec("linear"),
                                              np.concatenate([s.x for s in samples])))
-        plans = [sample_index_plan(m, 1, T, 40 + r) for r in range(R)]
+        plans, table = _plans_and_table(m, 1, T, range(40, 40 + R))
         cps = log_checkpoints(T, 20)
         engine = (samples, spec) if stacked else (
             samples[0], spec and AnchorSet.build(spec, samples[0].x, check_psd=False))
         with mock.patch.object(iterations, "_blocked_sgm", wraps=iterations._blocked_sgm) as blk:
-            block = run_sgm_trials(*engine, sch, plans, cps)
+            block = run_sgm_trials(*engine, sch, table, cps)
         assert sum(call.args[2].shape[1] for call in blk.call_args_list) == R
         for r in range(R):
             ref, to_vals = _b1_reference(samples[r if stacked else 0], kind, sch, plans[r], cps)
@@ -877,10 +935,17 @@ class TestBlockedSgm:
         plan = sample_index_plan(m, 1, T, 91)
         cps = log_checkpoints(T, 10)
         real, runs = iterations._blocked_sgm, []
-        with mock.patch.object(iterations, "_blocked_sgm",
-                               side_effect=lambda *args: runs.append(real(*args)) or runs[-1]):
+
+        def spy(*args):
+            # the blocked iterates are written into the run's output
+            # block, which the loop rewrites where it replaces them
+            result = real(*args)
+            runs.append(result[0].copy())
+            return result
+
+        with mock.patch.object(iterations, "_blocked_sgm", side_effect=spy):
             got = run_sgm(sample, ctx, sch, plan, cps).coeffs
-        [(blocked, _, _)] = runs
+        [blocked] = runs
         assert np.array_equal(got, blocked[:, 0]) == kept
         gram = ctx.gram.values
         ref = _sequential_sgm(sample, gram, sch.etas(T), plan, set(cps))
@@ -897,9 +962,9 @@ class TestBlockedSgm:
         ranks = {iterations._step_features(AnchorSet.build(_WIDE, s.x).gram.values, True,
                                            sch.etas(T)).shape[1] for s in samples}
         assert len(ranks) == 2
-        plans = [sample_index_plan(m, 1, T, 50 + r) for r in range(4)]
+        plans, table = _plans_and_table(m, 1, T, range(50, 54))
         cps = (7, 100, T)
-        block = run_sgm_trials(samples, _WIDE, sch, plans, cps)
+        block = run_sgm_trials(samples, _WIDE, sch, table, cps)
         for r, (s, plan) in enumerate(zip(samples, plans)):
             ctx = AnchorSet.build(_WIDE, s.x)
             np.testing.assert_array_equal(block[:, r], run_sgm(s, ctx, sch, plan, cps).coeffs)
@@ -949,13 +1014,13 @@ class TestBlockedSgm:
                    for r in range(4)]
         sch = StepSchedule(0.9, 0.0, kappa_sq(KernelSpec("linear"),
                                              np.concatenate([s.x for s in samples])))
-        plans = [sample_index_plan(30, 1, 300, 80 + r) for r in range(4)]
+        table = sample_index_table(30, 1, 300, range(80, 84))
         with mock.patch.object(iterations, "_step_features", return_value=None), \
                 pytest.raises(DivergenceError) as loop:
-            run_sgm_trials(samples, None, sch, plans)
+            run_sgm_trials(samples, None, sch, table)
         with mock.patch.object(iterations, "_blocked_sgm", wraps=iterations._blocked_sgm) as blk, \
                 pytest.raises(DivergenceError) as err:
-            run_sgm_trials(samples, None, sch, plans)
+            run_sgm_trials(samples, None, sch, table)
         assert blk.called
         assert (err.value.iteration, str(err.value)) == (loop.value.iteration, str(loop.value))
 
@@ -994,9 +1059,32 @@ class TestSgmMemory:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run_sgm_trials(sample, ctx, StepSchedule(0.5), [plan], (T,))
+            run_sgm_trials(sample, ctx, StepSchedule(0.5), plan.indices[:, None], (T,))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert plan.indices.nbytes == 3_200_000
         assert peak - 8 * m * m < plan.indices.nbytes / 4
+
+    def test_table_is_read_in_place(self):
+        """sec9-sgm's trials (m = 100, R = 50, T = 5000, b = 1, 24
+        checkpoints) on their index table: the blocked path writes the
+        checkpoints into the returned block and keeps no per-checkpoint
+        copy of its iterate, so the traced peak stays within 0.6 MB of the
+        1 MB block. Stacking 50 int64 plans alone took 2 MB more."""
+        m, R, T = 100, 50, 5000
+        sample = gen_synthetic_abs(m, seed=3)
+        ctx = AnchorSet.build(GAUSS, sample.x, check_psd=False)
+        table = sample_index_table(m, 1, T, [mix_seed(9, r) for r in range(R)])
+        cps = log_checkpoints(T, 25)
+        with mock.patch.object(iterations, "_blocked_sgm", wraps=iterations._blocked_sgm) as blk:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                block = run_sgm_trials(sample, ctx, StepSchedule(1 / 800), table, cps)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert blk.call_count == 1 and block.base is None
+        assert block.nbytes == len(cps) * R * m * 8 == 960_000
+        assert peak <= block.nbytes + 600_000

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sgdlsq import (
     mean_square_error,
     predict,
 )
+from sgdlsq import kernels, spaces
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 SOB = KernelSpec("sobolev")
@@ -93,6 +96,36 @@ class TestReproducingConsistency:
         via_points = np.array([predict(h, [x])[0] for x in anchors.points])
         np.testing.assert_allclose(via_points, via_gram, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(predict(h, anchors.points), via_gram, rtol=1e-10, atol=1e-12)
+
+
+class TestGramProductTiles:
+    """A lazy set forms K times the coefficients one tile of K at a time:
+    the fewest tiles of at most _TILE rows and 2^17 floats, split evenly."""
+
+    @pytest.mark.parametrize("n", [1, 7, 256, 257, 700, 2000, 5000, 2**17 + 3])
+    def test_tiles_cover_the_rows_evenly(self, n):
+        bounds = spaces._product_tiles(n)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n and sizes.min() >= 1
+        assert sizes.max() - sizes.min() <= 1
+        cap = min(kernels._TILE, max(1, spaces._PRODUCT_FLOATS // n))
+        assert sizes.max() <= cap and len(sizes) == -(-n // cap)
+
+    def test_scratch_is_one_tile(self):
+        """N = 2000 anchors, 30 expansions: the traced peak stays within
+        1.2 MB of the (30, N) result; 256-row tiles took 4 MB."""
+        pts = np.random.default_rng(1).random(2000)
+        coeffs = np.random.default_rng(2).standard_normal((30, 2000))
+        lazy = AnchorSet.lazy(GAUSS, pts)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = lazy.gram_product(coeffs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 480_000 and lazy.gram is None
+        assert peak <= out.nbytes + 1_200_000
 
 
 class TestMeanSquareError:
