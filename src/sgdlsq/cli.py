@@ -175,6 +175,8 @@ def _resolve(args, command, preset=None):
         if val is not None and field.choices and val not in field.choices:
             raise ValueError(f"config key {field.name!r} must be one of "
                              f"{', '.join(map(repr, field.choices))}, got {val!r}")
+        if field.type is float and val is not None and not math.isfinite(val):
+            raise ValueError(f"config key {field.name!r} must be finite, got {val!r}")
         out[field.name] = val
     return out
 
@@ -185,7 +187,7 @@ def _provenance(cfg):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -276,7 +278,8 @@ def cmd_rates(args):
         )
     fit = fit_rate([(row["m"], row["excess_risk"]) for row in rows])
     with open(args.out + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("# config: " + json.dumps(_provenance(cfg), sort_keys=True) + "\n")
+        fh.write("# config: " + json.dumps(_provenance(cfg), sort_keys=True, allow_nan=False)
+                 + "\n")
         fh.write("m,excess_risk,se,b,eta1,t_star,passes\n")
         for row in rows:
             fh.write(
@@ -318,7 +321,7 @@ def cmd_recipes(args):
         _write_json(args.out, payload)
         print(f"wrote {args.out}")
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
         print()
     return EXIT_OK
 
@@ -393,9 +396,14 @@ def cmd_run(args):
     cps = log_checkpoints(T, cfg["checkpoints"])
 
     if algorithm == "batch":
-        # batch GM's factor pivots on the Gram's own rows, so its set is eager
+        # batch GM's factor pivots on the Gram's own rows, so its set is
+        # eager; hold-out and the test error read the kernel, not the Gram,
+        # so the trajectory then moves onto a lazy set and the Gram is freed
         ctx = AnchorSet.build(kernel, train.x, check_psd=False) if kernel else None
         traj = run_batch_gm(train, ctx, schedule, T, cps)
+        if kernel:
+            ctx = AnchorSet.lazy(kernel, train.x)
+            traj = dataclasses.replace(traj, anchors=ctx)
     else:
         # SGM builds a lazy set's Gram for its run only: hold-out and the
         # test error read the kernel, not the Gram

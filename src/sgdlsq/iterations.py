@@ -228,7 +228,8 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     set (:meth:`AnchorSet.lazy`) it builds its own, with the checks of
     ``AnchorSet.build(check_psd=False)``, and frees it on return, so the
     Gram lives only while SGM reads it. Besides its Grams, the index
-    table and the returned block, the run holds O(R b w) per step, and a
+    table and the returned block, the run holds O(R b w): the step loop
+    gathers every step's sampled rows into one buffer per chunk, and a
     blocked run writes its checkpoints straight into the returned block.
     Returns the checkpoint iterates, (n_cp, R, w) with w = m (kernel) or
     d (euclidean).
@@ -303,11 +304,15 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
             scale = _coef_scale(src)[loop, None] if stacked else _coef_scale(src)
         A = np.zeros((len(sel), w))
         a = A.reshape(-1)
+        # each step's sampled rows, gathered into one buffer for the chunk
+        P = np.empty((len(sel), b, w))
         for t in range(1, T + 1 if diverged is None else diverged[0]):
             # one cast per step; each gather and add would cast int32 indices
             at = table[t - 1, cols].astype(np.intp, copy=False)
             rows = at + row_off
-            P = flat_src[rows]
+            # "clip" writes into P directly ("raise" buffers); _check_table
+            # has put every row in range
+            np.take(flat_src, rows, axis=0, out=P, mode="clip")
             resid = np.matmul(P, A[:, :, None])[..., 0] - ys[rows]
             if kernel:
                 picks = at + pick_off

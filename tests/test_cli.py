@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +74,13 @@ print(json.dumps(seen))
 """
 
 
+def _src_env(**extra):
+    """The environment of a subprocess that imports this checkout's sgdlsq."""
+    src = str(Path(sgdlsq.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_commands_do_not_import_numpy_ma(tmp_path):
     """numpy.ma takes about 10-20 ms to import; np.unique imports it on first
     use, and no command needs it."""
@@ -83,10 +91,7 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
         ["run", "--generator", "synthetic-abs", "--m", "40", "--b", "1", "--eta1", "0.1",
          "--T", "5", "--out", str(tmp_path / "r")],
     ]
-    src = str(Path(sgdlsq.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", _MA_PROBE, json.dumps(runs)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _MA_PROBE, json.dumps(runs)], env=_src_env(),
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     if seen[0]:
@@ -433,9 +438,10 @@ class TestRun:
     ], ids=["sgm", "sgm-recipe", "batch", "batch-recipe"])
     def test_artifacts_equal_those_of_an_eager_anchor_set(self, tmp_path, extra):
         """SGM runs on a lazy anchor set, whose Gram the engine builds for
-        the run only; batch GM keeps an eager one. Either way the artifacts
-        are byte for byte those of a run on an eagerly built set, here on
-        3-feature gaussian inputs (the inner-product path)."""
+        the run only; batch GM runs on an eager one and hands hold-out a
+        lazy one. Either way the artifacts are byte for byte those of a
+        run on eagerly built sets, here on 3-feature gaussian inputs (the
+        inner-product path)."""
         x = make_rng(4).random((160, 3))
         data = tmp_path / "d.csv"
         save_csv(Sample(x=x, y=np.sin(4 * x[:, 0]) + x[:, 1] * x[:, 2]), data)
@@ -444,7 +450,7 @@ class TestRun:
         with mock.patch.object(AnchorSet, "lazy", side_effect=lambda kernel, points:
                                AnchorSet.build(kernel, points, check_psd=False)) as lazy:
             assert main(argv + ["--out", str(tmp_path / "eager")]) == 0
-        assert lazy.called == ("--batch" not in extra and "BGM" not in extra)
+        assert lazy.called
         for suffix in (".model.json", ".stopping.json"):
             assert ((tmp_path / ("lazy" + suffix)).read_bytes()
                     == (tmp_path / ("eager" + suffix)).read_bytes())
@@ -470,6 +476,80 @@ class TestRun:
         assert code == 0
         assert len(json.loads((tmp_path / "r.model.json").read_text())["coefficients"]) == 700
         assert largest and largest[0] < 8 * 700 * 700
+
+    @pytest.mark.parametrize("extra", [["--batch", "--eta1", "0.5", "--T", "40"],
+                                       ["--recipe", "BGM"]], ids=["batch", "batch-recipe"])
+    def test_batch_run_holds_no_gram_at_holdout(self, tmp_path, monkeypatch, extra):
+        """Batch GM reads the Gram through its eager set; hold-out gets
+        the trajectory on a lazy set of the same points, which holds none."""
+        seen = []
+
+        def probe(trajectory, validation, metric):
+            seen.append(trajectory.anchors)
+            return cli_holdout(trajectory, validation, metric=metric)
+
+        cli_holdout = cli.holdout_stop
+        monkeypatch.setattr(cli, "holdout_stop", probe)
+        assert main(["run", "--generator", "synthetic-abs", "--m", "120", "--seed", "5", *extra,
+                     "--out", str(tmp_path / "r")]) == 0
+        assert len(seen) == 1 and seen[0].gram is None and seen[0].n == 84
+
+
+def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
+    """A kernel run on a CSV and a small rates grid write the same bytes
+    with one OpenBLAS thread as with two."""
+    data = tmp_path / "d.csv"
+    x = make_rng(8).random((300, 3))
+    save_csv(Sample(x=x, y=np.cos(3 * x[:, 0]) + x[:, 1] - x[:, 2] ** 2), data)
+    runs = [["run", "--data", str(data), "--scale", "--sigma", "1.0", "--recipe", "C4",
+             "--seed", "5", "--out"],
+            ["rates", "--m-grid", "32,64,128", "--N", "300", "--trials", "2", "--seed", "5",
+             "--out"]]
+    artifacts = {}
+    for threads in ("1", "2"):
+        env = _src_env(OPENBLAS_NUM_THREADS=threads)
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"t{threads}" / f"a{i}"
+            out.parent.mkdir(exist_ok=True)
+            subprocess.run([sys.executable, "-m", "sgdlsq.cli", *argv, str(out)], env=env,
+                           check=True, capture_output=True)
+        artifacts[threads] = {p.name: p.read_bytes()
+                              for p in sorted((tmp_path / f"t{threads}").iterdir())}
+    assert len(artifacts["1"]) == 4
+    assert artifacts["1"] == artifacts["2"]
+
+
+class TestNonFiniteFloats:
+    """nan and +-inf are refused for every float field, from a flag or the
+    config file, with exit 4 and the field's name; artifacts are strict
+    JSON."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["decompose", "--m", "12", "--b", "2", "--T", "10", "--R", "3", "--N", "40",
+          "--checkpoints", "3", "--noise-sd", "nan"], "noise_sd"),
+        (["rates", "--m-grid", "16,24,32", "--trials", "2", "--N", "50", "--noise-sd", "nan"],
+         "noise_sd"),
+        (["run", "--generator", "synthetic-abs", "--m", "40", "--b", "2", "--eta1", "0.1",
+          "--T", "20", "--noise-sd", "nan"], "noise_sd"),
+        (["rates", "--m-grid", "16,24,32", "--trials", "2", "--N", "50", "--zeta", "inf"],
+         "zeta"),
+        (["recipes", "--m", "50", "--zeta", "nan"], "zeta"),
+        (["recipes", "--m", "50", "--gamma=-inf"], "gamma"),
+        (["decompose", "--config", "{eta1_inf}"], "eta1"),
+    ], ids=["decompose-noise", "rates-noise", "run-noise", "rates-zeta", "recipes-zeta",
+            "recipes-gamma", "config-eta1"])
+    def test_refused_naming_the_field(self, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta1": math.inf, "m": 12, "b": 2, "T": 10, "R": 3,
+                                   "N": 40}))
+        argv = [a.format(eta1_inf=cfg) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+        assert f"config key {key!r} must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(tmp_path / "x.json", {"value": math.nan})
 
 
 class TestUsageErrors:

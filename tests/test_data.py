@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from sgdlsq import (
     save_csv,
     split,
 )
+from sgdlsq import data as data_mod
 
 
 class TestAbsTarget:
@@ -129,6 +133,126 @@ class TestCsvRoundTrip:
         with pytest.raises(NonNumericError) as err:
             load_csv(path)
         assert err.value.line_no == 1
+
+
+# cells the row loop reads although numpy's reader refuses them
+_ODD_CELLS = [("1_0", 10.0), ("\xa02.5", 2.5), ("+4e0", 4.0), ('"3"', 3.0)]
+# cells both refuse, and one numpy's reader alone would take
+_BAD_CELLS = ["abc", "", "1.5.2", '"1,5"', "1 2", "\x1c1.5", "nan1"]
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, expected): a CSV with header x1,...,xd,y and its sample as
+    (x, y) arrays, or (error class, line number) of its first bad line."""
+    d = draw(st.integers(1, 3))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines, values, bad = [",".join([f"x{i}" for i in range(1, d + 1)] + ["y"])], [], None
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+            continue
+        cells, row = [], []
+        for _ in range(d + 1):
+            if draw(st.integers(0, 5)) == 0:
+                text, val = draw(st.sampled_from(_ODD_CELLS))
+            else:
+                val = draw(st.floats(allow_nan=False, allow_infinity=False))
+                text = draw(st.sampled_from(["{}", '"{}"', " {} ", "\t{}"])).format(repr(val))
+            cells.append(text)
+            row.append(val)
+        fault = draw(st.sampled_from([None] * 8 + ["ragged", "extra", "cell"]))
+        if fault == "ragged":
+            cells.pop()
+        elif fault == "extra":
+            cells.append("1")
+        elif fault == "cell":
+            cells[draw(st.integers(0, d))] = draw(st.sampled_from(_BAD_CELLS))
+        if fault and bad is None:
+            kind = NonNumericError if fault == "cell" else RaggedRowError
+            bad = kind, len(lines) + 1
+        lines.append(",".join(cells))
+        values.append(row)
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    if bad is None and not values:
+        bad = EmptyDataError, 2
+    if bad is not None:
+        return text, bad
+    block = np.array(values)
+    return text, (block[:, 0] if d == 1 else block[:, :-1], block[:, -1])
+
+
+def _outcome(path):
+    try:
+        sample = load_csv(path)
+    except (EmptyDataError, NonNumericError, RaggedRowError) as exc:
+        return type(exc), exc.line_no
+    return sample.x, sample.y
+
+
+class TestCsvReaders:
+    """load_csv parses with numpy's reader and falls back to the row
+    loop where that reader refuses the file: either way the sample, or
+    the error class and line, is the row loop's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_csv_files())
+    def test_same_sample_or_error_as_the_row_loop(self, tmp_path_factory, case):
+        text, want = case
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(path)
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
+            loop = _outcome(path)
+        for result in (got, loop):
+            if isinstance(want[0], type):
+                assert result == want
+            else:
+                assert all(isinstance(a, np.ndarray) for a in result)
+                for a, b in zip(result, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                    assert a.flags.c_contiguous and not a.flags.writeable
+
+    def test_written_sample_takes_no_row_loop(self, tmp_path):
+        s, _ = gen_linear_attainable(50, 4, [1.0, -1.0, 0.5, 2.0], noise_sd=0.3, seed=6)
+        path = tmp_path / "s.csv"
+        save_csv(s, path)
+        with mock.patch.object(data_mod, "_parse_rows", wraps=data_mod._parse_rows) as loop:
+            loaded = load_csv(path)
+        assert not loop.called
+        np.testing.assert_array_equal(loaded.x, s.x)
+        np.testing.assert_array_equal(loaded.y, s.y)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("text, want", [
+        ("x1,y\n1,2\n3\n", (RaggedRowError, 3)),
+        ("x1,y\n1_0,2\n", (np.array([10.0]), np.array([2.0]))),
+    ], ids=["ragged", "underscore"])
+    def test_pipe_takes_the_row_loop_too(self, tmp_path, text, want):
+        """A pipe cannot be read twice; the row loop still reads its body
+        once numpy's reader has refused it."""
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            got = _outcome(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_ascii_separator_is_refused_as_by_float(self, tmp_path):
+        """numpy's reader strips \x1c-\x1f around a number, float() does not."""
+        path = tmp_path / "sep.csv"
+        path.write_text("x1,y\n1,2\n\x1f3,4\n", encoding="utf-8")
+        with pytest.raises(NonNumericError) as err:
+            load_csv(path)
+        assert err.value.line_no == 3
 
 
 class TestSplit:
