@@ -5,9 +5,6 @@ streams, see :mod:`sgdlsq.rng`).
 """
 
 import csv
-import io
-import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,16 +95,12 @@ def gen_linear_attainable(m: int, d: int, w_star, noise_sd: float, seed: int):
 def load_csv(path) -> Sample:
     """Read a sample from a CSV file with header ``x1,...,xd,y``.
 
-    The body is parsed by numpy's C reader into one (n, d + 1) block,
-    with no Python float per cell. A file that reader refuses is read
-    again row by row, which either returns the same sample the reader
-    would or raises a distinct structured error (with the path and the
-    1-based line number) for an empty file, a ragged row, or a
-    non-numeric cell.
+    Each cell goes through float() straight into one float64 block, so
+    no Python float is kept per cell. Raises a distinct structured error
+    (with the path and the 1-based line number) for an empty file, a
+    ragged row, or a non-numeric cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        if not fh.seekable():  # a pipe: keep its text for a second read
-            fh = io.StringIO(fh.read(), newline="")
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -120,43 +113,19 @@ def load_csv(path) -> Sample:
             raise NonNumericError(
                 f"header must be x1,...,xd,y; got {','.join(header)}", 1, path
             )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input contained no data"
-                body = np.loadtxt(_reader_lines(fh), delimiter=",", comments=None,
-                                  quotechar='"', ndmin=2)
-        except (ValueError, UserWarning):
-            body = None
-        if body is None or body.shape[1] != d + 1:
-            fh.seek(0)
-            body = _parse_rows(fh, d, path)
+        cells = np.fromiter(_row_cells(reader, d, path), dtype=np.float64)
+    if cells.size == 0:
+        raise EmptyDataError("no data rows", 2, path)
+    body = cells.reshape(-1, d + 1)
     x = body[:, :-1]
     if d == 1:
         x = x[:, 0]
     return Sample(x=_freeze(x), y=_freeze(body[:, -1]))
 
 
-# Around a number numpy's reader strips the ASCII separators \x1c-\x1f,
-# which float() keeps in an all-ASCII cell and then refuses
-_SEPARATORS = re.compile("[\x1c-\x1f]")
-
-
-def _reader_lines(fh):
-    """The lines of ``fh`` for numpy's reader; a ValueError on a line
-    whose cells it could read where float() cannot."""
-    for line in fh:
-        if _SEPARATORS.search(line):
-            raise ValueError("ASCII separator in a line")
-        yield line
-
-
-def _parse_rows(fh, d, path):
-    """The body of a CSV whose header, of width d, opens ``fh``: one
-    float() per cell into the (n, d + 1) block, or the structured error
-    of its first bad line."""
-    reader = csv.reader(fh)
-    next(reader)
-    rows = []
+def _row_cells(reader, d, path):
+    """The cells of each data row after the header, as floats in file
+    order; the structured error of the first ragged or non-numeric row."""
     for line_no, row in enumerate(reader, start=2):
         if len(row) == 0:
             continue
@@ -165,13 +134,11 @@ def _parse_rows(fh, d, path):
                 f"expected {d + 1} cells, found {len(row)}", line_no, path
             )
         try:
-            rows.append([float(c) for c in row])
+            values = [float(c) for c in row]
         except ValueError:
             bad = next(c for c in row if not _is_float(c))
             raise NonNumericError(f"non-numeric cell {bad!r}", line_no, path) from None
-    if not rows:
-        raise EmptyDataError("no data rows", 2, path)
-    return np.array(rows, dtype=np.float64)
+        yield from values
 
 
 def _is_float(cell):
