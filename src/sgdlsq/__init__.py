@@ -27,7 +27,6 @@ from .decomposition import (
     UnbiasednessReport,
     decompose,
     decompose_batch,
-    effective_dimension,
     excess_risk,
     fit_rate,
     h_norm_error,
@@ -73,6 +72,6 @@ from .spaces import (
     mean_square_error,
     predict,
 )
-from .stopping import StoppingOutcome, holdout_stop, tstar_outcome
+from .stopping import StoppingOutcome, holdout_stop
 
 __version__ = "0.1.0"

@@ -389,6 +389,8 @@ def cmd_run(args):
                              "(or use --recipe)")
         b, T = cfg["b"], cfg["T"]
         schedule = StepSchedule(eta1=cfg["eta1"], theta=cfg["theta"], kappa_sq=ksq)
+        # nor the recipe settings it does not read
+        cfg["zeta"] = cfg["gamma"] = cfg["epsilon"] = cfg["c_eta"] = None
     if T >= 3:
         check = validate_schedule(schedule, T)
         if not check.ok:

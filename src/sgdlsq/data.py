@@ -93,14 +93,15 @@ def gen_linear_attainable(m: int, d: int, w_star, noise_sd: float, seed: int):
 
 
 def load_csv(path) -> Sample:
-    """Read a sample from a CSV file with header ``x1,...,xd,y``.
+    """Read a sample from a CSV file with header ``x1,...,xd,y``, past a
+    UTF-8 byte-order mark where the file opens with one.
 
     Each cell goes through float() straight into one float64 block, so
     no Python float is kept per cell. Raises a distinct structured error
     (with the path and the 1-based line number) for an empty file, a
     ragged row, or a non-numeric cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -134,16 +134,6 @@ def h_norm_error(h: HypothesisVector, w_star) -> float:
     return float(diff @ diff)
 
 
-def effective_dimension(eigenvalues, lam: float) -> float:
-    """sum_i sigma_i / (sigma_i + lam); nonincreasing in lam."""
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    eigs = np.asarray(eigenvalues, dtype=np.float64).reshape(-1)
-    if np.any(eigs < 0):
-        raise ValueError("eigenvalues must be nonnegative")
-    return float(np.sum(eigs / (eigs + lam)))
-
-
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares fit of ln(error) against ln(m)."""

@@ -14,8 +14,8 @@ All three start from the zero element and share the step-size law from
 * A single run is inherently sequential; independent runs (distinct
   plans) advance in lockstep as one block (:func:`run_sgm_trials`).
   Single-point (b = 1) runs advance a block of steps per triangular
-  solve over their inputs or a low-rank factor of the Gram, within
-  1e-12 relative of the step loop, which runs where they cannot.
+  solve over their Gram's rows or their inputs, within 1e-12 relative
+  of the step loop, which runs where they cannot.
 * Batch GM is computed in closed form as a spectral filter of a
   factor of the Gram or of the euclidean inputs; its step loop runs
   only as the fallback, when the factor is over budget or the iterate
@@ -53,16 +53,6 @@ _STACK_BYTES = 64 << 20
 # Steps per triangular solve on the blocked single-point SGM path: the
 # batched LU costs O(B^3) per block, and 16 measured fastest (64 slower).
 _BLOCK = 16
-
-# A blocked kernel run reads its residuals off phi z, with z = phi^T a
-# carried step by step and phi phi^T ~= K. Over long runs the
-# coefficients drift in K's null space and the rounding of both adds up,
-# so the run is kept only where phi z matches the Gram's K a to this
-# relative bound at every checkpoint. Across 197 random linear and
-# gaussian runs (m <= 120, T <= 40000) the blocked values were at most
-# 1.8 times this check from the step loop's.
-_FACTOR_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class IndexPlan:
@@ -235,17 +225,16 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     d (euclidean).
 
     With b = 1 a trial runs on the blocked path (:func:`_blocked_sgm`),
-    ``_BLOCK`` steps per triangular solve, when it has a feature matrix
-    (:func:`_step_features`: its inputs, or a pivoted-Cholesky factor of
-    its Gram within the rank budget) on which every step keeps
-    eta_t ||phi_j||^2 <= 1. It stays within 1e-12 relative of the step
-    loop, not bit for bit. Every other trial, every blocked trial whose
-    iterate bound could reach half the divergence limit, and every
-    blocked kernel trial whose values phi z stray from the Gram's K a
-    (``_FACTOR_TOL``) runs the lockstep step loop from step 0: each step
-    gathers the sampled rows of those trials as one (R, b, w) block and
-    contracts it with the (R, w) iterate block. Either way trial r
-    follows a single run on plan r bit for bit. Divergence raises
+    ``_BLOCK`` steps per triangular solve on its Gram's rows or its
+    inputs, in chunks of at most ``_BLOCK`` kernel trials, when every
+    step keeps eta_t K_jj <= 1 (or eta_t ||x_j||^2 <= 1) and a kernel
+    sample holds more than one point. It stays within 1e-12 relative of
+    the step loop, not bit for bit. Every other trial, and every blocked
+    trial whose iterate bound could reach half the divergence limit,
+    runs the lockstep step loop from step 0: each step gathers the
+    sampled rows of those trials as one (R, b, w) block and contracts it
+    with the (R, w) iterate block. Either way trial r follows a single
+    run on plan r bit for bit. Divergence raises
     ``DivergenceError(t, "trial r")`` for the earliest diverging step t
     and the lowest trial r diverging at it, both as the step loop finds
     them.
@@ -275,6 +264,8 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     etas = schedule.etas(T) / b
     out = np.empty((len(cps), R, w))
     chunk = max(1, _STACK_BYTES // (8 * w * (b + (m if stacked else 0))))
+    if kernel and b == 1:  # a block gathers _BLOCK Gram rows per trial
+        chunk = min(chunk, _BLOCK)
     diverged = None
     for lo in range(0, R, chunk):
         trials = np.arange(lo, min(lo + chunk, R))
@@ -345,137 +336,104 @@ def _check_table(table, m):
         raise ValueError(f"index table entries must lie in [0, {m})")
 
 
-def _step_features(mat, kernel, etas):
-    """The feature rows phi (m, k) a single-point trial runs on blocked:
-    its inputs, or for a kernel the rows of L from the pivoted-Cholesky
-    factor K ~= L L^T (as batch GM cuts it) when its rank is within
-    :func:`_factor_budget`. None when there is no such factor or when
-    eta_1 ||phi_j||^2 > 1 for some row: the step condition keeps every
-    entry of the block systems at most 1, so their LU never pivots."""
-    if kernel:
-        m = len(mat)
-        rows = _pivoted_cholesky(mat, _factor_budget(len(etas), m, m, quarters=2))
-        if rows is None:
-            return None
-        mat = np.ascontiguousarray(rows.T)
-    if etas[0] * np.einsum("ij,ij->i", mat, mat).max() > 1:
-        return None
-    return mat
-
-
 def _run_blocked(src, ys, sampled, kernel, etas, cps, out, trials):
-    """Runs the chunk's trials that have step features (one shared
-    ``src`` or one per trial, stacked) on :func:`_blocked_sgm`, in groups
-    of equal feature width, and writes their checkpoints into
-    ``out[:, trials]``. Returns the positions in the chunk left to the
-    step loop: no features, a bound on the iterate, sum_t |eta_t rho_t|
-    (times the Gram's largest diagonal, or max|X| for euclidean), over
-    half the limit, or (kernel) sample values phi z off the Gram's K a by
-    more than ``_FACTOR_TOL``."""
-    m = src.shape[-2]
-    shared = src.ndim == 2
-    scale = _coef_scale(src) if kernel else None
-    feats = [_step_features(s, kernel, etas) for s in ([src] if shared else src)]
-    groups, loop = {}, []
-    for j in range(len(trials)):
-        f = feats[0 if shared else j]
-        if f is None:
-            loop.append(j)
-        else:
-            groups.setdefault(f.shape[1], []).append(j)
-    for members in map(np.array, groups.values()):
-        # group trial j's point r is row r + j m of stacked samples and
-        # coefficient r + j m of the flattened coefficient block
-        shift = (np.arange(len(members)) * m)[:, None]
-        if shared:  # the group is the whole chunk, on one sample's rows
-            phi, y, rows = feats[0], ys, sampled
-            checks = [(src, phi, slice(None))]
-        else:  # the rows already carry the shift
-            phi = np.concatenate([feats[j] for j in members])
-            y = ys.reshape(-1, m)[members].reshape(-1)
-            rows, shift = sampled[:, members] + shift.T, 0
-            checks = [(src[j], feats[j], slice(i, i + 1)) for i, j in enumerate(members)]
-        # consecutive trials run straight into their columns of out; a
-        # trial dropped below is rewritten there by the step loop
-        first, n_in = trials[members[0]], members[-1] - members[0] + 1
-        dest = out[:, first:first + n_in] if n_in == len(members) else None
-        coef, fits, reach = _blocked_sgm(phi, y, rows, shift if kernel else None, m, etas, cps,
-                                         dest, checks if kernel else ())
-        if kernel:
-            reach *= scale if shared else scale[members]
-        else:
-            reach *= np.abs(phi).reshape(-1, m * phi.shape[1]).max(axis=1)
-        ok = (reach < _DIVERGENCE_LIMIT / 2) & fits  # also false for nan
-        if dest is None:
-            out[:, trials[members[ok]]] = coef[:, ok]
-        loop.extend(members[~ok])
-    return np.sort(np.array(loop, dtype=np.int64))
+    """Runs the chunk's trials (one shared ``src`` or one per trial,
+    stacked) on :func:`_blocked_sgm` where every step keeps
+    eta_t K_jj <= 1 (kernel) or eta_t ||x_j||^2 <= 1 (euclidean), and
+    writes their checkpoints into ``out[:, trials]``. The step condition
+    keeps every entry of the block systems at most 1, so their LU never
+    pivots. Returns the positions in the chunk left to the step loop:
+    those whose steps do not keep it, kernel trials on a single point (the
+    loop is then bit for bit batch GM's, as the decomposition needs), and
+    those whose bound on the iterate, sum_t |eta_t rho_t| times the Gram's
+    largest diagonal (max|X| for euclidean), reaches half the limit."""
+    m, w = src.shape[-2:]
+    top = _coef_scale(src) if kernel else np.einsum("...ij,...ij->...i", src, src).max(axis=-1)
+    loop = np.broadcast_to((etas[0] * top > 1) | (kernel and m == 1), len(trials)).copy()
+    members = np.flatnonzero(~loop)
+    if not members.size:
+        return np.flatnonzero(loop)
+    scale = np.broadcast_to(top if kernel else np.abs(src).max(axis=(-2, -1)),
+                            len(trials))[members]
+    # trial j's point r is row r + j m of stacked samples
+    offset = (members * m)[:, None] if src.ndim == 3 else 0
+    whole = len(members) == len(trials)
+    # a whole chunk runs straight into its columns of out; a trial
+    # dropped below is rewritten there by the step loop
+    dest = out[:, trials[0]:trials[-1] + 1] if whole else None
+    coef, reach = _blocked_sgm(src.reshape(-1, w), ys, sampled if whole else sampled[:, members],
+                               offset, kernel, etas, cps, dest)
+    ok = reach * scale < _DIVERGENCE_LIMIT / 2  # also false for nan
+    if not whole:
+        out[:, trials[members[ok]]] = coef[:, ok]
+    loop[members[~ok]] = True
+    return np.flatnonzero(loop)
 
 
-def _blocked_sgm(phi, ys, rows, shift, width, etas, cps, out=None, checks=()):
+def _blocked_sgm(phi, ys, rows, offset, kernel, etas, cps, out=None):
     """Single-point SGM for g trials on feature rows ``phi``, ``_BLOCK``
     steps per triangular solve.
 
-    The iterate is z = phi^T a (kernel, K ~= phi phi^T, a the
-    coefficients) or the coordinates (euclidean, phi = X). In a block of
-    B steps with sampled rows P (B, k), the residuals rho solve the unit
-    lower-triangular (Gauss-Seidel) system
-    (I + tril(P P^T, -1) diag(eta)) rho = P z - y, and then
-    z <- z - eta_1 rho_1 P_1 - ... - eta_B rho_B P_B, subtracted in step
-    order as the loop does, so a zero input feature stays exactly zero
-    (a sum would go pairwise where it runs along a contiguous axis, as
-    for one feature and one trial). ``rows`` (T, g) gives each step's
-    row of ``phi`` and ``ys`` per trial; for a kernel, row + ``shift``
-    (g, 1) is its coefficient in the flattened (g, width) block
-    (``shift`` is None for euclidean, whose iterate is z). Blocks are cut
-    at the checkpoints. Each check (K, f, trials) of ``checks`` compares
-    the values f z of those trials with K a at every checkpoint. Returns
-    the checkpoint iterates (n_cp, g, w), written into ``out`` where it
-    is given; per trial, whether f z stayed within ``_FACTOR_TOL`` of the
-    largest |K a| (True where unchecked); and per trial
-    sum_t |eta_t rho_t|, which bounds every |a| (and, times max|X|,
-    every |z|) along the run.
+    ``phi`` holds the trials' Gram rows (kernel) or input rows
+    (euclidean), and ``ys`` their targets; step t of trial i samples row
+    ``rows[t - 1, i] + offset[i]`` of both, and for a kernel coefficient
+    ``rows[t - 1, i]`` of its iterate. In a block of B steps with sampled
+    rows P (B, w) and sampled points J the residuals rho solve the unit
+    lower-triangular (Gauss-Seidel) system (I + tril(G, -1) diag(eta)) rho
+    = P v - y, with v the iterate: for a kernel G = K[J, J], read off
+    ``phi`` in one flat take, v the coefficients a and then
+    a[J] <- a[J] - eta rho, subtracted step by step as the loop does; for
+    euclidean G = P P^T, v the coordinates and then
+    v <- v - eta_1 rho_1 P_1 - ... - eta_B rho_B P_B, subtracted in step
+    order, so a zero input feature stays exactly zero (a sum would go
+    pairwise where it runs along a contiguous axis, as for one feature and
+    one trial). Blocks are cut at the checkpoints. Returns the checkpoint
+    iterates (n_cp, g, w), written into ``out`` where it is given, and
+    per trial sum_t |eta_t rho_t|, which bounds every |a| (and, times
+    max|X|, every |v|) along the run.
     """
     T, g = rows.shape
-    z = np.zeros((g, phi.shape[1]))
-    coef = z if shift is None else np.zeros((g, width))
+    w = phi.shape[1]
+    flat = phi.reshape(-1) if kernel else None
+    v = np.zeros((g, w))
     if out is None:
-        out = np.empty((len(cps),) + coef.shape)
-    # per trial, the largest |f z - K a| and |K a| over the checkpoints
-    gap, top = np.zeros(g), np.zeros(g)
+        out = np.empty((len(cps), g, w))
     reach = np.zeros(g)
+    pick_off = (np.arange(g) * w)[:, None]
     lower, eye = np.tri(_BLOCK, k=-1), np.eye(_BLOCK)
-    # z, then the block's sampled rows, which become its updates in
-    # place; reduced by subtraction in step order
-    updates = np.empty((_BLOCK + 1,) + z.shape)
+    # v, then the block's sampled rows, which (euclidean) become its
+    # updates in place; reduced by subtraction in step order
+    updates = np.empty((_BLOCK + 1, g, w))
     edges = sorted({0, T, *cps})
     # a trial that diverges here is rerun by the step loop
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
             for t0 in range(lo, hi, _BLOCK):
                 t1 = min(t0 + _BLOCK, hi)
-                n, eta, at = t1 - t0, etas[t0:t1], rows[t0:t1].T
+                n, eta = t1 - t0, etas[t0:t1]
+                at = rows[t0:t1].T.astype(np.intp)
+                grow = at + offset
                 # "clip" writes into out directly ("raise" buffers); rows are in range
-                sampled = np.take(phi, rows[t0:t1], axis=0, out=updates[1:n + 1], mode="clip")
+                sampled = np.take(phi, grow.T, axis=0, out=updates[1:n + 1], mode="clip")
                 P = sampled.transpose(1, 0, 2)
-                system = np.matmul(P, P.transpose(0, 2, 1))
+                if kernel:
+                    system = np.take(flat, grow[:, :, None] * w + at[:, None, :], mode="clip")
+                else:
+                    system = np.matmul(P, P.transpose(0, 2, 1))
                 system *= lower[:n, :n] * eta
                 system += eye[:n, :n]
-                r0 = np.matmul(P, z[:, :, None]) - ys[at][:, :, None]
+                r0 = np.matmul(P, v[:, :, None]) - ys[grow][:, :, None]
                 u = np.linalg.solve(system, r0)[..., 0] * eta
-                updates[0] = z
-                sampled *= u.T[:, :, None]
-                np.subtract.reduce(updates[:n + 1], axis=0, out=z)
-                if shift is not None:
-                    np.subtract.at(coef.reshape(-1), at + shift, u)
+                if kernel:
+                    np.subtract.at(v.reshape(-1), at + pick_off, u)
+                else:
+                    updates[0] = v
+                    sampled *= u.T[:, :, None]
+                    np.subtract.reduce(updates[:n + 1], axis=0, out=v)
                 reach += np.abs(u).sum(axis=1)
             if i < len(cps):
-                out[i] = coef
-                for gram, f, sel in checks:
-                    vals = coef[sel] @ gram
-                    gap[sel] = np.maximum(gap[sel], np.abs(z[sel] @ f.T - vals).max(axis=1))
-                    top[sel] = np.maximum(top[sel], np.abs(vals).max(axis=1))
-    return out, gap <= _FACTOR_TOL * top, reach
+                out[i] = v
+    return out, reach
 
 
 def run_sgm(
@@ -525,19 +483,17 @@ def _pivoted_cholesky(gram, max_rank):
     return rows if resid.sum() <= tol else None
 
 
-def _factor_budget(T, n, step_cost, quarters=7):
-    """Largest rank k of a factor worth building in place of T loop steps
-    of step_cost multiply-adds each, when the factor and its use cost
-    ``quarters`` k^2 n / 4 multiply-adds.
-
-    Batch GM counts 7: k^2 n / 2 for the pivots, k^2 n for L^T L and k^3
-    for its eigh, which is at most k^2 n / 4 because k <= n / 4 also keeps
-    the factor at a quarter of an n x n Gram. Single-point SGM counts the
-    pivots alone, 2. The factor may cost a quarter of the loop, so pivots
-    given up at the budget have spent a fourteenth of it (batch GM) or a
-    quarter (SGM). An operation count, not a measurement.
+def _factor_budget(T, n, step_cost):
+    """Largest rank k of a factor worth building for batch GM in place of
+    T loop steps of step_cost multiply-adds each, when the factor and its
+    use cost 7 k^2 n / 4 multiply-adds: k^2 n / 2 for the pivots, k^2 n
+    for L^T L and k^3 for its eigh, which is at most k^2 n / 4 because
+    k <= n / 4 also keeps the factor at a quarter of an n x n Gram. The
+    factor may cost a quarter of the loop, so pivots given up at the
+    budget have spent a fourteenth of it. An operation count, not a
+    measurement.
     """
-    return min(n // 4, math.isqrt(int(T) * step_cost // (quarters * n)))
+    return min(n // 4, math.isqrt(int(T) * step_cost // (7 * n)))
 
 
 def _gm_steps(grad, w, etas, cp_pos, out, where, scale):

@@ -61,17 +61,3 @@ def holdout_stop(
         errors=tuple(float(e) for e in errors),
         rule="holdout-argmin",
     )
-
-
-def tstar_outcome(trajectory: Trajectory, t_star: int) -> StoppingOutcome:
-    """Select the checkpoint at (or the last one before) a prescribed
-    stopping iteration, without looking at any data."""
-    eligible = [t for t in trajectory.checkpoints if t <= t_star]
-    if not eligible:
-        raise ValueError(f"no checkpoint at or before t_star={t_star}")
-    return StoppingOutcome(
-        chosen_t=eligible[-1],
-        checkpoints=trajectory.checkpoints,
-        errors=(),
-        rule="theoretical-Tstar",
-    )

@@ -360,14 +360,17 @@ class TestRun:
     ], ids=["euclidean", "sobolev", "gaussian"])
     def test_config_records_only_the_kernel_settings_read(self, tmp_path, space, kernel):
         """A euclidean run reads neither --kernel nor --sigma and a
-        sobolev run no --sigma; both artifacts record those as null."""
+        sobolev run no --sigma, and an explicit-mode run none of the
+        recipe settings, not even an invalid --c-eta; both artifacts
+        record those as null."""
         assert main(["run", "--generator", "synthetic-abs", "--m", "40", *space, "--sigma",
-                     "0.3", "--b", "1", "--eta1", "0.1", "--T", "5",
+                     "0.3", "--b", "1", "--eta1", "0.1", "--T", "5", "--c-eta", "-1",
                      "--out", str(tmp_path / "r")]) == 0
         for suffix in (".model.json", ".stopping.json"):
             config = json.loads((tmp_path / ("r" + suffix)).read_text())["config"]
             assert (config["kernel"], config["sigma"]) == (
                 kernel, 0.3 if kernel == "gaussian" else None)
+            assert [config[k] for k in ("zeta", "gamma", "epsilon", "c_eta")] == [None] * 4
 
     def test_one_feature_euclidean_kappa_is_the_largest_square(self, tmp_path):
         """kappa^2 = max_i ||x_i||^2 for one feature too, so appending an
@@ -496,15 +499,20 @@ class TestRun:
 
 
 def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
-    """A kernel run on a CSV and a small rates grid write the same bytes
-    with one OpenBLAS thread as with two."""
-    data = tmp_path / "d.csv"
-    x = make_rng(8).random((300, 3))
-    save_csv(Sample(x=x, y=np.cos(3 * x[:, 0]) + x[:, 1] - x[:, 2] ** 2), data)
+    """Kernel runs on a CSV and a small rates grid write the same bytes
+    with one OpenBLAS thread as with two. The b = 1 run trains on 1050
+    points, so its blocked steps multiply 16 sampled Gram rows 1050 long
+    by the coefficients."""
+    data, big = tmp_path / "d.csv", tmp_path / "big.csv"
+    for path, rows in ((data, 300), (big, 1500)):
+        x = make_rng(8).random((rows, 3))
+        save_csv(Sample(x=x, y=np.cos(3 * x[:, 0]) + x[:, 1] - x[:, 2] ** 2), path)
     runs = [["run", "--data", str(data), "--scale", "--sigma", "1.0", "--recipe", "C4",
              "--seed", "5", "--out"],
             ["rates", "--m-grid", "32,64,128", "--N", "300", "--trials", "2", "--seed", "5",
-             "--out"]]
+             "--out"],
+            ["run", "--data", str(big), "--sigma", "1.0", "--b", "1", "--eta1", "0.5",
+             "--T", "4000", "--seed", "5", "--out"]]
     artifacts = {}
     for threads in ("1", "2"):
         env = _src_env(OPENBLAS_NUM_THREADS=threads)
@@ -515,7 +523,7 @@ def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
                            check=True, capture_output=True)
         artifacts[threads] = {p.name: p.read_bytes()
                               for p in sorted((tmp_path / f"t{threads}").iterdir())}
-    assert len(artifacts["1"]) == 4
+    assert len(artifacts["1"]) == 6
     assert artifacts["1"] == artifacts["2"]
 
 

@@ -97,6 +97,17 @@ class TestCsvRoundTrip:
         assert loaded.x.ndim == 1
         np.testing.assert_array_equal(loaded.x, s.x)
 
+    def test_byte_order_mark(self, tmp_path):
+        """A "CSV UTF-8" file as spreadsheets save it, which opens with a
+        UTF-8 byte-order mark, loads the sample of the file without."""
+        s, _ = gen_linear_attainable(12, 2, [1.0, -0.5], noise_sd=0.3, seed=5)
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        save_csv(s, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(bom)
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.y, want.y)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

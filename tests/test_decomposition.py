@@ -13,7 +13,6 @@ from sgdlsq import (
     abs_target,
     decompose,
     decompose_batch,
-    effective_dimension,
     euclidean_vector,
     excess_risk,
     fit_rate,
@@ -30,7 +29,6 @@ from sgdlsq import (
     unbiasedness_check,
 )
 from sgdlsq import decomposition, iterations
-from sgdlsq.bounds import fsum
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -64,37 +62,6 @@ class TestHNormError:
         h = kernel_vector([1.0, 0.0], anchors)
         with pytest.raises(ValueError, match="known minimizer"):
             h_norm_error(h, [0.0, 0.0])
-
-
-class TestEffectiveDimension:
-    def test_large_lambda_limit(self):
-        eigs = np.array([1.0, 0.3, 0.01])
-        assert effective_dimension(eigs, 1e12 * eigs.max()) <= 1e-6
-
-    def test_hand_value(self):
-        np.testing.assert_allclose(
-            effective_dimension([1.0, 0.5], 0.5), 1 / 1.5 + 0.5 / 1.0, rtol=1e-15
-        )
-
-    def test_polynomial_spectrum_against_fsum_oracle(self):
-        i = np.arange(1, 4097, dtype=np.float64)
-        eigs = i**-2.0
-        lam = 0.01
-        oracle = fsum(eigs / (eigs + lam))
-        np.testing.assert_allclose(effective_dimension(eigs, lam), oracle, atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_monotone_in_lambda_and_below_rank(self, seed):
-        rng = np.random.default_rng(seed)
-        eigs = rng.random(30)
-        lams = np.geomspace(1e-4, 10, 12)
-        vals = [effective_dimension(eigs, lam) for lam in lams]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[0] <= 30
-
-    def test_lambda_positive(self):
-        with pytest.raises(ValueError):
-            effective_dimension([1.0], 0.0)
 
 
 class TestFitRate:

@@ -16,7 +16,6 @@ from sgdlsq import (
     run_batch_gm,
     sample_index_plan,
     run_sgm,
-    tstar_outcome,
 )
 from sgdlsq.iterations import Trajectory
 
@@ -148,19 +147,3 @@ class TestSharedValidationFeatures:
         reference = _per_vector_errors(traj, val, metric)
         assert out.errors == tuple(reference)
         assert out.chosen_t == cps[int(np.argmin(reference))]
-
-
-class TestTstarOutcome:
-    def test_exact_checkpoint(self):
-        traj = _toy_trajectory([0.1, 0.2], (5, 10))
-        out = tstar_outcome(traj, 10)
-        assert out.chosen_t == 10 and out.rule == "theoretical-Tstar"
-
-    def test_rounds_down_to_available(self):
-        traj = _toy_trajectory([0.1, 0.2], (5, 10))
-        assert tstar_outcome(traj, 8).chosen_t == 5
-
-    def test_no_eligible_checkpoint(self):
-        traj = _toy_trajectory([0.1], (5,))
-        with pytest.raises(ValueError):
-            tstar_outcome(traj, 3)
