@@ -28,14 +28,14 @@ import numpy as np
 from . import __version__
 from .bounds import acceptance_sweep, verdicts_to_csv
 from .data import abs_target, gen_synthetic_abs, load_csv, minmax_scale, misclassification, split
-from .decomposition import decompose, decompose_batch, fit_rate
+from .decomposition import decompose, decompose_batch, excess_risk, fit_rate
 from .errors import DataFormatError, DivergenceError
 from .iterations import (log_checkpoints, run_batch_gm, run_sgm, run_sgm_trials,
                          sample_index_plan, sample_index_table)
-from .kernels import KernelSpec, cross_matrix, kappa_sq
+from .kernels import KernelSpec, kappa_sq
 from .rng import GENERATOR_NAME, SEED_MIXER_NAME, make_rng, mix_seed
 from .schedules import RECIPE_IDS, StepSchedule, recipe, recipe_table, validate_schedule
-from .spaces import AnchorSet, mean_square_error
+from .spaces import AnchorSet, kernel_vector, mean_square_error
 from .stopping import holdout_stop
 
 EXIT_OK = 0
@@ -245,6 +245,8 @@ def cmd_rates(args):
     m_grid = cfg["m_grid"] = _parse_grid(cfg["m_grid"])
     if len(m_grid) < 3:
         raise ValueError("rates needs a grid of at least 3 sample sizes")
+    if len(set(m_grid)) < len(m_grid):
+        raise ValueError(f"m_grid must not repeat a sample size, got {cfg['m_grid']}")
     trials = cfg["trials"]
     if trials < 2:
         raise ValueError(f"--trials must be at least 2 for standard errors, got {trials}")
@@ -252,7 +254,6 @@ def cmd_rates(args):
         raise ValueError(f"--N must be at least 1 surrogate point, got {cfg['N']}")
     kernel = KernelSpec("gaussian", sigma=cfg["sigma"])
     surr = make_rng(mix_seed(cfg["seed"], 0)).random(cfg["N"])
-    f_surr = abs_target(surr)
     rows = []
     for mi, m in enumerate(m_grid):
         rec = recipe(cfg["recipe"], m, zeta=cfg["zeta"], gamma=cfg["gamma"], eps=cfg["epsilon"],
@@ -267,8 +268,7 @@ def cmd_rates(args):
         else:
             table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
             finals = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))[0]
-        # excess risk over the surrogate points, computed as excess_risk does
-        risks = [float(np.mean((cross_matrix(kernel, surr, s.x) @ c - f_surr) ** 2))
+        risks = [excess_risk(kernel_vector(c, AnchorSet.lazy(kernel, s.x)), surr, abs_target)
                  for s, c in zip(samples, finals)]
         mean = float(np.mean(risks))
         se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))

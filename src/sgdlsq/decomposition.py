@@ -149,7 +149,8 @@ def fit_rate(pairs) -> RateFit:
     """Ordinary least squares on (ln m, ln error).
 
     Pairs with nonpositive error are excluded (and reported); at least
-    three positive pairs must remain.
+    three positive pairs must remain, at two or more distinct m, or the
+    slope is not determined.
     """
     kept, dropped = [], []
     for m, err in pairs:
@@ -158,6 +159,8 @@ def fit_rate(pairs) -> RateFit:
         raise ValueError(
             f"rate fitting needs >= 3 positive-error pairs, got {len(kept)}"
         )
+    if len({m for m, _ in kept}) < 2:
+        raise ValueError(f"rate fitting needs >= 2 distinct m, got only m = {kept[0][0]:g}")
     log_m = np.log([m for m, _ in kept])
     log_e = np.log([e for _, e in kept])
     slope, intercept = np.polyfit(log_m, log_e, 1)

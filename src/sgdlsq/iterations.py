@@ -12,10 +12,10 @@ All three start from the zero element and share the step-size law from
   the whole sample, pre-drawn into an :class:`IndexPlan`, so a run is a
   pure function of its inputs and every rerun is bit-identical.
 * A single run is inherently sequential; independent runs (distinct
-  plans) advance in lockstep as one block (:func:`run_sgm_trials`).
-  Single-point (b = 1) runs advance a block of steps per triangular
-  solve over their Gram's rows or their inputs, within 1e-12 relative
-  of the step loop, which runs where they cannot.
+  plans) advance in lockstep as one block (:func:`run_sgm_trials`) on one
+  engine. Single-point (b = 1) runs take a block of steps per triangular
+  solve over their Gram's rows or their inputs, within 1e-12 relative of
+  the step loop, which is the same engine at block length 1.
 * Batch GM is computed in closed form as a spectral filter of a
   factor of the Gram or of the euclidean inputs; its step loop runs
   only as the fallback, when the factor is over budget or the iterate
@@ -218,26 +218,24 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     set (:meth:`AnchorSet.lazy`) it builds its own, with the checks of
     ``AnchorSet.build(check_psd=False)``, and frees it on return, so the
     Gram lives only while SGM reads it. Besides its Grams, the index
-    table and the returned block, the run holds O(R b w): the step loop
-    gathers every step's sampled rows into one buffer per chunk, and a
-    blocked run writes its checkpoints straight into the returned block.
-    Returns the checkpoint iterates, (n_cp, R, w) with w = m (kernel) or
-    d (euclidean).
+    table and the returned block, the run holds O(R b w): each block of
+    steps gathers its sampled rows into one buffer per chunk, and the
+    checkpoints are written straight into the returned block. Returns
+    the checkpoint iterates, (n_cp, R, w) with w = m (kernel) or d
+    (euclidean).
 
-    With b = 1 a trial runs on the blocked path (:func:`_blocked_sgm`),
-    ``_BLOCK`` steps per triangular solve on its Gram's rows or its
-    inputs, in chunks of at most ``_BLOCK`` kernel trials, when every
-    step keeps eta_t K_jj <= 1 (or eta_t ||x_j||^2 <= 1) and a kernel
-    sample holds more than one point. It stays within 1e-12 relative of
-    the step loop, not bit for bit. Every other trial, and every blocked
-    trial whose iterate bound could reach half the divergence limit,
-    runs the lockstep step loop from step 0: each step gathers the
-    sampled rows of those trials as one (R, b, w) block and contracts it
-    with the (R, w) iterate block. Either way trial r follows a single
-    run on plan r bit for bit. Divergence raises
-    ``DivergenceError(t, "trial r")`` for the earliest diverging step t
-    and the lowest trial r diverging at it, both as the step loop finds
-    them.
+    One engine, :func:`_sgm_steps`, runs every trial. A b = 1 trial takes
+    ``_BLOCK`` steps per triangular solve on its Gram's rows or inputs, in
+    chunks of at most ``_BLOCK`` kernel trials, when every step keeps
+    eta_t K_jj <= 1 (eta_t ||x_j||^2 <= 1) and a kernel sample holds more
+    than one point; it stays within 1e-12 relative of the step loop. Every
+    other trial, and a blocked one whose iterate bound could reach half
+    the divergence limit (rerun from step 0), takes block length 1: the
+    lockstep step loop, which contracts each step's sampled rows, one
+    (R, b, w) block, with the (R, w) iterate block. Trial r follows a
+    single run on plan r bit for bit. Divergence raises
+    ``DivergenceError(t, "trial r")`` for the earliest diverging step t and
+    the lowest trial r diverging at it, as the step loop finds them.
     """
     stacked = not isinstance(samples, Sample)
     samples = list(samples) if stacked else [samples]
@@ -260,7 +258,6 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
                else _as_matrix(samples[0].x))
     w = m if kernel else samples[0].dim
     cps = normalize_checkpoints(checkpoints, T)
-    cp_pos = {t: i for i, t in enumerate(cps)}
     etas = schedule.etas(T) / b
     out = np.empty((len(cps), R, w))
     chunk = max(1, _STACK_BYTES // (8 * w * (b + (m if stacked else 0))))
@@ -268,57 +265,32 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
         chunk = min(chunk, _BLOCK)
     diverged = None
     for lo in range(0, R, chunk):
-        trials = np.arange(lo, min(lo + chunk, R))
+        hi = min(lo + chunk, R)
         if stacked:
-            src = np.empty((len(trials), m, w))
-            for j, r in enumerate(trials):
-                x = samples[r].x
-                src[j] = build_gram(ctx, x, check_psd=False).values if kernel else _as_matrix(x)
-            ys = np.concatenate([samples[r].y for r in trials])
-        # positions in the chunk of the trials left to the step loop
-        loop = np.arange(len(trials))
-        if b == 1:
-            loop = _run_blocked(src, ys, table[:, lo:lo + len(trials), 0], kernel, etas, cps, out,
-                                trials)
-        if not loop.size:
-            continue
-        sel = trials[loop]
-        cols = sel if len(sel) < len(trials) else slice(lo, lo + len(sel))
-        # table[t - 1, cols] + pick_off locates each trial's sampled
-        # coefficients in A.ravel(), + row_off its sampled rows in the
-        # chunk's samples; both per step, so no (T, R, b) table of positions
-        # is formed
-        pick_off = (np.arange(len(sel)) * m)[:, None]
-        row_off = (loop * m)[:, None] if stacked else 0
-        flat_src = src.reshape(-1, w)
-        if kernel:
-            scale = _coef_scale(src)[loop, None] if stacked else _coef_scale(src)
-        A = np.zeros((len(sel), w))
-        a = A.reshape(-1)
-        # each step's sampled rows, gathered into one buffer for the chunk
-        P = np.empty((len(sel), b, w))
-        for t in range(1, T + 1 if diverged is None else diverged[0]):
-            # one cast per step; each gather and add would cast int32 indices
-            at = table[t - 1, cols].astype(np.intp, copy=False)
-            rows = at + row_off
-            # "clip" writes into P directly ("raise" buffers); _check_table
-            # has put every row in range
-            np.take(flat_src, rows, axis=0, out=P, mode="clip")
-            resid = np.matmul(P, A[:, :, None])[..., 0] - ys[rows]
-            if kernel:
-                picks = at + pick_off
-                np.subtract.at(a, picks, etas[t - 1] * resid)
-                # only the sampled coefficients can change, so checking
-                # them keeps the divergence guard O(b) per trial
-                guard = np.abs(a[picks]) * scale
-            else:
-                A -= etas[t - 1] * np.matmul(P.transpose(0, 2, 1), resid[:, :, None])[..., 0]
-                guard = np.abs(A)
-            if not guard.max() <= _DIVERGENCE_LIMIT:  # also catches nan
-                diverged = t, int(sel[np.argmax(~(guard <= _DIVERGENCE_LIMIT).all(axis=1))])
-                break
-            if t in cp_pos:
-                out[cp_pos[t], sel] = A
+            src = np.empty((hi - lo, m, w))
+            for j, s in enumerate(samples[lo:hi]):
+                src[j] = build_gram(ctx, s.x, check_psd=False).values if kernel else _as_matrix(s.x)
+            ys = np.concatenate([s.y for s in samples[lo:hi]])
+        # each trial's largest K_jj (||x_j||^2): the step condition keeps
+        # every entry of the block systems at most 1, so their LU never pivots
+        top = np.broadcast_to(_coef_scale(src) if kernel
+                              else np.einsum("...ij,...ij->...i", src, src).max(axis=-1), hi - lo)
+        chunk_args = (src.reshape(-1, w), ys, table[:, lo:hi], m if stacked else 0, kernel, etas,
+                      cps, out[:, lo:hi])
+        # a kernel trial on one point takes the step loop, which is then
+        # batch GM bit for bit, as the decomposition needs
+        blocked = (b == 1 and _BLOCK > 1 and not (kernel and m == 1)) & (etas[0] * top <= 1)
+        loop = ~blocked
+        if blocked.any():
+            # reach times the Gram's largest diagonal (max|X|) bounds the guard
+            scale = top if kernel else np.broadcast_to(np.abs(src).max(axis=(-2, -1)), hi - lo)
+            reach = _sgm_steps(*chunk_args, np.flatnonzero(blocked), block=_BLOCK)
+            loop[blocked] = ~(reach * scale[blocked] < _DIVERGENCE_LIMIT / 2)  # also for nan
+        if loop.any():
+            sel = np.flatnonzero(loop)
+            trip = _sgm_steps(*chunk_args, sel, block=1, scale=top[sel, None])
+            if trip is not None:  # the earliest step, then the lowest trial
+                diverged = min(diverged or (T + 1,), (trip[0], lo + int(sel[trip[1]])))
     if diverged is not None:
         raise DivergenceError(diverged[0], f"trial {diverged[1]}")
     return out
@@ -336,104 +308,92 @@ def _check_table(table, m):
         raise ValueError(f"index table entries must lie in [0, {m})")
 
 
-def _run_blocked(src, ys, sampled, kernel, etas, cps, out, trials):
-    """Runs the chunk's trials (one shared ``src`` or one per trial,
-    stacked) on :func:`_blocked_sgm` where every step keeps
-    eta_t K_jj <= 1 (kernel) or eta_t ||x_j||^2 <= 1 (euclidean), and
-    writes their checkpoints into ``out[:, trials]``. The step condition
-    keeps every entry of the block systems at most 1, so their LU never
-    pivots. Returns the positions in the chunk left to the step loop:
-    those whose steps do not keep it, kernel trials on a single point (the
-    loop is then bit for bit batch GM's, as the decomposition needs), and
-    those whose bound on the iterate, sum_t |eta_t rho_t| times the Gram's
-    largest diagonal (max|X| for euclidean), reaches half the limit."""
-    m, w = src.shape[-2:]
-    top = _coef_scale(src) if kernel else np.einsum("...ij,...ij->...i", src, src).max(axis=-1)
-    loop = np.broadcast_to((etas[0] * top > 1) | (kernel and m == 1), len(trials)).copy()
-    members = np.flatnonzero(~loop)
-    if not members.size:
-        return np.flatnonzero(loop)
-    scale = np.broadcast_to(top if kernel else np.abs(src).max(axis=(-2, -1)),
-                            len(trials))[members]
-    # trial j's point r is row r + j m of stacked samples
-    offset = (members * m)[:, None] if src.ndim == 3 else 0
-    whole = len(members) == len(trials)
-    # a whole chunk runs straight into its columns of out; a trial
-    # dropped below is rewritten there by the step loop
-    dest = out[:, trials[0]:trials[-1] + 1] if whole else None
-    coef, reach = _blocked_sgm(src.reshape(-1, w), ys, sampled if whole else sampled[:, members],
-                               offset, kernel, etas, cps, dest)
-    ok = reach * scale < _DIVERGENCE_LIMIT / 2  # also false for nan
-    if not whole:
-        out[:, trials[members[ok]]] = coef[:, ok]
-    loop[members[~ok]] = True
-    return np.flatnonzero(loop)
+def _sgm_steps(phi, ys, rows, stride, kernel, etas, cps, out, members, block, scale=None):
+    """SGM for the trials ``members`` of a chunk, ``block`` steps per
+    gather of their sampled rows.
 
+    ``phi`` holds the chunk's Gram rows (kernel) or input rows
+    (euclidean), shared or one set per trial ``stride`` rows apart, and
+    ``ys`` their targets; ``rows`` is the chunk's (T, g, b) index table
+    and ``out`` its (n_cp, g, w) part of the result, which receives the
+    members' checkpoints. In a block of B steps, cut at the checkpoints,
+    with sampled rows P and points J, the residuals rho solve the unit
+    lower-triangular (Gauss-Seidel) system (I + tril(G, -1) diag(eta))
+    rho = P v - y, v the iterate and eta the steps' eta_t / b. For a
+    kernel G = K[J, J], read off ``phi`` in one flat take, and the
+    coefficients take a[J] -= eta rho by ``np.subtract.at``; for euclidean
+    G = P P^T, and the coordinates v lose eta_1 rho_1 P_1, ...,
+    eta_B rho_B P_B in step order, so a zero input feature leaves the
+    others as they are (a sum along a contiguous axis, as for one feature
+    and one trial, goes pairwise). B > 1 takes b = 1. At B = 1 the system
+    is the identity and this is the step loop: the euclidean update is
+    v -= eta P^T rho, and each step's guard, max|v| (kernel: the sampled
+    |a| times ``scale``), is checked against the divergence limit.
 
-def _blocked_sgm(phi, ys, rows, offset, kernel, etas, cps, out=None):
-    """Single-point SGM for g trials on feature rows ``phi``, ``_BLOCK``
-    steps per triangular solve.
-
-    ``phi`` holds the trials' Gram rows (kernel) or input rows
-    (euclidean), and ``ys`` their targets; step t of trial i samples row
-    ``rows[t - 1, i] + offset[i]`` of both, and for a kernel coefficient
-    ``rows[t - 1, i]`` of its iterate. In a block of B steps with sampled
-    rows P (B, w) and sampled points J the residuals rho solve the unit
-    lower-triangular (Gauss-Seidel) system (I + tril(G, -1) diag(eta)) rho
-    = P v - y, with v the iterate: for a kernel G = K[J, J], read off
-    ``phi`` in one flat take, v the coefficients a and then
-    a[J] <- a[J] - eta rho, subtracted step by step as the loop does; for
-    euclidean G = P P^T, v the coordinates and then
-    v <- v - eta_1 rho_1 P_1 - ... - eta_B rho_B P_B, subtracted in step
-    order, so a zero input feature stays exactly zero (a sum would go
-    pairwise where it runs along a contiguous axis, as for one feature and
-    one trial). Blocks are cut at the checkpoints. Returns the checkpoint
-    iterates (n_cp, g, w), written into ``out`` where it is given, and
-    per trial sum_t |eta_t rho_t|, which bounds every |a| (and, times
-    max|X|, every |v|) along the run.
+    Returns, for B > 1, per member sum_t |eta_t rho_t|, which bounds
+    every |a| (and, times max|X|, every |v|) along the run; for B = 1,
+    None or, where a guard trips, its step t and the lowest position in
+    ``members`` tripping at t, where it stopped.
     """
-    T, g = rows.shape
+    T, _, b = rows.shape
+    g = len(members)
     w = phi.shape[1]
-    flat = phi.reshape(-1) if kernel else None
+    cols = members if g < rows.shape[1] else slice(None)
+    # a block's indices + offset locate its rows in phi, + pick_off its
+    # coefficients in a, formed per block: no (T, g, b) table of positions
+    offset = (members * stride)[:, None] if stride else 0
     v = np.zeros((g, w))
-    if out is None:
-        out = np.empty((len(cps), g, w))
-    reach = np.zeros(g)
+    a = v.reshape(-1)
     pick_off = (np.arange(g) * w)[:, None]
-    lower, eye = np.tri(_BLOCK, k=-1), np.eye(_BLOCK)
-    # v, then the block's sampled rows, which (euclidean) become its
-    # updates in place; reduced by subtraction in step order
-    updates = np.empty((_BLOCK + 1, g, w))
+    # v, then a block's sampled rows in step order, which become the
+    # euclidean updates in place; at B = 1 only a step's rows, (g, b, w)
+    updates = np.empty((block * b + 1, g, w) if block > 1 else (g, b, w))
+    lower, eye = np.tri(block, k=-1), np.eye(block)
+    reach = np.zeros(g)
     edges = sorted({0, T, *cps})
-    # a trial that diverges here is rerun by the step loop
+    # a blocked trial whose reach trips is rerun at block length 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            for t0 in range(lo, hi, _BLOCK):
-                t1 = min(t0 + _BLOCK, hi)
-                n, eta = t1 - t0, etas[t0:t1]
-                at = rows[t0:t1].T.astype(np.intp)
+            for t0 in range(lo, hi, block):
+                eta = etas[t0:min(t0 + block, hi)]
+                n = len(eta)
+                # one cast per block; each gather and add would cast int32 indices
+                at = rows[t0, cols] if block == 1 else rows[t0:t0 + n, cols, 0].T
+                at = at.astype(np.intp, copy=False)
                 grow = at + offset
-                # "clip" writes into out directly ("raise" buffers); rows are in range
-                sampled = np.take(phi, grow.T, axis=0, out=updates[1:n + 1], mode="clip")
-                P = sampled.transpose(1, 0, 2)
-                if kernel:
-                    system = np.take(flat, grow[:, :, None] * w + at[:, None, :], mode="clip")
+                # "clip" gathers into updates directly ("raise" buffers); rows are in range
+                if block == 1:
+                    P = np.take(phi, grow, axis=0, out=updates, mode="clip")
                 else:
-                    system = np.matmul(P, P.transpose(0, 2, 1))
-                system *= lower[:n, :n] * eta
-                system += eye[:n, :n]
-                r0 = np.matmul(P, v[:, :, None]) - ys[grow][:, :, None]
-                u = np.linalg.solve(system, r0)[..., 0] * eta
+                    sampled = np.take(phi, grow.T, axis=0, out=updates[1:n + 1], mode="clip")
+                    P = sampled.transpose(1, 0, 2)
+                resid = np.matmul(P, v[:, :, None])[..., 0] - ys[grow]
+                if block > 1:
+                    system = (np.take(phi.ravel(), grow[..., None] * w + at[:, None], mode="clip")
+                              if kernel else np.matmul(P, P.transpose(0, 2, 1)))
+                    system *= lower[:n, :n] * eta
+                    system += eye[:n, :n]
+                    resid = np.linalg.solve(system, resid[:, :, None])[..., 0]
+                u = resid * eta
                 if kernel:
-                    np.subtract.at(v.reshape(-1), at + pick_off, u)
-                else:
+                    picks = at + pick_off
+                    np.subtract.at(a, picks, u)
+                elif block > 1:
                     updates[0] = v
                     sampled *= u.T[:, :, None]
                     np.subtract.reduce(updates[:n + 1], axis=0, out=v)
-                reach += np.abs(u).sum(axis=1)
+                else:
+                    v -= eta * np.matmul(P.transpose(0, 2, 1), resid[:, :, None])[..., 0]
+                if block > 1:
+                    reach += np.abs(u).sum(axis=1)
+                else:
+                    # only sampled coefficients change: an O(b) kernel guard per trial
+                    guard = np.abs(a[picks]) * scale if kernel else np.abs(v)
+                    if not guard.max() <= _DIVERGENCE_LIMIT:  # also catches nan
+                        return t0 + 1, int(np.argmax(~(guard <= _DIVERGENCE_LIMIT).all(axis=1)))
             if i < len(cps):
-                out[i] = v
-    return out, reach
+                out[i, cols] = v
+    return reach if block > 1 else None
 
 
 def run_sgm(

@@ -264,6 +264,15 @@ class TestRates:
         assert [int(r["m"]) for r in rows] == [16, 32, 64]
         assert all(float(r["excess_risk"]) > 0 for r in rows)
 
+    def test_repeated_grid_size_is_refused(self, tmp_path, capsys):
+        """A size given twice leaves fewer distinct sizes than the fit
+        needs, or weighs one twice: exit 4, naming m_grid, no artifact."""
+        argv = ["rates", "--m-grid", "16,16,16", "--trials", "2", "--N", "50",
+                "--out", str(tmp_path / "r")]
+        assert main(argv) == 4
+        assert "m_grid" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_epsilon_reaches_the_recipe(self, tmp_path, capsys):
         """Where 2 zeta + gamma <= 1 the recipe needs epsilon; rates takes
         it as recipes and run do, and records it."""

@@ -80,8 +80,11 @@ class TestFitRate:
         assert fit.excluded == (512.0,)
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            fit_rate([(64, 1.0), (128, 0.0), (256, -1.0)])
+        """Fewer than three positive pairs, or a single m, whose slope
+        no fit determines."""
+        for pairs in ([(64, 1.0), (128, 0.0), (256, -1.0)], [(16, 0.1), (16, 0.2), (16, 0.3)]):
+            with pytest.raises(ValueError):
+                fit_rate(pairs)
 
 
 def _population_bias_curve(x_hat, w_star, schedule, T):

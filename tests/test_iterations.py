@@ -735,6 +735,11 @@ def _plans_and_table(m, b, T, seeds):
     return [sample_index_plan(m, b, T, s) for s in seeds], sample_index_table(m, b, T, seeds)
 
 
+def _block_lengths(engine):
+    """The block length of each call a spy on the SGM engine saw."""
+    return [call.kwargs["block"] for call in engine.call_args_list]
+
+
 def _trial_sample(kernel, m, seed):
     if kernel:
         return gen_synthetic_abs(m, seed=seed, noise_sd=1.0)
@@ -780,13 +785,12 @@ class TestLockstepTrials:
         assert block.shape == (len(cps), R, m if kernel else 3)
         for r in range(R):
             ctx = ctxs[r] if stacked else ctxs[0]
-            with mock.patch.object(iterations, "_blocked_sgm",
-                                   wraps=iterations._blocked_sgm) as blocked:
+            with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
                 single = run_sgm(samples[r], ctx, sch, plans[r], cps)
             np.testing.assert_array_equal(block[:, r], single.coeffs)
             gram = ctx.gram.values if kernel else None
             ref = _sequential_sgm(samples[r], gram, sch.etas(T), plans[r], set(cps))
-            if blocked.called:
+            if iterations._BLOCK in _block_lengths(eng):
                 _assert_rel(block[:, r], ref, 1e-12)
             else:
                 np.testing.assert_array_equal(block[:, r], ref)
@@ -796,25 +800,57 @@ class TestLockstepTrials:
         """One dominant point makes a sampled step unstable; trials
         diverge at different steps, and a later trial first. The engine
         reports the earliest step and, among trials diverging there, the
-        lowest index: exactly what run_sgm raises alone for that plan."""
+        lowest index: exactly what run_sgm raises alone for that plan.
+        Euclidean with b = 1, and a linear kernel with b = 2, each in one
+        chunk and in chunks of one trial (budget 1)."""
         x = np.array([[1.0, 0.0], [0.01, 0.0], [0.0, 0.01],
                       [0.01, 0.01], [0.0, 0.005], [0.005, 0.0]])
         sample = Sample(x=x, y=np.ones(6))
-        sch = StepSchedule(4.0)
-        plans, table = _plans_and_table(6, 1, 400, range(70, 76))
-        first = {}
-        for r, plan in enumerate(plans):
-            with pytest.raises(DivergenceError) as err:
-                run_sgm(sample, None, sch, plan)
-            first[r] = err.value.iteration
-        t_min = min(first.values())
-        r_min = min(r for r, t in first.items() if t == t_min)
-        assert r_min > 0 and first[0] > t_min  # the sequential order would name trial 0
-        monkeypatch.setattr(iterations, "_STACK_BYTES", budget)
-        with pytest.raises(DivergenceError) as err:
-            run_sgm_trials(sample, None, sch, table)
-        assert err.value.iteration == t_min
-        assert re.search(r"trial (\d+)", str(err.value)).group(1) == str(r_min)
+        for ctx, b, eta1 in ((None, 1, 4.0), (AnchorSet.build(KernelSpec("linear"), x), 2, 6.0)):
+            sch = StepSchedule(eta1)
+            plans, table = _plans_and_table(6, b, 400, range(70, 76))
+            first = {}
+            for r, plan in enumerate(plans):
+                with pytest.raises(DivergenceError) as err:
+                    run_sgm(sample, ctx, sch, plan)
+                first[r] = err.value.iteration
+            t_min = min(first.values())
+            r_min = min(r for r, t in first.items() if t == t_min)
+            assert r_min > 0 and first[0] > t_min  # the sequential order would name trial 0
+            with monkeypatch.context() as patch:
+                patch.setattr(iterations, "_STACK_BYTES", budget)
+                with pytest.raises(DivergenceError) as err:
+                    run_sgm_trials(sample, ctx, sch, table)
+            assert err.value.iteration == t_min
+            assert re.search(r"trial (\d+)", str(err.value)).group(1) == str(r_min)
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["euclidean", "kernel"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("m, b", [(30, 1), (30, 4), (1, 1)])
+    def test_every_run_goes_through_the_one_engine(self, kernel, stacked, m, b):
+        """Every checkpoint of every trial is written by _sgm_steps, for
+        b = 1 and b > 1, both backends, shared and stacked samples: an
+        engine that writes its block length in place of iterates leaves
+        nothing else in the result. b = 1 takes _BLOCK steps per gather
+        (a kernel on one point, one), and b > 1 one."""
+        R, T, cps = 20, 40, (5, 40)
+        samples = [_trial_sample(kernel, m, r if stacked else 0) for r in range(R)]
+        table = sample_index_table(m, b, T, range(R))
+        if stacked:
+            engine_in = (samples, GAUSS if kernel else None)
+        else:
+            engine_in = (samples[0], AnchorSet.build(GAUSS, samples[0].x) if kernel else None)
+
+        def engine(*args, block, scale=None):
+            out, members = args[7:9]
+            out[:, members] = block
+            return np.zeros(len(members)) if block > 1 else None
+
+        with mock.patch.object(iterations, "_sgm_steps", side_effect=engine) as eng:
+            block = run_sgm_trials(*engine_in, StepSchedule(0.01), table, cps)
+        length = iterations._BLOCK if b == 1 and not (kernel and m == 1) else 1
+        assert set(_block_lengths(eng)) == {length}
+        np.testing.assert_array_equal(block, np.full(block.shape, length))
 
     def test_rejects_inconsistent_plans_and_contexts(self):
         sample = gen_synthetic_abs(6, seed=1)
@@ -867,7 +903,11 @@ class TestBlockedSgm:
         """Coefficients and sample values stay within 1e-12 of the step
         loop, for the three kernels and euclidean inputs, shared and
         stacked samples, with checkpoints that cut blocks; each trial
-        equals its single run bit for bit."""
+        equals its single run bit for bit. Both sides' sample values are
+        formed in extended precision: on a linear Gram with m = 70 and
+        T = 127 they are of order 2e-4 against coefficients of order 0.65,
+        and a float64 product rounds at the scale of the coefficients (a
+        gap of 2.2e-16 against 2.0e-17 in extended precision)."""
         cps = sorted(data.draw(st.sets(st.integers(1, T), min_size=1, max_size=8)))
         samples = [_b1_sample(kind, m, d, mix_seed(seed, r if stacked else 0))
                    for r in range(R)]
@@ -886,7 +926,9 @@ class TestBlockedSgm:
             np.testing.assert_array_equal(block[:, r], single.coeffs)
             ref, to_vals = _b1_reference(s, kind, sch, plans[r], cps)
             _assert_rel(block[:, r], ref, 1e-12)
-            _assert_rel(block[:, r] @ to_vals, ref @ to_vals, 1e-12)
+            ext = to_vals.astype(np.longdouble)
+            _assert_rel(block[:, r].astype(np.longdouble) @ ext, ref.astype(np.longdouble) @ ext,
+                        1e-12)
 
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "euclidean"])
     @pytest.mark.parametrize("stacked", [False, True])
@@ -902,9 +944,10 @@ class TestBlockedSgm:
         cps = log_checkpoints(T, 20)
         engine = (samples, spec) if stacked else (
             samples[0], spec and AnchorSet.build(spec, samples[0].x, check_psd=False))
-        with mock.patch.object(iterations, "_blocked_sgm", wraps=iterations._blocked_sgm) as blk:
+        with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
             block = run_sgm_trials(*engine, sch, table, cps)
-        assert sum(call.args[2].shape[1] for call in blk.call_args_list) == R
+        assert set(_block_lengths(eng)) == {iterations._BLOCK}  # no trial rerun
+        assert sum(len(call.args[8]) for call in eng.call_args_list) == R  # the calls' trials
         for r in range(R):
             ref, to_vals = _b1_reference(samples[r if stacked else 0], kind, sch, plans[r], cps)
             _assert_rel(block[:, r], ref, 1e-12)
@@ -935,18 +978,19 @@ class TestBlockedSgm:
         ctx = AnchorSet.build(spec, sample.x, check_psd=False)
         plan = sample_index_plan(m, 1, T, 91)
         cps = log_checkpoints(T, 10)
-        real, runs = iterations._blocked_sgm, []
+        real, runs = iterations._sgm_steps, []
 
-        def spy(*args):
-            # the blocked iterates are written into the run's output
-            # block, which the loop rewrites where it replaces them
-            result = real(*args)
-            runs.append(result[0].copy())
+        def spy(*args, **kwargs):
+            # the engine writes its checkpoints into the run's output
+            # block, which a rerun at block length 1 would rewrite
+            result = real(*args, **kwargs)
+            runs.append((kwargs["block"], args[7].copy()))
             return result
 
-        with mock.patch.object(iterations, "_blocked_sgm", side_effect=spy):
+        with mock.patch.object(iterations, "_sgm_steps", side_effect=spy):
             got = run_sgm(sample, ctx, sch, plan, cps).coeffs
-        [blocked] = runs
+        [(length, blocked)] = runs
+        assert length == iterations._BLOCK
         np.testing.assert_array_equal(got, blocked[:, 0])
         gram = ctx.gram.values
         ref = _sequential_sgm(sample, gram, sch.etas(T), plan, set(cps))
@@ -964,10 +1008,9 @@ class TestBlockedSgm:
         sch = StepSchedule(0.5, 0.0, 0.25)
         plan = sample_index_plan(m, 1, T, 31)
         cps = log_checkpoints(T, 10)
-        with mock.patch.object(iterations, "_blocked_sgm",
-                               wraps=iterations._blocked_sgm) as blk:
+        with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
             got = run_sgm(sample, ctx, sch, plan, cps)
-        assert blk.call_count == 1
+        assert _block_lengths(eng) == [iterations._BLOCK]
         ref, gram = _b1_reference(sample, "sobolev", sch, plan, cps)
         _assert_rel(got.coeffs, ref, 1e-12)
         _assert_rel(got.coeffs @ gram, ref @ gram, 1e-12)
@@ -982,11 +1025,17 @@ class TestBlockedSgm:
         ctx = spec and AnchorSet.build(spec, sample.x)
         sch = StepSchedule(0.5, 0.0, kappa_sq(KernelSpec("linear"), sample.x))
         plan = sample_index_plan(50, 1, 500, 61)
-        real, runs = iterations._blocked_sgm, []
-        with mock.patch.object(iterations, "_blocked_sgm",
-                               side_effect=lambda *args: runs.append(real(*args)) or runs[-1]):
+        real, runs = iterations._sgm_steps, []
+
+        def spy(*args, **kwargs):
+            runs.append((kwargs["block"], real(*args, **kwargs)))
+            return runs[-1][1]
+
+        with mock.patch.object(iterations, "_sgm_steps", side_effect=spy):
             got = run_sgm(sample, ctx, sch, plan, (100, 500))
-        [(_, reach)] = runs
+        # the blocked pass, then its rerun at block length 1
+        [(blocked, reach), (rerun, trip)] = runs
+        assert (blocked, rerun, trip) == (iterations._BLOCK, 1, None)
         assert reach.max() * (ctx.diagonal().max() if spec else np.abs(sample.x).max()) >= 5e11
         ref, _ = _b1_reference(sample, kind, sch, plan, (100, 500))
         assert np.abs(ref).max() < 1e12
@@ -1004,16 +1053,14 @@ class TestBlockedSgm:
             spec = _SPECS.get(kind)
             sch = StepSchedule(0.9, 0.0, kappa_sq(KernelSpec("linear"),
                                                  np.concatenate([s.x for s in samples])))
-            # every trial left to the loop
-            with mock.patch.object(iterations, "_run_blocked",
-                                   lambda src, ys, sampled, *rest: np.arange(sampled.shape[1])), \
+            # every trial on the step loop
+            with mock.patch.object(iterations, "_BLOCK", 1), \
                     pytest.raises(DivergenceError) as loop:
                 run_sgm_trials(samples, spec, sch, table)
-            with mock.patch.object(iterations, "_blocked_sgm",
-                                   wraps=iterations._blocked_sgm) as blk, \
+            with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng, \
                     pytest.raises(DivergenceError) as err:
                 run_sgm_trials(samples, spec, sch, table)
-            assert blk.called
+            assert _block_lengths(eng)[0] == iterations._BLOCK
             assert (err.value.iteration, str(err.value)) == (loop.value.iteration, str(loop.value))
 
 
@@ -1092,7 +1139,7 @@ class TestSgmMemory:
         ctx = AnchorSet.build(GAUSS, sample.x, check_psd=False)
         table = sample_index_table(m, 1, T, [mix_seed(9, r) for r in range(R)])
         cps = log_checkpoints(T, 25)
-        with mock.patch.object(iterations, "_blocked_sgm", wraps=iterations._blocked_sgm) as blk:
+        with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
@@ -1100,6 +1147,7 @@ class TestSgmMemory:
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-        assert blk.call_count == -(-R // iterations._BLOCK) == 4 and block.base is None
+        assert _block_lengths(eng) == [iterations._BLOCK] * -(-R // iterations._BLOCK)
+        assert eng.call_count == 4 and block.base is None
         assert block.nbytes == len(cps) * R * m * 8 == 960_000
         assert peak <= block.nbytes + 600_000
