@@ -262,14 +262,15 @@ def cmd_rates(args):
                    for trial in range(trials)]
         samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=cfg["noise_sd"])
                    for s in streams]
+        sets = [AnchorSet.lazy(kernel, s.x) for s in samples]
         if rec.is_batch:
-            finals = [run_batch_gm(s, AnchorSet.build(kernel, s.x, check_psd=False), rec.schedule,
-                                   rec.t_star, (rec.t_star,)).final.coeffs for s in samples]
+            finals = [run_batch_gm(s, ctx, rec.schedule, rec.t_star, (rec.t_star,)).final.coeffs
+                      for s, ctx in zip(samples, sets)]
         else:
             table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
             finals = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))[0]
-        risks = [excess_risk(kernel_vector(c, AnchorSet.lazy(kernel, s.x)), surr, abs_target)
-                 for s, c in zip(samples, finals)]
+        risks = [excess_risk(kernel_vector(c, ctx), surr, abs_target)
+                 for ctx, c in zip(sets, finals)]
         mean = float(np.mean(risks))
         se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
         rows.append(
@@ -397,19 +398,12 @@ def cmd_run(args):
             print(check.message, file=sys.stderr)
     cps = log_checkpoints(T, cfg["checkpoints"])
 
+    # the runs build a Gram only for as long as they read it: hold-out and
+    # the test error read the kernel
+    ctx = AnchorSet.lazy(kernel, train.x) if kernel else None
     if algorithm == "batch":
-        # batch GM's factor pivots on the Gram's own rows, so its set is
-        # eager; hold-out and the test error read the kernel, not the Gram,
-        # so the trajectory then moves onto a lazy set and the Gram is freed
-        ctx = AnchorSet.build(kernel, train.x, check_psd=False) if kernel else None
         traj = run_batch_gm(train, ctx, schedule, T, cps)
-        if kernel:
-            ctx = AnchorSet.lazy(kernel, train.x)
-            traj = dataclasses.replace(traj, anchors=ctx)
     else:
-        # SGM builds a lazy set's Gram for its run only: hold-out and the
-        # test error read the kernel, not the Gram
-        ctx = AnchorSet.lazy(kernel, train.x) if kernel else None
         plan = sample_index_plan(train.m, b, T, mix_seed(cfg["seed"], 2))
         traj = run_sgm(train, ctx, schedule, plan, cps)
     outcome = holdout_stop(traj, val, metric=cfg["metric"])

@@ -116,9 +116,8 @@ class DecompositionReport:
 
 def excess_risk(h: HypothesisVector, surrogate, f_true) -> float:
     """Mean squared gap to the true regression function over the
-    surrogate points (an :class:`AnchorSet` or a point array): the L2
-    proxy for risk minus its infimum."""
-    pts = surrogate.points if isinstance(surrogate, AnchorSet) else np.asarray(surrogate, float)
+    surrogate points: the L2 proxy for risk minus its infimum."""
+    pts = np.asarray(surrogate, float)
     return mean_square_error(h, pts, f_true(pts))
 
 
@@ -183,10 +182,8 @@ def fit_rate(pairs) -> RateFit:
 def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
     """What both reports share: the surrogate targets, the training
     context, the matrix taking training coefficients to surrogate values,
-    the batch iterate's surrogate values, bias^2 and sample variance^2.
-    Only the points of an :class:`AnchorSet` surrogate are read, so both
-    forms of the surrogate take the same path."""
-    pts = surrogate.points if isinstance(surrogate, AnchorSet) else np.asarray(surrogate, float)
+    the batch iterate's surrogate values, bias^2 and sample variance^2."""
+    pts = np.asarray(surrogate, float)
     f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(f_vals)):
         raise ValueError("f_true produced non-finite values on the surrogate")
@@ -223,9 +220,9 @@ def decompose(
     Runs the population iteration once on the surrogate, the batch
     iteration once on the sample, and R mini-batch runs whose plans use
     seeds ``mix_seed(base_seed, r)`` for r = 0..R-1. ``kernel=None``
-    selects the euclidean backend, in which case ``surrogate`` is a
-    coordinate array; with a kernel it is an :class:`AnchorSet` or its
-    points. The R trials advance together through :func:`run_sgm_trials`.
+    selects the euclidean backend. ``surrogate`` is the array of
+    surrogate points for either backend. The R trials advance together
+    through :func:`run_sgm_trials`.
 
     No N x N surrogate Gram is built unless the population's step loop
     runs: its factor reads k kernel rows and its surrogate values are

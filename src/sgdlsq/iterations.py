@@ -214,10 +214,10 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     (euclidean), an :class:`AnchorSet` on the shared sample's points, or
     a :class:`KernelSpec` with per-trial samples, whose Grams (or
     inputs) are stacked in chunks of trials within ``_STACK_BYTES``. The
-    run reads an anchor set's Gram where the set holds one; for a lazy
-    set (:meth:`AnchorSet.lazy`) it builds its own, with the checks of
-    ``AnchorSet.build(check_psd=False)``, and frees it on return, so the
-    Gram lives only while SGM reads it. Besides its Grams, the index
+    run reads the anchor set's :meth:`~AnchorSet.gram_values`: the Gram a
+    built set keeps, or one built for this run on a lazy set
+    (:meth:`AnchorSet.lazy`) and freed on return, so that Gram lives only
+    while SGM reads it. Besides its Grams, the index
     table and the returned block, the run holds O(R b w): each block of
     steps gathers its sampled rows into one buffer per chunk, and the
     checkpoints are written straight into the returned block. Returns
@@ -253,9 +253,7 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
         raise ValueError("per-trial samples take a KernelSpec, a shared sample an AnchorSet")
     if not stacked:
         ys = samples[0].y
-        # a lazy set's Gram is built for this run only and freed on return
-        src = (_check_anchors(samples[0], ctx).gram_values(keep=False) if kernel
-               else _as_matrix(samples[0].x))
+        src = _check_anchors(samples[0], ctx).gram_values() if kernel else _as_matrix(samples[0].x)
     w = m if kernel else samples[0].dim
     cps = normalize_checkpoints(checkpoints, T)
     etas = schedule.etas(T) / b
@@ -421,16 +419,12 @@ def run_sgm(
     return Trajectory(cps, block[:, 0], tuple(passes(plan.b, t, sample.m) for t in cps), ctx)
 
 
-def _pivoted_cholesky(gram, max_rank):
-    """Rows (k, N) of L^T with K ~= L L^T, pivoting on the largest
-    residual diagonal until it sums to <= 1e-15 trace; None when that
-    takes more than max_rank pivots. ``gram`` is K itself or an
-    :class:`AnchorSet`, whose rows and diagonal come from the kernel
-    while its Gram is unbuilt: k rows of K, never all N."""
-    if isinstance(gram, AnchorSet):
-        resid, row = gram.diagonal().copy(), gram.row
-    else:
-        resid, row = np.diagonal(gram).copy(), gram.__getitem__
+def _pivoted_cholesky(anchors: AnchorSet, max_rank):
+    """Rows (k, N) of L^T with K ~= L L^T for the Gram K of ``anchors``,
+    pivoting on the largest residual diagonal until it sums to <= 1e-15
+    trace; None when that takes more than max_rank pivots. The diagonal
+    and the k pivot rows are read from the kernel, never all N rows."""
+    resid, row = anchors.diagonal(), anchors.row
     tol = 1e-15 * resid.sum()
     # pages of the buffer become resident only as rows are written
     rows = np.empty((max_rank, len(resid)))
@@ -500,8 +494,9 @@ def run_batch_gm(
     could raise.
     Otherwise the step loop runs and raises
     ``DivergenceError(t, "batch/<backend>")`` at the first diverging step.
-    The factor reads k rows and the diagonal of ``ctx``, so a lazy
-    :class:`AnchorSet` builds its Gram only for the loop.
+    The factor reads k kernel rows and the kernel diagonal of ``ctx``,
+    so on a lazy :class:`AnchorSet` only the loop builds a Gram, which
+    it frees on return.
 
     Accuracy: the kernel filter's sample values K c_t stay within
     10 s_T lam_max eps max|y| of a step loop run in extended precision,
@@ -563,7 +558,7 @@ def run_population(
     ``surrogate`` is an :class:`AnchorSet` (kernel backend; the iterate
     is an expansion over the surrogate points) or a plain coordinate
     array (euclidean backend). On a lazy anchor set (:meth:`AnchorSet.lazy`)
-    the filter builds no Gram; the step loop builds and keeps it.
+    the filter builds no Gram; the step loop builds one for its run.
     ``f_true`` must be vectorized: it maps the surrogate points to their
     exact target values f. A divergence is reported as
     ``population/<backend>``.

@@ -44,15 +44,14 @@ def _check_symmetric(gram: GramMatrix):
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Ordered anchor points, their kernel and their Gram matrix.
+    """Ordered anchor points, their kernel and, for a set made by
+    :meth:`build`, their Gram matrix.
 
-    A set made by :meth:`build` holds its Gram from the start. One made
-    by :meth:`lazy` has ``gram`` None until :meth:`gram_values` first
-    builds and keeps it (``gram_values(keep=False)`` builds one that
-    lives only as long as its caller holds it); until then
-    :meth:`diagonal`, :meth:`row` and :meth:`gram_product` read the
-    kernel, so a low-rank factor and the values of an expansion at the
-    anchors need no n x n matrix.
+    The set never changes once made. A set made by :meth:`lazy` has
+    ``gram`` None, and :meth:`gram_values` builds a fresh Gram for each
+    caller. :meth:`diagonal`, :meth:`row` and :meth:`gram_product` read
+    the kernel on either kind of set, so a low-rank factor and the values
+    of an expansion at the anchors need no n x n matrix.
     """
 
     points: np.ndarray
@@ -82,52 +81,45 @@ class AnchorSet:
 
     @classmethod
     def lazy(cls, kernel: KernelSpec, points) -> "AnchorSet":
-        """The anchor set of ``points`` with its Gram left unbuilt."""
+        """The anchor set of ``points`` with no Gram: :meth:`gram_values`
+        builds one for each caller."""
         pts = np.array(points, dtype=np.float64)
         pts.setflags(write=False)
         return cls(points=pts, kernel=kernel)
 
-    def gram_values(self, keep=True) -> np.ndarray:
-        """The Gram matrix. A lazy set builds it with the checks of
-        ``build(check_psd=False)`` and keeps it, or with ``keep=False``
-        returns it without keeping it, so that it is freed once the
-        caller drops it."""
+    def gram_values(self) -> np.ndarray:
+        """The Gram matrix: the one a set made by :meth:`build` keeps, or
+        on a lazy set one built for this caller with the checks of
+        ``build(check_psd=False)`` and never stored, so that it is freed
+        once the caller drops it."""
         if self.gram is not None:
             return self.gram.values
         gram = build_gram(self.kernel, self.points, check_psd=False)
         _check_symmetric(gram)
-        if keep:
-            object.__setattr__(self, "gram", gram)
         return gram.values
 
     def diagonal(self) -> np.ndarray:
-        """K(x_i, x_i) for each anchor: the Gram's diagonal, or
-        :func:`~sgdlsq.kernels.kernel_diagonal` while it is unbuilt."""
-        if self.gram is None:
-            return kernel_diagonal(self.kernel, self.points)
-        return np.diagonal(self.gram.values)
+        """K(x_i, x_i) for each anchor (:func:`~sgdlsq.kernels.kernel_diagonal`)."""
+        return kernel_diagonal(self.kernel, self.points)
 
     def row(self, i: int) -> np.ndarray:
-        """K(x_i, x_j) over every anchor j: the Gram's row i, or one
-        cross-matrix row while it is unbuilt (on scalar inputs the
-        Gram's row bit for bit)."""
-        if self.gram is None:
-            return cross_matrix(self.kernel, self.points[i:i + 1], self.points)[0]
-        return self.gram.values[i]
+        """K(x_i, x_j) over every anchor j: one cross-matrix row (on scalar
+        inputs the Gram's row bit for bit)."""
+        return cross_matrix(self.kernel, self.points[i:i + 1], self.points)[0]
 
     def gram_product(self, coeffs) -> np.ndarray:
         """Row i is K @ coeffs[i], (n_cp, n): the values at the anchors of
-        each expansion. On a built Gram one matrix-vector product per row,
-        as :meth:`~sgdlsq.iterations.Trajectory.values` forms them;
-        otherwise one tile of K at a time (:func:`_product_tiles`), each
-        multiplied by every row of ``coeffs`` in one product, in
-        O(_PRODUCT_FLOATS + n_cp n) memory."""
-        if self.gram is not None:
-            return np.matmul(self.gram.values, coeffs[:, :, None])[..., 0]
+        each expansion. K is formed one tile at a time
+        (:func:`_product_tiles`), and each tile takes one matrix-vector
+        product per row of ``coeffs``, as
+        :meth:`~sgdlsq.iterations.Trajectory.values` forms them, so each
+        value is summed whole by one thread, at one BLAS thread as at two.
+        The scratch is O(_PRODUCT_FLOATS + n_cp n)."""
         out = np.empty((len(coeffs), self.n))
         bounds = _product_tiles(self.n)
-        for lo, hi in zip(bounds, bounds[1:]):  # one tile alive at a time
-            out[:, lo:hi] = coeffs @ cross_matrix(self.kernel, self.points[lo:hi], self.points).T
+        for lo, hi in zip(bounds, bounds[1:]):  # one expression keeps one tile alive
+            out[:, lo:hi] = np.matmul(cross_matrix(self.kernel, self.points[lo:hi], self.points),
+                                      coeffs[:, :, None])[..., 0]
         return out
 
 

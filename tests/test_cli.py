@@ -449,11 +449,10 @@ class TestRun:
         ["--recipe", "BGM"],
     ], ids=["sgm", "sgm-recipe", "batch", "batch-recipe"])
     def test_artifacts_equal_those_of_an_eager_anchor_set(self, tmp_path, extra):
-        """SGM runs on a lazy anchor set, whose Gram the engine builds for
-        the run only; batch GM runs on an eager one and hands hold-out a
-        lazy one. Either way the artifacts are byte for byte those of a
-        run on eagerly built sets, here on 3-feature gaussian inputs (the
-        inner-product path)."""
+        """SGM and batch GM run on a lazy anchor set, on which SGM builds a
+        Gram for its run only and batch GM's factor reads kernel rows. The
+        artifacts are byte for byte those of a run on eagerly built sets,
+        here on 3-feature gaussian inputs (the inner-product path)."""
         x = make_rng(4).random((160, 3))
         data = tmp_path / "d.csv"
         save_csv(Sample(x=x, y=np.sin(4 * x[:, 0]) + x[:, 1] * x[:, 2]), data)
@@ -492,8 +491,8 @@ class TestRun:
     @pytest.mark.parametrize("extra", [["--batch", "--eta1", "0.5", "--T", "40"],
                                        ["--recipe", "BGM"]], ids=["batch", "batch-recipe"])
     def test_batch_run_holds_no_gram_at_holdout(self, tmp_path, monkeypatch, extra):
-        """Batch GM reads the Gram through its eager set; hold-out gets
-        the trajectory on a lazy set of the same points, which holds none."""
+        """Batch GM runs on a lazy set, and hold-out gets the trajectory
+        on that set, which holds no Gram."""
         seen = []
 
         def probe(trajectory, validation, metric):
@@ -508,10 +507,11 @@ class TestRun:
 
 
 def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
-    """Kernel runs on a CSV and a small rates grid write the same bytes
-    with one OpenBLAS thread as with two. The b = 1 run trains on 1050
-    points, so its blocked steps multiply 16 sampled Gram rows 1050 long
-    by the coefficients."""
+    """Kernel runs on a CSV, a small rates grid and a decomposition write
+    the same bytes with one OpenBLAS thread as with two. The b = 1 run
+    trains on 1050 points, so its blocked steps multiply 16 sampled Gram
+    rows 1050 long by the coefficients; the decomposition forms its
+    population values by tiles of a 2000-point surrogate's K."""
     data, big = tmp_path / "d.csv", tmp_path / "big.csv"
     for path, rows in ((data, 300), (big, 1500)):
         x = make_rng(8).random((rows, 3))
@@ -521,7 +521,8 @@ def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
             ["rates", "--m-grid", "32,64,128", "--N", "300", "--trials", "2", "--seed", "5",
              "--out"],
             ["run", "--data", str(big), "--sigma", "1.0", "--b", "1", "--eta1", "0.5",
-             "--T", "4000", "--seed", "5", "--out"]]
+             "--T", "4000", "--seed", "5", "--out"],
+            ["decompose", "--preset", "sec9-batch", "--seed", "5", "--out"]]
     artifacts = {}
     for threads in ("1", "2"):
         env = _src_env(OPENBLAS_NUM_THREADS=threads)
@@ -532,7 +533,7 @@ def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
                            check=True, capture_output=True)
         artifacts[threads] = {p.name: p.read_bytes()
                               for p in sorted((tmp_path / f"t{threads}").iterdir())}
-    assert len(artifacts["1"]) == 6
+    assert len(artifacts["1"]) == 8
     assert artifacts["1"] == artifacts["2"]
 
 

@@ -534,7 +534,7 @@ class TestPopulationFilter:
         sample = Sample(pts, _noisy(pts, 8, scale=1e11))
         sch = StepSchedule(1.0, 0.0, k_sq)
         assert sch.etas(1)[0] * np.linalg.eigvalsh(gram).max() / 200 <= 2
-        assert iterations._pivoted_cholesky(gram, iterations._factor_budget(2000, 200, 200**2)) \
+        assert iterations._pivoted_cholesky(ctx, iterations._factor_budget(2000, 200, 200**2)) \
             is not None
         with pytest.raises(DivergenceError) as ref:
             _batch_loop(sample, gram, sch.etas(2000), set())
@@ -551,7 +551,7 @@ class TestPopulationFilter:
         long runs. The loop runs: equal bit for bit."""
         pts, ctx, _, k_sq = _surrogate_case("sobolev", n, 1, seed=4)
         budget = iterations._factor_budget(T, n, n * n)
-        assert iterations._pivoted_cholesky(ctx.gram.values, budget) is None
+        assert iterations._pivoted_cholesky(ctx, budget) is None
         sch = StepSchedule(0.5, 0.3, k_sq)
         sample = Sample(pts, _noisy(pts, 4))
         got = run_batch_gm(sample, ctx, sch, T, range(1, T + 1))
@@ -617,24 +617,26 @@ def _gram_free_case(kind, n, d, seed):
 
 
 def _population_both_ways(spec, pts, sch, T, cps):
-    """Population surrogate values on a lazy anchor set (Gram-free where
-    the filter runs) and on a built one; the lazy set; and whether the
-    step loop ran on each. Within a pivot of the factor budget the two
-    may take different paths, as their rows differ in the last bits on
-    the inner-product paths."""
+    """Population runs on a lazy anchor set (Gram-free where the filter
+    runs) and on a built one; their surrogate values, the lazy set's by
+    tiles of K and the built set's from its Gram; the lazy set; and
+    whether the step loop ran on each. Within a pivot of the factor
+    budget the two may take different paths, as their rows differ in the
+    last bits on the inner-product paths."""
     lazy, built = AnchorSet.lazy(spec, pts), AnchorSet.build(spec, pts, check_psd=False)
     runs, ran = [], []
     for ctx in (lazy, built):
         with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
             runs.append(run_population(ctx, _target, sch, T, cps))
         ran.append(loop.called)
-    return lazy.gram_product(runs[0].coeffs), runs[1].values(built.gram.values), lazy, ran
+    return runs, lazy.gram_product(runs[0].coeffs), runs[1].values(built.gram.values), lazy, ran
 
 
 class TestGramFreePopulation:
     """On a lazy anchor set the population filter pivots on kernel rows
-    and its values are formed by tiles of K; the Gram is built only where
-    the step loop runs, and then the run is the built set's bit for bit."""
+    and its values are formed by tiles of K; a Gram is built only where
+    the step loop runs, for that run alone, and then the run is the built
+    set's bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["gaussian", "sobolev", "linear"]), n=st.integers(1, 300),
@@ -643,10 +645,11 @@ class TestGramFreePopulation:
     def test_values_match_the_built_gram(self, kind, n, d, T, eta1, theta, seed):
         spec, pts = _gram_free_case(kind, n, d, seed)
         sch = StepSchedule(eta1, theta, kappa_sq(spec, pts))
-        got, want, lazy, ran = _population_both_ways(spec, pts, sch, T, log_checkpoints(T, 8))
-        assert (lazy.gram is not None) == ran[0]  # built for the loop only
+        runs, got, want, lazy, ran = _population_both_ways(spec, pts, sch, T,
+                                                           log_checkpoints(T, 8))
+        assert lazy.gram is None
         if all(ran):
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(runs[0].coeffs, runs[1].coeffs)
         _assert_rel(got, want, 1e-12)
 
     def test_filter_reads_kernel_rows_and_tiles(self):
@@ -654,9 +657,8 @@ class TestGramFreePopulation:
         rows, and the values one cross matrix per tile, the fewest tiles
         of at most 2^17 floats; no Gram is built."""
         spec, pts = _gram_free_case("gaussian", 2000, 1, seed=5)
-        gram = AnchorSet.build(spec, pts, check_psd=False).gram.values
-        k = len(iterations._pivoted_cholesky(gram, iterations._factor_budget(60, 2000, 2000**2)))
         lazy = AnchorSet.lazy(spec, pts)
+        k = len(iterations._pivoted_cholesky(lazy, iterations._factor_budget(60, 2000, 2000**2)))
         sch = StepSchedule(1 / 8, 0.0, 1.0)
         with mock.patch("sgdlsq.spaces.cross_matrix", wraps=spaces.cross_matrix) as cross, \
                 mock.patch("sgdlsq.spaces.build_gram", side_effect=AssertionError("Gram built")):
@@ -669,11 +671,13 @@ class TestGramFreePopulation:
 
     def test_full_rank_sobolev_builds_the_gram(self):
         """A full-rank sobolev surrogate exceeds the factor budget: the
-        loop runs on the Gram it builds, bit for bit the built set's."""
+        loop runs on the Gram it builds for the run and does not keep,
+        bit for bit the built set's."""
         spec, pts = _gram_free_case("sobolev", 200, 1, seed=4)
         sch = StepSchedule(0.5, 0.3, 0.25)
-        got, want, lazy, ran = _population_both_ways(spec, pts, sch, 5, (1, 3, 5))
-        assert ran == [True, True] and lazy.gram is not None
+        runs, got, want, lazy, ran = _population_both_ways(spec, pts, sch, 5, (1, 3, 5))
+        assert ran == [True, True] and lazy.gram is None
+        np.testing.assert_array_equal(runs[0].coeffs, runs[1].coeffs)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["gaussian", "sobolev"])
@@ -689,7 +693,7 @@ class TestGramFreePopulation:
             run_population(lazy, _target, sch, 400)
         assert (err.value.iteration, str(err.value)) == (built.value.iteration, str(built.value))
         assert "population/kernel" in str(err.value)
-        assert lazy.gram is not None
+        assert lazy.gram is None
 
 
 class TestUnbiasednessSmall:

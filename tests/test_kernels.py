@@ -191,8 +191,8 @@ class TestAnchorSymmetryCheck:
 
 
 class TestLazyAnchorSet:
-    """A lazy anchor set reads its rows and diagonal off the kernel until
-    its Gram is first used; on scalar inputs they are the Gram's bit for
+    """A lazy anchor set reads its rows and diagonal off the kernel and
+    never keeps a Gram; on scalar inputs they are the Gram's bit for
     bit."""
 
     @pytest.mark.parametrize("spec", [GAUSS, SOB, LIN], ids=lambda s: s.kind)
@@ -214,23 +214,26 @@ class TestLazyAnchorSet:
             np.testing.assert_allclose(lazy.diagonal(), np.diagonal(gram), rtol=1e-14)
             np.testing.assert_allclose(lazy.row(7), gram[7], rtol=1e-13, atol=1e-15)
 
-    def test_gram_is_built_on_first_use_and_kept(self):
+    def test_gram_is_built_for_each_caller_and_never_kept(self):
         pts = np.linspace(0.0, 1.0, 30)
         lazy = AnchorSet.lazy(GAUSS, pts)
         assert hasattr(lazy, "gram") and lazy.gram is None  # looking does not build
         values = lazy.gram_values()
-        assert lazy.gram_values() is values
+        again = lazy.gram_values()
+        assert again is not values and not np.shares_memory(again, values)
         np.testing.assert_array_equal(values, build_gram(GAUSS, pts).values)
-        assert np.shares_memory(lazy.row(3), values)
+        np.testing.assert_array_equal(again, values)
+        assert lazy.gram is None
+        assert not np.shares_memory(lazy.row(3), values)
 
     def test_gram_product_by_tiles_matches_the_gram(self):
         pts = np.random.default_rng(5).random(700)
         coeffs = np.random.default_rng(6).standard_normal((4, 700))
         lazy, built = AnchorSet.lazy(GAUSS, pts), AnchorSet.build(GAUSS, pts, check_psd=False)
         got = lazy.gram_product(coeffs)
-        want = built.gram_product(coeffs)
-        np.testing.assert_array_equal(want, np.matmul(built.gram.values, coeffs[:, :, None])[..., 0])
+        want = np.matmul(built.gram.values, coeffs[:, :, None])[..., 0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(built.gram_product(coeffs), got)  # reads the kernel too
         assert lazy.gram is None
 
     def test_empty_point_list_is_refused(self):
