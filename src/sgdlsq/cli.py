@@ -155,13 +155,23 @@ _PROVENANCE_KEYS = ("preset", "generator", "seed_mixer", "version", "threads")
 
 def _resolve(args, command, preset=None):
     """Each of ``command``'s fields from (in order) its flag, the config
-    file, the preset and its default; returns the fully explicit config."""
+    file, the preset and its default; returns the fully explicit config.
+    The preset is the table ``preset`` or else the bundled one named by
+    --preset or, without that flag, by the file's ``preset`` key; a
+    command that takes --preset records the name."""
     fields = _FIELDS[command]
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(file_cfg) - {f.name for f in fields} - set(_PROVENANCE_KEYS))
     if unknown:
         raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
-    out = {}
+    name = getattr(args, "preset", None) or file_cfg.get("preset")
+    names = sorted(_PRESETS)  # a list, so an unhashable JSON value is refused too
+    if name is not None and name not in names:
+        raise ValueError(f"config key 'preset' must be one of "
+                         f"{', '.join(map(repr, names))}, got {name!r}")
+    if preset is None:
+        preset = _PRESETS.get(name)
+    out = {"preset": name} if hasattr(args, "preset") else {}
     for field in fields:
         val = file_cfg.get(field.name)
         if val is not None:
@@ -192,8 +202,7 @@ def _write_json(path, payload):
 
 
 def cmd_decompose(args):
-    cfg = _resolve(args, "decompose", _PRESETS.get(args.preset))
-    cfg["preset"] = args.preset
+    cfg = _resolve(args, "decompose")
     if cfg["N"] < 1:
         raise ValueError(f"--N must be at least 1 surrogate point, got {cfg['N']}")
 

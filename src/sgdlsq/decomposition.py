@@ -107,7 +107,7 @@ class DecompositionReport:
         cols = ["t", "pass", "bias_sq", "sample_var_sq", "comp_var_sq", "total", "total_se", "ineq_ok"]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if self.config:
-                fh.write("# config: " + json.dumps(self.config, sort_keys=True) + "\n")
+                fh.write("# config: " + json.dumps(self.config, sort_keys=True, allow_nan=False) + "\n")
             writer = csv.DictWriter(fh, fieldnames=cols)
             writer.writeheader()
             for row in self.rows():

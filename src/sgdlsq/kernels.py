@@ -136,8 +136,8 @@ def _fill(spec, out, a, b, norms, rows, cols):
             blk *= -2.0
             blk += np.add.outer(norms[0][rows], norms[1][cols])
             np.maximum(blk, 0.0, out=blk)
-        np.negative(blk, out=blk)
-        blk /= 2.0 * spec.sigma**2
+        # x / -c is -(x / c) exactly
+        blk /= -(2.0 * spec.sigma**2)
         np.exp(blk, out=blk)
     elif spec.kind == "sobolev":
         np.maximum.outer(a[rows], b[cols], out=blk)
@@ -180,20 +180,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def asymmetry(self) -> tuple:
-        """(max |K_ij - K_ji|, max |K_ij|), in one pass over the tiles on
-        and above the diagonal and their mirrors."""
-        g = self.values
-        gap, hi, lo = 0.0, -np.inf, np.inf
-        buf = np.empty((min(_TILE, self.n),) * 2)
-        for r, c in _upper_tiles(self.n):
-            upper, lower = g[r, c], g[c, r]
-            diff = np.subtract(upper, lower.T, out=buf[:upper.shape[0], :upper.shape[1]])
-            gap = max(gap, float(diff.max()), -float(diff.min()))
-            hi = max(hi, float(upper.max()), float(lower.max()))
-            lo = min(lo, float(upper.min()), float(lower.min()))
-        return gap, max(hi, -lo)
 
 
 # Grams up to this size get an automatic full eigenvalue check at build

@@ -13,7 +13,7 @@ be computed through point evaluations, never by subtracting coefficient
 vectors; see :mod:`sgdlsq.decomposition`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,37 +36,28 @@ def _product_tiles(n):
     return [i * n // count for i in range(count + 1)]
 
 
-def _check_symmetric(gram: GramMatrix):
-    gap, scale = gram.asymmetry()
-    if gap > 1e-12 * max(scale, 1e-300):
-        raise ValueError("Gram matrix is not symmetric within tolerance")
-
-
 @dataclass(frozen=True)
 class AnchorSet:
     """Ordered anchor points, their kernel and, for a set made by
     :meth:`build`, their Gram matrix.
 
-    The set never changes once made. A set made by :meth:`lazy` has
-    ``gram`` None, and :meth:`gram_values` builds a fresh Gram for each
-    caller. :meth:`diagonal`, :meth:`row` and :meth:`gram_product` read
-    the kernel on either kind of set, so a low-rank factor and the values
-    of an expansion at the anchors need no n x n matrix.
+    The set never changes once made. The constructor takes no Gram: the
+    only one a set holds is the one :meth:`build` makes, symmetric by
+    construction (:func:`~sgdlsq.kernels.build_gram`). A set made by
+    :meth:`lazy` has ``gram`` None, and :meth:`gram_values` builds a
+    fresh Gram for each caller. :meth:`diagonal`, :meth:`row` and
+    :meth:`gram_product` read the kernel on either kind of set, so a
+    low-rank factor and the values of an expansion at the anchors need no
+    n x n matrix.
     """
 
     points: np.ndarray
     kernel: KernelSpec
-    gram: GramMatrix | None = None
+    gram: GramMatrix | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.gram is None:
-            if self.n == 0:
-                raise ValueError("cannot build a Gram matrix from an empty point list")
-            return
-        for size in self.gram.values.shape:
-            if size != self.n:
-                raise DimensionMismatch("anchor set vs Gram matrix", self.n, size)
-        _check_symmetric(self.gram)
+        if self.n == 0:
+            raise ValueError("cannot build a Gram matrix from an empty point list")
 
     @property
     def n(self) -> int:
@@ -77,7 +68,9 @@ class AnchorSet:
         pts = np.array(points, dtype=np.float64)
         gram = build_gram(kernel, pts, check_psd=check_psd)
         pts.setflags(write=False)
-        return cls(points=pts, kernel=kernel, gram=gram)
+        anchors = cls(points=pts, kernel=kernel)
+        object.__setattr__(anchors, "gram", gram)
+        return anchors
 
     @classmethod
     def lazy(cls, kernel: KernelSpec, points) -> "AnchorSet":
@@ -94,9 +87,7 @@ class AnchorSet:
         once the caller drops it."""
         if self.gram is not None:
             return self.gram.values
-        gram = build_gram(self.kernel, self.points, check_psd=False)
-        _check_symmetric(gram)
-        return gram.values
+        return build_gram(self.kernel, self.points, check_psd=False).values
 
     def diagonal(self) -> np.ndarray:
         """K(x_i, x_i) for each anchor (:func:`~sgdlsq.kernels.kernel_diagonal`)."""

@@ -171,17 +171,36 @@ class TestDecompose:
 
     def test_embedded_config_round_trip(self, tmp_path):
         """Feeding an artifact's embedded config back through --config
-        reproduces the artifact bit for bit."""
-        out1 = tmp_path / "first"
-        main(["decompose", "--m", "14", "--b", "2", "--eta1", "0.04", "--T", "30",
-              "--R", "5", "--N", "70", "--checkpoints", "5", "--seed", "13",
-              "--out", str(out1)])
-        payload = json.loads((tmp_path / "first.json").read_text())
-        cfg = tmp_path / "echoed.json"
-        cfg.write_text(json.dumps(payload["config"]))
-        out2 = tmp_path / "second"
-        assert main(["decompose", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+        reproduces the artifact bit for bit, a preset run's too."""
+        for i, argv in enumerate((
+                ["--m", "14", "--b", "2", "--eta1", "0.04", "--T", "30", "--R", "5", "--N", "70",
+                 "--checkpoints", "5", "--seed", "13"],
+                ["--preset", "sec9-batch", "--seed", "5", "--T", "20", "--N", "100"])):
+            first, second = tmp_path / f"first{i}", tmp_path / f"second{i}"
+            assert main(["decompose", *argv, "--out", str(first)]) == 0
+            cfg = tmp_path / f"echoed{i}.json"
+            payload = json.loads(first.with_suffix(".json").read_text())
+            cfg.write_text(json.dumps(payload["config"]))
+            assert main(["decompose", "--config", str(cfg), "--out", str(second)]) == 0
+            for ext in (".csv", ".json"):
+                assert first.with_suffix(ext).read_bytes() == second.with_suffix(ext).read_bytes()
+
+    def test_config_file_preset_is_read_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "sec9-batch", "T": 20, "N": 100, "checkpoints": 4}))
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
+        keys = ("preset", "algorithm", "b", "T")
+        got = json.loads((tmp_path / "f.json").read_text())["config"]
+        assert [got[k] for k in keys] == ["sec9-batch", "batch", 100, 20]
+        # the flag wins over the file's preset
+        assert main(["decompose", "--config", str(cfg), "--preset", "sec9-minibatch", "--R", "3",
+                     "--out", str(tmp_path / "g")]) == 0
+        got = json.loads((tmp_path / "g.json").read_text())["config"]
+        assert [got[k] for k in keys] == ["sec9-minibatch", "sgm", 10, 20]
+        cfg.write_text(json.dumps({"preset": "sec9-nope"}))
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "h")]) == 4
+        assert "config key 'preset' must be one of" in capsys.readouterr().err
+        assert not list(tmp_path.glob("h*"))
 
     def test_config_file_merging(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -508,9 +527,9 @@ class TestRun:
 
 def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
     """Kernel runs on a CSV, a small rates grid and a decomposition write
-    the same bytes with one OpenBLAS thread as with two. The b = 1 run
-    trains on 1050 points, so its blocked steps multiply 16 sampled Gram
-    rows 1050 long by the coefficients; the decomposition forms its
+    the same bytes with one OpenBLAS thread as with two or four. The b = 1
+    run trains on 1050 points, so its blocked steps multiply 16 sampled
+    Gram rows 1050 long by the coefficients; the decomposition forms its
     population values by tiles of a 2000-point surrogate's K."""
     data, big = tmp_path / "d.csv", tmp_path / "big.csv"
     for path, rows in ((data, 300), (big, 1500)):
@@ -524,7 +543,7 @@ def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
              "--T", "4000", "--seed", "5", "--out"],
             ["decompose", "--preset", "sec9-batch", "--seed", "5", "--out"]]
     artifacts = {}
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         env = _src_env(OPENBLAS_NUM_THREADS=threads)
         for i, argv in enumerate(runs):
             out = tmp_path / f"t{threads}" / f"a{i}"
@@ -534,7 +553,7 @@ def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
         artifacts[threads] = {p.name: p.read_bytes()
                               for p in sorted((tmp_path / f"t{threads}").iterdir())}
     assert len(artifacts["1"]) == 8
-    assert artifacts["1"] == artifacts["2"]
+    assert artifacts["1"] == artifacts["2"] == artifacts["4"]
 
 
 class TestNonFiniteFloats:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdlsq import (AnchorSet, GramMatrix, KernelDomainError, KernelSpec, build_gram,
+from sgdlsq import (AnchorSet, KernelDomainError, KernelSpec, build_gram,
                     cross_matrix, kappa_sq)
 from sgdlsq import kernels
 
@@ -166,30 +166,6 @@ class TestInPlaceTiles:
                 build_gram(GAUSS, [0.1, 0.4])
 
 
-class TestAnchorSymmetryCheck:
-    @pytest.mark.parametrize("tile, n, entry", [
-        (3, 8, (1, 6)),      # off-diagonal tile only
-        (3, 8, (4, 5)),      # inside a diagonal tile
-        (None, 300, (10, 290)),
-    ])
-    def test_asymmetric_gram_is_refused(self, tile, n, entry):
-        pts = np.linspace(0.0, 1.0, n)
-        values = build_gram(GAUSS, pts, check_psd=False).values.copy()
-        i, j = entry
-        with mock.patch.object(kernels, "_TILE", tile or kernels._TILE):
-            values[i, j] += 2e-12
-            with pytest.raises(ValueError, match="not symmetric"):
-                AnchorSet(points=pts, kernel=GAUSS, gram=GramMatrix(values))
-            values[i, j] -= 1.5e-12  # within 1e-12 of the largest entry
-            AnchorSet(points=pts, kernel=GAUSS, gram=GramMatrix(values))
-
-    def test_non_square_gram_is_refused(self):
-        pts = np.linspace(0.0, 1.0, 4)
-        values = build_gram(GAUSS, np.linspace(0.0, 1.0, 5), check_psd=False).values[:4]
-        with pytest.raises(ValueError, match="anchor set vs Gram matrix"):
-            AnchorSet(points=pts, kernel=GAUSS, gram=GramMatrix(values))
-
-
 class TestLazyAnchorSet:
     """A lazy anchor set reads its rows and diagonal off the kernel and
     never keeps a Gram; on scalar inputs they are the Gram's bit for
@@ -239,6 +215,13 @@ class TestLazyAnchorSet:
     def test_empty_point_list_is_refused(self):
         with pytest.raises(ValueError, match="empty point list"):
             AnchorSet.lazy(GAUSS, [])
+
+    def test_only_build_makes_the_gram(self):
+        pts = np.linspace(0.0, 1.0, 12)
+        built = AnchorSet.build(GAUSS, pts)
+        np.testing.assert_array_equal(built.gram_values(), build_gram(GAUSS, pts).values)
+        with pytest.raises(TypeError, match="gram"):
+            AnchorSet(points=built.points, kernel=GAUSS, gram=built.gram)
 
     def test_linear_kappa_sq_is_the_largest_diagonal(self):
         pts = np.random.default_rng(7).random((20, 4))
