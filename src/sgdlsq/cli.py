@@ -8,16 +8,15 @@ recipes     the (b, step size, stopping iteration) table for given m
 lemmas      the deterministic bound-check sweep (nonzero exit on failure)
 run         train one model with hold-out early stopping
 
-Every artifact embeds its fully resolved configuration (flags, seeds,
-generator names), so rerunning an artifact's embedded config reproduces
-it bit for bit. Exit codes: 0 all requested checks passed; 1 a check
+Every artifact but the lemmas CSV embeds its fully resolved configuration
+(flags, seeds, generator names), so rerunning an artifact's embedded
+config reproduces it bit for bit. Exit codes: 0 all requested checks passed; 1 a check
 failed; 2 usage error; 3 unreadable or unwritable file; 4 invalid
 configuration; 5 divergence; 6 internal error.
 """
 
 import argparse
 import collections
-import dataclasses
 import json
 import math
 import sys
@@ -142,8 +141,10 @@ def _load_config_file(path):
 
 
 def _file_value(name, val, want):
-    """A config-file value of its field's type; ints pass for floats."""
-    if isinstance(val, bool) or not isinstance(val, (int, float) if want is float else want):
+    """A config-file value of its field's type; ints pass for floats, and
+    bools only for bools."""
+    if (isinstance(val, bool) != (want is bool)
+            or not isinstance(val, (int, float) if want is float else want)):
         raise ValueError(f"config key {name!r} must be {want.__name__}, got {val!r}")
     return want(val)
 
@@ -195,10 +196,26 @@ def _provenance(cfg):
     return dict(cfg, generator=GENERATOR_NAME, seed_mixer=SEED_MIXER_NAME, version=__version__)
 
 
-def _write_json(path, payload):
+def _write_json(path, cfg, **fields):
+    """Write ``fields`` with ``cfg``'s provenance under ``config`` as strict
+    JSON (sorted keys, 2-space indent) to ``path``, or to stdout if None."""
+    text = json.dumps(dict(fields, config=_provenance(cfg)), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_csv(path, cfg, rows):
+    """Write ``cfg``'s provenance as a ``# config:`` line, then the rows'
+    keys as the header and one line per row (str of a float is its repr)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# config: " + json.dumps(_provenance(cfg), sort_keys=True, allow_nan=False)
+                 + "\n")
+        fh.write(",".join(rows[0]) + "\n")
+        fh.writelines(",".join(map(str, row.values())) + "\n" for row in rows)
 
 
 def cmd_decompose(args):
@@ -230,9 +247,10 @@ def cmd_decompose(args):
             base_seed=mix_seed(cfg["seed"], 2),
             checkpoints=cps,
         )
-    report = dataclasses.replace(report, config=_provenance(cfg))
-    report.to_csv(args.out + ".csv")
-    _write_json(args.out + ".json", report.to_json_dict())
+    rows = report.rows()
+    _write_csv(args.out + ".csv", cfg, rows)
+    _write_json(args.out + ".json", cfg, r_trials=report.r_trials,
+                combined_se=report.combined_se.tolist(), rows=rows)
     bad = [t for t, ok in zip(report.checkpoints, report.ineq_ok) if not ok]
     if bad:
         print(f"decomposition inequality violated at checkpoints {bad}", file=sys.stderr)
@@ -251,11 +269,11 @@ def _parse_grid(text):
 
 def cmd_rates(args):
     cfg = _resolve(args, "rates")
-    m_grid = cfg["m_grid"] = _parse_grid(cfg["m_grid"])
+    m_grid = _parse_grid(cfg["m_grid"])
     if len(m_grid) < 3:
         raise ValueError("rates needs a grid of at least 3 sample sizes")
     if len(set(m_grid)) < len(m_grid):
-        raise ValueError(f"m_grid must not repeat a sample size, got {cfg['m_grid']}")
+        raise ValueError(f"m_grid must not repeat a sample size, got {m_grid}")
     trials = cfg["trials"]
     if trials < 2:
         raise ValueError(f"--trials must be at least 2 for standard errors, got {trials}")
@@ -287,28 +305,10 @@ def cmd_rates(args):
              "eta1": rec.schedule.eta1, "t_star": rec.t_star, "passes": rec.passes}
         )
     fit = fit_rate([(row["m"], row["excess_risk"]) for row in rows])
-    with open(args.out + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("# config: " + json.dumps(_provenance(cfg), sort_keys=True, allow_nan=False)
-                 + "\n")
-        fh.write("m,excess_risk,se,b,eta1,t_star,passes\n")
-        for row in rows:
-            fh.write(
-                f"{row['m']},{row['excess_risk']!r},{row['se']!r},{row['b']},"
-                f"{row['eta1']!r},{row['t_star']},{row['passes']}\n"
-            )
-    _write_json(
-        args.out + ".json",
-        {
-            "config": _provenance(cfg),
-            "fit": {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "r_squared": fit.r_squared,
-                "n_used": fit.n_used,
-            },
-            "rows": rows,
-        },
-    )
+    _write_csv(args.out + ".csv", cfg, rows)
+    _write_json(args.out + ".json", cfg, rows=rows,
+                fit={"slope": fit.slope, "intercept": fit.intercept,
+                     "r_squared": fit.r_squared, "n_used": fit.n_used})
     print(f"wrote {args.out}.csv and {args.out}.json (slope {fit.slope:.4f}, "
           f"r^2 {fit.r_squared:.4f})")
     return EXIT_OK
@@ -326,13 +326,9 @@ def cmd_recipes(args):
         if skipped:
             print(f"not defined at m = {cfg['m']}, left out: {', '.join(skipped)}",
                   file=sys.stderr)
-    payload = {"config": _provenance(cfg), "recipes": [r.to_json_dict() for r in table]}
+    _write_json(args.out, cfg, recipes=[r.to_json_dict() for r in table])
     if args.out:
-        _write_json(args.out, payload)
         print(f"wrote {args.out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-        print()
     return EXIT_OK
 
 
@@ -425,28 +421,14 @@ def cmd_run(args):
         else:
             test_error = misclassification(chosen, test)
 
-    provenance = _provenance(cfg)
-    model = {
-        "config": provenance,
-        "backend": chosen.backend,
-        "coefficients": chosen.coeffs.tolist(),
-        "kernel": kernel.label() if kernel else None,
-        "anchor_points": ctx.points.tolist() if ctx is not None else None,
-        "scaling": scaling,
-        "chosen_t": outcome.chosen_t,
-    }
-    _write_json(args.out + ".model.json", model)
-    _write_json(
-        args.out + ".stopping.json",
-        {
-            "config": provenance,
-            "rule": outcome.rule,
-            "chosen_t": outcome.chosen_t,
-            "checkpoints": list(outcome.checkpoints),
-            "validation_errors": list(outcome.errors),
-            "test_error": test_error,
-        },
-    )
+    _write_json(args.out + ".model.json", cfg, backend=chosen.backend,
+                coefficients=chosen.coeffs.tolist(),
+                kernel=kernel.label() if kernel else None,
+                anchor_points=ctx.points.tolist() if ctx is not None else None,
+                scaling=scaling, chosen_t=outcome.chosen_t)
+    _write_json(args.out + ".stopping.json", cfg, rule=outcome.rule,
+                chosen_t=outcome.chosen_t, checkpoints=list(outcome.checkpoints),
+                validation_errors=list(outcome.errors), test_error=test_error)
     print(f"wrote {args.out}.model.json and {args.out}.stopping.json "
           f"(stopped at t={outcome.chosen_t}, validation {outcome.chosen_error:.6g})")
     return EXIT_OK

@@ -28,8 +28,6 @@ other kernels the reported bias also contains the (constant in t)
 approximation mismatch.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -74,7 +72,6 @@ class DecompositionReport:
     combined_se: np.ndarray
     ineq_ok: tuple
     r_trials: int
-    config: dict
 
     def row(self, i: int) -> dict:
         return {
@@ -94,24 +91,6 @@ class DecompositionReport:
     def total_minimizer(self) -> int:
         """Checkpoint with the smallest total error (first on ties)."""
         return self.checkpoints[int(np.argmin(self.total))]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "r_trials": self.r_trials,
-            "combined_se": [float(v) for v in self.combined_se],
-            "rows": self.rows(),
-        }
-
-    def to_csv(self, path) -> None:
-        cols = ["t", "pass", "bias_sq", "sample_var_sq", "comp_var_sq", "total", "total_se", "ineq_ok"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if self.config:
-                fh.write("# config: " + json.dumps(self.config, sort_keys=True, allow_nan=False) + "\n")
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow(row)
 
 
 def excess_risk(h: HypothesisVector, surrogate, f_true) -> float:
@@ -278,7 +257,6 @@ def decompose(
         combined_se=combined_se,
         ineq_ok=ineq_ok,
         r_trials=R,
-        config={},
     )
 
 
@@ -318,7 +296,6 @@ def decompose_batch(
         combined_se=zeros,
         ineq_ok=ineq_ok,
         r_trials=0,
-        config={},
     )
 
 

@@ -586,7 +586,8 @@ class TestNonFiniteFloats:
 
     def test_json_writer_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._write_json(tmp_path / "x.json", {"value": math.nan})
+            cli._write_json(tmp_path / "x.json", {}, value=math.nan)
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestUsageErrors:
@@ -684,6 +685,58 @@ class TestFieldTable:
         for suffix in artifacts:
             config = json.loads((tmp_path / ("a" + suffix)).read_text())["config"]
             assert set(config) == want
+
+
+def _refuse_constant(name):
+    raise ValueError(f"artifact holds {name}")
+
+
+_SMALL_RUN = ["--generator", "synthetic-abs", "--m", "40", "--b", "2", "--eta1", "0.1",
+              "--T", "20", "--checkpoints", "3"]
+
+
+@pytest.mark.parametrize("argv, jsons, csvs", [
+    (["decompose", "--m", "12", "--b", "2", "--T", "10", "--R", "3", "--N", "40",
+      "--checkpoints", "3"], [".json"], {".csv": (DECOMPOSE_COLUMNS, 3)}),
+    (["decompose", "--preset", "sec9-batch", "--T", "20", "--N", "60", "--checkpoints", "4"],
+     [".json"], {".csv": (DECOMPOSE_COLUMNS, 4)}),
+    (["rates", "--m-grid", "16,32,64", "--trials", "2", "--N", "50"], [".json"],
+     {".csv": (["m", "excess_risk", "se", "b", "eta1", "t_star", "passes"], 3)}),
+    (["run", *_SMALL_RUN], [".model.json", ".stopping.json"], {}),
+    (["run", *_SMALL_RUN, "--backend", "euclidean", "--scale"],
+     [".model.json", ".stopping.json"], {}),
+    (["recipes", "--m", "50"], [""], {}),
+], ids=["decompose-sgm", "decompose-batch", "rates", "run-kernel", "run-euclidean", "recipes"])
+def test_artifacts_share_one_format(tmp_path, capsys, argv, jsons, csvs):
+    """Every JSON artifact is strict and embeds a config its own field
+    table accepts; a CSV holds that config as its ``# config:`` line, then
+    a header and one LF-ended line per JSON row; recipes writes the same
+    bytes to stdout as to --out."""
+    out = tmp_path / "a"
+    assert main([*argv, "--out", str(out)]) == 0
+    fields = {f.name: f for f in cli._FIELDS[argv[0]]}
+    docs = [json.loads((tmp_path / ("a" + suffix)).read_text(encoding="utf-8"),
+                       parse_constant=_refuse_constant) for suffix in jsons]
+    for doc in docs:
+        assert doc["config"] == docs[0]["config"]
+        for key, val in doc["config"].items():
+            if key in fields and val is not None:
+                cli._file_value(key, val, fields[key].type)
+    for suffix, (header, n_rows) in csvs.items():
+        data = (tmp_path / ("a" + suffix)).read_bytes()
+        assert b"\r" not in data
+        config, *lines = data.decode("utf-8").split("\n")
+        assert lines.pop() == ""
+        assert json.loads(config.removeprefix("# config: "),
+                          parse_constant=_refuse_constant) == docs[0]["config"]
+        assert lines[0] == ",".join(header)
+        assert len(lines) == 1 + n_rows == 1 + len(docs[0]["rows"])
+        assert [line.split(",") for line in lines[1:]] == [
+            [str(row[k]) for k in header] for row in docs[0]["rows"]]
+    if argv[0] == "recipes":
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 _DECOMPOSE_FIELDS = cli._FIELDS["decompose"]

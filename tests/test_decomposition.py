@@ -172,13 +172,6 @@ class TestDecompose:
         b = small_kernel_report.bias_sq
         assert np.all(np.diff(b) <= 1e-12 * np.maximum(1.0, b[:-1]))
 
-    def test_csv_schema(self, small_kernel_report, tmp_path):
-        path = tmp_path / "report.csv"
-        small_kernel_report.to_csv(path)
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "t,pass,bias_sq,sample_var_sq,comp_var_sq,total,total_se,ineq_ok"
-        assert len(lines) == 1 + 7
-
     def test_noiseless_realizable_bias_shrinks(self):
         """Linearly realizable data with the sample reused as surrogate:
         the population run drives its error toward zero, so the final
