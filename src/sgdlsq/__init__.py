@@ -71,6 +71,7 @@ from .spaces import (
     kernel_vector,
     mean_square_error,
     predict,
+    prediction_errors,
 )
 from .stopping import StoppingOutcome, holdout_stop
 

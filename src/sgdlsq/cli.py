@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import acceptance_sweep, verdicts_to_csv
-from .data import abs_target, gen_synthetic_abs, load_csv, minmax_scale, misclassification, split
+from .data import abs_target, gen_synthetic_abs, load_csv, minmax_scale, split
 from .decomposition import decompose, decompose_batch, excess_risk, fit_rate
 from .errors import DataFormatError, DivergenceError
 from .iterations import (log_checkpoints, run_batch_gm, run_sgm, run_sgm_trials,
@@ -34,7 +34,7 @@ from .iterations import (log_checkpoints, run_batch_gm, run_sgm, run_sgm_trials,
 from .kernels import KernelSpec, kappa_sq
 from .rng import GENERATOR_NAME, SEED_MIXER_NAME, make_rng, mix_seed
 from .schedules import RECIPE_IDS, StepSchedule, recipe, recipe_table, validate_schedule
-from .spaces import AnchorSet, kernel_vector, mean_square_error
+from .spaces import METRICS, AnchorSet, kernel_vector, predict, prediction_errors
 from .stopping import holdout_stop
 
 EXIT_OK = 0
@@ -119,7 +119,7 @@ _FIELDS = {
         _Field("T", int),
         _Field("batch", bool, False, {"help": "run the deterministic full-gradient method"}),
         _Field("fractions", str, "0.7,0.15,0.15"),
-        _Field("metric", str, "mse", choices=("mse", "zero-one")),
+        _Field("metric", str, "mse", choices=METRICS),
         _Field("scale", bool, False, {"help": "min-max scale features to [0,1]"}),
         _Field("checkpoints", int, 25),
         _Field("seed", int, 1234),
@@ -154,12 +154,12 @@ def _file_value(name, val, want):
 _PROVENANCE_KEYS = ("preset", "generator", "seed_mixer", "version", "threads")
 
 
-def _resolve(args, command, preset=None):
+def _resolve(args, command):
     """Each of ``command``'s fields from (in order) its flag, the config
     file, the preset and its default; returns the fully explicit config.
-    The preset is the table ``preset`` or else the bundled one named by
-    --preset or, without that flag, by the file's ``preset`` key; a
-    command that takes --preset records the name."""
+    The preset is the bundled one named by --preset or, without that
+    flag, by the file's ``preset`` key; a command that takes --preset
+    records the name."""
     fields = _FIELDS[command]
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(file_cfg) - {f.name for f in fields} - set(_PROVENANCE_KEYS))
@@ -170,8 +170,7 @@ def _resolve(args, command, preset=None):
     if name is not None and name not in names:
         raise ValueError(f"config key 'preset' must be one of "
                          f"{', '.join(map(repr, names))}, got {name!r}")
-    if preset is None:
-        preset = _PRESETS.get(name)
+    preset = _PRESETS.get(name)
     out = {"preset": name} if hasattr(args, "preset") else {}
     for field in fields:
         val = file_cfg.get(field.name)
@@ -414,12 +413,8 @@ def cmd_run(args):
     outcome = holdout_stop(traj, val, metric=cfg["metric"])
     chosen = traj.vector_at(outcome.chosen_t)
 
-    test_error = None
-    if test is not None:
-        if cfg["metric"] == "mse":
-            test_error = mean_square_error(chosen, test.x, test.y)
-        else:
-            test_error = misclassification(chosen, test)
+    test_error = (None if test is None else
+                  float(prediction_errors(predict(chosen, test.x), test.y, cfg["metric"])))
 
     _write_json(args.out + ".model.json", cfg, backend=chosen.backend,
                 coefficients=chosen.coeffs.tolist(),

@@ -16,7 +16,7 @@ from .errors import (
     RaggedRowError,
 )
 from .rng import make_rng
-from .spaces import HypothesisVector, predict
+from .spaces import HypothesisVector, predict, prediction_errors
 
 
 @dataclass(frozen=True)
@@ -194,20 +194,9 @@ def split(sample: Sample, fractions, seed: int):
     return tuple(out)
 
 
-def check_sign_labels(labels) -> None:
-    """Raise ``ValueError`` naming the first label that is not -1 or +1."""
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        bad = labels[~np.isin(labels, (-1.0, 1.0))][0]
-        raise ValueError(f"labels must be in {{-1, +1}}, found {bad}")
-
-
 def misclassification(h: HypothesisVector, sample: Sample) -> float:
     """Fraction of sign disagreements on +/-1 labels; sign(0) counts as +1."""
-    labels = sample.y
-    check_sign_labels(labels)
-    preds = predict(h, sample.x)
-    signs = np.where(preds >= 0, 1.0, -1.0)
-    return float(np.mean(signs != labels))
+    return float(prediction_errors(predict(h, sample.x), sample.y, "zero-one"))
 
 
 def minmax_scale(sample: Sample, lo=None, hi=None):

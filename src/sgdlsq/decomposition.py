@@ -44,7 +44,7 @@ from .iterations import (
 from .kernels import KernelSpec, cross_matrix
 from .rng import mix_seed
 from .schedules import StepSchedule, passes
-from .spaces import AnchorSet, HypothesisVector, mean_square_error
+from .spaces import AnchorSet, HypothesisVector, mean_square_error, prediction_errors
 
 _SLACK = 1e-12
 
@@ -59,7 +59,7 @@ class DecompositionReport:
 
     ``total_se`` is the standard error of the total; ``combined_se`` is
     the standard error of (total - comp_var) over trials and feeds the
-    inequality flag ``ineq_ok``.
+    inequality flag :attr:`ineq_ok`.
     """
 
     checkpoints: tuple
@@ -70,8 +70,16 @@ class DecompositionReport:
     total: np.ndarray
     total_se: np.ndarray
     combined_se: np.ndarray
-    ineq_ok: tuple
     r_trials: int
+
+    @property
+    def ineq_ok(self) -> tuple:
+        """Per checkpoint, whether total <= 2 bias^2 + 2 sample_var^2 +
+        comp_var^2 + 5 combined_se, up to _SLACK relative; a batch report's
+        zero comp_var^2 and combined_se leave 2 bias^2 + 2 sample_var^2."""
+        rhs = 2.0 * self.bias_sq + 2.0 * self.sample_var_sq + self.comp_var_sq \
+            + 5.0 * self.combined_se
+        return tuple((self.total <= rhs + _SLACK * np.maximum(1.0, rhs)).tolist())
 
     def row(self, i: int) -> dict:
         return {
@@ -82,7 +90,7 @@ class DecompositionReport:
             "comp_var_sq": float(self.comp_var_sq[i]),
             "total": float(self.total[i]),
             "total_se": float(self.total_se[i]),
-            "ineq_ok": bool(self.ineq_ok[i]),
+            "ineq_ok": self.ineq_ok[i],
         }
 
     def rows(self) -> list:
@@ -177,9 +185,8 @@ def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
         surr = AnchorSet.lazy(kernel, pts)
         pop_vals = surr.gram_product(run_population(surr, f_true, schedule, T, cps).coeffs)
     batch_vals = run_batch_gm(sample, ctx, schedule, T, cps).values(eval_mat)
-    bias_sq = np.mean((pop_vals - f_vals[None, :]) ** 2, axis=1)
-    sample_var_sq = np.mean((batch_vals - pop_vals) ** 2, axis=1)
-    return f_vals, ctx, eval_mat, batch_vals, bias_sq, sample_var_sq
+    return (f_vals, ctx, eval_mat, batch_vals, prediction_errors(pop_vals, f_vals),
+            prediction_errors(batch_vals, pop_vals))
 
 
 def decompose(
@@ -241,11 +248,6 @@ def decompose(
     total = tot_trials.mean(axis=0)
     total_se = tot_trials.std(axis=0, ddof=1) / math.sqrt(R)
     combined_se = (tot_trials - comp_trials).std(axis=0, ddof=1) / math.sqrt(R)
-
-    rhs = 2.0 * bias_sq + 2.0 * sample_var_sq + comp_var_sq + 5.0 * combined_se
-    ineq_ok = tuple(
-        bool(total[i] <= rhs[i] + _SLACK * max(1.0, rhs[i])) for i in range(len(cps))
-    )
     return DecompositionReport(
         checkpoints=cps,
         passes=tuple(passes(b, t, sample.m) for t in cps),
@@ -255,7 +257,6 @@ def decompose(
         total=total,
         total_se=total_se,
         combined_se=combined_se,
-        ineq_ok=ineq_ok,
         r_trials=R,
     )
 
@@ -278,23 +279,16 @@ def decompose_batch(
     cps = normalize_checkpoints(checkpoints, T)
     f_vals, _, _, batch_vals, bias_sq, sample_var_sq = _deterministic_terms(
         sample, surrogate, f_true, kernel, schedule, T, cps)
-    n_cp = len(cps)
-    total = np.mean((batch_vals - f_vals[None, :]) ** 2, axis=1)
-    zeros = np.zeros(n_cp)
-    rhs = 2.0 * bias_sq + 2.0 * sample_var_sq
-    ineq_ok = tuple(
-        bool(total[i] <= rhs[i] + _SLACK * max(1.0, rhs[i])) for i in range(n_cp)
-    )
+    zeros = np.zeros(len(cps))
     return DecompositionReport(
         checkpoints=cps,
         passes=cps,
         bias_sq=bias_sq,
         sample_var_sq=sample_var_sq,
         comp_var_sq=zeros,
-        total=total,
+        total=prediction_errors(batch_vals, f_vals),
         total_se=zeros,
         combined_se=zeros,
-        ineq_ok=ineq_ok,
         r_trials=0,
     )
 

@@ -81,10 +81,18 @@ def _check_plan_shape(m, b, T):
         raise ValueError(f"iteration count must be >= 1, got {T}")
 
 
+def _index_dtype(m):
+    """int32 holds every index below m <= 2^31; the engine casts each
+    block's indices to intp before it adds any offset."""
+    return np.int32 if m <= 2**31 else np.int64
+
+
 def sample_index_plan(m: int, b: int, T: int, seed: int) -> IndexPlan:
-    """Draw the T x b table of i.i.d. uniform indices for one run."""
+    """Draw the T x b table of i.i.d. uniform indices for one run: drawn
+    as int64, stored as :func:`_index_dtype` (int32 for m <= 2^31)."""
     _check_plan_shape(m, b, T)
     idx = make_rng(seed).integers(0, m, size=(T, b), dtype=np.int64)
+    idx = idx.astype(_index_dtype(m), copy=False)
     idx.setflags(write=False)
     return IndexPlan(m=m, b=b, T=T, indices=idx)
 
@@ -93,14 +101,12 @@ def sample_index_table(m: int, b: int, T: int, seeds) -> np.ndarray:
     """The read-only (T, R, b) index table of R runs, one per seed: column
     r holds the draws of ``sample_index_plan(m, b, T, seeds[r])``, so
     trial r of :func:`run_sgm_trials` on the table equals :func:`run_sgm`
-    on that plan. The entries are int32 when R m < 2^31 (every offset the
-    engine adds to an index stays below R m), else int64: half the bytes
-    of R plans."""
+    on that plan. Its entries have the plans' type (:func:`_index_dtype`)."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     _check_plan_shape(m, b, T)
-    table = np.empty((T, len(seeds), b), np.int32 if len(seeds) * m < 2**31 else np.int64)
+    table = np.empty((T, len(seeds), b), _index_dtype(m))
     for r, seed in enumerate(seeds):
         table[:, r] = sample_index_plan(m, b, T, seed).indices
     table.setflags(write=False)

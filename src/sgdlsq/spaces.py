@@ -174,6 +174,30 @@ def predict(h: HypothesisVector, xs) -> np.ndarray:
     return feature_matrix(h, xs) @ h.coeffs
 
 
+METRICS = ("mse", "zero-one")
+
+
+def check_sign_labels(labels) -> None:
+    """Raise ``ValueError`` naming the first label that is not -1 or +1."""
+    labels = np.asarray(labels)
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        bad = labels[~np.isin(labels, (-1.0, 1.0))][0]
+        raise ValueError(f"labels must be in {{-1, +1}}, found {bad}")
+
+
+def prediction_errors(values, targets, metric: str = "mse"):
+    """The error of each row of ``values`` against ``targets`` over the
+    last axis: the mean squared residual (``"mse"``) or the share of sign
+    mismatches on +/-1 labels, sign(0) counting as +1 (``"zero-one"``).
+    The one place either rule is computed."""
+    if metric == "mse":
+        return np.square(values - targets).mean(axis=-1)
+    if metric != "zero-one":
+        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    check_sign_labels(targets)
+    return (np.where(values >= 0, 1.0, -1.0) != targets).mean(axis=-1)
+
+
 def mean_square_error(h: HypothesisVector, points, targets) -> float:
     """Mean of squared residuals (<h, x_i> - y_i)^2 over a point set."""
     points = np.asarray(points, dtype=np.float64)
@@ -183,5 +207,4 @@ def mean_square_error(h: HypothesisVector, points, targets) -> float:
         raise ValueError("mean_square_error needs at least one point")
     if n_pts != targets.shape[0]:
         raise DimensionMismatch("points vs targets", n_pts, targets.shape[0])
-    resid = predict(h, points) - targets
-    return float(np.mean(resid**2))
+    return float(prediction_errors(predict(h, points), targets))

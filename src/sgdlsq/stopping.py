@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample, check_sign_labels
+from .data import Sample
 from .iterations import Trajectory
-from .spaces import feature_matrix
-
-METRICS = ("mse", "zero-one")
+from .spaces import feature_matrix, prediction_errors
 
 
 @dataclass(frozen=True)
@@ -38,22 +36,15 @@ def holdout_stop(
     The validation features are built once, the cross matrix K(x_val,
     anchors) (kernel) or the input matrix (euclidean), and
     :meth:`Trajectory.values` evaluates every checkpoint on them as one
-    (n_cp, n_val) block. Each checkpoint's error equals
-    :func:`~sgdlsq.spaces.mean_square_error` or
+    (n_cp, n_val) block, whose rows
+    :func:`~sgdlsq.spaces.prediction_errors` reduces: each checkpoint's
+    error equals :func:`~sgdlsq.spaces.mean_square_error` or
     :func:`~sgdlsq.data.misclassification` of its vector bit for bit.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if len(trajectory.checkpoints) == 0:
         raise ValueError("trajectory has no checkpoints")
-    y = validation.y
-    if metric == "zero-one":
-        check_sign_labels(y)
     preds = trajectory.values(feature_matrix(trajectory, validation.x))
-    if metric == "mse":
-        errors = ((preds - y) ** 2).mean(axis=1)
-    else:  # sign(0) counts as +1
-        errors = (np.where(preds >= 0, 1.0, -1.0) != y).mean(axis=1)
+    errors = prediction_errors(preds, validation.y, metric)
     best = int(np.argmin(errors))  # argmin returns the first minimizer
     return StoppingOutcome(
         chosen_t=trajectory.checkpoints[best],

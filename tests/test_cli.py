@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -525,6 +526,25 @@ class TestRun:
         assert len(seen) == 1 and seen[0].gram is None and seen[0].n == 84
 
 
+def test_grid_surrogate_and_theta_are_recorded_and_replay(tmp_path):
+    """decompose --surrogate grid --theta and run --theta, which no other
+    test sets, reach their artifacts' configs, and the decomposition's
+    config replays through --config to the same bytes."""
+    assert main(["decompose", "--preset", "sec9-sgm", "--T", "200", "--R", "4", "--N", "300",
+                 "--surrogate", "grid", "--theta", "0.3", "--out", str(tmp_path / "g")]) == 0
+    config = json.loads((tmp_path / "g.json").read_text())["config"]
+    assert (config["surrogate"], config["theta"]) == ("grid", 0.3)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["decompose", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "h")]) == 0
+    for ext in (".csv", ".json"):
+        assert (tmp_path / ("h" + ext)).read_bytes() == (tmp_path / ("g" + ext)).read_bytes()
+    assert main(["run", "--generator", "synthetic-abs", "--m", "200", "--b", "2", "--eta1", "0.1",
+                 "--T", "300", "--theta", "0.4", "--out", str(tmp_path / "r")]) == 0
+    for suffix in (".model.json", ".stopping.json"):
+        assert json.loads((tmp_path / ("r" + suffix)).read_text())["config"]["theta"] == 0.4
+
+
 def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
     """Kernel runs on a CSV, a small rates grid and a decomposition write
     the same bytes with one OpenBLAS thread as with two or four. The b = 1
@@ -640,6 +660,22 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "out")]) == code
         assert fragment.format(**files) in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
+
+    def test_failed_check_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        """A failed lemma verdict, or a decomposition report whose total
+        breaks the inequality its own terms give, is exit 1; the artifacts
+        are still written."""
+        monkeypatch.setattr(cli, "acceptance_sweep", lambda t_max: [
+            sgdlsq.LemmaVerdict("lemma-x", {"t": 3}, lhs=2.0, bound=1.0)])
+        assert main(["lemmas", "--out", str(tmp_path / "v.csv")]) == 1
+        assert "FAIL lemma-x" in capsys.readouterr().err
+        real = cli.decompose_batch
+        monkeypatch.setattr(cli, "decompose_batch", lambda *args: dataclasses.replace(
+            real(*args), total=np.full(len(args[6]), 1e9)))
+        assert main(["decompose", "--preset", "sec9-batch", "--T", "20", "--N", "100",
+                     "--out", str(tmp_path / "d")]) == 1
+        assert "decomposition inequality violated" in capsys.readouterr().err
+        assert _read_csv(tmp_path / "d.csv")[0]["ineq_ok"] == "False"
 
     def test_internal_error_is_exit_6_with_traceback(self, monkeypatch, capsys):
         def broken(args):
@@ -784,9 +820,10 @@ class TestResolveProperties:
                                         for on in (has_flag, has_file, has_preset))
         cfg = tmp_path_factory.mktemp("resolve") / "cfg.json"
         cfg.write_text(json.dumps({field.name: from_file} if has_file else {}))
-        args = argparse.Namespace(config=str(cfg), **{field.name: flag})
-        preset = {field.name: from_preset} if has_preset else None
-        got = cli._resolve(args, "decompose", preset)[field.name]
+        args = argparse.Namespace(config=str(cfg), preset="drawn" if has_preset else None,
+                                  **{field.name: flag})
+        with mock.patch.dict(cli._PRESETS, {"drawn": {field.name: from_preset}}):
+            got = cli._resolve(args, "decompose")[field.name]
         want = next((v for v in (flag, from_file, from_preset) if v is not None),
                     field.default)
         assert got == want and type(got) is type(want)

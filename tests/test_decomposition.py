@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -167,6 +168,20 @@ class TestDecompose:
 
     def test_inequality_holds_everywhere(self, small_kernel_report):
         assert all(small_kernel_report.ineq_ok)
+
+    def test_inequality_is_derived_from_the_terms(self, small_kernel_report):
+        """ineq_ok is no field but a property of the report's terms: a
+        total at 2 bias^2 + 2 sample_var^2 + comp_var^2 + 5 combined_se
+        plus the 1e-12 relative slack passes, and one ulp-scale step past
+        it fails."""
+        rep = small_kernel_report
+        assert "ineq_ok" not in {f.name for f in dataclasses.fields(rep)}
+        rhs = 2 * rep.bias_sq + 2 * rep.sample_var_sq + rep.comp_var_sq + 5 * rep.combined_se
+        edge = rhs + 1e-12 * np.maximum(1.0, rhs)
+        assert dataclasses.replace(rep, total=edge).ineq_ok == (True,) * len(rhs)
+        past = dataclasses.replace(rep, total=edge * (1 + 1e-15) + 1e-300)
+        assert past.ineq_ok == (False,) * len(rhs)
+        assert [row["ineq_ok"] for row in past.rows()] == [False] * len(rhs)
 
     def test_bias_nonincreasing(self, small_kernel_report):
         b = small_kernel_report.bias_sq

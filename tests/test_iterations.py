@@ -100,12 +100,18 @@ class TestIndexTable:
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1
 
-    def test_int64_once_offsets_could_pass_int32(self):
-        """R m >= 2^31: an offset r m + i the engine forms could leave int32."""
-        assert sample_index_table(2**30 - 1, 1, 3, [1, 2]).dtype == np.int32
-        wide = sample_index_table(2**30, 1, 3, [1, 2])
-        assert wide.dtype == np.int64
-        np.testing.assert_array_equal(wide[:, 1], sample_index_plan(2**30, 1, 3, 2).indices)
+    def test_int32_while_every_index_fits(self):
+        """Plans and tables are int32 while every index m - 1 fits, at
+        m <= 2^31 however many runs (the engine casts each block to intp
+        before adding an offset r m), else int64; the draws are the int64
+        draws either way."""
+        for m, dtype in ((2**31, np.int32), (2**31 + 1, np.int64)):
+            plan = sample_index_plan(m, 1, 3, 2)
+            table = sample_index_table(m, 1, 3, [1, 2])
+            assert plan.indices.dtype == table.dtype == dtype
+            np.testing.assert_array_equal(
+                plan.indices, make_rng(2).integers(0, m, size=(3, 1), dtype=np.int64))
+            np.testing.assert_array_equal(table[:, 1], plan.indices)
 
     def test_rejects_what_a_plan_rejects(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -1090,11 +1096,12 @@ class TestSgmMemory:
     def test_scratch_above_the_gram_is_per_step(self):
         """One plan's (T, b) index table is read in place, and each step
         forms its own sampled rows and coefficient positions, so at
-        m = 200, b = 20, T = 20000 (a 3.2 MB table) the traced peak of a
-        run on a lazy set, less the Gram it builds, stays under a quarter
-        of the table; copying the table into (T, R, b) position tables
-        took two tables more. (Tracing every allocation makes this run
-        about 15 times slower than an untraced one.)"""
+        m = 200, b = 20, T = 20000 (a 1.6 MB int32 table) the traced peak
+        of a run on a lazy set, less the Gram it builds, stays under
+        800 000 bytes, a quarter of the table as int64; copying the table
+        into (T, R, b) position tables took two int64 tables more. (Tracing
+        every allocation makes this run about 15 times slower than an
+        untraced one.)"""
         m, b, T = 200, 20, 20_000
         sample = gen_synthetic_abs(m, seed=4)
         ctx = AnchorSet.lazy(GAUSS, sample.x)
@@ -1106,8 +1113,8 @@ class TestSgmMemory:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert plan.indices.nbytes == 3_200_000
-        assert peak - 8 * m * m < plan.indices.nbytes / 4
+        assert plan.indices.nbytes == 1_600_000
+        assert peak - 8 * m * m < 800_000
 
     def test_step_loop_gathers_into_one_buffer(self):
         """The b > 1 step loop gathers each step's sampled Gram rows into

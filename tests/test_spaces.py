@@ -11,6 +11,7 @@ from sgdlsq import (
     kernel_vector,
     mean_square_error,
     predict,
+    prediction_errors,
 )
 from sgdlsq import kernels, spaces
 
@@ -174,3 +175,16 @@ class TestHypothesisVectorInvariants:
         h = kernel_vector([1.0, 0.0, 0.0, 0.0], gauss_anchor)
         with pytest.raises(ValueError):
             h.coeffs[0] = 2.0
+
+
+class TestPredictionErrors:
+    def test_one_error_per_row_over_the_last_axis(self):
+        """Both rules reduce the last axis of a block; zero-one counts
+        sign(0) as +1 and checks labels given as a list too."""
+        values = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, -0.0]])
+        np.testing.assert_array_equal(prediction_errors(values, [1.0, 0.0, 1.0]),
+                                      [5 / 3, 1.0])
+        np.testing.assert_array_equal(prediction_errors(values, [1.0, -1.0, -1.0], "zero-one"),
+                                      [2 / 3, 1 / 3])
+        with pytest.raises(ValueError, match="labels must be in .* found 0.5"):
+            prediction_errors(values, [1.0, 0.5, 1.0], "zero-one")
