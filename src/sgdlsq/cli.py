@@ -9,7 +9,7 @@ lemmas      the deterministic bound-check sweep (nonzero exit on failure)
 run         train one model with hold-out early stopping
 
 Every artifact but the lemmas CSV embeds its fully resolved configuration
-(flags, seeds, generator names), so rerunning an artifact's embedded
+(flags, seeds, RNG names), so rerunning an artifact's embedded
 config reproduces it bit for bit. Exit codes: 0 all requested checks passed; 1 a check
 failed; 2 usage error; 3 unreadable or unwritable file; 4 invalid
 configuration; 5 divergence; 6 internal error.
@@ -60,6 +60,13 @@ _PRESETS = {
 _Field = collections.namedtuple("_Field", "name type default flag choices",
                                 defaults=(None, {}, None))
 
+# the settings a recipe reads, shared by rates, recipes and run
+_RECIPE_FIELDS = (
+    _Field("zeta", float, 0.5),
+    _Field("gamma", float, 1.0),
+    _Field("epsilon", float),
+    _Field("c_eta", float, 0.125),
+)
 
 _FIELDS = {
     "decompose": (
@@ -80,10 +87,7 @@ _FIELDS = {
     ),
     "rates": (
         _Field("recipe", str, "C3", choices=RECIPE_IDS),
-        _Field("zeta", float, 0.5),
-        _Field("gamma", float, 1.0),
-        _Field("epsilon", float),
-        _Field("c_eta", float, 0.125),
+        *_RECIPE_FIELDS,
         _Field("m_grid", str, "64,128,256,512,1024"),
         _Field("trials", int, 20),
         _Field("noise_sd", float, 1.0),
@@ -93,10 +97,7 @@ _FIELDS = {
     ),
     "recipes": (
         _Field("m", int, None, {"required": True}),
-        _Field("zeta", float, 0.5),
-        _Field("gamma", float, 1.0),
-        _Field("epsilon", float),
-        _Field("c_eta", float, 0.125),
+        *_RECIPE_FIELDS,
         _Field("id", str, None, choices=RECIPE_IDS),
     ),
     "lemmas": (_Field("max_t", int, 10_000),),
@@ -109,10 +110,7 @@ _FIELDS = {
         _Field("kernel", str, "gaussian", choices=("gaussian", "sobolev", "linear")),
         _Field("sigma", float, 0.2),
         _Field("recipe", str, None, choices=RECIPE_IDS),
-        _Field("zeta", float, 0.5),
-        _Field("gamma", float, 1.0),
-        _Field("epsilon", float),
-        _Field("c_eta", float, 0.125),
+        *_RECIPE_FIELDS,
         _Field("b", int),
         _Field("eta1", float),
         _Field("theta", float, 0.0),
@@ -149,9 +147,10 @@ def _file_value(name, val, want):
     return want(val)
 
 
-# keys an artifact's embedded config carries besides its fields; ``threads``
-# is a retired flag that older artifacts still hold
-_PROVENANCE_KEYS = ("preset", "generator", "seed_mixer", "version", "threads")
+# keys an artifact's embedded config carries besides its fields; older
+# artifacts still hold two retired ones: ``generator``, the RNG's name
+# before it was recorded as ``rng``, and the flag ``threads``
+_PROVENANCE_KEYS = ("preset", "rng", "seed_mixer", "version", "generator", "threads")
 
 
 def _resolve(args, command):
@@ -192,7 +191,12 @@ def _resolve(args, command):
 
 
 def _provenance(cfg):
-    return dict(cfg, generator=GENERATOR_NAME, seed_mixer=SEED_MIXER_NAME, version=__version__)
+    return dict(cfg, rng=GENERATOR_NAME, seed_mixer=SEED_MIXER_NAME, version=__version__)
+
+
+def _recipe_settings(cfg):
+    """``cfg``'s recipe fields as keywords of ``recipe`` and ``recipe_table``."""
+    return {"eps" if f.name == "epsilon" else f.name: cfg[f.name] for f in _RECIPE_FIELDS}
 
 
 def _write_json(path, cfg, **fields):
@@ -282,8 +286,7 @@ def cmd_rates(args):
     surr = make_rng(mix_seed(cfg["seed"], 0)).random(cfg["N"])
     rows = []
     for mi, m in enumerate(m_grid):
-        rec = recipe(cfg["recipe"], m, zeta=cfg["zeta"], gamma=cfg["gamma"], eps=cfg["epsilon"],
-                     c_eta=cfg["c_eta"])
+        rec = recipe(cfg["recipe"], m, **_recipe_settings(cfg))
         streams = [mix_seed(cfg["seed"], 1 + mi * trials + trial)
                    for trial in range(trials)]
         samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=cfg["noise_sd"])
@@ -315,11 +318,10 @@ def cmd_rates(args):
 
 def cmd_recipes(args):
     cfg = _resolve(args, "recipes")
-    params = dict(zeta=cfg["zeta"], gamma=cfg["gamma"], eps=cfg["epsilon"], c_eta=cfg["c_eta"])
     if cfg["id"]:
-        table = [recipe(cfg["id"], cfg["m"], **params)]
+        table = [recipe(cfg["id"], cfg["m"], **_recipe_settings(cfg))]
     else:
-        table = recipe_table(cfg["m"], **params)
+        table = recipe_table(cfg["m"], **_recipe_settings(cfg))
         listed = {r.corollary for r in table}
         skipped = [rid for rid in RECIPE_IDS if rid not in listed]
         if skipped:
@@ -381,10 +383,11 @@ def cmd_run(args):
         ksq = kappa_sq(KernelSpec("linear"), train.x)
 
     if cfg["recipe"]:
-        rec = recipe(cfg["recipe"], train.m, zeta=cfg["zeta"], gamma=cfg["gamma"],
-                     eps=cfg["epsilon"], c_eta=cfg["c_eta"], kappa_sq=ksq)
+        rec = recipe(cfg["recipe"], train.m, **_recipe_settings(cfg), kappa_sq=ksq)
         b, schedule, T = rec.b, rec.schedule, rec.t_star
         algorithm = "batch" if rec.is_batch else "sgm"
+        # the config records as null the explicit settings a recipe run does not read
+        cfg.update(dict.fromkeys(("b", "eta1", "theta", "T", "batch")))
     else:
         algorithm = "batch" if cfg["batch"] else "sgm"
         # batch GM uses the whole sample at every step and never reads b
@@ -395,7 +398,7 @@ def cmd_run(args):
         b, T = cfg["b"], cfg["T"]
         schedule = StepSchedule(eta1=cfg["eta1"], theta=cfg["theta"], kappa_sq=ksq)
         # nor the recipe settings it does not read
-        cfg["zeta"] = cfg["gamma"] = cfg["epsilon"] = cfg["c_eta"] = None
+        cfg.update(dict.fromkeys(f.name for f in _RECIPE_FIELDS))
     if T >= 3:
         check = validate_schedule(schedule, T)
         if not check.ok:

@@ -138,6 +138,25 @@ class Recipe:
         }
 
 
+# the attainable-case laws: (b, eta1, power of m in t_star) from
+# (m, zeta, alpha, c_eta); keep each expression's operation order, since a
+# reordered one can differ by an ulp and the recipes' bits are pinned
+_LAWS = {
+    "C3": lambda m, zeta, alpha, c: (1, c / float(m), 1.0 + 1.0 / alpha),
+    "C4": lambda m, zeta, alpha, c: (_ceil_guarded(math.sqrt(m)), c / math.sqrt(m),
+                                     1.0 / alpha + 0.5),
+    "C5": lambda m, zeta, alpha, c: (1, c * float(m) ** (-2.0 * zeta / alpha),
+                                     (2.0 * zeta + 1.0) / alpha),
+    "C6": lambda m, zeta, alpha, c: (_ceil_guarded(float(m) ** (2.0 * zeta / alpha)),
+                                     c / math.log(m), 1.0 / alpha),
+    "C7": lambda m, zeta, alpha, c: (m, c / math.log(m), 1.0 / alpha),
+    "BGM": lambda m, zeta, alpha, c: (m, c, 1.0 / alpha),
+}
+# the rule: these ids follow a law at alpha' = max(alpha, 1), which holds
+# for any 2 zeta + gamma; where alpha <= 1, t_star's power of m loses eps
+_RULE = {"C11": "C3", "C12": "C4", "B1": "C5", "B2": "C6", "B3": "C7", "BGM": "BGM"}
+
+
 def recipe(
     rid: str,
     m: int,
@@ -149,9 +168,10 @@ def recipe(
 ) -> Recipe:
     """Instantiate one named parameter recipe for sample size ``m``.
 
-    ``eps`` is only consulted (and then required) by the ids whose
-    stopping rule branches at 2*zeta + gamma = 1: BGM, C11, C12 and
-    B1..B3. All step laws here are constant in t (theta = 0).
+    C3..C7 are the attainable-case laws at alpha = 2*zeta + gamma. C11,
+    C12, B1..B3 and BGM follow C3..C7 and BGM at max(alpha, 1), so only
+    they consult ``eps``, and require it where alpha <= 1. All step laws
+    here are constant in t (theta = 0).
     """
     if rid not in RECIPE_IDS:
         raise ValueError(f"unknown recipe id {rid!r}, expected one of {RECIPE_IDS}")
@@ -167,73 +187,15 @@ def recipe(
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
     alpha = 2.0 * zeta + gamma
-    log_m = math.log(m)
-    if rid in _LOG_M_IDS and log_m <= 0:
+    if rid in _LOG_M_IDS and math.log(m) <= 0:
         raise ValueError(f"recipe {rid} needs m >= 2 (its step size scales with 1/ln m)")
-
-    def needs_eps():
+    clamped = rid in _RULE and not alpha > 1  # the regime label's test, nan alike
+    b, eta1, power = _LAWS[_RULE.get(rid, rid)](m, zeta, 1.0 if clamped else alpha, c_eta)
+    if clamped:
         if eps is None:
             raise ValueError(f"recipe {rid}: regime requires epsilon (2*zeta + gamma <= 1)")
-        return eps
-
-    mf = float(m)
-    if rid == "C3":
-        b, eta1 = 1, c_eta / mf
-        t_star = _ceil_guarded(mf ** (1.0 + 1.0 / alpha))
-    elif rid == "C4":
-        b, eta1 = _ceil_guarded(math.sqrt(mf)), c_eta / math.sqrt(mf)
-        t_star = _ceil_guarded(mf ** (1.0 / alpha + 0.5))
-    elif rid == "C5":
-        b, eta1 = 1, c_eta * mf ** (-2.0 * zeta / alpha)
-        t_star = _ceil_guarded(mf ** ((2.0 * zeta + 1.0) / alpha))
-    elif rid == "C6":
-        b, eta1 = _ceil_guarded(mf ** (2.0 * zeta / alpha)), c_eta / log_m
-        t_star = _ceil_guarded(mf ** (1.0 / alpha))
-    elif rid == "C7":
-        b, eta1 = m, c_eta / log_m
-        t_star = _ceil_guarded(mf ** (1.0 / alpha))
-    elif rid == "BGM":
-        b, eta1 = m, c_eta
-        t_star = (
-            _ceil_guarded(mf ** (1.0 / alpha))
-            if alpha > 1
-            else _ceil_guarded(mf ** (1.0 - needs_eps()))
-        )
-    elif rid == "C11":
-        b, eta1 = 1, c_eta / mf
-        t_star = (
-            _ceil_guarded(mf ** (1.0 + 1.0 / alpha))
-            if alpha > 1
-            else _ceil_guarded(mf ** (2.0 - needs_eps()))
-        )
-    elif rid == "C12":
-        b, eta1 = _ceil_guarded(math.sqrt(mf)), c_eta / math.sqrt(mf)
-        t_star = (
-            _ceil_guarded(mf ** (1.0 / alpha + 0.5))
-            if alpha > 1
-            else _ceil_guarded(mf ** (1.5 - needs_eps()))
-        )
-    elif rid == "B1":
-        b, eta1 = 1, c_eta * mf ** (-2.0 * zeta / max(alpha, 1.0))
-        t_star = (
-            _ceil_guarded(mf ** ((2.0 * zeta + 1.0) / alpha))
-            if alpha > 1
-            else _ceil_guarded(mf ** (1.0 + 2.0 * zeta - needs_eps()))
-        )
-    elif rid == "B2":
-        b, eta1 = _ceil_guarded(mf ** (2.0 * zeta / max(alpha, 1.0))), c_eta / log_m
-        t_star = (
-            _ceil_guarded(mf ** (1.0 / alpha))
-            if alpha > 1
-            else _ceil_guarded(mf ** (1.0 - needs_eps()))
-        )
-    else:  # B3
-        b, eta1 = m, c_eta / log_m
-        t_star = (
-            _ceil_guarded(mf ** (1.0 / alpha))
-            if alpha > 1
-            else _ceil_guarded(mf ** (1.0 - needs_eps()))
-        )
+        power -= eps
+    t_star = _ceil_guarded(float(m) ** power)
 
     regime = "{},{}".format(
         "attainable" if zeta >= 0.5 else "non-attainable",

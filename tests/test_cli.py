@@ -151,7 +151,7 @@ class TestDecompose:
         assert all(r["ineq_ok"] == "True" for r in rows)
         payload = json.loads((tmp_path / "dec.json").read_text())
         assert payload["config"]["seed"] == 7
-        assert payload["config"]["generator"] == "philox4x64"
+        assert payload["config"]["rng"] == "philox4x64"
 
     def test_rerun_is_bit_identical(self, tmp_path):
         args = ["decompose", "--m", "15", "--b", "3", "--eta1", "0.05", "--T", "25",
@@ -261,6 +261,16 @@ class TestDecompose:
                                    "threads": 2, "preset": None, "version": "0.1.0"}))
         assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
         assert "threads" not in json.loads((tmp_path / "x.json").read_text())["config"]
+
+    def test_retired_generator_key_still_loads(self, tmp_path):
+        """Older artifacts recorded the RNG's name under ``generator``; the
+        config loads, and the new artifact records it under ``rng``."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 12, "b": 2, "T": 10, "R": 3, "N": 40, "checkpoints": 3,
+                                   "generator": "philox4x64", "seed_mixer": "splitmix64"}))
+        assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        config = json.loads((tmp_path / "x.json").read_text())["config"]
+        assert "generator" not in config and config["rng"] == "philox4x64"
 
     def test_int_config_value_accepted_for_float_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -461,6 +471,22 @@ class TestRun:
         assert code == 0
         for suffix in (".model.json", ".stopping.json"):
             assert json.loads((tmp_path / ("r" + suffix)).read_text())["config"][key] == value
+
+    @pytest.mark.parametrize("rid", ["C3", "BGM"])
+    def test_recipe_run_records_as_null_the_settings_it_does_not_read(self, tmp_path, rid):
+        """A recipe run reads none of --b, --eta1, --T, --theta and --batch;
+        both artifacts record them as null, and the run stops at the
+        recipe's t_star."""
+        code = main(["run", "--generator", "synthetic-abs", "--m", "60", "--checkpoints", "4",
+                     "--recipe", rid, "--batch", "--b", "7", "--eta1", "3", "--T", "9",
+                     "--theta", "0.5", "--out", str(tmp_path / "r")])
+        assert code == 0
+        for suffix in (".model.json", ".stopping.json"):
+            config = json.loads((tmp_path / ("r" + suffix)).read_text())["config"]
+            assert [config[k] for k in ("b", "eta1", "T", "theta", "batch")] == [None] * 5
+            assert config["recipe"] == rid
+        stopping = json.loads((tmp_path / "r.stopping.json").read_text())
+        assert stopping["checkpoints"][-1] == recipe(rid, 42).t_star  # the training split
 
     @pytest.mark.parametrize("extra", [
         ["--b", "6", "--eta1", "0.5", "--T", "150"],
@@ -694,10 +720,17 @@ def _subparser(command):
 
 
 # an artifact's config holds every field of its subcommand plus these
-_PROVENANCE = {"generator", "seed_mixer", "version"}
+_PROVENANCE = {"rng", "seed_mixer", "version"}
 
 
 class TestFieldTable:
+    def test_provenance_writes_no_field_name(self):
+        """The keys provenance adds to a config never overwrite a field."""
+        written = set(cli._provenance({}))
+        assert written <= set(cli._PROVENANCE_KEYS)
+        for command, fields in cli._FIELDS.items():
+            assert not written & {f.name for f in fields}, command
+
     @pytest.mark.parametrize("command", ["decompose", "rates", "recipes", "lemmas", "run"])
     def test_parser_flags_are_the_table_fields(self, command):
         flags = {(opt, a.dest) for a in _subparser(command)._actions for opt in a.option_strings}
@@ -745,9 +778,10 @@ _SMALL_RUN = ["--generator", "synthetic-abs", "--m", "40", "--b", "2", "--eta1",
 ], ids=["decompose-sgm", "decompose-batch", "rates", "run-kernel", "run-euclidean", "recipes"])
 def test_artifacts_share_one_format(tmp_path, capsys, argv, jsons, csvs):
     """Every JSON artifact is strict and embeds a config its own field
-    table accepts; a CSV holds that config as its ``# config:`` line, then
-    a header and one LF-ended line per JSON row; recipes writes the same
-    bytes to stdout as to --out."""
+    table accepts, each value of its field's type and among its choices; a
+    CSV holds that config as its ``# config:`` line, then a header and one
+    LF-ended line per JSON row; recipes writes the same bytes to stdout as
+    to --out."""
     out = tmp_path / "a"
     assert main([*argv, "--out", str(out)]) == 0
     fields = {f.name: f for f in cli._FIELDS[argv[0]]}
@@ -758,6 +792,7 @@ def test_artifacts_share_one_format(tmp_path, capsys, argv, jsons, csvs):
         for key, val in doc["config"].items():
             if key in fields and val is not None:
                 cli._file_value(key, val, fields[key].type)
+                assert not fields[key].choices or val in fields[key].choices, (key, val)
     for suffix, (header, n_rows) in csvs.items():
         data = (tmp_path / ("a" + suffix)).read_bytes()
         assert b"\r" not in data

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from sgdlsq import (
     RECIPE_IDS,
@@ -175,3 +178,93 @@ class TestRecipes:
             recipe("C3", 100, c_eta=0.0)
         with pytest.raises(ValueError):
             recipe("XX", 100)
+
+
+# the ids the rule derives, each with the law it follows and the power of
+# m in t_star at alpha' = 1, before eps is taken off
+_RULE = {"C11": ("C3", lambda zeta: 2.0), "C12": ("C4", lambda zeta: 1.5),
+         "B1": ("C5", lambda zeta: 1.0 + 2.0 * zeta), "B2": ("C6", lambda zeta: 1.0),
+         "B3": ("C7", lambda zeta: 1.0), "BGM": ("BGM", lambda zeta: 1.0)}
+
+_draws = dict(m=st.integers(2, 10**6), eps=st.floats(1e-3, 0.999),
+                 c_eta=st.floats(1e-3, 10.0))
+
+
+class TestRecipeRule:
+    """C11, C12, B1, B2, B3 and BGM are C3..C7 and BGM at max(alpha, 1)."""
+
+    @given(zeta=st.floats(1e-3, 3.0), gamma=st.floats(1e-3, 1.0), **_draws)
+    def test_above_one_each_id_is_its_law(self, m, zeta, gamma, eps, c_eta):
+        assume(2.0 * zeta + gamma > 1)
+        for rid, (law, _) in _RULE.items():
+            rec = recipe(rid, m, zeta=zeta, gamma=gamma, eps=eps, c_eta=c_eta)
+            assert dataclasses.replace(rec, corollary=law) == recipe(
+                law, m, zeta=zeta, gamma=gamma, eps=eps, c_eta=c_eta)
+
+    @given(zeta=st.floats(1e-3, 0.499), gamma=st.floats(1e-3, 1.0), **_draws)
+    def test_at_most_one_t_star_loses_eps(self, m, zeta, gamma, eps, c_eta):
+        assume(2.0 * zeta + gamma <= 1)
+        for rid, (_, power) in _RULE.items():
+            rec = recipe(rid, m, zeta=zeta, gamma=gamma, eps=eps, c_eta=c_eta)
+            assert rec.t_star == max(1, math.ceil(m ** (power(zeta) - eps) - 1e-9)), rid
+
+
+# (b, eta1.hex(), t_star) of each id in RECIPE_IDS order, at c_eta = 1/8,
+# keyed by (zeta, gamma, eps, m), as the per-id formulas gave them
+_PINNED = {
+    (0.5, 1.0, None, 2): [
+        (1, "0x1.0000000000000p-4", 3), (2, "0x1.6a09e667f3bccp-4", 2),
+        (1, "0x1.6a09e667f3bcdp-4", 2), (2, "0x1.71547652b82fep-3", 2),
+        (2, "0x1.71547652b82fep-3", 2), (2, "0x1.0000000000000p-3", 2),
+        (1, "0x1.0000000000000p-4", 3), (2, "0x1.6a09e667f3bccp-4", 2),
+        (1, "0x1.6a09e667f3bcdp-4", 2), (2, "0x1.71547652b82fep-3", 2),
+        (2, "0x1.71547652b82fep-3", 2),
+    ],
+    (0.5, 1.0, None, 1000): [
+        (1, "0x1.0624dd2f1a9fcp-13", 31623), (32, "0x1.030dc4ea03a72p-8", 1000),
+        (1, "0x1.030dc4ea03a72p-8", 1000), (32, "0x1.287a7636f435fp-6", 32),
+        (1000, "0x1.287a7636f435fp-6", 32), (1000, "0x1.0000000000000p-3", 32),
+        (1, "0x1.0624dd2f1a9fcp-13", 31623), (32, "0x1.030dc4ea03a72p-8", 1000),
+        (1, "0x1.030dc4ea03a72p-8", 1000), (32, "0x1.287a7636f435fp-6", 32),
+        (1000, "0x1.287a7636f435fp-6", 32),
+    ],
+    (0.25, 0.5, 0.3, 2): [
+        (1, "0x1.0000000000000p-4", 4), (2, "0x1.6a09e667f3bccp-4", 3),
+        (1, "0x1.6a09e667f3bcdp-4", 3), (2, "0x1.71547652b82fep-3", 2),
+        (2, "0x1.71547652b82fep-3", 2), (2, "0x1.0000000000000p-3", 2),
+        (1, "0x1.0000000000000p-4", 4), (2, "0x1.6a09e667f3bccp-4", 3),
+        (1, "0x1.6a09e667f3bcdp-4", 3), (2, "0x1.71547652b82fep-3", 2),
+        (2, "0x1.71547652b82fep-3", 2),
+    ],
+    (0.25, 0.5, 0.3, 1000): [
+        (1, "0x1.0624dd2f1a9fcp-13", 1000000), (32, "0x1.030dc4ea03a72p-8", 31623),
+        (1, "0x1.030dc4ea03a72p-8", 31623), (32, "0x1.287a7636f435fp-6", 1000),
+        (1000, "0x1.287a7636f435fp-6", 1000), (1000, "0x1.0000000000000p-3", 126),
+        (1, "0x1.0624dd2f1a9fcp-13", 125893), (32, "0x1.030dc4ea03a72p-8", 3982),
+        (1, "0x1.030dc4ea03a72p-8", 3982), (32, "0x1.287a7636f435fp-6", 126),
+        (1000, "0x1.287a7636f435fp-6", 126),
+    ],
+    (0.2, 0.4, 0.3, 2): [
+        (1, "0x1.0000000000000p-4", 5), (2, "0x1.6a09e667f3bccp-4", 4),
+        (1, "0x1.6a09e667f3bcdp-4", 4), (2, "0x1.71547652b82fep-3", 3),
+        (2, "0x1.71547652b82fep-3", 3), (2, "0x1.0000000000000p-3", 2),
+        (1, "0x1.0000000000000p-4", 4), (2, "0x1.6a09e667f3bccp-4", 3),
+        (1, "0x1.8406003b2ae5cp-4", 3), (2, "0x1.71547652b82fep-3", 2),
+        (2, "0x1.71547652b82fep-3", 2),
+    ],
+    (0.2, 0.4, 0.3, 1000): [
+        (1, "0x1.0624dd2f1a9fcp-13", 5623414), (32, "0x1.030dc4ea03a72p-8", 177828),
+        (1, "0x1.030dc4ea03a72p-8", 177828), (32, "0x1.287a7636f435fp-6", 5624),
+        (1000, "0x1.287a7636f435fp-6", 5624), (1000, "0x1.0000000000000p-3", 126),
+        (1, "0x1.0624dd2f1a9fcp-13", 125893), (32, "0x1.030dc4ea03a72p-8", 3982),
+        (1, "0x1.0270ac3f8a9f9p-7", 1996), (16, "0x1.287a7636f435fp-6", 126),
+        (1000, "0x1.287a7636f435fp-6", 126),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED))
+def test_recipes_equal_their_pinned_values(key):
+    zeta, gamma, eps, m = key
+    recipes = [recipe(rid, m, zeta=zeta, gamma=gamma, eps=eps) for rid in RECIPE_IDS]
+    assert [(r.b, r.schedule.eta1.hex(), r.t_star) for r in recipes] == _PINNED[key]
