@@ -10,7 +10,6 @@ import json
 import numpy as np
 
 from sgdlsq import (
-    AnchorSet,
     KernelSpec,
     StepSchedule,
     gen_synthetic_abs,
@@ -32,16 +31,16 @@ for rec in recipe_table(m, zeta=0.5, gamma=1.0, eps=0.3):
 # train with the sqrt-batch setting, but stop by validation instead of T*
 sample = gen_synthetic_abs(m, seed=3, noise_sd=1.0)
 train, val, test = split(sample, (0.6, 0.2, 0.2), seed=4)
+# the iterate is an expansion over the training points; SGM builds their
+# Gram for its run only, and hold-out and the test error read the kernel
+# at the points they evaluate
 kernel = KernelSpec("gaussian", sigma=0.2)
-# as `sgdlsq run` does: SGM builds the Gram for its run only, and hold-out
-# and the test error read the kernel at the points they evaluate
-ctx = AnchorSet.lazy(kernel, train.x)
 
 b = int(np.ceil(np.sqrt(train.m)))
 schedule = StepSchedule(1.0 / (8 * np.sqrt(train.m)))
 T = 40 * train.m // b  # checkpoint out to 40 passes
 plan = sample_index_plan(train.m, b, T, seed=5)
-trajectory = run_sgm(train, ctx, schedule, plan, log_checkpoints(T, 20))
+trajectory = run_sgm(train, kernel, schedule, plan, log_checkpoints(T, 20))
 
 outcome = holdout_stop(trajectory, val)
 print(f"\nvalidation curve over checkpoints {outcome.checkpoints}:")

@@ -116,7 +116,7 @@ def _check_contraction_inputs(eigs, schedule, zetas, cuts):
     if np.any(eigs < 0):
         raise ValueError("eigenvalues must be nonnegative")
     for zeta in zetas:
-        if zeta <= 0:
+        if not zeta > 0:  # also refuses nan
             raise ValueError(f"zeta must be > 0, got {zeta}")
     for t, k in cuts:
         if not 0 <= k <= t - 1:
@@ -136,20 +136,16 @@ def check_contraction_bound(
     ``eigs`` is the (nonnegative) spectrum of a compact positive
     operator; the product over steps l = k+1 .. t uses the schedule's
     eta_l, and an empty product (never reached here since k <= t-1)
-    would be 1 by convention.
+    would be 1 by convention. One cut of :func:`_contraction_grid`.
     """
     eigs = np.asarray(eigs, dtype=np.float64).reshape(-1)
     _check_contraction_inputs(eigs, schedule, (zeta,), ((t, k),))
-    etas = schedule.etas(t)[k:t]
-    factors = 1.0 - np.outer(eigs, etas)
-    lhs = float(np.max(np.prod(factors, axis=1) * eigs**zeta))
-    eta_total = fsum(etas)
-    bound = (zeta / (math.e * eta_total)) ** zeta
+    lhs, bound = _contraction_grid(eigs[None], [schedule], (zeta,), [(t, k)])
     return LemmaVerdict(
         lemma="contraction",
         params={"zeta": zeta, "k": k, "t": t, "theta": schedule.theta, "eta1": schedule.eta1},
-        lhs=lhs,
-        bound=bound,
+        lhs=float(lhs[0, 0, 0, 0]),
+        bound=float(bound[0, 0, 0]),
     )
 
 

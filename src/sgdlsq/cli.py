@@ -9,9 +9,10 @@ lemmas      the deterministic bound-check sweep (nonzero exit on failure)
 run         train one model with hold-out early stopping
 
 Every artifact but the lemmas CSV embeds its fully resolved configuration
-(flags, seeds, RNG names), so rerunning an artifact's embedded
-config reproduces it bit for bit. Exit codes: 0 all requested checks passed; 1 a check
-failed; 2 usage error; 3 unreadable or unwritable file; 4 invalid
+(flags, seeds, RNG names). Only decompose takes --config, a JSON file whose
+keys mirror the flags: fed a decompose artifact's embedded config, it
+writes the same bytes. Exit codes: 0 all requested checks passed; 1 a
+check failed; 2 usage error; 3 unreadable or unwritable file; 4 invalid
 configuration; 5 divergence; 6 internal error.
 """
 
@@ -291,15 +292,14 @@ def cmd_rates(args):
                    for trial in range(trials)]
         samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=cfg["noise_sd"])
                    for s in streams]
-        sets = [AnchorSet.lazy(kernel, s.x) for s in samples]
         if rec.is_batch:
-            finals = [run_batch_gm(s, ctx, rec.schedule, rec.t_star, (rec.t_star,)).final.coeffs
-                      for s, ctx in zip(samples, sets)]
+            finals = [run_batch_gm(s, kernel, rec.schedule, rec.t_star, (rec.t_star,)).final.coeffs
+                      for s in samples]
         else:
             table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
             finals = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))[0]
-        risks = [excess_risk(kernel_vector(c, ctx), surr, abs_target)
-                 for ctx, c in zip(sets, finals)]
+        risks = [excess_risk(kernel_vector(c, AnchorSet.lazy(kernel, s.x)), surr, abs_target)
+                 for s, c in zip(samples, finals)]
         mean = float(np.mean(risks))
         se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
         rows.append(
@@ -407,12 +407,11 @@ def cmd_run(args):
 
     # the runs build a Gram only for as long as they read it: hold-out and
     # the test error read the kernel
-    ctx = AnchorSet.lazy(kernel, train.x) if kernel else None
     if algorithm == "batch":
-        traj = run_batch_gm(train, ctx, schedule, T, cps)
+        traj = run_batch_gm(train, kernel, schedule, T, cps)
     else:
         plan = sample_index_plan(train.m, b, T, mix_seed(cfg["seed"], 2))
-        traj = run_sgm(train, ctx, schedule, plan, cps)
+        traj = run_sgm(train, kernel, schedule, plan, cps)
     outcome = holdout_stop(traj, val, metric=cfg["metric"])
     chosen = traj.vector_at(outcome.chosen_t)
 
@@ -422,7 +421,7 @@ def cmd_run(args):
     _write_json(args.out + ".model.json", cfg, backend=chosen.backend,
                 coefficients=chosen.coeffs.tolist(),
                 kernel=kernel.label() if kernel else None,
-                anchor_points=ctx.points.tolist() if ctx is not None else None,
+                anchor_points=None if kernel is None else traj.anchors.points.tolist(),
                 scaling=scaling, chosen_t=outcome.chosen_t)
     _write_json(args.out + ".stopping.json", cfg, rule=outcome.rule,
                 chosen_t=outcome.chosen_t, checkpoints=list(outcome.checkpoints),

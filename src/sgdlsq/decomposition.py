@@ -41,10 +41,10 @@ from .iterations import (
     run_sgm_trials,
     sample_index_table,
 )
-from .kernels import KernelSpec, cross_matrix
+from .kernels import KernelSpec, build_gram, cross_matrix
 from .rng import mix_seed
 from .schedules import StepSchedule, passes
-from .spaces import AnchorSet, HypothesisVector, mean_square_error, prediction_errors
+from .spaces import HypothesisVector, mean_square_error, prediction_errors
 
 _SLACK = 1e-12
 
@@ -167,25 +167,24 @@ def fit_rate(pairs) -> RateFit:
 
 
 def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
-    """What both reports share: the surrogate targets, the training
-    context, the matrix taking training coefficients to surrogate values,
-    the batch iterate's surrogate values, bias^2 and sample variance^2."""
+    """What both reports share: the surrogate targets, the matrix taking
+    training coefficients to surrogate values, the batch iterate's
+    surrogate values, bias^2 and sample variance^2."""
     pts = np.asarray(surrogate, float)
     f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(f_vals)):
         raise ValueError("f_true produced non-finite values on the surrogate")
+    pop = run_population(pts, kernel, f_true, schedule, T, cps)
     if kernel is None:
-        ctx, eval_mat = None, pts.reshape(pts.shape[0], -1)
-        pop_vals = run_population(pts, f_true, schedule, T, cps).values(eval_mat)
+        eval_mat = pts.reshape(pts.shape[0], -1)
+        pop_vals = pop.values(eval_mat)
     else:
-        ctx = AnchorSet.build(kernel, sample.x, check_psd=None)
         eval_mat = cross_matrix(kernel, pts, sample.x)
         # population expansions are anchored on the surrogate itself,
         # whose Gram is built only if the population's step loop runs
-        surr = AnchorSet.lazy(kernel, pts)
-        pop_vals = surr.gram_product(run_population(surr, f_true, schedule, T, cps).coeffs)
-    batch_vals = run_batch_gm(sample, ctx, schedule, T, cps).values(eval_mat)
-    return (f_vals, ctx, eval_mat, batch_vals, prediction_errors(pop_vals, f_vals),
+        pop_vals = pop.anchors.gram_product(pop.coeffs)
+    batch_vals = run_batch_gm(sample, kernel, schedule, T, cps).values(eval_mat)
+    return (f_vals, eval_mat, batch_vals, prediction_errors(pop_vals, f_vals),
             prediction_errors(batch_vals, pop_vals))
 
 
@@ -223,12 +222,13 @@ def decompose(
     if R < 2:
         raise ValueError(f"need at least 2 trials for standard errors, got {R}")
     cps = normalize_checkpoints(checkpoints, T)
-    f_vals, ctx, eval_mat, batch_vals, bias_sq, sample_var_sq = _deterministic_terms(
+    f_vals, eval_mat, batch_vals, bias_sq, sample_var_sq = _deterministic_terms(
         sample, surrogate, f_true, kernel, schedule, T, cps)
 
     seeds = [mix_seed(base_seed, r) for r in range(R)]
     # (n_cp, R, w); the index table lives only while the trials run
-    block = run_sgm_trials(sample, ctx, schedule, sample_index_table(sample.m, b, T, seeds), cps)
+    block = run_sgm_trials(sample, kernel, schedule, sample_index_table(sample.m, b, T, seeds),
+                           cps)
     # one chunk of one checkpoint's trial values
     vals = np.empty((min(R, _TRIAL_CHUNK), eval_mat.shape[0]))
     sq = np.empty_like(vals)
@@ -277,7 +277,7 @@ def decompose_batch(
     batch iterate to the regression function.
     """
     cps = normalize_checkpoints(checkpoints, T)
-    f_vals, _, _, batch_vals, bias_sq, sample_var_sq = _deterministic_terms(
+    f_vals, _, batch_vals, bias_sq, sample_var_sq = _deterministic_terms(
         sample, surrogate, f_true, kernel, schedule, T, cps)
     zeros = np.zeros(len(cps))
     return DecompositionReport(
@@ -316,7 +316,7 @@ def unbiasedness_check(
     t: int,
     R: int,
     base_seed: int,
-    ctx: AnchorSet | None = None,
+    ctx: KernelSpec | None = None,
 ) -> UnbiasednessReport:
     """Check that averaging SGM over index plans recovers batch GM.
 
@@ -325,7 +325,8 @@ def unbiasedness_check(
     steps. Computes the H-norm of (mean over R trials of iterate t)
     minus the batch iterate, the empirical trace variance
     (1/(R-1)) sum_r ||w_r - mean||_H^2, and the 4-sigma verdict
-    ``deviation <= 4 sqrt(trace_variance / R)``.
+    ``deviation <= 4 sqrt(trace_variance / R)``. With a kernel ``ctx``
+    the H-norms read the sample's Gram, built for this check.
     """
     if R < 100:
         raise ValueError(f"unbiasedness check needs R >= 100 trials, got {R}")
@@ -348,7 +349,7 @@ def unbiasedness_check(
         dev_norm = float(np.sqrt(dev @ dev))
         trace_var = float(np.sum(centered**2) / (R - 1))
     else:
-        gram = ctx.gram_values()
+        gram = build_gram(ctx, sample.x, check_psd=False).values
         dev_norm = float(np.sqrt(max(dev @ (gram @ dev), 0.0)))
         trace_var = float(max(np.sum(centered * (centered @ gram)), 0.0) / (R - 1))
     bound = 4.0 * math.sqrt(trace_var / R)

@@ -69,7 +69,8 @@ class IndexPlan:
 
     def __post_init__(self):
         if self.indices.shape != (self.T, self.b):
-            raise DimensionMismatch("index table rows", self.T, self.indices.shape[0])
+            raise ValueError(f"index table: expected shape (T, b) = {(self.T, self.b)}, "
+                             f"got {self.indices.shape}")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.m):
             raise ValueError("index plan entries must lie in [0, m)")
 
@@ -193,13 +194,15 @@ def _as_matrix(x):
     return x[:, None] if x.ndim == 1 else x
 
 
-def _check_anchors(sample: Sample, ctx: AnchorSet) -> AnchorSet:
-    if ctx.n != sample.m:
-        raise DimensionMismatch("anchor set vs sample", sample.m, ctx.n)
-    if not np.array_equal(ctx.points, sample.x):
-        raise ValueError("kernel runs anchor the iterate on the sample points; "
-                         "the anchor set must be built from sample.x")
-    return ctx
+def _gram_rows(ctx, x):
+    """What a step reads a point's row from: the Gram of ``x`` under the
+    kernel ``ctx``, built for the caller alone, or the inputs as rows."""
+    return _as_matrix(x) if ctx is None else build_gram(ctx, x, check_psd=False).values
+
+
+def _anchors(ctx, sample):
+    """A kernel run's anchor set, the sample points; None for euclidean."""
+    return None if ctx is None else AnchorSet.lazy(ctx, sample.x)
 
 
 def _coef_scale(gram):
@@ -216,14 +219,12 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     ``table`` is the (T, R, b) index table of the R runs, read in place:
     one :func:`sample_index_table` draw, or one plan's indices as a
     (T, 1, b) view (:func:`run_sgm`). ``samples`` is one :class:`Sample`
-    shared by all trials or one per plan. ``ctx`` is ``None``
-    (euclidean), an :class:`AnchorSet` on the shared sample's points, or
-    a :class:`KernelSpec` with per-trial samples, whose Grams (or
-    inputs) are stacked in chunks of trials within ``_STACK_BYTES``. The
-    run reads the anchor set's :meth:`~AnchorSet.gram_values`: the Gram a
-    built set keeps, or one built for this run on a lazy set
-    (:meth:`AnchorSet.lazy`) and freed on return, so that Gram lives only
-    while SGM reads it. Besides its Grams, the index
+    shared by all trials or one per plan, whose Grams (or inputs) are
+    then stacked in chunks of trials within ``_STACK_BYTES``. ``ctx`` is
+    ``None`` (euclidean) or the :class:`KernelSpec` whose iterates are
+    expansions over each trial's sample points. The run builds the Grams
+    it reads and frees them on return, so a Gram lives only while SGM
+    reads it. Besides its Grams, the index
     table and the returned block, the run holds O(R b w): each block of
     steps gathers its sampled rows into one buffer per chunk, and the
     checkpoints are written straight into the returned block. Returns
@@ -255,11 +256,9 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     if any(s.m != m for s in samples):
         raise ValueError("index plans and samples must share the sample size, b and T")
     kernel = ctx is not None
-    if kernel and stacked != isinstance(ctx, KernelSpec):
-        raise ValueError("per-trial samples take a KernelSpec, a shared sample an AnchorSet")
     if not stacked:
         ys = samples[0].y
-        src = _check_anchors(samples[0], ctx).gram_values() if kernel else _as_matrix(samples[0].x)
+        src = _gram_rows(ctx, samples[0].x)
     w = m if kernel else samples[0].dim
     cps = normalize_checkpoints(checkpoints, T)
     etas = schedule.etas(T) / b
@@ -273,7 +272,7 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
         if stacked:
             src = np.empty((hi - lo, m, w))
             for j, s in enumerate(samples[lo:hi]):
-                src[j] = build_gram(ctx, s.x, check_psd=False).values if kernel else _as_matrix(s.x)
+                src[j] = _gram_rows(ctx, s.x)
             ys = np.concatenate([s.y for s in samples[lo:hi]])
         # each trial's largest K_jj (||x_j||^2): the step condition keeps
         # every entry of the block systems at most 1, so their LU never pivots
@@ -402,7 +401,7 @@ def _sgm_steps(phi, ys, rows, stride, kernel, etas, cps, out, members, block, sc
 
 def run_sgm(
     sample: Sample,
-    ctx: AnchorSet | None,
+    ctx: KernelSpec | None,
     schedule: StepSchedule,
     plan: IndexPlan,
     checkpoints=None,
@@ -411,10 +410,10 @@ def run_sgm(
 
     Step t updates with the averaged residual gradient of its b sampled
     points. With ``ctx=None`` the iterate is a coordinate vector over
-    ``sample.x``; with an anchor set (built on the sample points) it is
-    a kernel expansion and only the b sampled coefficients change per
-    step, at O(m b) cost from the gathered Gram rows. This is the
-    single-plan case of :func:`run_sgm_trials`.
+    ``sample.x``; with a kernel it is an expansion over the sample points
+    and only the b sampled coefficients change per step, at O(m b) cost
+    from the gathered Gram rows. This is the single-plan case of
+    :func:`run_sgm_trials`.
     """
     cps = normalize_checkpoints(checkpoints, plan.T)
     try:
@@ -422,7 +421,8 @@ def run_sgm(
     except DivergenceError as exc:
         backend = "euclidean" if ctx is None else "kernel"
         raise DivergenceError(exc.iteration, f"sgm/{backend}") from None
-    return Trajectory(cps, block[:, 0], tuple(passes(plan.b, t, sample.m) for t in cps), ctx)
+    return Trajectory(cps, block[:, 0], tuple(passes(plan.b, t, sample.m) for t in cps),
+                      _anchors(ctx, sample))
 
 
 def _pivoted_cholesky(anchors: AnchorSet, max_rank):
@@ -471,7 +471,7 @@ def _gm_steps(grad, w, etas, cp_pos, out, where, scale):
 
 def run_batch_gm(
     sample: Sample,
-    ctx: AnchorSet | None,
+    ctx: KernelSpec | None,
     schedule: StepSchedule,
     T: int,
     checkpoints=None,
@@ -500,9 +500,8 @@ def run_batch_gm(
     could raise.
     Otherwise the step loop runs and raises
     ``DivergenceError(t, "batch/<backend>")`` at the first diverging step.
-    The factor reads k kernel rows and the kernel diagonal of ``ctx``,
-    so on a lazy :class:`AnchorSet` only the loop builds a Gram, which
-    it frees on return.
+    The factor reads k kernel rows and the kernel diagonal, so only the
+    loop builds a Gram, which it frees on return.
 
     Accuracy: the kernel filter's sample values K c_t stay within
     10 s_T lam_max eps max|y| of a step loop run in extended precision,
@@ -518,9 +517,10 @@ def run_batch_gm(
     kernel = ctx is not None
     m, y = sample.m, sample.y
     etas = schedule.etas(T) / m
+    anchors = _anchors(ctx, sample)
     if kernel:
-        scale = _check_anchors(sample, ctx).diagonal().max()
-        rows = _pivoted_cholesky(ctx, _factor_budget(T, m, m * m))
+        scale = anchors.diagonal().max()
+        rows = _pivoted_cholesky(anchors, _factor_budget(T, m, m * m))
     else:
         x = _as_matrix(sample.x)
         rows = x.T if x.shape[1] <= _factor_budget(T, m, 2 * m * x.shape[1]) else None
@@ -532,7 +532,7 @@ def run_batch_gm(
         reach = etas.sum() * np.linalg.norm(y) * (scale if kernel else np.sqrt(lam_max))
     if rows is None or etas[0] * lam_max > 2 or reach > _DIVERGENCE_LIMIT / 2:
         if kernel:
-            gram = ctx.gram_values()
+            gram = _gram_rows(ctx, sample.x)
         grad = (lambda c: gram @ c - y) if kernel else (lambda v: x.T @ (x @ v - y))
         where = "batch/kernel" if kernel else "batch/euclidean"
         _gm_steps(grad, np.zeros(out.shape[1]), etas, cp_pos, out, where, scale)
@@ -548,11 +548,12 @@ def run_batch_gm(
                 h = (1 - eta * lam) * h + eta
             if t in cp_pos:
                 out[cp_pos[t]] = s * y + (w @ (h * proj)) @ rows if kernel else w @ (h * proj)
-    return Trajectory(cps, out, cps, ctx)  # each step is one pass over the sample
+    return Trajectory(cps, out, cps, anchors)  # each step is one pass over the sample
 
 
 def run_population(
     surrogate,
+    ctx: KernelSpec | None,
     f_true,
     schedule: StepSchedule,
     T: int,
@@ -561,19 +562,16 @@ def run_population(
     """Idealized gradient run against exact targets on a surrogate measure:
     :func:`run_batch_gm` on the noiseless sample (points, f).
 
-    ``surrogate`` is an :class:`AnchorSet` (kernel backend; the iterate
-    is an expansion over the surrogate points) or a plain coordinate
-    array (euclidean backend). On a lazy anchor set (:meth:`AnchorSet.lazy`)
-    the filter builds no Gram; the step loop builds one for its run.
-    ``f_true`` must be vectorized: it maps the surrogate points to their
-    exact target values f. A divergence is reported as
-    ``population/<backend>``.
+    ``surrogate`` holds the surrogate points; with a kernel ``ctx`` the
+    iterate is an expansion over them. The filter builds no Gram; the
+    step loop builds one for its run. ``f_true`` must be vectorized: it
+    maps the surrogate points to their exact target values f. A
+    divergence is reported as ``population/<backend>``.
     """
-    kernel = isinstance(surrogate, AnchorSet)
-    backend = "kernel" if kernel else "euclidean"
-    pts = surrogate.points if kernel else np.asarray(surrogate, dtype=np.float64)
+    pts = np.asarray(surrogate, dtype=np.float64)
     sample = Sample(pts, np.asarray(f_true(pts), dtype=np.float64).reshape(-1))
     try:
-        return run_batch_gm(sample, surrogate if kernel else None, schedule, T, checkpoints)
+        return run_batch_gm(sample, ctx, schedule, T, checkpoints)
     except DivergenceError as exc:
+        backend = "euclidean" if ctx is None else "kernel"
         raise DivergenceError(exc.iteration, f"population/{backend}") from None

@@ -177,11 +177,11 @@ def recipe(
         raise ValueError(f"unknown recipe id {rid!r}, expected one of {RECIPE_IDS}")
     if m < 1:
         raise ValueError(f"sample size must be >= 1, got {m}")
-    if zeta <= 0:
+    if not zeta > 0:  # also refuses nan
         raise ValueError(f"zeta must be > 0, got {zeta}")
     if not (0 < gamma <= 1):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    if c_eta <= 0:
+    if not c_eta > 0:
         raise ValueError(f"c_eta must be > 0, got {c_eta}")
     if eps is not None and not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")

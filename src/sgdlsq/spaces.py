@@ -13,12 +13,12 @@ be computed through point evaluations, never by subtracting coefficient
 vectors; see :mod:`sgdlsq.decomposition`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .kernels import _TILE, GramMatrix, KernelSpec, build_gram, cross_matrix, kernel_diagonal
+from .kernels import _TILE, KernelSpec, build_gram, cross_matrix, kernel_diagonal
 
 
 # Most floats in one tile of K that AnchorSet.gram_product forms
@@ -38,22 +38,17 @@ def _product_tiles(n):
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Ordered anchor points, their kernel and, for a set made by
-    :meth:`build`, their Gram matrix.
+    """Ordered anchor points and their kernel.
 
-    The set never changes once made. The constructor takes no Gram: the
-    only one a set holds is the one :meth:`build` makes, symmetric by
-    construction (:func:`~sgdlsq.kernels.build_gram`). A set made by
-    :meth:`lazy` has ``gram`` None, and :meth:`gram_values` builds a
-    fresh Gram for each caller. :meth:`diagonal`, :meth:`row` and
-    :meth:`gram_product` read the kernel on either kind of set, so a
-    low-rank factor and the values of an expansion at the anchors need no
-    n x n matrix.
+    The set never changes once made and holds no Gram: :meth:`diagonal`,
+    :meth:`row` and :meth:`gram_product` read the kernel, so a low-rank
+    factor and the values of an expansion at the anchors need no n x n
+    matrix. A run that reads the whole Gram builds it for its own use
+    (:func:`~sgdlsq.kernels.build_gram`).
     """
 
     points: np.ndarray
     kernel: KernelSpec
-    gram: GramMatrix | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.n == 0:
@@ -65,29 +60,18 @@ class AnchorSet:
 
     @classmethod
     def build(cls, kernel: KernelSpec, points, check_psd=None) -> "AnchorSet":
-        pts = np.array(points, dtype=np.float64)
-        gram = build_gram(kernel, pts, check_psd=check_psd)
-        pts.setflags(write=False)
-        anchors = cls(points=pts, kernel=kernel)
-        object.__setattr__(anchors, "gram", gram)
+        """The anchor set of ``points`` after the checks of
+        :func:`~sgdlsq.kernels.build_gram`; the Gram they build is not kept."""
+        anchors = cls.lazy(kernel, points)
+        build_gram(kernel, anchors.points, check_psd=check_psd)
         return anchors
 
     @classmethod
     def lazy(cls, kernel: KernelSpec, points) -> "AnchorSet":
-        """The anchor set of ``points`` with no Gram: :meth:`gram_values`
-        builds one for each caller."""
+        """The anchor set of ``points``, with no check of their Gram."""
         pts = np.array(points, dtype=np.float64)
         pts.setflags(write=False)
         return cls(points=pts, kernel=kernel)
-
-    def gram_values(self) -> np.ndarray:
-        """The Gram matrix: the one a set made by :meth:`build` keeps, or
-        on a lazy set one built for this caller with the checks of
-        ``build(check_psd=False)`` and never stored, so that it is freed
-        once the caller drops it."""
-        if self.gram is not None:
-            return self.gram.values
-        return build_gram(self.kernel, self.points, check_psd=False).values
 
     def diagonal(self) -> np.ndarray:
         """K(x_i, x_i) for each anchor (:func:`~sgdlsq.kernels.kernel_diagonal`)."""

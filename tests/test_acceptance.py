@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from sgdlsq import (
-    AnchorSet,
     KernelSpec,
     Sample,
     StepSchedule,
@@ -78,8 +77,8 @@ def _risk_at_tstar(rid, m, trials, base_seed, surrogate):
     streams = [mix_seed(base_seed, trial) for trial in range(trials)]
     samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=1.0) for s in streams]
     if rec.is_batch:
-        finals = [run_batch_gm(s, AnchorSet.build(GAUSS, s.x, check_psd=False), rec.schedule,
-                               rec.t_star, (rec.t_star,)).final.coeffs for s in samples]
+        finals = [run_batch_gm(s, GAUSS, rec.schedule, rec.t_star, (rec.t_star,)).final.coeffs
+                  for s in samples]
     else:
         table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
         finals = run_sgm_trials(samples, GAUSS, rec.schedule, table, (rec.t_star,))[0]
@@ -124,7 +123,6 @@ def test_criterion_1_bound_sweep_all_pass():
 def test_criterion_2_plan_average_matches_batch_run():
     m = 16
     sample = gen_synthetic_abs(m, seed=mix_seed(501, 0), noise_sd=1.0)
-    ctx = AnchorSet.build(GAUSS, sample.x)
     start = time.perf_counter()
     rep = unbiasedness_check(
         sample,
@@ -133,7 +131,7 @@ def test_criterion_2_plan_average_matches_batch_run():
         t=64,
         R=4000,
         base_seed=mix_seed(501, 1),
-        ctx=ctx,
+        ctx=GAUSS,
     )
     elapsed = time.perf_counter() - start
     ok = _report(
@@ -195,7 +193,7 @@ def test_criterion_4_population_bias_decay_bound():
         x_hat[norms > 1] /= norms[norms > 1, None]
         w_star = rng.standard_normal(d)
         sch = StepSchedule(0.5, theta)
-        traj = run_population(x_hat, lambda p: p @ w_star, sch, T, tuple(range(1, T + 1)))
+        traj = run_population(x_hat, None, lambda p: p @ w_star, sch, T, tuple(range(1, T + 1)))
         f_vals = x_hat @ w_star
         bias = np.sqrt(np.mean((x_hat @ traj.coeffs.T - f_vals[:, None]) ** 2, axis=0))
         eta_cum = np.cumsum(sch.etas(T))
@@ -283,7 +281,6 @@ def test_criterion_9_classification_parity_across_batch_sizes(tmp_path):
     train, val, test = split(scaled, (0.5, 0.2, 0.3), seed=mix_seed(900, 0))
     m = train.m
     kernel = KernelSpec("gaussian", sigma=0.5)
-    ctx = AnchorSet.build(kernel, train.x, check_psd=False)
     root_m = int(np.ceil(np.sqrt(m)))
     passes_budget = 30
     best = {}
@@ -296,10 +293,10 @@ def test_criterion_9_classification_parity_across_batch_sizes(tmp_path):
         cps = log_checkpoints(T, 15)
         sch = StepSchedule(eta)
         if name == "full-batch":
-            traj = run_batch_gm(train, ctx, sch, T, cps)
+            traj = run_batch_gm(train, kernel, sch, T, cps)
         else:
             plan = sample_index_plan(m, b, T, mix_seed(900, 1))
-            traj = run_sgm(train, ctx, sch, plan, cps)
+            traj = run_sgm(train, kernel, sch, plan, cps)
         best[name] = min(misclassification(traj.vector_at(t), test) for t in cps)
     spread = max(best.values()) - min(best.values())
     ok = _report(

@@ -28,8 +28,9 @@ def _bits(verdicts):
     return [(v.lemma, list(v.params.items()), v.lhs.hex(), v.bound.hex()) for v in verdicts]
 
 
-def _contraction_reference(n_spectra, zetas, thetas, t_max, seed, dim):
-    """sweep_contraction as one check_contraction_bound call per point."""
+def _contraction_points(n_spectra, zetas, thetas, t_max, seed, dim):
+    """sweep_contraction's points, in its order, as the arguments
+    (eigs, schedule, zeta, k, t) of check_contraction_bound."""
     rng = make_rng(seed)
     ts = log_spaced_ts(t_max, count=6, t_min=2)
     out = []
@@ -40,8 +41,19 @@ def _contraction_reference(n_spectra, zetas, thetas, t_max, seed, dim):
             for zeta in zetas:
                 for t in ts:
                     for k in (0, t // 2):
-                        out.append(check_contraction_bound(eigs, schedule, zeta, k, t))
+                        out.append((eigs, schedule, zeta, k, t))
     return out
+
+
+def _textbook_contraction(eigs, schedule, zeta, k, t):
+    """The contraction verdict by its formula, out of place: the reference
+    the sweep and the one-point check are held to."""
+    etas = schedule.etas(t)[k:t]
+    lhs = float(np.max(np.prod(1.0 - np.outer(eigs, etas), axis=1) * eigs**zeta))
+    return LemmaVerdict(
+        "contraction",
+        {"zeta": zeta, "k": k, "t": t, "theta": schedule.theta, "eta1": schedule.eta1},
+        lhs, (zeta / (math.e * fsum(etas))) ** zeta)
 
 
 class TestRangeConventions:
@@ -134,8 +146,9 @@ class TestContractionBound:
 
 
 class TestGroupedContractionSweep:
-    """sweep_contraction, grouped per (theta, t, k) cut, equals the
-    one-point check_contraction_bound verdict for verdict, bit for bit."""
+    """sweep_contraction, grouped per (theta, t, k) cut, and the one-point
+    check_contraction_bound, one cut of one spectrum, equal the textbook
+    formula verdict for verdict, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_spectra=st.integers(0, 12), dim=st.integers(1, 30), t_max=st.integers(2, 300),
@@ -144,8 +157,11 @@ class TestGroupedContractionSweep:
                           min_size=1, max_size=4, unique=True),
            thetas=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
     def test_equals_the_one_point_checks(self, n_spectra, dim, t_max, seed, zetas, thetas):
+        points = _contraction_points(n_spectra, tuple(zetas), tuple(thetas), t_max, seed, dim)
+        want = _bits([_textbook_contraction(*p) for p in points])
+        assert _bits([check_contraction_bound(*p) for p in points]) == want
         args = (n_spectra, tuple(zetas), tuple(thetas), t_max, seed, dim)
-        assert _bits(sweep_contraction(*args)) == _bits(_contraction_reference(*args))
+        assert _bits(sweep_contraction(*args)) == want
 
     def test_no_spectra_is_empty(self):
         assert sweep_contraction(n_spectra=0) == []
@@ -157,6 +173,11 @@ class TestGroupedContractionSweep:
     def test_nonpositive_zeta_is_refused(self):
         with pytest.raises(ValueError, match="zeta must be > 0"):
             sweep_contraction(n_spectra=2, zetas=(1.0, 0.0))
+        # a nan zeta, which gave a nan verdict, is refused by name too
+        with pytest.raises(ValueError, match="zeta must be > 0, got nan"):
+            sweep_contraction(n_spectra=2, zetas=(float("nan"),))
+        with pytest.raises(ValueError, match="zeta must be > 0, got nan"):
+            check_contraction_bound([0.5], StepSchedule(0.5), float("nan"), 0, 3)
 
 
     def test_factors_live_in_one_buffer(self):

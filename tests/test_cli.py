@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdlsq
-from sgdlsq import (AnchorSet, Sample, StepSchedule, check_contraction_bound,
-                    check_convolution_bound, check_sum_bounds, cli, gen_synthetic_abs, make_rng,
-                    recipe, save_csv, verdicts_to_csv)
+from sgdlsq import (AnchorSet, KernelSpec, Sample, StepSchedule, check_contraction_bound,
+                    check_convolution_bound, check_sum_bounds, cli, gen_synthetic_abs,
+                    kernel_vector, load_csv, make_rng, mix_seed, predict, prediction_errors,
+                    recipe, save_csv, split, verdicts_to_csv)
 from sgdlsq.bounds import log_spaced_ts
 from sgdlsq.cli import main
 
@@ -494,23 +495,24 @@ class TestRun:
         ["--batch", "--eta1", "0.5", "--T", "150"],
         ["--recipe", "BGM"],
     ], ids=["sgm", "sgm-recipe", "batch", "batch-recipe"])
-    def test_artifacts_equal_those_of_an_eager_anchor_set(self, tmp_path, extra):
-        """SGM and batch GM run on a lazy anchor set, on which SGM builds a
-        Gram for its run only and batch GM's factor reads kernel rows. The
-        artifacts are byte for byte those of a run on eagerly built sets,
-        here on 3-feature gaussian inputs (the inner-product path)."""
+    def test_model_file_reproduces_its_test_error(self, tmp_path, extra):
+        """SGM and batch GM anchor the model on the training split, here
+        of 3-feature gaussian inputs (the inner-product path): the model
+        file's anchor points are that split's points, and its coefficients
+        over them give the test error the stopping file records, bit for
+        bit."""
         x = make_rng(4).random((160, 3))
         data = tmp_path / "d.csv"
         save_csv(Sample(x=x, y=np.sin(4 * x[:, 0]) + x[:, 1] * x[:, 2]), data)
-        argv = ["run", "--data", str(data), "--sigma", "0.7", "--seed", "2", *extra]
-        assert main(argv + ["--out", str(tmp_path / "lazy")]) == 0
-        with mock.patch.object(AnchorSet, "lazy", side_effect=lambda kernel, points:
-                               AnchorSet.build(kernel, points, check_psd=False)) as lazy:
-            assert main(argv + ["--out", str(tmp_path / "eager")]) == 0
-        assert lazy.called
-        for suffix in (".model.json", ".stopping.json"):
-            assert ((tmp_path / ("lazy" + suffix)).read_bytes()
-                    == (tmp_path / ("eager" + suffix)).read_bytes())
+        assert main(["run", "--data", str(data), "--sigma", "0.7", "--seed", "2", *extra,
+                     "--out", str(tmp_path / "r")]) == 0
+        model = json.loads((tmp_path / "r.model.json").read_text())
+        stopping = json.loads((tmp_path / "r.stopping.json").read_text())
+        train, _, test = split(load_csv(data), (0.7, 0.15, 0.15), seed=mix_seed(2, 1))
+        np.testing.assert_array_equal(model["anchor_points"], train.x)
+        anchors = AnchorSet.lazy(KernelSpec("gaussian", sigma=0.7), model["anchor_points"])
+        chosen = kernel_vector(model["coefficients"], anchors)
+        assert stopping["test_error"] == float(prediction_errors(predict(chosen, test.x), test.y))
 
     def test_no_gram_is_alive_at_holdout(self, tmp_path, monkeypatch):
         """A kernel SGM run frees its m x m training Gram when SGM
@@ -537,19 +539,28 @@ class TestRun:
     @pytest.mark.parametrize("extra", [["--batch", "--eta1", "0.5", "--T", "40"],
                                        ["--recipe", "BGM"]], ids=["batch", "batch-recipe"])
     def test_batch_run_holds_no_gram_at_holdout(self, tmp_path, monkeypatch, extra):
-        """Batch GM runs on a lazy set, and hold-out gets the trajectory
-        on that set, which holds no Gram."""
+        """Batch GM anchors its trajectory on the training points, and
+        hold-out gets it on a set that holds no Gram: at its entry no
+        traced block is m x m."""
         seen = []
 
         def probe(trajectory, validation, metric):
-            seen.append(trajectory.anchors)
+            seen.append((trajectory.anchors,
+                         max(t.size for t in tracemalloc.take_snapshot().traces)))
             return cli_holdout(trajectory, validation, metric=metric)
 
         cli_holdout = cli.holdout_stop
         monkeypatch.setattr(cli, "holdout_stop", probe)
-        assert main(["run", "--generator", "synthetic-abs", "--m", "120", "--seed", "5", *extra,
-                     "--out", str(tmp_path / "r")]) == 0
-        assert len(seen) == 1 and seen[0].gram is None and seen[0].n == 84
+        tracemalloc.start()
+        try:
+            code = main(["run", "--generator", "synthetic-abs", "--m", "120", "--seed", "5",
+                         *extra, "--out", str(tmp_path / "r")])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        [(anchors, largest)] = seen
+        assert not hasattr(anchors, "gram") and anchors.n == 84
+        assert largest < 8 * 84 * 84
 
 
 def test_grid_surrogate_and_theta_are_recorded_and_replay(tmp_path):

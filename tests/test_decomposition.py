@@ -12,6 +12,7 @@ from sgdlsq import (
     Sample,
     StepSchedule,
     abs_target,
+    build_gram,
     decompose,
     decompose_batch,
     euclidean_vector,
@@ -91,7 +92,7 @@ class TestFitRate:
 def _population_bias_curve(x_hat, w_star, schedule, T):
     """Population run plus its per-step distance to the target, measured
     on the surrogate itself."""
-    traj = run_population(x_hat, lambda p: p @ w_star, schedule, T, tuple(range(1, T + 1)))
+    traj = run_population(x_hat, None, lambda p: p @ w_star, schedule, T, tuple(range(1, T + 1)))
     resid = traj.values(x_hat) - x_hat @ w_star
     return traj, np.sqrt(np.mean(resid**2, axis=1))
 
@@ -132,7 +133,7 @@ class TestPopulationBiasBound:
         norms = np.linalg.norm(x_hat, axis=1)
         x_hat[norms > 1] /= norms[norms > 1, None]
         w_star = rng.standard_normal(4)
-        traj = run_population(x_hat, lambda p: p @ w_star, StepSchedule(0.8), 150,
+        traj = run_population(x_hat, None, lambda p: p @ w_star, StepSchedule(0.8), 150,
                               tuple(range(1, 151)))
         r_const = _source_constant(x_hat, w_star, zeta)
         assert np.all(np.linalg.norm(traj.coeffs, axis=1) <= r_const + 1e-10)
@@ -140,11 +141,10 @@ class TestPopulationBiasBound:
     def test_bias_monotone_for_constant_step(self):
         rng = np.random.default_rng(4)
         x_hat = rng.random(120)
-        anchors = AnchorSet.build(GAUSS, x_hat)
-        traj = run_population(anchors, abs_target, StepSchedule(1.0), 80,
+        traj = run_population(x_hat, GAUSS, abs_target, StepSchedule(1.0), 80,
                               tuple(range(1, 81)))
         f_vals = abs_target(x_hat)
-        bias = np.mean((traj.values(anchors.gram.values) - f_vals) ** 2, axis=1)
+        bias = np.mean((traj.values(build_gram(GAUSS, x_hat).values) - f_vals) ** 2, axis=1)
         diffs = np.diff(bias)
         assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(bias[:-1])))
 
@@ -244,13 +244,12 @@ class TestDecompose:
         sch = StepSchedule(0.05)
         rep = decompose(sample, surr, f_true, kernel, sch, b=3, T=25, R=8, base_seed=42,
                         checkpoints=cps)
-        ctx = None if kernel is None else AnchorSet.build(kernel, sample.x)
-        batch = run_batch_gm(sample, ctx, sch, 25, cps)
+        batch = run_batch_gm(sample, kernel, sch, 25, cps)
         f_vals = f_true(surr)
         comp, tot = [], []
         for r in range(8):
             plan = sample_index_plan(12 if kernel else 20, 3, 25, mix_seed(42, r))
-            traj = run_sgm(sample, ctx, sch, plan, cps)
+            traj = run_sgm(sample, kernel, sch, plan, cps)
             vals = np.array([predict(traj.vector_at(t), surr) for t in cps])
             base = np.array([predict(batch.vector_at(t), surr) for t in cps])
             comp.append(np.mean((vals - base) ** 2, axis=1))
@@ -386,9 +385,8 @@ class TestUnbiasednessCheck:
 
     def test_kernel_backend_four_sigma(self):
         sample = gen_synthetic_abs(10, seed=14)
-        ctx = AnchorSet.build(GAUSS, sample.x)
         rep = unbiasedness_check(sample, StepSchedule(1.0 / 80), b=2, t=24, R=300,
-                                 base_seed=9, ctx=ctx)
+                                 base_seed=9, ctx=GAUSS)
         assert rep.passed
         assert rep.bound == pytest.approx(4 * math.sqrt(rep.trace_variance / 300))
 

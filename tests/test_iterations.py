@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -15,6 +16,7 @@ from sgdlsq import (
     KernelSpec,
     Sample,
     StepSchedule,
+    build_gram,
     gen_linear_attainable,
     gen_synthetic_abs,
     kappa_sq,
@@ -32,7 +34,7 @@ from sgdlsq import (
     sample_index_table,
 )
 from sgdlsq import iterations, spaces
-from sgdlsq.iterations import Trajectory
+from sgdlsq.iterations import IndexPlan, Trajectory
 from sgdlsq.spaces import feature_matrix
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
@@ -70,6 +72,12 @@ class TestIndexPlan:
         plan = sample_index_plan(10, 2, 5, seed=1)
         with pytest.raises(ValueError):
             plan.indices[0, 0] = 3
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 2), (10,)])
+    def test_wrong_table_shape_names_both_shapes(self, shape):
+        want = re.escape(f"expected shape (T, b) = (5, 2), got {shape}")
+        with pytest.raises(ValueError, match=want):
+            IndexPlan(m=10, b=2, T=5, indices=np.zeros(shape, dtype=np.int32))
 
 
 class TestLogCheckpoints:
@@ -214,9 +222,8 @@ class TestRunSgm:
     def test_zero_targets_fixed_point(self):
         sample = gen_synthetic_abs(8, seed=0, noise_sd=0.0)
         sample = Sample(x=sample.x, y=np.zeros(8))
-        ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(8, 2, 30, seed=1)
-        traj = run_sgm(sample, ctx, StepSchedule(0.5), plan, checkpoints=(1, 10, 30))
+        traj = run_sgm(sample, GAUSS, StepSchedule(0.5), plan, checkpoints=(1, 10, 30))
         np.testing.assert_array_equal(traj.coeffs, np.zeros((3, 8)))
 
     def test_scalar_hand_recurrence(self):
@@ -231,20 +238,18 @@ class TestRunSgm:
     @pytest.mark.parametrize("b", [1, 3, 8])
     def test_kernel_path_matches_dense_oracle(self, seed, b):
         sample = gen_synthetic_abs(8, seed=seed)
-        ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(8, b, 40, seed=seed + 100)
         sch = StepSchedule(0.3, 0.25)
-        traj = run_sgm(sample, ctx, sch, plan, checkpoints=(40,))
-        oracle = _kernel_sgm_oracle(sample, ctx.gram.values, sch.etas(40), plan)
+        traj = run_sgm(sample, GAUSS, sch, plan, checkpoints=(40,))
+        oracle = _kernel_sgm_oracle(sample, build_gram(GAUSS, sample.x).values, sch.etas(40), plan)
         np.testing.assert_allclose(traj.final.coeffs, oracle, rtol=1e-12, atol=1e-14)
 
     def test_bit_identical_reruns(self):
         sample = gen_synthetic_abs(16, seed=2)
-        ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(16, 4, 50, seed=9)
         sch = StepSchedule(0.1)
-        a = run_sgm(sample, ctx, sch, plan, checkpoints=(50,))
-        b = run_sgm(sample, ctx, sch, plan, checkpoints=(50,))
+        a = run_sgm(sample, GAUSS, sch, plan, checkpoints=(50,))
+        b = run_sgm(sample, GAUSS, sch, plan, checkpoints=(50,))
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
 
     def test_sec9_configuration_smoke(self):
@@ -252,11 +257,10 @@ class TestRunSgm:
         training error that ends below where it starts."""
         m = 100
         sample = gen_synthetic_abs(m, seed=7)
-        ctx = AnchorSet.build(GAUSS, sample.x)
         b = 10
         sch = StepSchedule(1.0 / (8 * np.sqrt(m)), 0.0, kappa_sq(GAUSS))
         plan = sample_index_plan(m, b, 300, seed=3)
-        traj = run_sgm(sample, ctx, sch, plan, checkpoints=log_checkpoints(300, 10))
+        traj = run_sgm(sample, GAUSS, sch, plan, checkpoints=log_checkpoints(300, 10))
         errs = [mean_square_error(traj.vector_at(t), sample.x, sample.y)
                 for t in traj.checkpoints]
         assert np.all(np.isfinite(errs))
@@ -312,7 +316,7 @@ class TestRunBatchGm:
         """Descent sanity: with eta * kappa^2 <= 1 the batch iteration
         cannot increase the training error (convex quadratic, small step)."""
         sample = gen_synthetic_abs(30, seed=4)
-        ctx = AnchorSet.build(GAUSS, sample.x) if kernelized else None
+        ctx = GAUSS if kernelized else None
         sch = StepSchedule(1.0, 0.0, kappa_sq(GAUSS))  # eta * kappa^2 = 1
         traj = run_batch_gm(sample, ctx, sch, 60, checkpoints=tuple(range(1, 61)))
         errs = np.array([mean_square_error(traj.vector_at(t), sample.x, sample.y)
@@ -322,13 +326,14 @@ class TestRunBatchGm:
 
 class TestRunPopulation:
     def test_zero_target(self):
-        traj = run_population(np.linspace(0, 1, 20), lambda x: np.zeros_like(x),
+        traj = run_population(np.linspace(0, 1, 20), None, lambda x: np.zeros_like(x),
                               StepSchedule(0.5), 10, checkpoints=(10,))
         np.testing.assert_array_equal(traj.final.coeffs, [0.0])
 
     def test_single_point_hand_recurrence(self):
         traj = run_population(
             np.array([1.0]),
+            None,
             lambda x: np.full_like(np.atleast_1d(x), 2.0),
             StepSchedule(0.5),
             3,
@@ -337,26 +342,26 @@ class TestRunPopulation:
         np.testing.assert_allclose(traj.coeffs[:, 0], [1.0, 1.5, 1.75], rtol=1e-15)
 
     def test_kernel_surrogate_runs_and_is_deterministic(self):
-        rng = np.random.default_rng(0)
-        anchors = AnchorSet.build(GAUSS, rng.random(50))
+        pts = np.random.default_rng(0).random(50)
         f = lambda x: np.abs(x - 0.5) - 0.5
         sch = StepSchedule(0.25)
-        a = run_population(anchors, f, sch, 40, checkpoints=(40,))
-        b = run_population(anchors, f, sch, 40, checkpoints=(40,))
+        a = run_population(pts, GAUSS, f, sch, 40, checkpoints=(40,))
+        b = run_population(pts, GAUSS, f, sch, 40, checkpoints=(40,))
         assert np.array_equal(a.final.coeffs, b.final.coeffs)
         assert a.backend == "kernel"
+        np.testing.assert_array_equal(a.anchors.points, pts)  # anchored on the surrogate
 
 
 def _surrogate_case(kind, n, d, seed):
-    """A surrogate point set, its run context (None for euclidean) and
-    the matrix taking an iterate's coefficients to surrogate values."""
+    """A surrogate point set, its kernel (None for euclidean) and the
+    matrix taking an iterate's coefficients to surrogate values."""
     rng = make_rng(seed)
     if kind == "euclidean":
         pts = rng.random((n, d)) if d > 1 else rng.random(n)
         return pts, None, iterations._as_matrix(pts).T, kappa_sq(KernelSpec("linear"), pts)
     spec = KernelSpec(kind, sigma=0.2 if kind == "gaussian" else None)
-    ctx = AnchorSet.build(spec, rng.random(n), check_psd=False)
-    return ctx.points, ctx, ctx.gram.values, kappa_sq(spec, ctx.points)
+    pts = rng.random(n)
+    return pts, spec, build_gram(spec, pts, check_psd=False).values, kappa_sq(spec, pts)
 
 
 def _target(pts):
@@ -419,15 +424,14 @@ class TestKernelGuardScale:
         s = gen_synthetic_abs(40, seed=7)
         sample = Sample(s.x * 1e-7, s.y)
         spec = KernelSpec("linear")
-        return sample, AnchorSet.build(spec, sample.x), StepSchedule(0.5, 0.0,
-                                                                     kappa_sq(spec, sample.x))
+        return sample, spec, StepSchedule(0.5, 0.0, kappa_sq(spec, sample.x))
 
     @pytest.mark.parametrize("b", [1, 2], ids=["blocked", "lockstep"])
     def test_sgm_runs(self, b):
         sample, ctx, sch = self._case()
         traj = run_sgm(sample, ctx, sch, sample_index_plan(40, b, 50, seed=3), (10, 50))
         assert np.abs(traj.coeffs).max() > 1e12
-        assert np.abs(traj.values(ctx.gram.values)).max() < 10
+        assert np.abs(traj.values(build_gram(ctx, sample.x).values)).max() < 10
 
     def test_batch_filter_and_loop_run(self):
         sample, ctx, sch = self._case()
@@ -435,7 +439,7 @@ class TestKernelGuardScale:
         with mock.patch.object(iterations, "_pivoted_cholesky", return_value=None):
             loop = run_batch_gm(sample, ctx, sch, 50, (10, 50))
         assert np.abs(loop.coeffs).max() > 1e12
-        gram = ctx.gram.values
+        gram = build_gram(ctx, sample.x).values
         _assert_rel(filt.values(gram), loop.values(gram), 1e-12)
 
 
@@ -452,7 +456,7 @@ class TestPopulationFilter:
         pts, ctx, _, k_sq = _surrogate_case(kind, n, d, seed)
         sch = StepSchedule(eta1, theta, k_sq)
         cps = log_checkpoints(T, 8)
-        pop = run_population(pts if ctx is None else ctx, _target, sch, T, cps)
+        pop = run_population(pts, ctx, _target, sch, T, cps)
         ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, T, cps)
         assert (pop.checkpoints, pop.passes, pop.backend) == (ref.checkpoints, ref.passes,
                                                               ref.backend)
@@ -528,7 +532,7 @@ class TestPopulationFilter:
             run_batch_gm(Sample(pts, _target(pts)), ctx, sch, 400)
         backend = "euclidean" if ctx is None else "kernel"
         with pytest.raises(DivergenceError, match=f"population/{backend}") as err:
-            run_population(pts if ctx is None else ctx, _target, sch, 400)
+            run_population(pts, ctx, _target, sch, 400)
         assert err.value.iteration == loop.value.iteration
 
     def test_norm_bound_over_the_limit_takes_the_loop(self):
@@ -540,8 +544,8 @@ class TestPopulationFilter:
         sample = Sample(pts, _noisy(pts, 8, scale=1e11))
         sch = StepSchedule(1.0, 0.0, k_sq)
         assert sch.etas(1)[0] * np.linalg.eigvalsh(gram).max() / 200 <= 2
-        assert iterations._pivoted_cholesky(ctx, iterations._factor_budget(2000, 200, 200**2)) \
-            is not None
+        budget = iterations._factor_budget(2000, 200, 200**2)
+        assert iterations._pivoted_cholesky(AnchorSet.lazy(ctx, pts), budget) is not None
         with pytest.raises(DivergenceError) as ref:
             _batch_loop(sample, gram, sch.etas(2000), set())
         with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop, \
@@ -555,14 +559,14 @@ class TestPopulationFilter:
         """A full-rank sobolev Gram needs more pivots than the factor
         budget allows: by cost for small T, and by the n/4 memory cap for
         long runs. The loop runs: equal bit for bit."""
-        pts, ctx, _, k_sq = _surrogate_case("sobolev", n, 1, seed=4)
+        pts, ctx, gram, k_sq = _surrogate_case("sobolev", n, 1, seed=4)
         budget = iterations._factor_budget(T, n, n * n)
-        assert iterations._pivoted_cholesky(ctx, budget) is None
+        assert iterations._pivoted_cholesky(AnchorSet.lazy(ctx, pts), budget) is None
         sch = StepSchedule(0.5, 0.3, k_sq)
         sample = Sample(pts, _noisy(pts, 4))
         got = run_batch_gm(sample, ctx, sch, T, range(1, T + 1))
-        np.testing.assert_array_equal(got.coeffs, _batch_loop(sample, ctx.gram.values,
-                                                                sch.etas(T), set(range(1, T + 1))))
+        np.testing.assert_array_equal(got.coeffs, _batch_loop(sample, gram, sch.etas(T),
+                                                                set(range(1, T + 1))))
 
     def test_wide_euclidean_inputs_with_short_run_are_the_loop(self):
         """d far above N: X^T X (d x d) and its eigh would cost far more
@@ -622,40 +626,36 @@ def _gram_free_case(kind, n, d, seed):
     return spec, rng.random((n, d)) if multi else rng.random(n)
 
 
-def _population_both_ways(spec, pts, sch, T, cps):
-    """Population runs on a lazy anchor set (Gram-free where the filter
-    runs) and on a built one; their surrogate values, the lazy set's by
-    tiles of K and the built set's from its Gram; the lazy set; and
-    whether the step loop ran on each. Within a pivot of the factor
-    budget the two may take different paths, as their rows differ in the
-    last bits on the inner-product paths."""
-    lazy, built = AnchorSet.lazy(spec, pts), AnchorSet.build(spec, pts, check_psd=False)
-    runs, ran = [], []
-    for ctx in (lazy, built):
-        with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
-            runs.append(run_population(ctx, _target, sch, T, cps))
-        ran.append(loop.called)
-    return runs, lazy.gram_product(runs[0].coeffs), runs[1].values(built.gram.values), lazy, ran
+def _population_values(spec, pts, sch, T, cps):
+    """A population run on ``pts`` under ``spec``, whether its step loop
+    ran, and its surrogate values: by tiles of K, and from the Gram."""
+    with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
+        traj = run_population(pts, spec, _target, sch, T, cps)
+    gram = build_gram(spec, pts, check_psd=False).values
+    return traj, loop.called, traj.anchors.gram_product(traj.coeffs), traj.values(gram), gram
 
 
 class TestGramFreePopulation:
-    """On a lazy anchor set the population filter pivots on kernel rows
-    and its values are formed by tiles of K; a Gram is built only where
-    the step loop runs, for that run alone, and then the run is the built
-    set's bit for bit."""
+    """The population filter pivots on kernel rows and its values are
+    formed by tiles of K; a Gram is built only where the step loop runs,
+    for that run alone, and then the run is the reference loop's bit for
+    bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["gaussian", "sobolev", "linear"]), n=st.integers(1, 300),
            d=st.integers(1, 3), T=st.integers(1, 400), eta1=st.floats(0.01, 1.99),
            theta=st.floats(0.0, 0.9, exclude_max=True), seed=st.integers(0, 2**32))
     def test_values_match_the_built_gram(self, kind, n, d, T, eta1, theta, seed):
+        """The values by tiles of K are within 1e-12 of those from the
+        Gram build_gram builds; where the loop ran, on that Gram, the
+        coefficients are the reference loop's bit for bit."""
         spec, pts = _gram_free_case(kind, n, d, seed)
         sch = StepSchedule(eta1, theta, kappa_sq(spec, pts))
-        runs, got, want, lazy, ran = _population_both_ways(spec, pts, sch, T,
-                                                           log_checkpoints(T, 8))
-        assert lazy.gram is None
-        if all(ran):
-            np.testing.assert_array_equal(runs[0].coeffs, runs[1].coeffs)
+        cps = log_checkpoints(T, 8)
+        traj, ran, got, want, gram = _population_values(spec, pts, sch, T, cps)
+        if ran:
+            np.testing.assert_array_equal(
+                traj.coeffs, _batch_loop(Sample(pts, _target(pts)), gram, sch.etas(T), set(cps)))
         _assert_rel(got, want, 1e-12)
 
     def test_filter_reads_kernel_rows_and_tiles(self):
@@ -663,43 +663,41 @@ class TestGramFreePopulation:
         rows, and the values one cross matrix per tile, the fewest tiles
         of at most 2^17 floats; no Gram is built."""
         spec, pts = _gram_free_case("gaussian", 2000, 1, seed=5)
-        lazy = AnchorSet.lazy(spec, pts)
-        k = len(iterations._pivoted_cholesky(lazy, iterations._factor_budget(60, 2000, 2000**2)))
+        k = len(iterations._pivoted_cholesky(AnchorSet.lazy(spec, pts),
+                                             iterations._factor_budget(60, 2000, 2000**2)))
         sch = StepSchedule(1 / 8, 0.0, 1.0)
         with mock.patch("sgdlsq.spaces.cross_matrix", wraps=spaces.cross_matrix) as cross, \
-                mock.patch("sgdlsq.spaces.build_gram", side_effect=AssertionError("Gram built")):
-            traj = run_population(lazy, _target, sch, 60, (20, 60))
+                mock.patch.object(iterations, "build_gram", side_effect=AssertionError("Gram")):
+            traj = run_population(pts, spec, _target, sch, 60, (20, 60))
             rank = cross.call_count
-            lazy.gram_product(traj.coeffs)
-        assert hasattr(lazy, "gram") and lazy.gram is None
+            traj.anchors.gram_product(traj.coeffs)
         assert rank == k < 30
         assert cross.call_count - rank == -(-2000 // (spaces._PRODUCT_FLOATS // 2000)) == 31
 
     def test_full_rank_sobolev_builds_the_gram(self):
         """A full-rank sobolev surrogate exceeds the factor budget: the
-        loop runs on the Gram it builds for the run and does not keep,
-        bit for bit the built set's."""
+        loop runs on the Gram it builds for the run, bit for bit the
+        reference loop, and the values by tiles equal the Gram's."""
         spec, pts = _gram_free_case("sobolev", 200, 1, seed=4)
         sch = StepSchedule(0.5, 0.3, 0.25)
-        runs, got, want, lazy, ran = _population_both_ways(spec, pts, sch, 5, (1, 3, 5))
-        assert ran == [True, True] and lazy.gram is None
-        np.testing.assert_array_equal(runs[0].coeffs, runs[1].coeffs)
+        traj, ran, got, want, gram = _population_values(spec, pts, sch, 5, (1, 3, 5))
+        assert ran
+        np.testing.assert_array_equal(
+            traj.coeffs, _batch_loop(Sample(pts, _target(pts)), gram, sch.etas(5), {1, 3, 5}))
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["gaussian", "sobolev"])
     def test_growth_raises_at_the_same_step(self, kind):
-        """eta_1 lam_max / N > 2: the loop runs on the built Gram and
-        raises at the built set's step, as the population's."""
+        """eta_1 lam_max / N > 2: the loop runs on the Gram it builds and
+        raises at batch GM's step on the noiseless sample, as the
+        population's."""
         spec, pts = _gram_free_case(kind, 40, 1, seed=3)
         sch = StepSchedule(6.0 if kind == "gaussian" else 40.0, 0.0, kappa_sq(spec, pts))
-        with pytest.raises(DivergenceError) as built:
-            run_population(AnchorSet.build(spec, pts), _target, sch, 400)
-        lazy = AnchorSet.lazy(spec, pts)
-        with pytest.raises(DivergenceError) as err:
-            run_population(lazy, _target, sch, 400)
-        assert (err.value.iteration, str(err.value)) == (built.value.iteration, str(built.value))
-        assert "population/kernel" in str(err.value)
-        assert lazy.gram is None
+        with pytest.raises(DivergenceError) as batch:
+            run_batch_gm(Sample(pts, _target(pts)), spec, sch, 400)
+        with pytest.raises(DivergenceError, match="population/kernel") as err:
+            run_population(pts, spec, _target, sch, 400)
+        assert err.value.iteration == batch.value.iteration
 
 
 class TestUnbiasednessSmall:
@@ -784,21 +782,15 @@ class TestLockstepTrials:
                    for r in range(R)]
         plans, table = _plans_and_table(m, b, T, (mix_seed(seed + 1, r) for r in range(R)))
         sch = StepSchedule(eta1, theta)
-        ctxs = [AnchorSet.build(GAUSS, s.x, check_psd=False) if kernel else None
-                for s in samples]
-        if stacked:
-            engine_in, engine_ctx = samples, GAUSS if kernel else None
-        else:
-            engine_in, engine_ctx = samples[0], ctxs[0]
+        ctx = GAUSS if kernel else None
         with mock.patch.object(iterations, "_STACK_BYTES", budget):
-            block = run_sgm_trials(engine_in, engine_ctx, sch, table, cps)
+            block = run_sgm_trials(samples if stacked else samples[0], ctx, sch, table, cps)
         assert block.shape == (len(cps), R, m if kernel else 3)
         for r in range(R):
-            ctx = ctxs[r] if stacked else ctxs[0]
             with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
                 single = run_sgm(samples[r], ctx, sch, plans[r], cps)
             np.testing.assert_array_equal(block[:, r], single.coeffs)
-            gram = ctx.gram.values if kernel else None
+            gram = build_gram(GAUSS, samples[r].x, check_psd=False).values if kernel else None
             ref = _sequential_sgm(samples[r], gram, sch.etas(T), plans[r], set(cps))
             if iterations._BLOCK in _block_lengths(eng):
                 _assert_rel(block[:, r], ref, 1e-12)
@@ -816,7 +808,7 @@ class TestLockstepTrials:
         x = np.array([[1.0, 0.0], [0.01, 0.0], [0.0, 0.01],
                       [0.01, 0.01], [0.0, 0.005], [0.005, 0.0]])
         sample = Sample(x=x, y=np.ones(6))
-        for ctx, b, eta1 in ((None, 1, 4.0), (AnchorSet.build(KernelSpec("linear"), x), 2, 6.0)):
+        for ctx, b, eta1 in ((None, 1, 4.0), (KernelSpec("linear"), 2, 6.0)):
             sch = StepSchedule(eta1)
             plans, table = _plans_and_table(6, b, 400, range(70, 76))
             first = {}
@@ -846,10 +838,6 @@ class TestLockstepTrials:
         R, T, cps = 20, 40, (5, 40)
         samples = [_trial_sample(kernel, m, r if stacked else 0) for r in range(R)]
         table = sample_index_table(m, b, T, range(R))
-        if stacked:
-            engine_in = (samples, GAUSS if kernel else None)
-        else:
-            engine_in = (samples[0], AnchorSet.build(GAUSS, samples[0].x) if kernel else None)
 
         def engine(*args, block, scale=None):
             out, members = args[7:9]
@@ -857,7 +845,8 @@ class TestLockstepTrials:
             return np.zeros(len(members)) if block > 1 else None
 
         with mock.patch.object(iterations, "_sgm_steps", side_effect=engine) as eng:
-            block = run_sgm_trials(*engine_in, StepSchedule(0.01), table, cps)
+            block = run_sgm_trials(samples if stacked else samples[0], GAUSS if kernel else None,
+                                   StepSchedule(0.01), table, cps)
         length = iterations._BLOCK if b == 1 and not (kernel and m == 1) else 1
         assert set(_block_lengths(eng)) == {length}
         np.testing.assert_array_equal(block, np.full(block.shape, length))
@@ -872,8 +861,6 @@ class TestLockstepTrials:
             run_sgm_trials([sample], None, sch, table)
         with pytest.raises(ValueError, match="one sample per index plan"):
             run_sgm_trials(sample, None, sch, table[:, :0])
-        with pytest.raises(ValueError, match="KernelSpec"):
-            run_sgm_trials([sample], AnchorSet.build(GAUSS, sample.x), sch, table[:, :1])
 
 
 _WIDE = KernelSpec("gaussian", sigma=1.0)  # rank 9 from m ~ 40 on [0, 1]
@@ -893,7 +880,7 @@ def _b1_reference(sample, kind, sch, plan, cps):
     if kind == "euclidean":
         gram, to_vals = None, iterations._as_matrix(sample.x).T
     else:
-        gram = to_vals = AnchorSet.build(_SPECS[kind], sample.x, check_psd=False).gram.values
+        gram = to_vals = build_gram(_SPECS[kind], sample.x, check_psd=False).values
     return _sequential_sgm(sample, gram, sch.etas(plan.T), plan, set(cps)), to_vals
 
 
@@ -925,14 +912,10 @@ class TestBlockedSgm:
         k_sq = kappa_sq(spec or KernelSpec("linear"), np.concatenate([s.x for s in samples]))
         sch = StepSchedule(eta1, theta, k_sq)
         plans, table = _plans_and_table(m, 1, T, (mix_seed(seed + 1, r) for r in range(R)))
-        ctxs = [spec and AnchorSet.build(spec, s.x, check_psd=False) for s in samples]
-        if stacked:
-            block = run_sgm_trials(samples, spec, sch, table, cps)
-        else:
-            block = run_sgm_trials(samples[0], ctxs[0], sch, table, cps)
+        block = run_sgm_trials(samples if stacked else samples[0], spec, sch, table, cps)
         for r in range(R):
             s = samples[r if stacked else 0]
-            single = run_sgm(s, ctxs[r if stacked else 0], sch, plans[r], cps)
+            single = run_sgm(s, spec, sch, plans[r], cps)
             np.testing.assert_array_equal(block[:, r], single.coeffs)
             ref, to_vals = _b1_reference(s, kind, sch, plans[r], cps)
             _assert_rel(block[:, r], ref, 1e-12)
@@ -952,10 +935,8 @@ class TestBlockedSgm:
                                              np.concatenate([s.x for s in samples])))
         plans, table = _plans_and_table(m, 1, T, range(40, 40 + R))
         cps = log_checkpoints(T, 20)
-        engine = (samples, spec) if stacked else (
-            samples[0], spec and AnchorSet.build(spec, samples[0].x, check_psd=False))
         with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
-            block = run_sgm_trials(*engine, sch, table, cps)
+            block = run_sgm_trials(samples if stacked else samples[0], spec, sch, table, cps)
         assert set(_block_lengths(eng)) == {iterations._BLOCK}  # no trial rerun
         assert sum(len(call.args[8]) for call in eng.call_args_list) == R  # the calls' trials
         for r in range(R):
@@ -985,7 +966,6 @@ class TestBlockedSgm:
         else:
             sample, spec = _b1_sample(kind, m, 1, 90), _SPECS[kind]
             sch = StepSchedule(eta1, 0.0, kappa_sq(spec, sample.x))
-        ctx = AnchorSet.build(spec, sample.x, check_psd=False)
         plan = sample_index_plan(m, 1, T, 91)
         cps = log_checkpoints(T, 10)
         real, runs = iterations._sgm_steps, []
@@ -998,11 +978,11 @@ class TestBlockedSgm:
             return result
 
         with mock.patch.object(iterations, "_sgm_steps", side_effect=spy):
-            got = run_sgm(sample, ctx, sch, plan, cps).coeffs
+            got = run_sgm(sample, spec, sch, plan, cps).coeffs
         [(length, blocked)] = runs
         assert length == iterations._BLOCK
         np.testing.assert_array_equal(got, blocked[:, 0])
-        gram = ctx.gram.values
+        gram = build_gram(spec, sample.x, check_psd=False).values
         ref = _sequential_sgm(sample, gram, sch.etas(T), plan, set(cps))
         _assert_rel(got, ref, 1e-12)
         ext = gram.astype(np.longdouble)
@@ -1014,12 +994,11 @@ class TestBlockedSgm:
         1e-12 of the step loop in coefficients and sample values."""
         m, T = 40, 20000
         sample = _b1_sample("sobolev", m, 1, 30)
-        ctx = AnchorSet.build(_SPECS["sobolev"], sample.x)
         sch = StepSchedule(0.5, 0.0, 0.25)
         plan = sample_index_plan(m, 1, T, 31)
         cps = log_checkpoints(T, 10)
         with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
-            got = run_sgm(sample, ctx, sch, plan, cps)
+            got = run_sgm(sample, _SPECS["sobolev"], sch, plan, cps)
         assert _block_lengths(eng) == [iterations._BLOCK]
         ref, gram = _b1_reference(sample, "sobolev", sch, plan, cps)
         _assert_rel(got.coeffs, ref, 1e-12)
@@ -1032,7 +1011,6 @@ class TestBlockedSgm:
         blocked result is dropped and the loop's is returned."""
         sample = _b1_sample(kind, 50, 2, 60, scale=1e10)
         spec = None if kind == "euclidean" else _SPECS[kind]
-        ctx = spec and AnchorSet.build(spec, sample.x)
         sch = StepSchedule(0.5, 0.0, kappa_sq(KernelSpec("linear"), sample.x))
         plan = sample_index_plan(50, 1, 500, 61)
         real, runs = iterations._sgm_steps, []
@@ -1042,11 +1020,12 @@ class TestBlockedSgm:
             return runs[-1][1]
 
         with mock.patch.object(iterations, "_sgm_steps", side_effect=spy):
-            got = run_sgm(sample, ctx, sch, plan, (100, 500))
+            got = run_sgm(sample, spec, sch, plan, (100, 500))
         # the blocked pass, then its rerun at block length 1
         [(blocked, reach), (rerun, trip)] = runs
         assert (blocked, rerun, trip) == (iterations._BLOCK, 1, None)
-        assert reach.max() * (ctx.diagonal().max() if spec else np.abs(sample.x).max()) >= 5e11
+        assert reach.max() * (got.anchors.diagonal().max() if spec else np.abs(sample.x).max()) \
+            >= 5e11
         ref, _ = _b1_reference(sample, kind, sch, plan, (100, 500))
         assert np.abs(ref).max() < 1e12
         np.testing.assert_array_equal(got.coeffs, ref)
@@ -1075,41 +1054,42 @@ class TestBlockedSgm:
 
 
 class TestSgmMemory:
-    """run_sgm_trials reads an anchor set's Gram where the set holds one
-    and otherwise builds its own for the length of the run; beyond its
-    Grams it holds O(R b w) per step."""
+    """run_sgm_trials builds the Grams it reads for the length of the run;
+    beyond its Grams it holds O(R b w) per step."""
 
     def test_lazy_set_builds_one_gram_for_the_run_only(self):
+        """A kernel run builds one Gram, for the run alone, and anchors its
+        trajectory on a lazy set of the sample points, which holds none."""
         sample = gen_synthetic_abs(60, seed=8)
         plan = sample_index_plan(60, 6, 80, seed=9)
         sch = StepSchedule(0.5)
-        eager = AnchorSet.build(GAUSS, sample.x, check_psd=False)
-        lazy = AnchorSet.lazy(GAUSS, sample.x)
-        with mock.patch.object(spaces, "build_gram", wraps=spaces.build_gram) as built:
-            want = run_sgm(sample, eager, sch, plan, (10, 80))
-            assert built.call_count == 0
-            got = run_sgm(sample, lazy, sch, plan, (10, 80))
+        with mock.patch.object(iterations, "build_gram", wraps=iterations.build_gram) as built:
+            got = run_sgm(sample, GAUSS, sch, plan, (10, 80))
         assert built.call_count == 1
-        assert lazy.gram is None and got.anchors is lazy
-        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        assert built.call_args.kwargs == {"check_psd": False}
+        assert (got.anchors.kernel, [f.name for f in dataclasses.fields(got.anchors)]) == \
+            (GAUSS, ["points", "kernel"])
+        np.testing.assert_array_equal(got.anchors.points, sample.x)
+        gram = build_gram(GAUSS, sample.x, check_psd=False).values
+        want = _sequential_sgm(sample, gram, sch.etas(80), plan, {10, 80})
+        np.testing.assert_array_equal(got.coeffs, want)
 
     def test_scratch_above_the_gram_is_per_step(self):
         """One plan's (T, b) index table is read in place, and each step
         forms its own sampled rows and coefficient positions, so at
         m = 200, b = 20, T = 20000 (a 1.6 MB int32 table) the traced peak
-        of a run on a lazy set, less the Gram it builds, stays under
+        of a kernel run, less the Gram it builds, stays under
         800 000 bytes, a quarter of the table as int64; copying the table
         into (T, R, b) position tables took two int64 tables more. (Tracing
         every allocation makes this run about 15 times slower than an
         untraced one.)"""
         m, b, T = 200, 20, 20_000
         sample = gen_synthetic_abs(m, seed=4)
-        ctx = AnchorSet.lazy(GAUSS, sample.x)
         plan = sample_index_plan(m, b, T, seed=5)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run_sgm_trials(sample, ctx, StepSchedule(0.5), plan.indices[:, None], (T,))
+            run_sgm_trials(sample, GAUSS, StepSchedule(0.5), plan.indices[:, None], (T,))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -1119,46 +1099,46 @@ class TestSgmMemory:
     def test_step_loop_gathers_into_one_buffer(self):
         """The b > 1 step loop gathers each step's sampled Gram rows into
         one (R, b, m) buffer made once per chunk: at m = 400 and b = 100
-        the traced peak of a run on a built Gram stays under 1.5 such
-        blocks. A fresh gather per step held two blocks while the old one
-        was rebound."""
+        the traced peak of a run, less the Gram it builds, stays under 1.5
+        such blocks. A fresh gather per step held two blocks while the old
+        one was rebound."""
         m, b, T = 400, 100, 40
         sample = gen_synthetic_abs(m, seed=4)
-        ctx = AnchorSet.build(GAUSS, sample.x, check_psd=False)
         plan = sample_index_plan(m, b, T, seed=5)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            got = run_sgm(sample, ctx, StepSchedule(0.5), plan, (T,))
+            got = run_sgm(sample, GAUSS, StepSchedule(0.5), plan, (T,))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * b * m
-        want = _sequential_sgm(sample, ctx.gram.values, StepSchedule(0.5).etas(T), plan, {T})
+        assert peak - 8 * m * m < 1.5 * 8 * b * m
+        want = _sequential_sgm(sample, build_gram(GAUSS, sample.x, check_psd=False).values,
+                               StepSchedule(0.5).etas(T), plan, {T})
         np.testing.assert_array_equal(got.coeffs, want)
 
     def test_table_is_read_in_place(self):
         """sec9-sgm's trials (m = 100, R = 50, T = 5000, b = 1, 24
         checkpoints) on their index table: the blocked path writes the
         checkpoints into the returned block and keeps no per-checkpoint
-        copy of its iterate, so the traced peak stays within 0.6 MB of the
-        1 MB block (0.43 MB over it). Stacking 50 int64 plans alone took
-        2 MB more; gathering the Gram rows of all 50 trials in one chunk,
-        not ``_BLOCK`` = 16 per chunk, took 1.2 MB over the block."""
+        copy of its iterate, so the traced peak, less the Gram the run
+        builds, stays within 0.6 MB of the 1 MB block (0.43 MB over it).
+        Stacking 50 int64 plans alone took 2 MB more; gathering the Gram
+        rows of all 50 trials in one chunk, not ``_BLOCK`` = 16 per chunk,
+        took 1.2 MB over the block."""
         m, R, T = 100, 50, 5000
         sample = gen_synthetic_abs(m, seed=3)
-        ctx = AnchorSet.build(GAUSS, sample.x, check_psd=False)
         table = sample_index_table(m, 1, T, [mix_seed(9, r) for r in range(R)])
         cps = log_checkpoints(T, 25)
         with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                block = run_sgm_trials(sample, ctx, StepSchedule(1 / 800), table, cps)
+                block = run_sgm_trials(sample, GAUSS, StepSchedule(1 / 800), table, cps)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
         assert _block_lengths(eng) == [iterations._BLOCK] * -(-R // iterations._BLOCK)
         assert eng.call_count == 4 and block.base is None
         assert block.nbytes == len(cps) * R * m * 8 == 960_000
-        assert peak <= block.nbytes + 600_000
+        assert peak - 8 * m * m <= block.nbytes + 600_000

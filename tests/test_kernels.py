@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -5,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdlsq import (AnchorSet, KernelDomainError, KernelSpec, build_gram,
-                    cross_matrix, kappa_sq)
-from sgdlsq import kernels
+from sgdlsq import (AnchorSet, KernelDomainError, KernelSpec, Sample, StepSchedule, build_gram,
+                    cross_matrix, kappa_sq, run_batch_gm, run_sgm, sample_index_plan)
+from sgdlsq import iterations, kernels, spaces
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 SOB = KernelSpec("sobolev")
@@ -167,9 +170,8 @@ class TestInPlaceTiles:
 
 
 class TestLazyAnchorSet:
-    """A lazy anchor set reads its rows and diagonal off the kernel and
-    never keeps a Gram; on scalar inputs they are the Gram's bit for
-    bit."""
+    """An anchor set reads its rows and diagonal off the kernel and never
+    keeps a Gram; on scalar inputs they are the Gram's bit for bit."""
 
     @pytest.mark.parametrize("spec", [GAUSS, SOB, LIN], ids=lambda s: s.kind)
     def test_rows_and_diagonal_equal_the_grams_on_scalar_inputs(self, spec):
@@ -180,7 +182,6 @@ class TestLazyAnchorSet:
         np.testing.assert_array_equal(kernels.kernel_diagonal(spec, pts), np.diagonal(gram))
         for i in (0, 17, 255, 256, 299):
             np.testing.assert_array_equal(lazy.row(i), gram[i])
-        assert lazy.gram is None
 
     def test_vector_inputs_agree_to_rounding(self):
         pts = np.random.default_rng(4).random((50, 3))
@@ -191,37 +192,70 @@ class TestLazyAnchorSet:
             np.testing.assert_allclose(lazy.row(7), gram[7], rtol=1e-13, atol=1e-15)
 
     def test_gram_is_built_for_each_caller_and_never_kept(self):
-        pts = np.linspace(0.0, 1.0, 30)
-        lazy = AnchorSet.lazy(GAUSS, pts)
-        assert hasattr(lazy, "gram") and lazy.gram is None  # looking does not build
-        values = lazy.gram_values()
-        again = lazy.gram_values()
-        assert again is not values and not np.shares_memory(again, values)
-        np.testing.assert_array_equal(values, build_gram(GAUSS, pts).values)
-        np.testing.assert_array_equal(again, values)
-        assert lazy.gram is None
-        assert not np.shares_memory(lazy.row(3), values)
+        """Each run that reads the whole Gram, SGM and batch GM's loop,
+        builds its own with the checks of build_gram(check_psd=False) and
+        frees it on return: each run's traced peak holds its m x m Gram,
+        and no traced block that large, nor any reference to the Gram,
+        outlives the run."""
+        m = 200
+        sample = Sample(np.linspace(0.0, 1.0, m), np.linspace(-1.0, 1.0, m))
+        sch = StepSchedule(0.5)
+        plan = sample_index_plan(m, 3, 5, seed=1)
+        values = []
+
+        def spy(*args, **kwargs):
+            gram = kernels.build_gram(*args, **kwargs)
+            values.append(weakref.ref(gram.values))
+            return gram
+
+        runs = [lambda: run_sgm(sample, GAUSS, sch, plan),
+                lambda: run_batch_gm(sample, GAUSS, sch, 5)] * 2
+        with mock.patch.object(iterations, "build_gram", side_effect=spy) as built, \
+                mock.patch.object(iterations, "_pivoted_cholesky", return_value=None):
+            tracemalloc.start()
+            try:
+                for run in runs:  # batch GM takes the loop, which reads the Gram
+                    tracemalloc.reset_peak()
+                    traj = run()
+                    assert tracemalloc.get_traced_memory()[1] >= 8 * m * m
+                    assert max(t.size for t in tracemalloc.take_snapshot().traces) < 8 * m * m
+                    assert not hasattr(traj.anchors, "gram")
+            finally:
+                tracemalloc.stop()
+        assert built.call_count == 4
+        for call in built.call_args_list:
+            assert call.args[0] == GAUSS and call.args[1] is sample.x
+            assert call.kwargs == {"check_psd": False}
+        assert [ref() for ref in values] == [None] * 4
 
     def test_gram_product_by_tiles_matches_the_gram(self):
         pts = np.random.default_rng(5).random(700)
         coeffs = np.random.default_rng(6).standard_normal((4, 700))
-        lazy, built = AnchorSet.lazy(GAUSS, pts), AnchorSet.build(GAUSS, pts, check_psd=False)
-        got = lazy.gram_product(coeffs)
-        want = np.matmul(built.gram.values, coeffs[:, :, None])[..., 0]
+        got = AnchorSet.lazy(GAUSS, pts).gram_product(coeffs)
+        want = np.matmul(build_gram(GAUSS, pts, check_psd=False).values, coeffs[:, :, None])[..., 0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        np.testing.assert_array_equal(built.gram_product(coeffs), got)  # reads the kernel too
-        assert lazy.gram is None
 
     def test_empty_point_list_is_refused(self):
         with pytest.raises(ValueError, match="empty point list"):
             AnchorSet.lazy(GAUSS, [])
 
     def test_only_build_makes_the_gram(self):
+        """Only AnchorSet.build makes a Gram, for build_gram's checks, and
+        keeps none: the set it returns is AnchorSet.lazy's, and no set
+        takes a Gram."""
         pts = np.linspace(0.0, 1.0, 12)
-        built = AnchorSet.build(GAUSS, pts)
-        np.testing.assert_array_equal(built.gram_values(), build_gram(GAUSS, pts).values)
+        with mock.patch.object(spaces, "build_gram", wraps=spaces.build_gram) as built:
+            lazy = AnchorSet.lazy(GAUSS, pts)
+            assert built.call_count == 0
+            checked = AnchorSet.build(GAUSS, pts, check_psd=True)
+        built.assert_called_once_with(GAUSS, checked.points, check_psd=True)
+        assert checked.kernel == lazy.kernel
+        np.testing.assert_array_equal(checked.points, lazy.points)
+        assert [f.name for f in dataclasses.fields(AnchorSet)] == ["points", "kernel"]
         with pytest.raises(TypeError, match="gram"):
-            AnchorSet(points=built.points, kernel=GAUSS, gram=built.gram)
+            AnchorSet(points=lazy.points, kernel=GAUSS, gram=build_gram(GAUSS, pts))
+        with pytest.raises(ValueError, match="not positive semi-definite"):
+            AnchorSet.build(SOB, [1.0 + 1e-12], check_psd=True)
 
     def test_linear_kappa_sq_is_the_largest_diagonal(self):
         pts = np.random.default_rng(7).random((20, 4))

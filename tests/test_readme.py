@@ -1,4 +1,5 @@
-"""The README's Contracts table: each promise names the test that pins it."""
+"""The README's Contracts table, each promise naming the test that pins
+it, and its Quick start block, which runs as written."""
 
 import ast
 import re
@@ -55,3 +56,15 @@ def test_every_acceptance_criterion_is_a_contract():
     criteria = {n.name for n in tree.body
                 if isinstance(n, ast.FunctionDef) and n.name.startswith("test_criterion_")}
     assert len(criteria) == 9 and criteria <= named
+
+
+def test_quick_start_runs():
+    """The Quick start block runs as written and stops at a checkpoint of
+    a run anchored on the training points."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md (Quick start)", "exec"), scope)
+    assert scope["stop"].chosen_t in scope["trajectory"].checkpoints
+    assert (scope["trajectory"].anchors.points == scope["train"].x).all()

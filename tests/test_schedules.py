@@ -178,6 +178,12 @@ class TestRecipes:
             recipe("C3", 100, c_eta=0.0)
         with pytest.raises(ValueError):
             recipe("XX", 100)
+        # nan is refused naming its parameter, on every id
+        for rid in ("C3", "C12"):
+            with pytest.raises(ValueError, match="zeta must be > 0, got nan"):
+                recipe(rid, 100, zeta=float("nan"), eps=0.3)
+            with pytest.raises(ValueError, match="c_eta must be > 0, got nan"):
+                recipe(rid, 100, c_eta=float("nan"), eps=0.3)
 
 
 # the ids the rule derives, each with the law it follows and the power of

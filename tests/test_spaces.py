@@ -7,6 +7,7 @@ from sgdlsq import (
     AnchorSet,
     DimensionMismatch,
     KernelSpec,
+    build_gram,
     euclidean_vector,
     kernel_vector,
     mean_square_error,
@@ -93,14 +94,14 @@ class TestReproducingConsistency:
         rng = np.random.default_rng(5)
         anchors = AnchorSet.build(spec, np.sort(rng.random(12)))
         h = kernel_vector(rng.standard_normal(12), anchors)
-        via_gram = anchors.gram.values @ h.coeffs
+        via_gram = build_gram(spec, anchors.points).values @ h.coeffs
         via_points = np.array([predict(h, [x])[0] for x in anchors.points])
         np.testing.assert_allclose(via_points, via_gram, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(predict(h, anchors.points), via_gram, rtol=1e-10, atol=1e-12)
 
 
 class TestGramProductTiles:
-    """A lazy set forms K times the coefficients one tile of K at a time:
+    """An anchor set forms K times the coefficients one tile of K at a time:
     the fewest tiles of at most _TILE rows and 2^17 floats, split evenly."""
 
     @pytest.mark.parametrize("n", [1, 7, 256, 257, 700, 2000, 5000, 2**17 + 3])
@@ -125,7 +126,7 @@ class TestGramProductTiles:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert out.nbytes == 480_000 and lazy.gram is None
+        assert out.nbytes == 480_000
         assert peak <= out.nbytes + 1_200_000
 
 

@@ -87,9 +87,8 @@ class TestHoldoutStop:
     def test_end_to_end_on_trained_trajectory(self):
         sample = gen_synthetic_abs(60, seed=1)
         val = gen_synthetic_abs(40, seed=2)
-        ctx = AnchorSet.build(GAUSS, sample.x)
         plan = sample_index_plan(60, 8, 120, seed=3)
-        traj = run_sgm(sample, ctx, StepSchedule(1.0 / 16), plan,
+        traj = run_sgm(sample, GAUSS, StepSchedule(1.0 / 16), plan,
                        checkpoints=(1, 5, 10, 20, 40, 80, 120))
         out = holdout_stop(traj, val)
         assert out.chosen_t in traj.checkpoints
