@@ -48,7 +48,8 @@ print(" ", np.array2string(np.array(outcome.errors), precision=4))
 print(f"hold-out rule stops at t={outcome.chosen_t} "
       f"(validation mse {outcome.chosen_error:.4f})")
 
-chosen = trajectory.vector_at(outcome.chosen_t)
-last = trajectory.final
-print(f"test mse at chosen iterate: {mean_square_error(chosen, test.x, test.y):.4f}")
-print(f"test mse if run to the last checkpoint: {mean_square_error(last, test.x, test.y):.4f}")
+# one call gives the test error of every checkpoint, one value per row
+test_mse = mean_square_error(trajectory, test.x, test.y)
+chosen = outcome.checkpoints.index(outcome.chosen_t)
+print(f"test mse at chosen iterate: {test_mse[chosen]:.4f}")
+print(f"test mse if run to the last checkpoint: {test_mse[-1]:.4f}")

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .iterations import (
     IndexPlan,
-    Trajectory,
     log_checkpoints,
     run_batch_gm,
     run_population,
@@ -66,9 +65,7 @@ from .schedules import (
 )
 from .spaces import (
     AnchorSet,
-    HypothesisVector,
-    euclidean_vector,
-    kernel_vector,
+    Trajectory,
     mean_square_error,
     predict,
     prediction_errors,

@@ -35,7 +35,7 @@ from .iterations import (log_checkpoints, run_batch_gm, run_sgm, run_sgm_trials,
 from .kernels import KernelSpec, kappa_sq
 from .rng import GENERATOR_NAME, SEED_MIXER_NAME, make_rng, mix_seed
 from .schedules import RECIPE_IDS, StepSchedule, recipe, recipe_table, validate_schedule
-from .spaces import METRICS, AnchorSet, kernel_vector, predict, prediction_errors
+from .spaces import METRICS, AnchorSet, Trajectory, predict, prediction_errors
 from .stopping import holdout_stop
 
 EXIT_OK = 0
@@ -293,13 +293,14 @@ def cmd_rates(args):
         samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=cfg["noise_sd"])
                    for s in streams]
         if rec.is_batch:
-            finals = [run_batch_gm(s, kernel, rec.schedule, rec.t_star, (rec.t_star,)).final.coeffs
+            finals = [run_batch_gm(s, kernel, rec.schedule, rec.t_star, (rec.t_star,))
                       for s in samples]
         else:
             table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
-            finals = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))[0]
-        risks = [excess_risk(kernel_vector(c, AnchorSet.lazy(kernel, s.x)), surr, abs_target)
-                 for s, c in zip(samples, finals)]
+            block = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))
+            finals = [Trajectory((rec.t_star,), block[:, r], (rec.passes,),
+                                 AnchorSet.lazy(kernel, s.x)) for r, s in enumerate(samples)]
+        risks = [excess_risk(h, surr, abs_target)[0] for h in finals]
         mean = float(np.mean(risks))
         se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))
         rows.append(
@@ -416,10 +417,10 @@ def cmd_run(args):
     chosen = traj.vector_at(outcome.chosen_t)
 
     test_error = (None if test is None else
-                  float(prediction_errors(predict(chosen, test.x), test.y, cfg["metric"])))
+                  float(prediction_errors(predict(chosen, test.x), test.y, cfg["metric"])[0]))
 
     _write_json(args.out + ".model.json", cfg, backend=chosen.backend,
-                coefficients=chosen.coeffs.tolist(),
+                coefficients=chosen.coeffs[0].tolist(),
                 kernel=kernel.label() if kernel else None,
                 anchor_points=None if kernel is None else traj.anchors.points.tolist(),
                 scaling=scaling, chosen_t=outcome.chosen_t)

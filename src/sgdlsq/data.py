@@ -16,7 +16,7 @@ from .errors import (
     RaggedRowError,
 )
 from .rng import make_rng
-from .spaces import HypothesisVector, predict, prediction_errors
+from .spaces import Trajectory, predict, prediction_errors
 
 
 @dataclass(frozen=True)
@@ -194,9 +194,10 @@ def split(sample: Sample, fractions, seed: int):
     return tuple(out)
 
 
-def misclassification(h: HypothesisVector, sample: Sample) -> float:
-    """Fraction of sign disagreements on +/-1 labels; sign(0) counts as +1."""
-    return float(prediction_errors(predict(h, sample.x), sample.y, "zero-one"))
+def misclassification(h: Trajectory, sample: Sample) -> np.ndarray:
+    """Fraction of sign disagreements on +/-1 labels, one per checkpoint
+    of ``h``; sign(0) counts as +1."""
+    return prediction_errors(predict(h, sample.x), sample.y, "zero-one")
 
 
 def minmax_scale(sample: Sample, lo=None, hi=None):

@@ -44,7 +44,7 @@ from .iterations import (
 from .kernels import KernelSpec, build_gram, cross_matrix
 from .rng import mix_seed
 from .schedules import StepSchedule, passes
-from .spaces import HypothesisVector, mean_square_error, prediction_errors
+from .spaces import Trajectory, mean_square_error, prediction_errors
 
 _SLACK = 1e-12
 
@@ -101,23 +101,24 @@ class DecompositionReport:
         return self.checkpoints[int(np.argmin(self.total))]
 
 
-def excess_risk(h: HypothesisVector, surrogate, f_true) -> float:
+def excess_risk(h: Trajectory, surrogate, f_true) -> np.ndarray:
     """Mean squared gap to the true regression function over the
-    surrogate points: the L2 proxy for risk minus its infimum."""
+    surrogate points, one per checkpoint of ``h``: the L2 proxy for risk
+    minus its infimum."""
     pts = np.asarray(surrogate, float)
     return mean_square_error(h, pts, f_true(pts))
 
 
-def h_norm_error(h: HypothesisVector, w_star) -> float:
-    """Squared H-norm distance to a known minimizer (euclidean only)."""
+def h_norm_error(h: Trajectory, w_star) -> np.ndarray:
+    """Squared H-norm distance to a known minimizer, one per checkpoint
+    of ``h`` (euclidean only)."""
     if h.backend != "euclidean":
         raise ValueError("H-norm error requires a known minimizer; only the "
                          "euclidean backend exposes one")
     w = np.asarray(w_star, dtype=np.float64).reshape(-1)
-    if w.shape[0] != h.coeffs.shape[0]:
-        raise ValueError(f"minimizer has length {w.shape[0]}, hypothesis {h.coeffs.shape[0]}")
-    diff = h.coeffs - w
-    return float(diff @ diff)
+    if w.shape[0] != h.coeffs.shape[1]:
+        raise ValueError(f"minimizer has length {w.shape[0]}, hypothesis {h.coeffs.shape[1]}")
+    return np.square(h.coeffs - w).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ def unbiasedness_check(
         )
     table = sample_index_table(sample.m, b, steps, [mix_seed(base_seed, r) for r in range(R)])
     coeffs = run_sgm_trials(sample, ctx, schedule, table, (steps,))[0]
-    batch = run_batch_gm(sample, ctx, schedule, steps, checkpoints=(steps,)).final.coeffs
+    batch = run_batch_gm(sample, ctx, schedule, steps, checkpoints=(steps,)).coeffs[0]
     # anchoring the mean on the first trial keeps identical trials exact
     mean = coeffs[0] + (coeffs - coeffs[0]).mean(axis=0)
     centered = coeffs - mean

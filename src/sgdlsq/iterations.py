@@ -36,11 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .errors import DimensionMismatch, DivergenceError
+from .errors import DivergenceError
 from .kernels import KernelSpec, build_gram
 from .rng import make_rng
 from .schedules import StepSchedule, passes
-from .spaces import AnchorSet, HypothesisVector
+from .spaces import AnchorSet, Trajectory
 
 # Bound on max|w| (euclidean) or max|a| times the Gram's largest diagonal
 # (kernel, see _coef_scale) past which a run counts as diverged.
@@ -114,58 +114,6 @@ def sample_index_table(m: int, b: int, T: int, seeds) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """The iterates at an increasing sequence of step counts, as one
-    read-only (n_cp, w) block: row i holds the coordinates (euclidean)
-    or the expansion coefficients over ``anchors`` (kernel) after
-    ``checkpoints[i]`` steps. ``anchors`` is None for euclidean runs."""
-
-    checkpoints: tuple
-    coeffs: np.ndarray
-    passes: tuple
-    anchors: AnchorSet | None = None
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64).view()
-        if coeffs.ndim != 2:
-            raise ValueError(f"coefficients must form an (n_cp, w) block, got {coeffs.shape}")
-        if len(coeffs) != len(self.checkpoints):
-            raise DimensionMismatch("checkpoints vs coefficient rows",
-                                    len(self.checkpoints), len(coeffs))
-        if self.anchors is not None and coeffs.shape[1] != self.anchors.n:
-            raise DimensionMismatch("coefficients vs anchor set", self.anchors.n, coeffs.shape[1])
-        if any(b >= a for a, b in zip(self.checkpoints[1:], self.checkpoints)):
-            raise ValueError("checkpoints must be strictly increasing")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("hypothesis coefficients must be finite")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def backend(self) -> str:
-        return "euclidean" if self.anchors is None else "kernel"
-
-    @property
-    def final(self) -> HypothesisVector:
-        return self.vector_at(self.checkpoints[-1])
-
-    def vector_at(self, t: int) -> HypothesisVector:
-        try:
-            i = self.checkpoints.index(t)
-        except ValueError:
-            raise KeyError(f"no checkpoint at t={t}") from None
-        return HypothesisVector(self.coeffs[i], self.anchors)
-
-    def values(self, features) -> np.ndarray:
-        """Row i is ``features @ coeffs[i]``, (n_cp, n), for a feature
-        matrix of this trajectory (:func:`~sgdlsq.spaces.feature_matrix`).
-        One matrix-vector product per row, so each row equals
-        :func:`~sgdlsq.spaces.predict` of its vector bit for bit; the
-        single product ``coeffs @ features.T`` differs in the last bits."""
-        return np.matmul(features, self.coeffs[:, :, None])[..., 0]
-
-
 def normalize_checkpoints(checkpoints, T: int) -> tuple:
     """Sorted unique checkpoints within [1, T]; default is just (T,)."""
     if T < 1:
@@ -200,6 +148,12 @@ def _gram_rows(ctx, x):
     return _as_matrix(x) if ctx is None else build_gram(ctx, x, check_psd=False).values
 
 
+def _check_ctx(ctx):
+    """Refuse a ``ctx`` that is neither None (euclidean) nor a kernel."""
+    if ctx is not None and not isinstance(ctx, KernelSpec):
+        raise TypeError(f"ctx must be None or a KernelSpec, got {type(ctx).__name__}")
+
+
 def _anchors(ctx, sample):
     """A kernel run's anchor set, the sample points; None for euclidean."""
     return None if ctx is None else AnchorSet.lazy(ctx, sample.x)
@@ -222,12 +176,12 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     shared by all trials or one per plan, whose Grams (or inputs) are
     then stacked in chunks of trials within ``_STACK_BYTES``. ``ctx`` is
     ``None`` (euclidean) or the :class:`KernelSpec` whose iterates are
-    expansions over each trial's sample points. The run builds the Grams
-    it reads and frees them on return, so a Gram lives only while SGM
-    reads it. Besides its Grams, the index
-    table and the returned block, the run holds O(R b w): each block of
-    steps gathers its sampled rows into one buffer per chunk, and the
-    checkpoints are written straight into the returned block. Returns
+    expansions over each trial's sample points; any other ``ctx`` raises
+    ``TypeError``. The run builds the Grams it reads and frees them on
+    return, so a Gram lives only while SGM reads it. Besides its Grams,
+    the index table and the returned block, the run holds O(R b w): each
+    block of steps gathers its sampled rows into one buffer per chunk,
+    and the checkpoints are written straight into the returned block. Returns
     the checkpoint iterates, (n_cp, R, w) with w = m (kernel) or d
     (euclidean).
 
@@ -244,6 +198,7 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     ``DivergenceError(t, "trial r")`` for the earliest diverging step t and
     the lowest trial r diverging at it, as the step loop finds them.
     """
+    _check_ctx(ctx)
     stacked = not isinstance(samples, Sample)
     samples = list(samples) if stacked else [samples]
     if not samples:
@@ -512,6 +467,7 @@ def run_batch_gm(
     smaller: the factor's backward error, about eps ||K||, times the
     filter's sensitivity s_T.
     """
+    _check_ctx(ctx)
     cps = normalize_checkpoints(checkpoints, T)
     cp_pos = {t: i for i, t in enumerate(cps)}
     kernel = ctx is not None

@@ -2,10 +2,12 @@
 
 A hypothesis is either an explicit coordinate vector in R^d
 (``euclidean`` backend) or a kernel expansion sum_j alpha_j K(x_j, .)
-over a fixed anchor set (``kernel`` backend). Iterates produced by the
-gradient methods live in the span of their training points, so kernel
-coefficient vectors always have one entry per anchor; population
-iterates use the surrogate anchor set instead.
+over a fixed anchor set (``kernel`` backend). A :class:`Trajectory`
+holds a run's hypotheses, one row per checkpoint; one checkpoint of it
+is one hypothesis. Iterates produced by the gradient methods live in the
+span of their training points, so kernel coefficient vectors always have
+one entry per anchor; population iterates use the surrogate anchor set
+instead.
 
 Quantities that compare hypotheses from different anchor sets (for
 example a training-set expansion against a surrogate-set expansion) must
@@ -99,46 +101,65 @@ class AnchorSet:
 
 
 @dataclass(frozen=True)
-class HypothesisVector:
-    """One element of the hypothesis space.
+class Trajectory:
+    """Hypotheses at an increasing sequence of step counts, as one
+    read-only (n_cp, w) block: row i holds the coordinates (euclidean)
+    or the expansion coefficients over ``anchors`` (kernel) after
+    ``checkpoints[i]`` steps. ``anchors`` is None for euclidean runs.
+    A one-checkpoint trajectory is one hypothesis (:meth:`vector_at`)."""
 
-    ``coeffs`` holds coordinates (euclidean, ``anchors`` None) or
-    expansion coefficients (kernel, one per anchor). All entries are
-    finite; the zero vector is the zero element exactly.
-    """
-
+    checkpoints: tuple
     coeffs: np.ndarray
+    passes: tuple
     anchors: AnchorSet | None = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.coeffs)):
+        coeffs = np.asarray(self.coeffs, dtype=np.float64).view()
+        if coeffs.ndim != 2:
+            raise ValueError(f"coefficients must form an (n_cp, w) block, got {coeffs.shape}")
+        if len(coeffs) != len(self.checkpoints):
+            raise DimensionMismatch("checkpoints vs coefficient rows",
+                                    len(self.checkpoints), len(coeffs))
+        if self.anchors is not None and coeffs.shape[1] != self.anchors.n:
+            raise DimensionMismatch("coefficients vs anchor set", self.anchors.n, coeffs.shape[1])
+        if any(b >= a for a, b in zip(self.checkpoints[1:], self.checkpoints)):
+            raise ValueError("checkpoints must be strictly increasing")
+        if not np.all(np.isfinite(coeffs)):
             raise ValueError("hypothesis coefficients must be finite")
-        if self.anchors is not None and self.coeffs.shape != (self.anchors.n,):
-            raise DimensionMismatch("coefficients vs anchor set", self.anchors.n,
-                                    self.coeffs.shape[0])
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def backend(self) -> str:
         return "euclidean" if self.anchors is None else "kernel"
 
+    @property
+    def final(self) -> "Trajectory":
+        return self.vector_at(self.checkpoints[-1])
 
-def euclidean_vector(coords) -> HypothesisVector:
-    arr = np.array(coords, dtype=np.float64).reshape(-1)
-    arr.setflags(write=False)
-    return HypothesisVector(arr)
+    def vector_at(self, t: int) -> "Trajectory":
+        """The one-checkpoint trajectory at step t, a row view of the block."""
+        try:
+            i = self.checkpoints.index(t)
+        except ValueError:
+            raise KeyError(f"no checkpoint at t={t}") from None
+        return Trajectory((t,), self.coeffs[i:i + 1], self.passes[i:i + 1], self.anchors)
+
+    def values(self, features) -> np.ndarray:
+        """Row i is ``features @ coeffs[i]``, (n_cp, n), for a feature
+        matrix of this trajectory (:func:`feature_matrix`). One
+        matrix-vector product per row, so a row's values do not depend on
+        the other rows: :meth:`vector_at` a checkpoint gives its row bit
+        for bit, where the single product ``coeffs @ features.T`` differs
+        in the last bits."""
+        return np.matmul(features, self.coeffs[:, :, None])[..., 0]
 
 
-def kernel_vector(coeffs, anchors: AnchorSet) -> HypothesisVector:
-    arr = np.array(coeffs, dtype=np.float64).reshape(-1)
-    arr.setflags(write=False)
-    return HypothesisVector(arr, anchors)
-
-
-def feature_matrix(h, xs) -> np.ndarray:
-    """The matrix F with ``predict(h, xs) == F @ h.coeffs``: the inputs
+def feature_matrix(h: Trajectory, xs) -> np.ndarray:
+    """The matrix F with ``predict(h, xs) == h.values(F)``: the inputs
     (euclidean) or the cross matrix K(xs, anchors) (kernel). It depends
     only on ``xs`` and the backend, dimension and anchor set of ``h``, so
-    ``h`` may also be a :class:`~sgdlsq.iterations.Trajectory`."""
+    one F serves every checkpoint of a run."""
     xs = np.asarray(xs, dtype=np.float64)
     if h.backend == "kernel":
         return cross_matrix(h.anchors.kernel, xs, h.anchors.points)
@@ -151,11 +172,12 @@ def feature_matrix(h, xs) -> np.ndarray:
     raise DimensionMismatch("hypothesis vs input point", d, got)
 
 
-def predict(h: HypothesisVector, xs) -> np.ndarray:
-    """Evaluations <h, x>_H at each point of ``xs``: a dot product
-    (euclidean) or the kernel expansion sum_j alpha_j K(x_j, x). The one
-    evaluation path."""
-    return feature_matrix(h, xs) @ h.coeffs
+def predict(h: Trajectory, xs) -> np.ndarray:
+    """Evaluations <h, x>_H at each point of ``xs``, one row per
+    checkpoint of ``h``, (n_cp, n): dot products (euclidean) or the
+    kernel expansions sum_j alpha_j K(x_j, x). The one evaluation path,
+    ``h.values(feature_matrix(h, xs))``."""
+    return h.values(feature_matrix(h, xs))
 
 
 METRICS = ("mse", "zero-one")
@@ -182,8 +204,9 @@ def prediction_errors(values, targets, metric: str = "mse"):
     return (np.where(values >= 0, 1.0, -1.0) != targets).mean(axis=-1)
 
 
-def mean_square_error(h: HypothesisVector, points, targets) -> float:
-    """Mean of squared residuals (<h, x_i> - y_i)^2 over a point set."""
+def mean_square_error(h: Trajectory, points, targets) -> np.ndarray:
+    """Mean of squared residuals (<h, x_i> - y_i)^2 over a point set, one
+    per checkpoint of ``h``."""
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     n_pts = points.shape[0]
@@ -191,4 +214,4 @@ def mean_square_error(h: HypothesisVector, points, targets) -> float:
         raise ValueError("mean_square_error needs at least one point")
     if n_pts != targets.shape[0]:
         raise DimensionMismatch("points vs targets", n_pts, targets.shape[0])
-    return float(prediction_errors(predict(h, points), targets))
+    return prediction_errors(predict(h, points), targets)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .iterations import Trajectory
-from .spaces import feature_matrix, prediction_errors
+from .spaces import Trajectory, predict, prediction_errors
 
 
 @dataclass(frozen=True)
@@ -33,18 +32,16 @@ def holdout_stop(
 ) -> StoppingOutcome:
     """First checkpoint minimizing the validation error.
 
-    The validation features are built once, the cross matrix K(x_val,
-    anchors) (kernel) or the input matrix (euclidean), and
-    :meth:`Trajectory.values` evaluates every checkpoint on them as one
-    (n_cp, n_val) block, whose rows
-    :func:`~sgdlsq.spaces.prediction_errors` reduces: each checkpoint's
-    error equals :func:`~sgdlsq.spaces.mean_square_error` or
-    :func:`~sgdlsq.data.misclassification` of its vector bit for bit.
+    :func:`~sgdlsq.spaces.predict` evaluates every checkpoint on the
+    validation points in one (n_cp, n_val) block, from one cross matrix
+    K(x_val, anchors) (kernel) or the input matrix (euclidean), and
+    :func:`~sgdlsq.spaces.prediction_errors` reduces its rows, as
+    :func:`~sgdlsq.spaces.mean_square_error` and
+    :func:`~sgdlsq.data.misclassification` do.
     """
     if len(trajectory.checkpoints) == 0:
         raise ValueError("trajectory has no checkpoints")
-    preds = trajectory.values(feature_matrix(trajectory, validation.x))
-    errors = prediction_errors(preds, validation.y, metric)
+    errors = prediction_errors(predict(trajectory, validation.x), validation.y, metric)
     best = int(np.argmin(errors))  # argmin returns the first minimizer
     return StoppingOutcome(
         chosen_t=trajectory.checkpoints[best],

@@ -29,11 +29,11 @@ from sgdlsq import (
     KernelSpec,
     Sample,
     StepSchedule,
+    Trajectory,
     abs_target,
     acceptance_sweep,
     cross_matrix,
     decompose,
-    euclidean_vector,
     fit_rate,
     gen_linear_attainable,
     gen_synthetic_abs,
@@ -77,7 +77,7 @@ def _risk_at_tstar(rid, m, trials, base_seed, surrogate):
     streams = [mix_seed(base_seed, trial) for trial in range(trials)]
     samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=1.0) for s in streams]
     if rec.is_batch:
-        finals = [run_batch_gm(s, GAUSS, rec.schedule, rec.t_star, (rec.t_star,)).final.coeffs
+        finals = [run_batch_gm(s, GAUSS, rec.schedule, rec.t_star, (rec.t_star,)).coeffs[0]
                   for s in samples]
     else:
         table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
@@ -253,9 +253,10 @@ def test_criterion_8_norm_convergence_on_attainable_instances():
         drawn = [gen_linear_attainable(m, d, w_star, noise_sd=0.5, seed=mix_seed(s, 0))
                  for s in streams]
         table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
-        finals = run_sgm_trials([smp for smp, _ in drawn], None, rec.schedule, table,
-                                (rec.t_star,))[0]
-        vals = [h_norm_error(euclidean_vector(c), w) for c, (_, w) in zip(finals, drawn)]
+        block = run_sgm_trials([smp for smp, _ in drawn], None, rec.schedule, table,
+                               (rec.t_star,))
+        vals = [h_norm_error(Trajectory((rec.t_star,), block[:, r], (rec.passes,)), w)[0]
+                for r, (_, w) in enumerate(drawn)]
         errors.append(float(np.mean(vals)))
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     fit = fit_rate(list(zip(M_GRID, errors)))
@@ -297,7 +298,7 @@ def test_criterion_9_classification_parity_across_batch_sizes(tmp_path):
         else:
             plan = sample_index_plan(m, b, T, mix_seed(900, 1))
             traj = run_sgm(train, kernel, sch, plan, cps)
-        best[name] = min(misclassification(traj.vector_at(t), test) for t in cps)
+        best[name] = float(misclassification(traj, test).min())
     spread = max(best.values()) - min(best.values())
     ok = _report(
         9,

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgdlsq
-from sgdlsq import (AnchorSet, KernelSpec, Sample, StepSchedule, check_contraction_bound,
-                    check_convolution_bound, check_sum_bounds, cli, gen_synthetic_abs,
-                    kernel_vector, load_csv, make_rng, mix_seed, predict, prediction_errors,
+from sgdlsq import (AnchorSet, KernelSpec, Sample, StepSchedule, Trajectory,
+                    check_contraction_bound, check_convolution_bound, check_sum_bounds, cli,
+                    gen_synthetic_abs, load_csv, make_rng, mix_seed, predict, prediction_errors,
                     recipe, save_csv, split, verdicts_to_csv)
 from sgdlsq.bounds import log_spaced_ts
 from sgdlsq.cli import main
@@ -511,8 +511,8 @@ class TestRun:
         train, _, test = split(load_csv(data), (0.7, 0.15, 0.15), seed=mix_seed(2, 1))
         np.testing.assert_array_equal(model["anchor_points"], train.x)
         anchors = AnchorSet.lazy(KernelSpec("gaussian", sigma=0.7), model["anchor_points"])
-        chosen = kernel_vector(model["coefficients"], anchors)
-        assert stopping["test_error"] == float(prediction_errors(predict(chosen, test.x), test.y))
+        chosen = Trajectory((0,), [model["coefficients"]], (0,), anchors)
+        assert stopping["test_error"] == prediction_errors(predict(chosen, test.x), test.y)[0]
 
     def test_no_gram_is_alive_at_holdout(self, tmp_path, monkeypatch):
         """A kernel SGM run frees its m x m training Gram when SGM

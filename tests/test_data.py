@@ -11,8 +11,8 @@ from sgdlsq import (
     NonNumericError,
     RaggedRowError,
     Sample,
+    Trajectory,
     abs_target,
-    euclidean_vector,
     gen_linear_attainable,
     gen_synthetic_abs,
     load_csv,
@@ -305,28 +305,33 @@ class TestSplit:
             split(sample, (-0.1, 1.1, 0.0), seed=0)
 
 
+def _vec(coords):
+    """One euclidean hypothesis: a one-checkpoint trajectory."""
+    return Trajectory((0,), [coords], (0,))
+
+
 class TestMisclassification:
     def test_perfect_separator(self):
         s = Sample(x=np.array([[1.0], [-1.0]]), y=np.array([1.0, -1.0]))
-        assert misclassification(euclidean_vector([1.0]), s) == 0.0
+        assert misclassification(_vec([1.0]), s)[0] == 0.0
 
     def test_zero_hypothesis_predicts_plus_one(self):
         s = Sample(x=np.array([[0.5], [0.5]]), y=np.array([1.0, -1.0]))
-        assert misclassification(euclidean_vector([0.0]), s) == 0.5
+        assert misclassification(_vec([0.0]), s)[0] == 0.5
 
     def test_label_flip_symmetry(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((40, 2))
         y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
-        h = euclidean_vector(rng.standard_normal(2))
-        e = misclassification(h, Sample(x=x, y=y))
-        e_flipped = misclassification(h, Sample(x=x, y=-y))
+        h = _vec(rng.standard_normal(2))
+        e = misclassification(h, Sample(x=x, y=y))[0]
+        e_flipped = misclassification(h, Sample(x=x, y=-y))[0]
         assert e + e_flipped == pytest.approx(1.0)
 
     def test_bad_label_rejected(self):
         s = Sample(x=np.array([[1.0]]), y=np.array([0.5]))
         with pytest.raises(ValueError):
-            misclassification(euclidean_vector([0.0]), s)
+            misclassification(_vec([0.0]), s)
 
 
 class TestMinMaxScale:

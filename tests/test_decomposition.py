@@ -11,17 +11,17 @@ from sgdlsq import (
     KernelSpec,
     Sample,
     StepSchedule,
+    Trajectory,
+    UnbiasednessReport,
     abs_target,
     build_gram,
     decompose,
     decompose_batch,
-    euclidean_vector,
     excess_risk,
     fit_rate,
     gen_linear_attainable,
     gen_synthetic_abs,
     h_norm_error,
-    kernel_vector,
     mix_seed,
     predict,
     run_batch_gm,
@@ -35,33 +35,38 @@ from sgdlsq import decomposition, iterations
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
 
+def _vec(coeffs, anchors=None):
+    """One hypothesis: a one-checkpoint trajectory."""
+    return Trajectory((0,), [coeffs], (0,), anchors)
+
+
 class TestExcessRisk:
     def test_exact_reproduction_is_zero(self):
-        w = euclidean_vector([1.0, -2.0])
+        w = _vec([1.0, -2.0])
         pts = np.random.default_rng(0).standard_normal((50, 2))
-        assert excess_risk(w, pts, lambda x: x @ np.array([1.0, -2.0])) == 0.0
+        assert excess_risk(w, pts, lambda x: x @ np.array([1.0, -2.0]))[0] == 0.0
 
     def test_zero_hypothesis_kinked_target(self):
         # f(x) = |x - 1/2| - 1/2 at {0, 0.25, 0.5} is {0, -0.25, -0.5}
         pts = np.array([[0.0], [0.25], [0.5]])
-        got = excess_risk(euclidean_vector([0.0]), pts, lambda x: abs_target(x[:, 0]))
-        np.testing.assert_allclose(got, 0.3125 / 3, rtol=1e-14)
+        got = excess_risk(_vec([0.0]), pts, lambda x: abs_target(x[:, 0]))
+        np.testing.assert_allclose(got, [0.3125 / 3], rtol=1e-14)
 
     def test_empty_surrogate(self):
         with pytest.raises(ValueError):
-            excess_risk(euclidean_vector([0.0]), np.empty((0, 1)), lambda x: x)
+            excess_risk(_vec([0.0]), np.empty((0, 1)), lambda x: x)
 
 
 class TestHNormError:
     def test_at_truth(self):
-        assert h_norm_error(euclidean_vector([1.0, 2.0]), [1.0, 2.0]) == 0.0
+        assert h_norm_error(_vec([1.0, 2.0]), [1.0, 2.0])[0] == 0.0
 
     def test_hand_value(self):
-        assert h_norm_error(euclidean_vector([1.0, 0.0]), [0.0, 1.0]) == 2.0
+        assert h_norm_error(_vec([1.0, 0.0]), [0.0, 1.0])[0] == 2.0
 
     def test_kernel_backend_rejected(self):
         anchors = AnchorSet.build(GAUSS, [0.1, 0.9])
-        h = kernel_vector([1.0, 0.0], anchors)
+        h = _vec([1.0, 0.0], anchors)
         with pytest.raises(ValueError, match="known minimizer"):
             h_norm_error(h, [0.0, 0.0])
 
@@ -250,13 +255,30 @@ class TestDecompose:
         for r in range(8):
             plan = sample_index_plan(12 if kernel else 20, 3, 25, mix_seed(42, r))
             traj = run_sgm(sample, kernel, sch, plan, cps)
-            vals = np.array([predict(traj.vector_at(t), surr) for t in cps])
-            base = np.array([predict(batch.vector_at(t), surr) for t in cps])
+            vals = predict(traj, surr)
+            base = predict(batch, surr)
             comp.append(np.mean((vals - base) ** 2, axis=1))
             tot.append(np.mean((vals - f_vals) ** 2, axis=1))
         np.testing.assert_allclose(rep.comp_var_sq, np.mean(comp, axis=0), rtol=1e-12)
         np.testing.assert_allclose(rep.total, np.mean(tot, axis=0), rtol=1e-12)
         np.testing.assert_allclose(rep.total_se, np.std(tot, axis=0, ddof=1) / math.sqrt(8),
+                                   rtol=1e-10)
+
+    def test_combined_se_is_the_sample_se_of_total_minus_comp(self):
+        """combined_se, which feeds ineq_ok, is the ddof = 1 standard
+        error of total_r - comp_var_r over the trials, recomputed from an
+        R = 3 run's per-trial values (ddof = 0 reads sqrt(2/3) of it)."""
+        sample, surr = gen_synthetic_abs(12, seed=31), np.random.default_rng(1).random(60)
+        sch, cps = StepSchedule(0.05), (5, 25)
+        rep = decompose(sample, surr, abs_target, GAUSS, sch, b=3, T=25, R=3, base_seed=42,
+                        checkpoints=cps)
+        f_vals, base = abs_target(surr), predict(run_batch_gm(sample, GAUSS, sch, 25, cps), surr)
+        diff = []
+        for r in range(3):
+            plan = sample_index_plan(12, 3, 25, mix_seed(42, r))
+            vals = predict(run_sgm(sample, GAUSS, sch, plan, cps), surr)
+            diff.append(np.mean((vals - f_vals) ** 2, axis=1) - np.mean((vals - base) ** 2, axis=1))
+        np.testing.assert_allclose(rep.combined_se, np.std(diff, axis=0, ddof=1) / math.sqrt(3),
                                    rtol=1e-10)
 
     def test_requires_two_trials(self):
@@ -389,6 +411,15 @@ class TestUnbiasednessCheck:
                                  base_seed=9, ctx=GAUSS)
         assert rep.passed
         assert rep.bound == pytest.approx(4 * math.sqrt(rep.trace_variance / 300))
+
+    def test_verdict_edge_is_the_bound(self):
+        """``passed`` is deviation <= bound, with 1e-15 only for a zero
+        bound's rounding: a deviation 0.5% past the bound fails."""
+        def report(deviation):
+            return UnbiasednessReport(deviation=deviation, trace_variance=1.0, bound=0.4,
+                                      r_trials=100, t=5)
+        assert report(0.4).passed
+        assert not report(1.005 * 0.4).passed
 
     def test_r_floor_enforced(self):
         sample = gen_synthetic_abs(4, seed=0)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -16,6 +17,7 @@ from sgdlsq import (
     KernelSpec,
     Sample,
     StepSchedule,
+    abs_target,
     build_gram,
     gen_linear_attainable,
     gen_synthetic_abs,
@@ -32,10 +34,11 @@ from sgdlsq import (
     run_sgm_trials,
     sample_index_plan,
     sample_index_table,
+    unbiasedness_check,
 )
 from sgdlsq import iterations, spaces
-from sgdlsq.iterations import IndexPlan, Trajectory
-from sgdlsq.spaces import feature_matrix
+from sgdlsq.iterations import IndexPlan
+from sgdlsq.spaces import Trajectory, feature_matrix
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -175,7 +178,7 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.coeffs[0, 0] = 5.0
         with pytest.raises(ValueError):
-            traj.final.coeffs[0] = 5.0
+            traj.final.coeffs[0, 0] = 5.0
         block[0, 0] = 2.0  # the caller's array stays writable
 
     def test_vector_at_missing_checkpoint(self):
@@ -188,8 +191,10 @@ class TestTrajectory:
     @given(kernel=st.booleans(), d=st.integers(1, 4), n_train=st.integers(1, 60),
            n_pts=st.integers(1, 80), n_cp=st.integers(1, 10), seed=st.integers(0, 2**32))
     def test_values_rows_equal_predict(self, kernel, d, n_train, n_pts, n_cp, seed):
-        """Each row of values() equals predict of its vector bit for bit,
-        on both backends; the single product coeffs @ F.T would not."""
+        """Each row of values() equals predict of its one-checkpoint
+        trajectory bit for bit, on both backends, so a row's values do not
+        depend on the other rows; the single product coeffs @ F.T would
+        not give that."""
         rng = make_rng(seed)
         anchors = AnchorSet.build(GAUSS, rng.random((n_train, d)), check_psd=False) \
             if kernel else None
@@ -200,7 +205,7 @@ class TestTrajectory:
         vals = traj.values(feature_matrix(traj, xs))
         assert vals.shape == (n_cp, n_pts)
         for i, t in enumerate(cps):
-            np.testing.assert_array_equal(vals[i], predict(traj.vector_at(t), xs))
+            np.testing.assert_array_equal(vals[i], predict(traj.vector_at(t), xs)[0])
 
 
 def _kernel_sgm_oracle(sample, gram, etas, plan):
@@ -242,7 +247,7 @@ class TestRunSgm:
         sch = StepSchedule(0.3, 0.25)
         traj = run_sgm(sample, GAUSS, sch, plan, checkpoints=(40,))
         oracle = _kernel_sgm_oracle(sample, build_gram(GAUSS, sample.x).values, sch.etas(40), plan)
-        np.testing.assert_allclose(traj.final.coeffs, oracle, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(traj.final.coeffs[0], oracle, rtol=1e-12, atol=1e-14)
 
     def test_bit_identical_reruns(self):
         sample = gen_synthetic_abs(16, seed=2)
@@ -261,8 +266,7 @@ class TestRunSgm:
         sch = StepSchedule(1.0 / (8 * np.sqrt(m)), 0.0, kappa_sq(GAUSS))
         plan = sample_index_plan(m, b, 300, seed=3)
         traj = run_sgm(sample, GAUSS, sch, plan, checkpoints=log_checkpoints(300, 10))
-        errs = [mean_square_error(traj.vector_at(t), sample.x, sample.y)
-                for t in traj.checkpoints]
+        errs = mean_square_error(traj, sample.x, sample.y)
         assert np.all(np.isfinite(errs))
         assert errs[-1] < errs[0]
 
@@ -290,7 +294,7 @@ class TestRunBatchGm:
     def test_zero_targets(self):
         sample = Sample(x=np.array([0.2, 0.8]), y=np.zeros(2))
         traj = run_batch_gm(sample, None, StepSchedule(0.5), 10, checkpoints=(10,))
-        np.testing.assert_array_equal(traj.final.coeffs, [0.0])
+        np.testing.assert_array_equal(traj.final.coeffs, [[0.0]])
 
     def test_two_point_hand_gradient(self):
         # points {1, 1}, targets {0, 1}, eta = 1: first step lands on the
@@ -309,7 +313,7 @@ class TestRunBatchGm:
         traj = run_batch_gm(sample, None, StepSchedule(eta), 1, checkpoints=(1,))
         # hand gradient at w = 0: -(eta/m) * sum_i (0 - y_i) x_i
         oracle = eta * (x.T @ y) / 12
-        np.testing.assert_allclose(traj.final.coeffs, oracle, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(traj.final.coeffs[0], oracle, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("kernelized", [False, True])
     def test_training_mse_nonincreasing_within_step_limit(self, kernelized):
@@ -319,8 +323,7 @@ class TestRunBatchGm:
         ctx = GAUSS if kernelized else None
         sch = StepSchedule(1.0, 0.0, kappa_sq(GAUSS))  # eta * kappa^2 = 1
         traj = run_batch_gm(sample, ctx, sch, 60, checkpoints=tuple(range(1, 61)))
-        errs = np.array([mean_square_error(traj.vector_at(t), sample.x, sample.y)
-                         for t in traj.checkpoints])
+        errs = mean_square_error(traj, sample.x, sample.y)
         assert np.all(np.diff(errs) <= 1e-12 * np.maximum(1.0, errs[:-1]))
 
 
@@ -328,7 +331,7 @@ class TestRunPopulation:
     def test_zero_target(self):
         traj = run_population(np.linspace(0, 1, 20), None, lambda x: np.zeros_like(x),
                               StepSchedule(0.5), 10, checkpoints=(10,))
-        np.testing.assert_array_equal(traj.final.coeffs, [0.0])
+        np.testing.assert_array_equal(traj.final.coeffs, [[0.0]])
 
     def test_single_point_hand_recurrence(self):
         traj = run_population(
@@ -554,6 +557,13 @@ class TestPopulationFilter:
         assert loop.called
         assert err.value.iteration == ref.value.iteration
 
+    def test_factor_rank_is_capped_at_a_quarter_of_the_points(self):
+        """Where the operation count would allow a larger rank, n // 4
+        binds, so the factor stays within a quarter of an n x n Gram."""
+        n, T = 200, 10**6
+        assert math.isqrt(T * n * n // (7 * n)) > n // 4
+        assert iterations._factor_budget(T, n, n * n) == n // 4
+
     @pytest.mark.parametrize("n, T", [(200, 5), (40, 20000)])
     def test_full_rank_gram_is_the_loop(self, n, T):
         """A full-rank sobolev Gram needs more pivots than the factor
@@ -700,6 +710,27 @@ class TestGramFreePopulation:
         assert err.value.iteration == batch.value.iteration
 
 
+class TestCtxType:
+    @pytest.mark.parametrize("entry", ["run_sgm", "run_sgm_trials", "run_batch_gm",
+                                       "run_population", "unbiasedness_check"])
+    def test_ctx_other_than_a_kernel_is_refused_by_name(self, entry):
+        """An anchor set or a kernel name as ``ctx`` is a TypeError naming
+        ctx and the type it got, before any run starts."""
+        sample = gen_synthetic_abs(8, seed=0)
+        sch = StepSchedule(0.1)
+        call = {
+            "run_sgm": lambda ctx: run_sgm(sample, ctx, sch, sample_index_plan(8, 1, 5, 0)),
+            "run_sgm_trials": lambda ctx: run_sgm_trials(sample, ctx, sch,
+                                                         sample_index_table(8, 1, 5, [0, 1])),
+            "run_batch_gm": lambda ctx: run_batch_gm(sample, ctx, sch, 5),
+            "run_population": lambda ctx: run_population(sample.x, ctx, abs_target, sch, 5),
+            "unbiasedness_check": lambda ctx: unbiasedness_check(sample, sch, 1, 3, 100, 0, ctx),
+        }[entry]
+        for ctx, name in ((AnchorSet.lazy(GAUSS, sample.x), "AnchorSet"), ("gaussian", "str")):
+            with pytest.raises(TypeError, match=f"^ctx must be None or a KernelSpec, got {name}$"):
+                call(ctx)
+
+
 class TestUnbiasednessSmall:
     def test_mean_over_plans_approaches_batch_iterate(self):
         """Monte Carlo oracle at modest R: the trial-averaged SGM iterate
@@ -707,11 +738,11 @@ class TestUnbiasednessSmall:
         m, t, R = 8, 16, 400
         sample = gen_synthetic_abs(m, seed=10)
         sch = StepSchedule(1.0 / (8 * m))
-        batch = run_batch_gm(sample, None, sch, t, checkpoints=(t,)).final.coeffs
+        batch = run_batch_gm(sample, None, sch, t, checkpoints=(t,)).coeffs[0]
         acc = np.zeros((R, 1))
         for r in range(R):
             plan = sample_index_plan(m, 1, t, seed=5000 + r)
-            acc[r] = run_sgm(sample, None, sch, plan, checkpoints=(t,)).final.coeffs
+            acc[r] = run_sgm(sample, None, sch, plan, checkpoints=(t,)).coeffs[0]
         dev = np.linalg.norm(acc.mean(axis=0) - batch)
         trace_var = np.sum((acc - acc.mean(axis=0)) ** 2) / (R - 1)
         assert dev <= 4 * np.sqrt(trace_var / R)
@@ -1003,6 +1034,23 @@ class TestBlockedSgm:
         ref, gram = _b1_reference(sample, "sobolev", sch, plan, cps)
         _assert_rel(got.coeffs, ref, 1e-12)
         _assert_rel(got.coeffs @ gram, ref @ gram, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "euclidean"])
+    def test_step_past_one_over_the_diagonal_is_the_loop(self, kind):
+        """eta_1 max K_jj = 1.5 (euclidean: eta_1 max ||x_j||^2), within
+        the (1, 2] where single steps still contract but a block system's
+        entries may pass 1 and its LU may pivot: the trial takes the step
+        loop and equals its block-length-1 run bit for bit."""
+        sample = _b1_sample(kind, 30, 2, 50)
+        spec = _SPECS.get(kind)
+        sch = StepSchedule(1.5, 0.0, kappa_sq(spec or KernelSpec("linear"), sample.x))
+        plan = sample_index_plan(30, 1, 400, 51)
+        with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
+            got = run_sgm(sample, spec, sch, plan, (50, 400))
+        assert _block_lengths(eng) == [1]
+        with mock.patch.object(iterations, "_BLOCK", 1):
+            loop = run_sgm(sample, spec, sch, plan, (50, 400))
+        np.testing.assert_array_equal(got.coeffs, loop.coeffs)
 
     @pytest.mark.parametrize("kind", ["linear", "euclidean"])
     def test_stable_run_whose_reach_trips_returns_the_loop(self, kind):

@@ -86,6 +86,19 @@ class TestBuildGram:
         with pytest.raises(ValueError):
             build_gram(GAUSS, [])
 
+    @pytest.mark.parametrize("min_eig, refused", [(-5e-9, True), (-2e-9, False)])
+    def test_psd_check_edge_is_relative_to_the_largest_diagonal(self, min_eig, refused):
+        """The check refuses a smallest eigenvalue below -1e-8 times the
+        largest diagonal, here 0.25 (sobolev at 1/2), and passes one
+        above it. The eigenvalues are stubbed: no kernel gives a Gram
+        that far from positive semi-definite."""
+        with mock.patch.object(np.linalg, "eigvalsh", lambda k: np.array([min_eig, 1.0])):
+            if refused:
+                with pytest.raises(ValueError, match="not positive semi-definite"):
+                    build_gram(SOB, [0.5, 0.25], check_psd=True)
+            else:
+                build_gram(SOB, [0.5, 0.25], check_psd=True)
+
 
 def _reference_cross_matrix(spec, xs, anchors):
     """The cross matrix as whole-array expressions, kept as the reference

@@ -7,9 +7,8 @@ from sgdlsq import (
     AnchorSet,
     DimensionMismatch,
     KernelSpec,
+    Trajectory,
     build_gram,
-    euclidean_vector,
-    kernel_vector,
     mean_square_error,
     predict,
     prediction_errors,
@@ -25,45 +24,50 @@ def gauss_anchor():
     return AnchorSet.build(GAUSS, [0.0, 0.25, 0.5, 0.75])
 
 
+def _vec(coeffs, anchors=None):
+    """One hypothesis: a one-checkpoint trajectory."""
+    return Trajectory((0,), [coeffs], (0,), anchors)
+
+
 def _inner(h1, h2):
     """The H-inner product through the one evaluation path, by the
     reproducing property <h1, sum_j b_j K(x_j, .)> = sum_j b_j h1(x_j);
     a euclidean hypothesis is its own representer."""
     if h2.backend == "kernel":
-        return float(h2.coeffs @ predict(h1, h2.anchors.points))
-    return float(predict(h1, h2.coeffs[None, :])[0])
+        return float(h2.coeffs[0] @ predict(h1, h2.anchors.points)[0])
+    return float(predict(h1, h2.coeffs)[0, 0])
 
 
 class TestEvaluate:
     def test_zero_element(self, gauss_anchor):
-        assert predict(euclidean_vector(np.zeros(3)), [[1.0, 2.0, 3.0]])[0] == 0.0
-        assert predict(kernel_vector(np.zeros(4), gauss_anchor), [0.3])[0] == 0.0
+        assert predict(_vec(np.zeros(3)), [[1.0, 2.0, 3.0]])[0, 0] == 0.0
+        assert predict(_vec(np.zeros(4), gauss_anchor), [0.3])[0, 0] == 0.0
 
     def test_kernel_single_anchor(self):
         a = AnchorSet.build(GAUSS, [0.0])
-        h = kernel_vector([1.0], a)
-        np.testing.assert_allclose(predict(h, [0.2]), [np.exp(-0.5)], rtol=1e-12)
+        h = _vec([1.0], a)
+        np.testing.assert_allclose(predict(h, [0.2]), [[np.exp(-0.5)]], rtol=1e-12)
 
     def test_euclidean_dot(self):
-        assert predict(euclidean_vector([1.0, 2.0]), [[3.0, 4.0]])[0] == 11.0
+        assert predict(_vec([1.0, 2.0]), [[3.0, 4.0]])[0, 0] == 11.0
 
     def test_dimension_mismatch_names_lengths(self):
         with pytest.raises(DimensionMismatch) as err:
-            predict(euclidean_vector([1.0, 2.0]), [[3.0, 4.0, 5.0]])
+            predict(_vec([1.0, 2.0]), [[3.0, 4.0, 5.0]])
         assert err.value.expected == 2 and err.value.got == 3
 
 
 class TestInner:
     def test_zero(self, gauss_anchor):
-        h = kernel_vector([1.0, -2.0, 0.5, 0.0], gauss_anchor)
-        assert _inner(h, kernel_vector(np.zeros(4), gauss_anchor)) == 0.0
+        h = _vec([1.0, -2.0, 0.5, 0.0], gauss_anchor)
+        assert _inner(h, _vec(np.zeros(4), gauss_anchor)) == 0.0
 
     def test_euclidean_dot(self):
-        assert _inner(euclidean_vector([1, 2]), euclidean_vector([3, 4])) == 11.0
+        assert _inner(_vec([1, 2]), _vec([3, 4])) == 11.0
 
     def test_sobolev_single_anchor(self):
         a = AnchorSet.build(SOB, [0.5])
-        h = kernel_vector([1.0], a)
+        h = _vec([1.0], a)
         assert _inner(h, h) == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -72,8 +76,8 @@ class TestInner:
         rng = np.random.default_rng(seed)
         a = float(rng.standard_normal())
         c1, c2, c3 = rng.standard_normal((3, gauss_anchor.n))
-        h1, h2, h3 = (kernel_vector(c, gauss_anchor) for c in (c1, c2, c3))
-        combo = kernel_vector(a * c1 + c2, gauss_anchor)
+        h1, h2, h3 = (_vec(c, gauss_anchor) for c in (c1, c2, c3))
+        combo = _vec(a * c1 + c2, gauss_anchor)
         lhs = _inner(combo, h3)
         rhs = a * _inner(h1, h3) + _inner(h2, h3)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
@@ -81,7 +85,7 @@ class TestInner:
     @pytest.mark.parametrize("seed", range(4))
     def test_self_inner_nonnegative(self, seed, gauss_anchor):
         rng = np.random.default_rng(100 + seed)
-        h = kernel_vector(rng.standard_normal(gauss_anchor.n), gauss_anchor)
+        h = _vec(rng.standard_normal(gauss_anchor.n), gauss_anchor)
         scale = float(np.max(np.abs(h.coeffs))) ** 2
         assert _inner(h, h) >= -1e-12 * scale
 
@@ -93,11 +97,11 @@ class TestReproducingConsistency:
         Gram product."""
         rng = np.random.default_rng(5)
         anchors = AnchorSet.build(spec, np.sort(rng.random(12)))
-        h = kernel_vector(rng.standard_normal(12), anchors)
-        via_gram = build_gram(spec, anchors.points).values @ h.coeffs
-        via_points = np.array([predict(h, [x])[0] for x in anchors.points])
+        h = _vec(rng.standard_normal(12), anchors)
+        via_gram = build_gram(spec, anchors.points).values @ h.coeffs[0]
+        via_points = np.array([predict(h, [x])[0, 0] for x in anchors.points])
         np.testing.assert_allclose(via_points, via_gram, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(predict(h, anchors.points), via_gram, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(predict(h, anchors.points)[0], via_gram, rtol=1e-10, atol=1e-12)
 
 
 class TestGramProductTiles:
@@ -132,25 +136,25 @@ class TestGramProductTiles:
 
 class TestMeanSquareError:
     def test_perfect_interpolant(self):
-        h = euclidean_vector([2.0])
+        h = _vec([2.0])
         pts = np.array([[1.0], [2.0], [-1.0]])
-        assert mean_square_error(h, pts, [2.0, 4.0, -2.0]) == 0.0
+        assert mean_square_error(h, pts, [2.0, 4.0, -2.0])[0] == 0.0
 
     def test_zero_hypothesis_unit_targets(self):
-        zero = euclidean_vector([0.0])
-        assert mean_square_error(zero, np.array([[0.3], [0.7]]), [1.0, -1.0]) == 1.0
+        zero = _vec([0.0])
+        assert mean_square_error(zero, np.array([[0.3], [0.7]]), [1.0, -1.0])[0] == 1.0
 
     def test_zero_hypothesis_on_kinked_target(self):
         # targets of f(x) = |x - 1/2| - 1/2 at {0, 0.25, 0.5} are {0, -0.25, -0.5}
         pts = np.array([[0.0], [0.25], [0.5]])
-        got = mean_square_error(euclidean_vector([0.0]), pts, [0.0, -0.25, -0.5])
-        np.testing.assert_allclose(got, 0.3125 / 3, rtol=1e-14)
+        got = mean_square_error(_vec([0.0]), pts, [0.0, -0.25, -0.5])
+        np.testing.assert_allclose(got, [0.3125 / 3], rtol=1e-14)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         pts = rng.random((20, 1))
         ys = rng.standard_normal(20)
-        h = euclidean_vector([0.7])
+        h = _vec([0.7])
         base = mean_square_error(h, pts, ys)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(20)
@@ -158,24 +162,24 @@ class TestMeanSquareError:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean_square_error(euclidean_vector([0.0]), np.empty((0, 1)), [])
+            mean_square_error(_vec([0.0]), np.empty((0, 1)), [])
 
 
-class TestHypothesisVectorInvariants:
+class TestHypothesisInvariants:
     def test_finite_entries_enforced(self, gauss_anchor):
         with pytest.raises(ValueError):
-            euclidean_vector([1.0, np.nan])
+            _vec([1.0, np.nan])
         with pytest.raises(ValueError):
-            kernel_vector([np.inf, 0, 0, 0], gauss_anchor)
+            _vec([np.inf, 0, 0, 0], gauss_anchor)
 
     def test_kernel_coefficient_length(self, gauss_anchor):
         with pytest.raises(DimensionMismatch):
-            kernel_vector([1.0, 2.0], gauss_anchor)
+            _vec([1.0, 2.0], gauss_anchor)
 
     def test_vectors_are_immutable(self, gauss_anchor):
-        h = kernel_vector([1.0, 0.0, 0.0, 0.0], gauss_anchor)
+        h = _vec([1.0, 0.0, 0.0, 0.0], gauss_anchor)
         with pytest.raises(ValueError):
-            h.coeffs[0] = 2.0
+            h.coeffs[0, 0] = 2.0
 
 
 class TestPredictionErrors:

@@ -9,6 +9,7 @@ from sgdlsq import (
     Sample,
     StepSchedule,
     StoppingOutcome,
+    Trajectory,
     gen_synthetic_abs,
     holdout_stop,
     mean_square_error,
@@ -17,7 +18,6 @@ from sgdlsq import (
     sample_index_plan,
     run_sgm,
 )
-from sgdlsq.iterations import Trajectory
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -105,8 +105,8 @@ def _per_vector_errors(traj, val, metric):
     """Each checkpoint evaluated on its own, kept as the reference the
     shared validation features must equal bit for bit."""
     if metric == "mse":
-        return [mean_square_error(traj.vector_at(t), val.x, val.y) for t in traj.checkpoints]
-    return [misclassification(traj.vector_at(t), val) for t in traj.checkpoints]
+        return [mean_square_error(traj.vector_at(t), val.x, val.y)[0] for t in traj.checkpoints]
+    return [misclassification(traj.vector_at(t), val)[0] for t in traj.checkpoints]
 
 
 class TestSharedValidationFeatures:
