@@ -5,6 +5,7 @@ streams, see :mod:`sgdlsq.rng`).
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,7 @@ def load_csv(path) -> Sample:
     Each cell goes through float() straight into one float64 block, so
     no Python float is kept per cell. Raises a distinct structured error
     (with the path and the 1-based line number) for an empty file, a
-    ragged row, or a non-numeric cell.
+    ragged row, or a non-numeric or non-finite cell (nan, inf, 1e999).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -126,7 +127,8 @@ def load_csv(path) -> Sample:
 
 def _row_cells(reader, d, path):
     """The cells of each data row after the header, as floats in file
-    order; the structured error of the first ragged or non-numeric row."""
+    order; the structured error of the first ragged, non-numeric or
+    non-finite row."""
     for line_no, row in enumerate(reader, start=2):
         if len(row) == 0:
             continue
@@ -136,16 +138,18 @@ def _row_cells(reader, d, path):
             )
         try:
             values = [float(c) for c in row]
+            ok = all(map(math.isfinite, values))
         except ValueError:
-            bad = next(c for c in row if not _is_float(c))
-            raise NonNumericError(f"non-numeric cell {bad!r}", line_no, path) from None
+            ok = False
+        if not ok:
+            bad = next(c for c in row if not _is_finite_float(c))
+            raise NonNumericError(f"non-numeric or non-finite cell {bad!r}", line_no, path)
         yield from values
 
 
-def _is_float(cell):
+def _is_finite_float(cell):
     try:
-        float(cell)
-        return True
+        return math.isfinite(float(cell))
     except ValueError:
         return False
 

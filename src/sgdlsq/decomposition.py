@@ -41,10 +41,10 @@ from .iterations import (
     run_sgm_trials,
     sample_index_table,
 )
-from .kernels import KernelSpec, build_gram, cross_matrix
+from .kernels import KernelSpec, build_gram
 from .rng import mix_seed
 from .schedules import StepSchedule, passes
-from .spaces import Trajectory, mean_square_error, prediction_errors
+from .spaces import Trajectory, feature_matrix, mean_square_error, predict, prediction_errors
 
 _SLACK = 1e-12
 
@@ -175,16 +175,10 @@ def _deterministic_terms(sample, surrogate, f_true, kernel, schedule, T, cps):
     f_vals = np.asarray(f_true(pts), dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(f_vals)):
         raise ValueError("f_true produced non-finite values on the surrogate")
-    pop = run_population(pts, kernel, f_true, schedule, T, cps)
-    if kernel is None:
-        eval_mat = pts.reshape(pts.shape[0], -1)
-        pop_vals = pop.values(eval_mat)
-    else:
-        eval_mat = cross_matrix(kernel, pts, sample.x)
-        # population expansions are anchored on the surrogate itself,
-        # whose Gram is built only if the population's step loop runs
-        pop_vals = pop.anchors.gram_product(pop.coeffs)
-    batch_vals = run_batch_gm(sample, kernel, schedule, T, cps).values(eval_mat)
+    pop_vals = predict(run_population(pts, kernel, f_true, schedule, T, cps), pts)
+    batch = run_batch_gm(sample, kernel, schedule, T, cps)
+    eval_mat = feature_matrix(batch, pts)
+    batch_vals = batch.values(eval_mat)
     return (f_vals, eval_mat, batch_vals, prediction_errors(pop_vals, f_vals),
             prediction_errors(batch_vals, pop_vals))
 
@@ -212,7 +206,7 @@ def decompose(
 
     No N x N surrogate Gram is built unless the population's step loop
     runs: its factor reads k kernel rows and its surrogate values are
-    formed a tile of K at a time (:meth:`AnchorSet.gram_product`). The
+    formed a tile of K at a time (:func:`~sgdlsq.spaces.predict`). The
     trials run on one (T, R, b) index table (:func:`sample_index_table`),
     and their surrogate values are formed and reduced one checkpoint and
     ``_TRIAL_CHUNK`` trials at a time into reused buffers, so the scratch

@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import Sample
 from .errors import DivergenceError
-from .kernels import KernelSpec, build_gram
+from .kernels import KernelSpec, build_gram, cross_matrix, kernel_diagonal
 from .rng import make_rng
 from .schedules import StepSchedule, passes
 from .spaces import AnchorSet, Trajectory
@@ -156,7 +156,7 @@ def _check_ctx(ctx):
 
 def _anchors(ctx, sample):
     """A kernel run's anchor set, the sample points; None for euclidean."""
-    return None if ctx is None else AnchorSet.lazy(ctx, sample.x)
+    return None if ctx is None else AnchorSet(sample.x, ctx)
 
 
 def _coef_scale(gram):
@@ -380,12 +380,12 @@ def run_sgm(
                       _anchors(ctx, sample))
 
 
-def _pivoted_cholesky(anchors: AnchorSet, max_rank):
-    """Rows (k, N) of L^T with K ~= L L^T for the Gram K of ``anchors``,
+def _pivoted_cholesky(kernel: KernelSpec, points, max_rank):
+    """Rows (k, N) of L^T with K ~= L L^T for the Gram K of ``points``,
     pivoting on the largest residual diagonal until it sums to <= 1e-15
     trace; None when that takes more than max_rank pivots. The diagonal
     and the k pivot rows are read from the kernel, never all N rows."""
-    resid, row = anchors.diagonal(), anchors.row
+    resid = kernel_diagonal(kernel, points)
     tol = 1e-15 * resid.sum()
     # pages of the buffer become resident only as rows are written
     rows = np.empty((max_rank, len(resid)))
@@ -393,7 +393,8 @@ def _pivoted_cholesky(anchors: AnchorSet, max_rank):
         if resid.sum() <= tol:
             return rows[:k]
         p = int(np.argmax(resid))
-        rows[k] = (row(p) - rows[:k, p] @ rows[:k]) / np.sqrt(resid[p])
+        pivot = cross_matrix(kernel, points[p:p + 1], points)[0]
+        rows[k] = (pivot - rows[:k, p] @ rows[:k]) / np.sqrt(resid[p])
         resid -= rows[k] ** 2
     return rows if resid.sum() <= tol else None
 
@@ -473,10 +474,9 @@ def run_batch_gm(
     kernel = ctx is not None
     m, y = sample.m, sample.y
     etas = schedule.etas(T) / m
-    anchors = _anchors(ctx, sample)
     if kernel:
-        scale = anchors.diagonal().max()
-        rows = _pivoted_cholesky(anchors, _factor_budget(T, m, m * m))
+        scale = kernel_diagonal(ctx, sample.x).max()
+        rows = _pivoted_cholesky(ctx, sample.x, _factor_budget(T, m, m * m))
     else:
         x = _as_matrix(sample.x)
         rows = x.T if x.shape[1] <= _factor_budget(T, m, 2 * m * x.shape[1]) else None
@@ -504,7 +504,8 @@ def run_batch_gm(
                 h = (1 - eta * lam) * h + eta
             if t in cp_pos:
                 out[cp_pos[t]] = s * y + (w @ (h * proj)) @ rows if kernel else w @ (h * proj)
-    return Trajectory(cps, out, cps, anchors)  # each step is one pass over the sample
+    # each step is one pass over the sample
+    return Trajectory(cps, out, cps, _anchors(ctx, sample))
 
 
 def run_population(

@@ -19,6 +19,8 @@ entry depends on the tiling. A Gram matrix computes only the tiles on
 and above its diagonal and mirrors them.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +47,13 @@ class KernelSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {KINDS}")
         if self.kind == "gaussian":
-            if self.sigma is None or not np.isfinite(self.sigma) or self.sigma <= 0:
-                raise ValueError(f"gaussian kernel needs a finite bandwidth sigma > 0, got {self.sigma}")
+            # the formula divides by 2 sigma^2, which must be a normal positive
+            # finite float: a subnormal one overflows the division
+            s = self.sigma
+            if s is None or not (s > 0 and sys.float_info.min <= 2.0 * float(s) * float(s)
+                                 < math.inf):
+                raise ValueError(f"gaussian kernel needs a bandwidth sigma > 0 whose 2 sigma^2 "
+                                 f"is a normal positive finite float, got sigma={self.sigma}")
         elif self.sigma is not None:
             raise ValueError(f"{self.kind} kernel takes no bandwidth")
 

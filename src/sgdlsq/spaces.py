@@ -20,41 +20,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .kernels import _TILE, KernelSpec, build_gram, cross_matrix, kernel_diagonal
+from .kernels import _TILE, KernelSpec, _as_points, build_gram, cross_matrix
 
 
-# Most floats in one tile of K that AnchorSet.gram_product forms
+# Most floats in one tile of K(xs, anchors) that predict forms
 _PRODUCT_FLOATS = 1 << 17
 
 
-def _product_tiles(n):
-    """Row bounds of the tiles of K that gram_product forms over n
-    anchors: the fewest tiles of at most _TILE rows and _PRODUCT_FLOATS
-    floats (or one row, where a row is longer), split evenly (31 tiles of
-    64 or 65 rows at n = 2000). Even
-    tiles leave no sliver of a few rows, whose product a BLAS may hand to
-    a small-matrix kernel that rounds differently."""
-    count = -(-n // min(_TILE, max(1, _PRODUCT_FLOATS // n)))
+def _product_tiles(n, w):
+    """Row bounds of the tiles of K(xs, anchors) that :func:`predict`
+    forms over n points and w anchors: the fewest tiles of at most _TILE
+    rows and _PRODUCT_FLOATS floats (or one row, where a row is longer),
+    split evenly (31 tiles of 64 or 65 rows at n = w = 2000; one empty
+    tile at n = 0). Even tiles leave no sliver of a few rows, whose
+    product a BLAS may hand to a small-matrix kernel that rounds
+    differently."""
+    count = max(1, -(-n // min(_TILE, max(1, _PRODUCT_FLOATS // w))))
     return [i * n // count for i in range(count + 1)]
 
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Ordered anchor points and their kernel.
-
-    The set never changes once made and holds no Gram: :meth:`diagonal`,
-    :meth:`row` and :meth:`gram_product` read the kernel, so a low-rank
-    factor and the values of an expansion at the anchors need no n x n
-    matrix. A run that reads the whole Gram builds it for its own use
-    (:func:`~sgdlsq.kernels.build_gram`).
+    """Ordered anchor points, kept as a read-only float64 copy, and their
+    kernel. The set never changes once made and holds no Gram: a run that
+    reads the whole Gram builds it for its own use
+    (:func:`~sgdlsq.kernels.build_gram`), and :func:`predict` reads the
+    kernel a tile at a time.
     """
 
     points: np.ndarray
     kernel: KernelSpec
 
     def __post_init__(self):
-        if self.n == 0:
+        pts = np.array(self.points, dtype=np.float64)
+        if pts.shape[0] == 0:
             raise ValueError("cannot build a Gram matrix from an empty point list")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
 
     @property
     def n(self) -> int:
@@ -64,40 +66,9 @@ class AnchorSet:
     def build(cls, kernel: KernelSpec, points, check_psd=None) -> "AnchorSet":
         """The anchor set of ``points`` after the checks of
         :func:`~sgdlsq.kernels.build_gram`; the Gram they build is not kept."""
-        anchors = cls.lazy(kernel, points)
+        anchors = cls(points, kernel)
         build_gram(kernel, anchors.points, check_psd=check_psd)
         return anchors
-
-    @classmethod
-    def lazy(cls, kernel: KernelSpec, points) -> "AnchorSet":
-        """The anchor set of ``points``, with no check of their Gram."""
-        pts = np.array(points, dtype=np.float64)
-        pts.setflags(write=False)
-        return cls(points=pts, kernel=kernel)
-
-    def diagonal(self) -> np.ndarray:
-        """K(x_i, x_i) for each anchor (:func:`~sgdlsq.kernels.kernel_diagonal`)."""
-        return kernel_diagonal(self.kernel, self.points)
-
-    def row(self, i: int) -> np.ndarray:
-        """K(x_i, x_j) over every anchor j: one cross-matrix row (on scalar
-        inputs the Gram's row bit for bit)."""
-        return cross_matrix(self.kernel, self.points[i:i + 1], self.points)[0]
-
-    def gram_product(self, coeffs) -> np.ndarray:
-        """Row i is K @ coeffs[i], (n_cp, n): the values at the anchors of
-        each expansion. K is formed one tile at a time
-        (:func:`_product_tiles`), and each tile takes one matrix-vector
-        product per row of ``coeffs``, as
-        :meth:`~sgdlsq.iterations.Trajectory.values` forms them, so each
-        value is summed whole by one thread, at one BLAS thread as at two.
-        The scratch is O(_PRODUCT_FLOATS + n_cp n)."""
-        out = np.empty((len(coeffs), self.n))
-        bounds = _product_tiles(self.n)
-        for lo, hi in zip(bounds, bounds[1:]):  # one expression keeps one tile alive
-            out[:, lo:hi] = np.matmul(cross_matrix(self.kernel, self.points[lo:hi], self.points),
-                                      coeffs[:, :, None])[..., 0]
-        return out
 
 
 @dataclass(frozen=True)
@@ -156,10 +127,11 @@ class Trajectory:
 
 
 def feature_matrix(h: Trajectory, xs) -> np.ndarray:
-    """The matrix F with ``predict(h, xs) == h.values(F)``: the inputs
-    (euclidean) or the cross matrix K(xs, anchors) (kernel). It depends
-    only on ``xs`` and the backend, dimension and anchor set of ``h``, so
-    one F serves every checkpoint of a run."""
+    """The matrix F whose ``h.values(F)`` are the values at ``xs``: the
+    inputs (euclidean) or the whole cross matrix K(xs, anchors) (kernel),
+    which :func:`predict` forms one tile of rows at a time instead. It
+    depends only on ``xs`` and the backend, dimension and anchor set of
+    ``h``, so one F serves every checkpoint of a run."""
     xs = np.asarray(xs, dtype=np.float64)
     if h.backend == "kernel":
         return cross_matrix(h.anchors.kernel, xs, h.anchors.points)
@@ -175,9 +147,21 @@ def feature_matrix(h: Trajectory, xs) -> np.ndarray:
 def predict(h: Trajectory, xs) -> np.ndarray:
     """Evaluations <h, x>_H at each point of ``xs``, one row per
     checkpoint of ``h``, (n_cp, n): dot products (euclidean) or the
-    kernel expansions sum_j alpha_j K(x_j, x). The one evaluation path,
-    ``h.values(feature_matrix(h, xs))``."""
-    return h.values(feature_matrix(h, xs))
+    kernel expansions sum_j alpha_j K(x_j, x). The one evaluation path:
+    ``h.values`` of the feature matrix (:func:`feature_matrix`). For a
+    kernel expansion the matrix is K(xs, anchors), formed and used one
+    tile of rows at a time (:func:`_product_tiles`), so the scratch is
+    one tile, not an n x w matrix. Each value is still one row's
+    matrix-vector product, within 1e-12 relative of the whole matrix's
+    (a BLAS may round a tile's last few rows differently)."""
+    if h.backend == "euclidean":
+        return h.values(feature_matrix(h, xs))
+    xs = _as_points(xs)
+    out = np.empty((len(h.coeffs), len(xs)))
+    bounds = _product_tiles(len(xs), h.anchors.n)
+    for lo, hi in zip(bounds, bounds[1:]):  # one expression keeps one tile alive
+        out[:, lo:hi] = h.values(feature_matrix(h, xs[lo:hi]))
+    return out
 
 
 METRICS = ("mse", "zero-one")

@@ -33,8 +33,9 @@ def holdout_stop(
     """First checkpoint minimizing the validation error.
 
     :func:`~sgdlsq.spaces.predict` evaluates every checkpoint on the
-    validation points in one (n_cp, n_val) block, from one cross matrix
-    K(x_val, anchors) (kernel) or the input matrix (euclidean), and
+    validation points in one (n_cp, n_val) block, from the input matrix
+    (euclidean) or K(x_val, anchors) formed one tile of rows at a time
+    (kernel), and
     :func:`~sgdlsq.spaces.prediction_errors` reduces its rows, as
     :func:`~sgdlsq.spaces.mean_square_error` and
     :func:`~sgdlsq.data.misclassification` do.

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgdlsq
@@ -510,7 +510,7 @@ class TestRun:
         stopping = json.loads((tmp_path / "r.stopping.json").read_text())
         train, _, test = split(load_csv(data), (0.7, 0.15, 0.15), seed=mix_seed(2, 1))
         np.testing.assert_array_equal(model["anchor_points"], train.x)
-        anchors = AnchorSet.lazy(KernelSpec("gaussian", sigma=0.7), model["anchor_points"])
+        anchors = AnchorSet(model["anchor_points"], KernelSpec("gaussian", sigma=0.7))
         chosen = Trajectory((0,), [model["coefficients"]], (0,), anchors)
         assert stopping["test_error"] == prediction_errors(predict(chosen, test.x), test.y)[0]
 
@@ -659,6 +659,24 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+_SMALL_RUN = ["--generator", "synthetic-abs", "--m", "40", "--b", "2", "--eta1", "0.1",
+              "--T", "20", "--checkpoints", "3"]
+# each command on small inputs: no drawn field can make m, T, N, R or max_t large
+_SMALL_ARGS = {
+    "decompose": ["--m", "20", "--b", "2", "--T", "20", "--R", "2", "--N", "30",
+                  "--checkpoints", "3"],
+    "rates": ["--m-grid", "8,12,16", "--trials", "2", "--N", "30"],
+    "recipes": ["--m", "10"],
+    "lemmas": ["--max-t", "20"],
+    "run": _SMALL_RUN,
+}
+_SMALL_RECIPE_RUN = ["--generator", "synthetic-abs", "--m", "40", "--recipe", "C3",
+                     "--checkpoints", "3"]
+# (command, field) of every int and float flag
+_NUMERIC_FIELDS = [(command, f.name) for command, fields in cli._FIELDS.items()
+                   for f in fields if f.type in (int, float) and f.flag is not None]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv, code, fragment", [
         (["rates", "--trials", "1"], 4, "--trials"),
@@ -683,16 +701,22 @@ class TestExitCodes:
         (["decompose", "--N", "0"], 4, "--N must be at least 1 surrogate point, got 0"),
         (["decompose", "--preset", "sec9-batch", "--N", "-5"], 4,
          "--N must be at least 1 surrogate point, got -5"),
+        (["decompose", "--preset", "sec9-batch", "--T", "10", "--N", "30", "--sigma", "1e160"],
+         4, "got sigma=1e+160"),
+        (["run", "--data", "{nan_cell}", "--b", "1", "--eta1", "0.1", "--T", "5"], 3,
+         "{nan_cell}, line 3: non-numeric or non-finite cell 'nan'"),
     ], ids=["trials-1", "m-grid", "fractions", "data-not-utf8", "config-not-utf8",
             "config-algorithm", "data-ragged-row", "N-0", "fractions-nan", "checkpoints-0",
-            "checkpoints-neg", "decompose-N-0", "decompose-batch-N-neg"])
+            "checkpoints-neg", "decompose-N-0", "decompose-batch-N-neg", "sigma-overflow",
+            "data-nan-cell"])
     def test_bad_input_exit_code_and_message(self, tmp_path, capsys, argv, code, fragment):
         files = {"latin1": tmp_path / "latin1.csv", "bach": tmp_path / "bach.json",
-                 "ragged": tmp_path / "ragged.csv"}
+                 "ragged": tmp_path / "ragged.csv", "nan_cell": tmp_path / "nan_cell.csv"}
         files["latin1"].write_bytes("x1,y\n0.5,caf\xe9\n".encode("latin-1"))
         files["bach"].write_text(json.dumps({"algorithm": "bach", "m": 12, "b": 2, "T": 10,
                                              "R": 3, "N": 40, "checkpoints": 3}))
         files["ragged"].write_text("x1,y\n0.5,1.0\n0.25\n")
+        files["nan_cell"].write_text("x1,y\n0.5,1.0\n0.25,nan\n")
         argv = [a.format(**files) for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == code
         assert fragment.format(**files) in capsys.readouterr().err
@@ -713,6 +737,32 @@ class TestExitCodes:
                      "--out", str(tmp_path / "d")]) == 1
         assert "decomposition inequality violated" in capsys.readouterr().err
         assert _read_csv(tmp_path / "d.csv")[0]["ineq_ok"] == "False"
+
+    @settings(max_examples=48, deadline=None)
+    @given(case=st.sampled_from(_NUMERIC_FIELDS),
+           value=st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e160", "1e-170"]))
+    @example(case=("run", "sigma"), value="1e160")  # 2 sigma^2 overflows
+    @example(case=("decompose", "sigma"), value="1e-170")  # and underflows to 0
+    def test_no_numeric_input_is_an_internal_error(self, tmp_path_factory, case, value):
+        """A command run on small inputs, with one numeric field set to an
+        edge value, never exits 6; where it exits 0 its JSON artifacts are
+        strict. A run's recipe settings are drawn in recipe mode, where it
+        reads them."""
+        command, field = case
+        recipe_run = command == "run" and field in {f.name for f in cli._RECIPE_FIELDS}
+        argv = [command, *(_SMALL_RECIPE_RUN if recipe_run else _SMALL_ARGS[command]),
+                f"--{field.replace('_', '-')}={value}"]
+        tmp = tmp_path_factory.mktemp("edge")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv + ["--out", str(tmp / ("a.csv" if command == "lemmas" else "a"))])
+            except SystemExit as exc:  # argparse refuses a non-integer int flag
+                code = exc.code
+        assert code != 6, (argv, err.getvalue())
+        if code == 0:
+            for path in tmp.glob("a*json"):
+                json.loads(path.read_text(), parse_constant=_refuse_constant)
 
     def test_internal_error_is_exit_6_with_traceback(self, monkeypatch, capsys):
         def broken(args):
@@ -769,10 +819,6 @@ class TestFieldTable:
 
 def _refuse_constant(name):
     raise ValueError(f"artifact holds {name}")
-
-
-_SMALL_RUN = ["--generator", "synthetic-abs", "--m", "40", "--b", "2", "--eta1", "0.1",
-              "--T", "20", "--checkpoints", "3"]
 
 
 @pytest.mark.parametrize("argv, jsons, csvs", [

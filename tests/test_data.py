@@ -145,8 +145,8 @@ class TestCsvRoundTrip:
 
 # cells float() reads beyond plain decimals
 _ODD_CELLS = [("1_0", 10.0), ("\xa02.5", 2.5), ("+4e0", 4.0), ('"3"', 3.0)]
-# cells float() refuses
-_BAD_CELLS = ["abc", "", "1.5.2", '"1,5"', "1 2", "\x1c1.5", "nan1"]
+# cells float() refuses, and the non-finite cells it reads
+_BAD_CELLS = ["abc", "", "1.5.2", '"1,5"', "1 2", "\x1c1.5", "nan1", "nan", "inf", "-inf", "1e999"]
 
 
 @st.composite

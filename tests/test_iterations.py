@@ -38,6 +38,7 @@ from sgdlsq import (
 )
 from sgdlsq import iterations, spaces
 from sgdlsq.iterations import IndexPlan
+from sgdlsq.kernels import kernel_diagonal
 from sgdlsq.spaces import Trajectory, feature_matrix
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
@@ -194,7 +195,7 @@ class TestTrajectory:
         """Each row of values() equals predict of its one-checkpoint
         trajectory bit for bit, on both backends, so a row's values do not
         depend on the other rows; the single product coeffs @ F.T would
-        not give that."""
+        not give that. These draws fit one of predict's tiles."""
         rng = make_rng(seed)
         anchors = AnchorSet.build(GAUSS, rng.random((n_train, d)), check_psd=False) \
             if kernel else None
@@ -202,10 +203,33 @@ class TestTrajectory:
         traj = Trajectory(cps, rng.standard_normal((n_cp, n_train if kernel else d)), cps,
                           anchors)
         xs = rng.random((n_pts, d))
+        assert len(spaces._product_tiles(n_pts, n_train)) == 2
         vals = traj.values(feature_matrix(traj, xs))
         assert vals.shape == (n_cp, n_pts)
         for i, t in enumerate(cps):
             np.testing.assert_array_equal(vals[i], predict(traj.vector_at(t), xs)[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 4), n_train=st.integers(1, 60), n_pts=st.integers(257, 600),
+           n_cp=st.integers(1, 10), seed=st.integers(0, 2**32))
+    def test_tiled_rows_equal_predict(self, d, n_train, n_pts, n_cp, seed):
+        """Over several of predict's tiles, each row of predict equals
+        predict of its one-checkpoint trajectory bit for bit, and each row
+        of values() the values() of it, so neither depends on the other
+        rows."""
+        rng = make_rng(seed)
+        anchors = AnchorSet.build(GAUSS, rng.random((n_train, d)), check_psd=False)
+        cps = tuple(range(1, n_cp + 1))
+        traj = Trajectory(cps, rng.standard_normal((n_cp, n_train)), cps, anchors)
+        xs = rng.random((n_pts, d))
+        assert len(spaces._product_tiles(n_pts, n_train)) > 2
+        vals = traj.values(feature_matrix(traj, xs))
+        tiled = predict(traj, xs)
+        assert vals.shape == tiled.shape == (n_cp, n_pts)
+        for i, t in enumerate(cps):
+            one = traj.vector_at(t)
+            np.testing.assert_array_equal(vals[i], one.values(feature_matrix(one, xs))[0])
+            np.testing.assert_array_equal(tiled[i], predict(one, xs)[0])
 
 
 def _kernel_sgm_oracle(sample, gram, etas, plan):
@@ -548,7 +572,7 @@ class TestPopulationFilter:
         sch = StepSchedule(1.0, 0.0, k_sq)
         assert sch.etas(1)[0] * np.linalg.eigvalsh(gram).max() / 200 <= 2
         budget = iterations._factor_budget(2000, 200, 200**2)
-        assert iterations._pivoted_cholesky(AnchorSet.lazy(ctx, pts), budget) is not None
+        assert iterations._pivoted_cholesky(ctx, pts, budget) is not None
         with pytest.raises(DivergenceError) as ref:
             _batch_loop(sample, gram, sch.etas(2000), set())
         with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop, \
@@ -571,7 +595,7 @@ class TestPopulationFilter:
         long runs. The loop runs: equal bit for bit."""
         pts, ctx, gram, k_sq = _surrogate_case("sobolev", n, 1, seed=4)
         budget = iterations._factor_budget(T, n, n * n)
-        assert iterations._pivoted_cholesky(AnchorSet.lazy(ctx, pts), budget) is None
+        assert iterations._pivoted_cholesky(ctx, pts, budget) is None
         sch = StepSchedule(0.5, 0.3, k_sq)
         sample = Sample(pts, _noisy(pts, 4))
         got = run_batch_gm(sample, ctx, sch, T, range(1, T + 1))
@@ -638,11 +662,12 @@ def _gram_free_case(kind, n, d, seed):
 
 def _population_values(spec, pts, sch, T, cps):
     """A population run on ``pts`` under ``spec``, whether its step loop
-    ran, and its surrogate values: by tiles of K, and from the Gram."""
+    ran, and its surrogate values: by predict's tiles of K, and from the
+    Gram."""
     with mock.patch.object(iterations, "_gm_steps", wraps=iterations._gm_steps) as loop:
         traj = run_population(pts, spec, _target, sch, T, cps)
     gram = build_gram(spec, pts, check_psd=False).values
-    return traj, loop.called, traj.anchors.gram_product(traj.coeffs), traj.values(gram), gram
+    return traj, loop.called, predict(traj, pts), traj.values(gram), gram
 
 
 class TestGramFreePopulation:
@@ -670,19 +695,21 @@ class TestGramFreePopulation:
 
     def test_filter_reads_kernel_rows_and_tiles(self):
         """A factor of rank k (about 20) of 2000 points reads k kernel
-        rows, and the values one cross matrix per tile, the fewest tiles
-        of at most 2^17 floats; no Gram is built."""
+        rows, and predict forms the values one cross matrix per tile, the
+        fewest tiles of at most 2^17 floats; no Gram is built."""
         spec, pts = _gram_free_case("gaussian", 2000, 1, seed=5)
-        k = len(iterations._pivoted_cholesky(AnchorSet.lazy(spec, pts),
+        k = len(iterations._pivoted_cholesky(spec, pts,
                                              iterations._factor_budget(60, 2000, 2000**2)))
         sch = StepSchedule(1 / 8, 0.0, 1.0)
-        with mock.patch("sgdlsq.spaces.cross_matrix", wraps=spaces.cross_matrix) as cross, \
+        cross = iterations.cross_matrix
+        with mock.patch.object(iterations, "cross_matrix", wraps=cross) as rows, \
+                mock.patch.object(spaces, "cross_matrix", wraps=cross) as tiles, \
                 mock.patch.object(iterations, "build_gram", side_effect=AssertionError("Gram")):
             traj = run_population(pts, spec, _target, sch, 60, (20, 60))
-            rank = cross.call_count
-            traj.anchors.gram_product(traj.coeffs)
-        assert rank == k < 30
-        assert cross.call_count - rank == -(-2000 // (spaces._PRODUCT_FLOATS // 2000)) == 31
+            assert tiles.call_count == 0
+            predict(traj, pts)
+        assert rows.call_count == k < 30
+        assert tiles.call_count == -(-2000 // (spaces._PRODUCT_FLOATS // 2000)) == 31
 
     def test_full_rank_sobolev_builds_the_gram(self):
         """A full-rank sobolev surrogate exceeds the factor budget: the
@@ -726,7 +753,7 @@ class TestCtxType:
             "run_population": lambda ctx: run_population(sample.x, ctx, abs_target, sch, 5),
             "unbiasedness_check": lambda ctx: unbiasedness_check(sample, sch, 1, 3, 100, 0, ctx),
         }[entry]
-        for ctx, name in ((AnchorSet.lazy(GAUSS, sample.x), "AnchorSet"), ("gaussian", "str")):
+        for ctx, name in ((AnchorSet(sample.x, GAUSS), "AnchorSet"), ("gaussian", "str")):
             with pytest.raises(TypeError, match=f"^ctx must be None or a KernelSpec, got {name}$"):
                 call(ctx)
 
@@ -1072,8 +1099,8 @@ class TestBlockedSgm:
         # the blocked pass, then its rerun at block length 1
         [(blocked, reach), (rerun, trip)] = runs
         assert (blocked, rerun, trip) == (iterations._BLOCK, 1, None)
-        assert reach.max() * (got.anchors.diagonal().max() if spec else np.abs(sample.x).max()) \
-            >= 5e11
+        scale = kernel_diagonal(spec, sample.x).max() if spec else np.abs(sample.x).max()
+        assert reach.max() * scale >= 5e11
         ref, _ = _b1_reference(sample, kind, sch, plan, (100, 500))
         assert np.abs(ref).max() < 1e12
         np.testing.assert_array_equal(got.coeffs, ref)
@@ -1107,7 +1134,7 @@ class TestSgmMemory:
 
     def test_lazy_set_builds_one_gram_for_the_run_only(self):
         """A kernel run builds one Gram, for the run alone, and anchors its
-        trajectory on a lazy set of the sample points, which holds none."""
+        trajectory on an anchor set of the sample points, which holds none."""
         sample = gen_synthetic_abs(60, seed=8)
         plan = sample_index_plan(60, 6, 80, seed=9)
         sch = StepSchedule(0.5)

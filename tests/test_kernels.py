@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import tracemalloc
+import warnings
 import weakref
 from unittest import mock
 
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdlsq import (AnchorSet, KernelDomainError, KernelSpec, Sample, StepSchedule, build_gram,
-                    cross_matrix, kappa_sq, run_batch_gm, run_sgm, sample_index_plan)
+from sgdlsq import (AnchorSet, KernelDomainError, KernelSpec, Sample, StepSchedule, Trajectory,
+                    build_gram, cross_matrix, kappa_sq, predict, run_batch_gm, run_sgm,
+                    sample_index_plan)
 from sgdlsq import iterations, kernels, spaces
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
@@ -183,26 +186,27 @@ class TestInPlaceTiles:
 
 
 class TestLazyAnchorSet:
-    """An anchor set reads its rows and diagonal off the kernel and never
-    keeps a Gram; on scalar inputs they are the Gram's bit for bit."""
+    """An anchor set is its points and kernel and never keeps a Gram; the
+    kernel rows and diagonal a factor reads in its place
+    (:func:`cross_matrix`, :func:`kernel_diagonal`) are the Gram's bit
+    for bit on scalar inputs."""
 
     @pytest.mark.parametrize("spec", [GAUSS, SOB, LIN], ids=lambda s: s.kind)
     def test_rows_and_diagonal_equal_the_grams_on_scalar_inputs(self, spec):
         pts = np.random.default_rng(3).random(300)
         gram = build_gram(spec, pts, check_psd=False).values
-        lazy = AnchorSet.lazy(spec, pts)
-        np.testing.assert_array_equal(lazy.diagonal(), np.diagonal(gram))
         np.testing.assert_array_equal(kernels.kernel_diagonal(spec, pts), np.diagonal(gram))
         for i in (0, 17, 255, 256, 299):
-            np.testing.assert_array_equal(lazy.row(i), gram[i])
+            np.testing.assert_array_equal(cross_matrix(spec, pts[i:i + 1], pts)[0], gram[i])
 
     def test_vector_inputs_agree_to_rounding(self):
         pts = np.random.default_rng(4).random((50, 3))
         for spec in (GAUSS, LIN):
             gram = build_gram(spec, pts, check_psd=False).values
-            lazy = AnchorSet.lazy(spec, pts)
-            np.testing.assert_allclose(lazy.diagonal(), np.diagonal(gram), rtol=1e-14)
-            np.testing.assert_allclose(lazy.row(7), gram[7], rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(kernels.kernel_diagonal(spec, pts), np.diagonal(gram),
+                                       rtol=1e-14)
+            np.testing.assert_allclose(cross_matrix(spec, pts[7:8], pts)[0], gram[7],
+                                       rtol=1e-13, atol=1e-15)
 
     def test_gram_is_built_for_each_caller_and_never_kept(self):
         """Each run that reads the whole Gram, SGM and batch GM's loop,
@@ -242,31 +246,47 @@ class TestLazyAnchorSet:
         assert [ref() for ref in values] == [None] * 4
 
     def test_gram_product_by_tiles_matches_the_gram(self):
+        """predict at the anchors themselves, by tiles of K, is the Gram
+        times the coefficients."""
         pts = np.random.default_rng(5).random(700)
         coeffs = np.random.default_rng(6).standard_normal((4, 700))
-        got = AnchorSet.lazy(GAUSS, pts).gram_product(coeffs)
+        h = Trajectory(tuple(range(4)), coeffs, tuple(range(4)), AnchorSet(pts, GAUSS))
+        got = predict(h, pts)
         want = np.matmul(build_gram(GAUSS, pts, check_psd=False).values, coeffs[:, :, None])[..., 0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_empty_point_list_is_refused(self):
         with pytest.raises(ValueError, match="empty point list"):
-            AnchorSet.lazy(GAUSS, [])
+            AnchorSet([], GAUSS)
+
+    def test_points_are_a_read_only_float64_copy(self):
+        """The set keeps its own copy of the points, as float64, and
+        refuses writes to it."""
+        src = [[0, 1], [2, 3]]
+        arr = np.array(src)
+        anchors = AnchorSet(arr, GAUSS)
+        assert anchors.points.dtype == np.float64 and not anchors.points.flags.writeable
+        assert not np.shares_memory(anchors.points, arr)
+        arr[0, 0] = 9
+        np.testing.assert_array_equal(anchors.points, src)
+        with pytest.raises(ValueError, match="read-only"):
+            anchors.points[0, 0] = 1.0
 
     def test_only_build_makes_the_gram(self):
         """Only AnchorSet.build makes a Gram, for build_gram's checks, and
-        keeps none: the set it returns is AnchorSet.lazy's, and no set
+        keeps none: the set it returns is the constructor's, and no set
         takes a Gram."""
         pts = np.linspace(0.0, 1.0, 12)
         with mock.patch.object(spaces, "build_gram", wraps=spaces.build_gram) as built:
-            lazy = AnchorSet.lazy(GAUSS, pts)
+            plain = AnchorSet(pts, GAUSS)
             assert built.call_count == 0
             checked = AnchorSet.build(GAUSS, pts, check_psd=True)
         built.assert_called_once_with(GAUSS, checked.points, check_psd=True)
-        assert checked.kernel == lazy.kernel
-        np.testing.assert_array_equal(checked.points, lazy.points)
+        assert checked.kernel == plain.kernel
+        np.testing.assert_array_equal(checked.points, plain.points)
         assert [f.name for f in dataclasses.fields(AnchorSet)] == ["points", "kernel"]
         with pytest.raises(TypeError, match="gram"):
-            AnchorSet(points=lazy.points, kernel=GAUSS, gram=build_gram(GAUSS, pts))
+            AnchorSet(points=plain.points, kernel=GAUSS, gram=build_gram(GAUSS, pts))
         with pytest.raises(ValueError, match="not positive semi-definite"):
             AnchorSet.build(SOB, [1.0 + 1e-12], check_psd=True)
 
@@ -300,6 +320,27 @@ class TestKernelSpecValidation:
             KernelSpec("gaussian")
         with pytest.raises(ValueError):
             KernelSpec("gaussian", sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [1e160, 1e-170, 2.0**-538, 1e-160, 2.0**-537,
+                                       math.nan, math.inf, 0.0])
+    def test_sigma_whose_width_is_not_a_positive_finite_float_is_refused(self, sigma):
+        """The formula divides by 2 sigma^2: a sigma whose square
+        overflows, underflows to 0 (2^-538 squares to below the least
+        float) or to a subnormal float (1e-160, 2^-537), whose division
+        overflows, is refused by name, as nan, inf and 0 are."""
+        with pytest.raises(ValueError, match="sigma"):
+            KernelSpec("gaussian", sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e150, 1e-150])
+    def test_extreme_but_representable_sigma_runs(self, sigma):
+        """Where 2 sigma^2 is a normal positive finite float the Gram is
+        finite (all ones at 1e150, the identity at 1e-150), with no
+        floating-point warning."""
+        pts = np.linspace(0.0, 1.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = build_gram(KernelSpec("gaussian", sigma=sigma), pts).values
+        np.testing.assert_array_equal(gram, np.ones((5, 5)) if sigma > 1 else np.eye(5))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlsq import (
     AnchorSet,
@@ -105,28 +107,53 @@ class TestReproducingConsistency:
 
 
 class TestGramProductTiles:
-    """An anchor set forms K times the coefficients one tile of K at a time:
-    the fewest tiles of at most _TILE rows and 2^17 floats, split evenly."""
+    """predict forms K(xs, anchors) times the coefficients one tile of K
+    at a time: the fewest tiles of at most _TILE rows and 2^17 floats,
+    split evenly."""
 
     @pytest.mark.parametrize("n", [1, 7, 256, 257, 700, 2000, 5000, 2**17 + 3])
     def test_tiles_cover_the_rows_evenly(self, n):
-        bounds = spaces._product_tiles(n)
-        sizes = np.diff(bounds)
-        assert bounds[0] == 0 and bounds[-1] == n and sizes.min() >= 1
-        assert sizes.max() - sizes.min() <= 1
-        cap = min(kernels._TILE, max(1, spaces._PRODUCT_FLOATS // n))
-        assert sizes.max() <= cap and len(sizes) == -(-n // cap)
+        """At n points and w anchors; at w = n these are the tiles of the
+        surrogate's values at its own points."""
+        for w in (n, 1, 300, 2**17 + 3):
+            bounds = spaces._product_tiles(n, w)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n and sizes.min() >= 1
+            assert sizes.max() - sizes.min() <= 1
+            cap = min(kernels._TILE, max(1, spaces._PRODUCT_FLOATS // w))
+            assert sizes.max() <= cap and len(sizes) == -(-n // cap)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "sobolev", "linear"]), n=st.integers(1, 1200),
+           w=st.integers(1, 1200), d=st.integers(1, 3), n_cp=st.integers(1, 4),
+           seed=st.integers(0, 2**32))
+    def test_tiled_values_equal_whole_matrix_values(self, kind, n, w, d, n_cp, seed):
+        """predict, by tiles, matches h.values of the whole cross matrix
+        (feature_matrix) within 1e-12 relative: the same kernel values,
+        with each tile's product summed by the BLAS on its own rows."""
+        rng = np.random.default_rng(seed)
+        spec = KernelSpec(kind, sigma=0.3 if kind == "gaussian" else None)
+        shape = (lambda k: k) if kind == "sobolev" else (lambda k: (k, d))
+        cps = tuple(range(n_cp))
+        anchors = AnchorSet(rng.random(shape(w)), spec)
+        h = Trajectory(cps, rng.standard_normal((n_cp, w)), cps, anchors)
+        xs = rng.random(shape(n))
+        got = predict(h, xs)
+        want = h.values(spaces.feature_matrix(h, xs))
+        assert got.shape == want.shape == (n_cp, n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_scratch_is_one_tile(self):
-        """N = 2000 anchors, 30 expansions: the traced peak stays within
-        1.2 MB of the (30, N) result; 256-row tiles took 4 MB."""
+        """N = 2000 points and anchors, 30 expansions: the traced peak of
+        predict stays within 1.2 MB of the (30, N) result; 256-row tiles
+        took 4 MB."""
         pts = np.random.default_rng(1).random(2000)
         coeffs = np.random.default_rng(2).standard_normal((30, 2000))
-        lazy = AnchorSet.lazy(GAUSS, pts)
+        h = Trajectory(tuple(range(30)), coeffs, tuple(range(30)), AnchorSet(pts, GAUSS))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            out = lazy.gram_product(coeffs)
+            out = predict(h, pts)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
