@@ -15,7 +15,8 @@ from sgdlsq import (
     gen_synthetic_abs,
     holdout_stop,
     log_checkpoints,
-    mean_square_error,
+    predict,
+    prediction_errors,
     recipe_table,
     run_sgm,
     sample_index_plan,
@@ -49,7 +50,7 @@ print(f"hold-out rule stops at t={outcome.chosen_t} "
       f"(validation mse {outcome.chosen_error:.4f})")
 
 # one call gives the test error of every checkpoint, one value per row
-test_mse = mean_square_error(trajectory, test.x, test.y)
+test_mse = prediction_errors(predict(trajectory, test.x), test.y)
 chosen = outcome.checkpoints.index(outcome.chosen_t)
 print(f"test mse at chosen iterate: {test_mse[chosen]:.4f}")
 print(f"test mse if run to the last checkpoint: {test_mse[-1]:.4f}")

@@ -10,9 +10,11 @@
 import numpy as np
 
 from sgdlsq import (
+    AnchorSet,
     KernelSpec,
+    Trajectory,
     abs_target,
-    cross_matrix,
+    excess_risk,
     fit_rate,
     gen_synthetic_abs,
     mix_seed,
@@ -23,7 +25,6 @@ from sgdlsq import (
 
 kernel = KernelSpec("gaussian", sigma=0.2)
 surrogate = np.linspace(0.0, 1.0, 2000)
-f_surrogate = abs_target(surrogate)
 m_grid = (64, 128, 256, 512)
 trials = 8
 
@@ -34,11 +35,12 @@ for mi, m in enumerate(m_grid):
     streams = [mix_seed(mix_seed(11, mi), trial) for trial in range(trials)]
     samples = [gen_synthetic_abs(m, seed=mix_seed(s, 0), noise_sd=1.0) for s in streams]
     table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
-    # the trials advance together as one (trials, m) block of coefficients
-    finals = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))[0]
+    # the trials advance together as one (1, trials, m) block of coefficients
+    block = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))
     # excess risk: mean squared gap to the target over the surrogate points
-    risks = [np.mean((cross_matrix(kernel, surrogate, s.x) @ c - f_surrogate) ** 2)
-             for s, c in zip(samples, finals)]
+    risks = [excess_risk(Trajectory((rec.t_star,), block[:, r], AnchorSet(s.x, kernel)),
+                         surrogate, abs_target)[0]
+             for r, s in enumerate(samples)]
     rows.append((m, float(np.mean(risks))))
     print(f"  m={m:>5}  T*={rec.t_star:>6}  passes={rec.passes:>3}  "
           f"excess risk={rows[-1][1]:.5f}")

@@ -17,7 +17,6 @@ from .data import (
     gen_synthetic_abs,
     load_csv,
     minmax_scale,
-    misclassification,
     save_csv,
     split,
 )
@@ -66,7 +65,6 @@ from .schedules import (
 from .spaces import (
     AnchorSet,
     Trajectory,
-    mean_square_error,
     predict,
     prediction_errors,
 )

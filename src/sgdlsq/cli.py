@@ -298,8 +298,8 @@ def cmd_rates(args):
         else:
             table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
             block = run_sgm_trials(samples, kernel, rec.schedule, table, (rec.t_star,))
-            finals = [Trajectory((rec.t_star,), block[:, r], (rec.passes,),
-                                 AnchorSet(s.x, kernel)) for r, s in enumerate(samples)]
+            finals = [Trajectory((rec.t_star,), block[:, r], AnchorSet(s.x, kernel))
+                      for r, s in enumerate(samples)]
         risks = [excess_risk(h, surr, abs_target)[0] for h in finals]
         mean = float(np.mean(risks))
         se = float(np.std(risks, ddof=1) / math.sqrt(len(risks)))

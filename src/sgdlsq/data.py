@@ -1,4 +1,4 @@
-"""Synthetic generators, CSV ingestion, splits, and classification error.
+"""Synthetic generators, CSV ingestion, splits and min-max scaling.
 
 Generators are pure functions of their parameters and seed (Philox
 streams, see :mod:`sgdlsq.rng`).
@@ -17,7 +17,6 @@ from .errors import (
     RaggedRowError,
 )
 from .rng import make_rng
-from .spaces import Trajectory, predict, prediction_errors
 
 
 @dataclass(frozen=True)
@@ -196,12 +195,6 @@ def split(sample: Sample, fractions, seed: int):
         start += size
         out.append(Sample(x=_freeze(sample.x[idx]), y=_freeze(sample.y[idx])) if size else None)
     return tuple(out)
-
-
-def misclassification(h: Trajectory, sample: Sample) -> np.ndarray:
-    """Fraction of sign disagreements on +/-1 labels, one per checkpoint
-    of ``h``; sign(0) counts as +1."""
-    return prediction_errors(predict(h, sample.x), sample.y, "zero-one")
 
 
 def minmax_scale(sample: Sample, lo=None, hi=None):

@@ -44,7 +44,7 @@ from .iterations import (
 from .kernels import KernelSpec, build_gram
 from .rng import mix_seed
 from .schedules import StepSchedule, passes
-from .spaces import Trajectory, feature_matrix, mean_square_error, predict, prediction_errors
+from .spaces import Trajectory, feature_matrix, predict, prediction_errors
 
 _SLACK = 1e-12
 
@@ -106,7 +106,7 @@ def excess_risk(h: Trajectory, surrogate, f_true) -> np.ndarray:
     surrogate points, one per checkpoint of ``h``: the L2 proxy for risk
     minus its infimum."""
     pts = np.asarray(surrogate, float)
-    return mean_square_error(h, pts, f_true(pts))
+    return prediction_errors(predict(h, pts), f_true(pts))
 
 
 def h_norm_error(h: Trajectory, w_star) -> np.ndarray:

@@ -39,7 +39,7 @@ from .data import Sample
 from .errors import DivergenceError
 from .kernels import KernelSpec, build_gram, cross_matrix, kernel_diagonal
 from .rng import make_rng
-from .schedules import StepSchedule, passes
+from .schedules import StepSchedule
 from .spaces import AnchorSet, Trajectory
 
 # Bound on max|w| (euclidean) or max|a| times the Gram's largest diagonal
@@ -376,8 +376,7 @@ def run_sgm(
     except DivergenceError as exc:
         backend = "euclidean" if ctx is None else "kernel"
         raise DivergenceError(exc.iteration, f"sgm/{backend}") from None
-    return Trajectory(cps, block[:, 0], tuple(passes(plan.b, t, sample.m) for t in cps),
-                      _anchors(ctx, sample))
+    return Trajectory(cps, block[:, 0], _anchors(ctx, sample))
 
 
 def _pivoted_cholesky(kernel: KernelSpec, points, max_rank):
@@ -504,8 +503,7 @@ def run_batch_gm(
                 h = (1 - eta * lam) * h + eta
             if t in cp_pos:
                 out[cp_pos[t]] = s * y + (w @ (h * proj)) @ rows if kernel else w @ (h * proj)
-    # each step is one pass over the sample
-    return Trajectory(cps, out, cps, _anchors(ctx, sample))
+    return Trajectory(cps, out, _anchors(ctx, sample))
 
 
 def run_population(

@@ -81,10 +81,12 @@ class Trajectory:
 
     checkpoints: tuple
     coeffs: np.ndarray
-    passes: tuple
     anchors: AnchorSet | None = None
 
     def __post_init__(self):
+        if self.anchors is not None and not isinstance(self.anchors, AnchorSet):
+            raise TypeError("anchors must be None or an AnchorSet, got "
+                            f"{type(self.anchors).__name__}")
         coeffs = np.asarray(self.coeffs, dtype=np.float64).view()
         if coeffs.ndim != 2:
             raise ValueError(f"coefficients must form an (n_cp, w) block, got {coeffs.shape}")
@@ -114,7 +116,7 @@ class Trajectory:
             i = self.checkpoints.index(t)
         except ValueError:
             raise KeyError(f"no checkpoint at t={t}") from None
-        return Trajectory((t,), self.coeffs[i:i + 1], self.passes[i:i + 1], self.anchors)
+        return Trajectory((t,), self.coeffs[i:i + 1], self.anchors)
 
     def values(self, features) -> np.ndarray:
         """Row i is ``features @ coeffs[i]``, (n_cp, n), for a feature
@@ -179,23 +181,17 @@ def prediction_errors(values, targets, metric: str = "mse"):
     """The error of each row of ``values`` against ``targets`` over the
     last axis: the mean squared residual (``"mse"``) or the share of sign
     mismatches on +/-1 labels, sign(0) counting as +1 (``"zero-one"``).
-    The one place either rule is computed."""
+    The one place either rule is computed; it refuses an empty point set
+    and targets whose last axis is not as long as the values'."""
+    values, targets = np.asarray(values), np.atleast_1d(targets)
+    n = values.shape[-1]
+    if n == 0:
+        raise ValueError("prediction errors need at least one point")
+    if targets.shape[-1] != n:
+        raise DimensionMismatch("values vs targets", n, targets.shape[-1])
     if metric == "mse":
         return np.square(values - targets).mean(axis=-1)
     if metric != "zero-one":
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     check_sign_labels(targets)
     return (np.where(values >= 0, 1.0, -1.0) != targets).mean(axis=-1)
-
-
-def mean_square_error(h: Trajectory, points, targets) -> np.ndarray:
-    """Mean of squared residuals (<h, x_i> - y_i)^2 over a point set, one
-    per checkpoint of ``h``."""
-    points = np.asarray(points, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    n_pts = points.shape[0]
-    if n_pts == 0:
-        raise ValueError("mean_square_error needs at least one point")
-    if n_pts != targets.shape[0]:
-        raise DimensionMismatch("points vs targets", n_pts, targets.shape[0])
-    return prediction_errors(predict(h, points), targets)

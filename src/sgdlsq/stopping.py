@@ -35,10 +35,8 @@ def holdout_stop(
     :func:`~sgdlsq.spaces.predict` evaluates every checkpoint on the
     validation points in one (n_cp, n_val) block, from the input matrix
     (euclidean) or K(x_val, anchors) formed one tile of rows at a time
-    (kernel), and
-    :func:`~sgdlsq.spaces.prediction_errors` reduces its rows, as
-    :func:`~sgdlsq.spaces.mean_square_error` and
-    :func:`~sgdlsq.data.misclassification` do.
+    (kernel), and :func:`~sgdlsq.spaces.prediction_errors` reduces its
+    rows.
     """
     if len(trajectory.checkpoints) == 0:
         raise ValueError("trajectory has no checkpoints")

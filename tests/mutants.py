@@ -81,6 +81,31 @@ MUTANTS = (
            "_PSD_TOL = 1e-8", "_PSD_TOL = 1e-4",
            "tests/test_kernels.py",
            "the PSD check's edge is -1e-8 times the largest diagonal"),
+    Mutant("split-leftover-order", "src/sgdlsq/data.py",
+           "sizes[i % len(sizes)] += 1", "sizes[-1 - i % len(sizes)] += 1",
+           "tests/test_data.py",
+           "split hands the leftover rows out one at a time in declared order"),
+    Mutant("holdout-last-minimizer", "src/sgdlsq/stopping.py",
+           "best = int(np.argmin(errors))",
+           "best = len(errors) - 1 - int(np.argmin(errors[::-1]))",
+           "tests/test_stopping.py",
+           "hold-out stopping breaks ties toward the first checkpoint"),
+    Mutant("passes-floor", "src/sgdlsq/schedules.py",
+           "return -((-b * t) // m)", "return (b * t) // m",
+           "tests/test_schedules.py",
+           "passes is the ceiling of b t / m"),
+    Mutant("divergence-exit-code", "src/sgdlsq/cli.py",
+           "        return EXIT_DIVERGED\n", "        return EXIT_INTERNAL\n",
+           "tests/test_cli.py",
+           "a diverged run exits 5"),
+    Mutant("errors-accept-no-points", "src/sgdlsq/spaces.py",
+           "if n == 0:", "if n < 0:",
+           "tests/test_spaces.py",
+           "prediction_errors refuses an empty point set"),
+    Mutant("errors-broadcast-targets", "src/sgdlsq/spaces.py",
+           "if targets.shape[-1] != n:", "if targets.shape[-1] > n:",
+           "tests/test_spaces.py",
+           "one target against several values is a DimensionMismatch, not a broadcast"),
 )
 
 
@@ -143,7 +168,7 @@ def main():
             verdict = "equivalent"
         elif verdict == "survived":
             failed.append(m.name)
-        print(f"{verdict:9} {m.name:20} {time.perf_counter() - start:5.1f} s  {m.reason}",
+        print(f"{verdict:9} {m.name:24} {time.perf_counter() - start:5.1f} s  {m.reason}",
               flush=True)
     if failed:
         print(f"{len(failed)} mutant(s) survived: {', '.join(failed)}", file=sys.stderr)

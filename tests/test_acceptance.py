@@ -41,8 +41,9 @@ from sgdlsq import (
     load_csv,
     log_checkpoints,
     minmax_scale,
-    misclassification,
     mix_seed,
+    predict,
+    prediction_errors,
     recipe,
     run_batch_gm,
     run_population,
@@ -255,7 +256,7 @@ def test_criterion_8_norm_convergence_on_attainable_instances():
         table = sample_index_table(m, rec.b, rec.t_star, [mix_seed(s, 1) for s in streams])
         block = run_sgm_trials([smp for smp, _ in drawn], None, rec.schedule, table,
                                (rec.t_star,))
-        vals = [h_norm_error(Trajectory((rec.t_star,), block[:, r], (rec.passes,)), w)[0]
+        vals = [h_norm_error(Trajectory((rec.t_star,), block[:, r]), w)[0]
                 for r, (_, w) in enumerate(drawn)]
         errors.append(float(np.mean(vals)))
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
@@ -298,7 +299,7 @@ def test_criterion_9_classification_parity_across_batch_sizes(tmp_path):
         else:
             plan = sample_index_plan(m, b, T, mix_seed(900, 1))
             traj = run_sgm(train, kernel, sch, plan, cps)
-        best[name] = float(misclassification(traj, test).min())
+        best[name] = float(prediction_errors(predict(traj, test.x), test.y, "zero-one").min())
     spread = max(best.values()) - min(best.values())
     ok = _report(
         9,

@@ -511,7 +511,7 @@ class TestRun:
         train, _, test = split(load_csv(data), (0.7, 0.15, 0.15), seed=mix_seed(2, 1))
         np.testing.assert_array_equal(model["anchor_points"], train.x)
         anchors = AnchorSet(model["anchor_points"], KernelSpec("gaussian", sigma=0.7))
-        chosen = Trajectory((0,), [model["coefficients"]], (0,), anchors)
+        chosen = Trajectory((0,), [model["coefficients"]], anchors)
         assert stopping["test_error"] == prediction_errors(predict(chosen, test.x), test.y)[0]
 
     def test_no_gram_is_alive_at_holdout(self, tmp_path, monkeypatch):

@@ -17,7 +17,8 @@ from sgdlsq import (
     gen_synthetic_abs,
     load_csv,
     minmax_scale,
-    misclassification,
+    predict,
+    prediction_errors,
     save_csv,
     split,
 )
@@ -307,31 +308,36 @@ class TestSplit:
 
 def _vec(coords):
     """One euclidean hypothesis: a one-checkpoint trajectory."""
-    return Trajectory((0,), [coords], (0,))
+    return Trajectory((0,), [coords])
+
+
+def _zero_one(h, sample):
+    """Share of sign mismatches of each checkpoint of ``h`` on ``sample``."""
+    return prediction_errors(predict(h, sample.x), sample.y, "zero-one")
 
 
 class TestMisclassification:
     def test_perfect_separator(self):
         s = Sample(x=np.array([[1.0], [-1.0]]), y=np.array([1.0, -1.0]))
-        assert misclassification(_vec([1.0]), s)[0] == 0.0
+        assert _zero_one(_vec([1.0]), s)[0] == 0.0
 
     def test_zero_hypothesis_predicts_plus_one(self):
         s = Sample(x=np.array([[0.5], [0.5]]), y=np.array([1.0, -1.0]))
-        assert misclassification(_vec([0.0]), s)[0] == 0.5
+        assert _zero_one(_vec([0.0]), s)[0] == 0.5
 
     def test_label_flip_symmetry(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((40, 2))
         y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
         h = _vec(rng.standard_normal(2))
-        e = misclassification(h, Sample(x=x, y=y))[0]
-        e_flipped = misclassification(h, Sample(x=x, y=-y))[0]
+        e = _zero_one(h, Sample(x=x, y=y))[0]
+        e_flipped = _zero_one(h, Sample(x=x, y=-y))[0]
         assert e + e_flipped == pytest.approx(1.0)
 
     def test_bad_label_rejected(self):
         s = Sample(x=np.array([[1.0]]), y=np.array([0.5]))
         with pytest.raises(ValueError):
-            misclassification(_vec([0.0]), s)
+            _zero_one(_vec([0.0]), s)
 
 
 class TestMinMaxScale:

@@ -37,7 +37,7 @@ GAUSS = KernelSpec("gaussian", sigma=0.2)
 
 def _vec(coeffs, anchors=None):
     """One hypothesis: a one-checkpoint trajectory."""
-    return Trajectory((0,), [coeffs], (0,), anchors)
+    return Trajectory((0,), [coeffs], anchors)
 
 
 class TestExcessRisk:

@@ -24,9 +24,9 @@ from sgdlsq import (
     kappa_sq,
     log_checkpoints,
     make_rng,
-    mean_square_error,
     mix_seed,
     predict,
+    prediction_errors,
     recipe,
     run_batch_gm,
     run_population,
@@ -153,29 +153,29 @@ class TestIndexTable:
 class TestTrajectory:
     def test_refuses_row_count_mismatch(self):
         with pytest.raises(DimensionMismatch) as err:
-            Trajectory((1, 2, 3), np.zeros((2, 4)), (1, 2, 3))
+            Trajectory((1, 2, 3), np.zeros((2, 4)))
         assert err.value.expected == 3 and err.value.got == 2
 
     def test_refuses_non_increasing_checkpoints(self):
         for cps in ((2, 1), (3, 3)):
             with pytest.raises(ValueError, match="strictly increasing"):
-                Trajectory(cps, np.zeros((2, 1)), cps)
+                Trajectory(cps, np.zeros((2, 1)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_entries(self, bad):
         coeffs = np.zeros((3, 2))
         coeffs[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            Trajectory((1, 2, 3), coeffs, (1, 2, 3))
+            Trajectory((1, 2, 3), coeffs)
 
     def test_refuses_width_other_than_the_anchor_count(self):
         anchors = AnchorSet.build(GAUSS, [0.0, 0.5, 1.0])
         with pytest.raises(DimensionMismatch):
-            Trajectory((1,), np.zeros((1, 2)), (1,), anchors)
+            Trajectory((1,), np.zeros((1, 2)), anchors)
 
     def test_coeffs_are_read_only(self):
         block = np.ones((2, 3))
-        traj = Trajectory((1, 2), block, (1, 2))
+        traj = Trajectory((1, 2), block)
         with pytest.raises(ValueError):
             traj.coeffs[0, 0] = 5.0
         with pytest.raises(ValueError):
@@ -183,7 +183,7 @@ class TestTrajectory:
         block[0, 0] = 2.0  # the caller's array stays writable
 
     def test_vector_at_missing_checkpoint(self):
-        traj = Trajectory((1, 4), np.zeros((2, 1)), (1, 4))
+        traj = Trajectory((1, 4), np.zeros((2, 1)))
         assert traj.vector_at(4).backend == "euclidean"
         with pytest.raises(KeyError, match="t=2"):
             traj.vector_at(2)
@@ -200,8 +200,7 @@ class TestTrajectory:
         anchors = AnchorSet.build(GAUSS, rng.random((n_train, d)), check_psd=False) \
             if kernel else None
         cps = tuple(range(1, n_cp + 1))
-        traj = Trajectory(cps, rng.standard_normal((n_cp, n_train if kernel else d)), cps,
-                          anchors)
+        traj = Trajectory(cps, rng.standard_normal((n_cp, n_train if kernel else d)), anchors)
         xs = rng.random((n_pts, d))
         assert len(spaces._product_tiles(n_pts, n_train)) == 2
         vals = traj.values(feature_matrix(traj, xs))
@@ -220,7 +219,7 @@ class TestTrajectory:
         rng = make_rng(seed)
         anchors = AnchorSet.build(GAUSS, rng.random((n_train, d)), check_psd=False)
         cps = tuple(range(1, n_cp + 1))
-        traj = Trajectory(cps, rng.standard_normal((n_cp, n_train)), cps, anchors)
+        traj = Trajectory(cps, rng.standard_normal((n_cp, n_train)), anchors)
         xs = rng.random((n_pts, d))
         assert len(spaces._product_tiles(n_pts, n_train)) > 2
         vals = traj.values(feature_matrix(traj, xs))
@@ -290,7 +289,7 @@ class TestRunSgm:
         sch = StepSchedule(1.0 / (8 * np.sqrt(m)), 0.0, kappa_sq(GAUSS))
         plan = sample_index_plan(m, b, 300, seed=3)
         traj = run_sgm(sample, GAUSS, sch, plan, checkpoints=log_checkpoints(300, 10))
-        errs = mean_square_error(traj, sample.x, sample.y)
+        errs = prediction_errors(predict(traj, sample.x), sample.y)
         assert np.all(np.isfinite(errs))
         assert errs[-1] < errs[0]
 
@@ -306,12 +305,6 @@ class TestRunSgm:
         plan = sample_index_plan(6, 1, 3, seed=0)
         with pytest.raises(ValueError):
             run_sgm(sample, None, StepSchedule(0.1), plan)
-
-    def test_checkpoint_passes(self):
-        sample = gen_synthetic_abs(10, seed=0)
-        plan = sample_index_plan(10, 3, 20, seed=0)
-        traj = run_sgm(sample, None, StepSchedule(0.01), plan, checkpoints=(1, 7, 20))
-        assert traj.passes == (1, 3, 6)  # ceil(3t/10)
 
 
 class TestRunBatchGm:
@@ -347,7 +340,7 @@ class TestRunBatchGm:
         ctx = GAUSS if kernelized else None
         sch = StepSchedule(1.0, 0.0, kappa_sq(GAUSS))  # eta * kappa^2 = 1
         traj = run_batch_gm(sample, ctx, sch, 60, checkpoints=tuple(range(1, 61)))
-        errs = mean_square_error(traj, sample.x, sample.y)
+        errs = prediction_errors(predict(traj, sample.x), sample.y)
         assert np.all(np.diff(errs) <= 1e-12 * np.maximum(1.0, errs[:-1]))
 
 
@@ -485,8 +478,7 @@ class TestPopulationFilter:
         cps = log_checkpoints(T, 8)
         pop = run_population(pts, ctx, _target, sch, T, cps)
         ref = run_batch_gm(Sample(pts, _target(pts)), ctx, sch, T, cps)
-        assert (pop.checkpoints, pop.passes, pop.backend) == (ref.checkpoints, ref.passes,
-                                                              ref.backend)
+        assert (pop.checkpoints, pop.backend) == (ref.checkpoints, ref.backend)
         np.testing.assert_array_equal(pop.coeffs, ref.coeffs)
 
     @settings(max_examples=80, deadline=None)

@@ -250,7 +250,7 @@ class TestLazyAnchorSet:
         times the coefficients."""
         pts = np.random.default_rng(5).random(700)
         coeffs = np.random.default_rng(6).standard_normal((4, 700))
-        h = Trajectory(tuple(range(4)), coeffs, tuple(range(4)), AnchorSet(pts, GAUSS))
+        h = Trajectory(tuple(range(4)), coeffs, AnchorSet(pts, GAUSS))
         got = predict(h, pts)
         want = np.matmul(build_gram(GAUSS, pts, check_psd=False).values, coeffs[:, :, None])[..., 0]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -11,7 +11,6 @@ from sgdlsq import (
     KernelSpec,
     Trajectory,
     build_gram,
-    mean_square_error,
     predict,
     prediction_errors,
 )
@@ -28,7 +27,7 @@ def gauss_anchor():
 
 def _vec(coeffs, anchors=None):
     """One hypothesis: a one-checkpoint trajectory."""
-    return Trajectory((0,), [coeffs], (0,), anchors)
+    return Trajectory((0,), [coeffs], anchors)
 
 
 def _inner(h1, h2):
@@ -136,7 +135,7 @@ class TestGramProductTiles:
         shape = (lambda k: k) if kind == "sobolev" else (lambda k: (k, d))
         cps = tuple(range(n_cp))
         anchors = AnchorSet(rng.random(shape(w)), spec)
-        h = Trajectory(cps, rng.standard_normal((n_cp, w)), cps, anchors)
+        h = Trajectory(cps, rng.standard_normal((n_cp, w)), anchors)
         xs = rng.random(shape(n))
         got = predict(h, xs)
         want = h.values(spaces.feature_matrix(h, xs))
@@ -149,7 +148,7 @@ class TestGramProductTiles:
         took 4 MB."""
         pts = np.random.default_rng(1).random(2000)
         coeffs = np.random.default_rng(2).standard_normal((30, 2000))
-        h = Trajectory(tuple(range(30)), coeffs, tuple(range(30)), AnchorSet(pts, GAUSS))
+        h = Trajectory(tuple(range(30)), coeffs, AnchorSet(pts, GAUSS))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -161,20 +160,25 @@ class TestGramProductTiles:
         assert peak <= out.nbytes + 1_200_000
 
 
+def _mse(h, pts, ys):
+    """Mean squared residual of each checkpoint of ``h`` on (pts, ys)."""
+    return prediction_errors(predict(h, pts), ys)
+
+
 class TestMeanSquareError:
     def test_perfect_interpolant(self):
         h = _vec([2.0])
         pts = np.array([[1.0], [2.0], [-1.0]])
-        assert mean_square_error(h, pts, [2.0, 4.0, -2.0])[0] == 0.0
+        assert _mse(h, pts, [2.0, 4.0, -2.0])[0] == 0.0
 
     def test_zero_hypothesis_unit_targets(self):
         zero = _vec([0.0])
-        assert mean_square_error(zero, np.array([[0.3], [0.7]]), [1.0, -1.0])[0] == 1.0
+        assert _mse(zero, np.array([[0.3], [0.7]]), [1.0, -1.0])[0] == 1.0
 
     def test_zero_hypothesis_on_kinked_target(self):
         # targets of f(x) = |x - 1/2| - 1/2 at {0, 0.25, 0.5} are {0, -0.25, -0.5}
         pts = np.array([[0.0], [0.25], [0.5]])
-        got = mean_square_error(_vec([0.0]), pts, [0.0, -0.25, -0.5])
+        got = _mse(_vec([0.0]), pts, [0.0, -0.25, -0.5])
         np.testing.assert_allclose(got, [0.3125 / 3], rtol=1e-14)
 
     def test_permutation_invariance(self):
@@ -182,14 +186,14 @@ class TestMeanSquareError:
         pts = rng.random((20, 1))
         ys = rng.standard_normal(20)
         h = _vec([0.7])
-        base = mean_square_error(h, pts, ys)
+        base = _mse(h, pts, ys)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(20)
-            np.testing.assert_allclose(mean_square_error(h, pts[perm], ys[perm]), base, rtol=1e-14)
+            np.testing.assert_allclose(_mse(h, pts[perm], ys[perm]), base, rtol=1e-14)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean_square_error(_vec([0.0]), np.empty((0, 1)), [])
+            _mse(_vec([0.0]), np.empty((0, 1)), [])
 
 
 class TestHypothesisInvariants:
@@ -208,6 +212,13 @@ class TestHypothesisInvariants:
         with pytest.raises(ValueError):
             h.coeffs[0, 0] = 2.0
 
+    def test_old_passes_argument_is_refused_by_name(self):
+        """The old positional form Trajectory(checkpoints, coeffs, passes)
+        would bind the passes tuple to ``anchors``; it is a TypeError
+        naming ``anchors`` and the type it got."""
+        with pytest.raises(TypeError, match="anchors must be None or an AnchorSet, got tuple"):
+            Trajectory((1, 2), np.zeros((2, 1)), (1, 1))
+
 
 class TestPredictionErrors:
     def test_one_error_per_row_over_the_last_axis(self):
@@ -220,3 +231,18 @@ class TestPredictionErrors:
                                       [2 / 3, 1 / 3])
         with pytest.raises(ValueError, match="labels must be in .* found 0.5"):
             prediction_errors(values, [1.0, 0.5, 1.0], "zero-one")
+
+    @pytest.mark.parametrize("metric", ["mse", "zero-one"])
+    def test_no_points_rejected(self, metric):
+        with pytest.raises(ValueError, match="at least one point"):
+            prediction_errors(np.empty((2, 0)), [], metric)
+
+    @pytest.mark.parametrize("metric", ["mse", "zero-one"])
+    def test_targets_of_another_length_are_a_dimension_mismatch(self, metric):
+        """One target against three values would broadcast; it is refused
+        with both lengths, as are four."""
+        values = np.ones((2, 3))
+        for ys, got in (([1.0], 1), ([1.0] * 4, 4)):
+            with pytest.raises(DimensionMismatch) as err:
+                prediction_errors(values, ys, metric)
+            assert (err.value.expected, err.value.got) == (3, got)

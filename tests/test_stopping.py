@@ -12,8 +12,8 @@ from sgdlsq import (
     Trajectory,
     gen_synthetic_abs,
     holdout_stop,
-    mean_square_error,
-    misclassification,
+    predict,
+    prediction_errors,
     run_batch_gm,
     sample_index_plan,
     run_sgm,
@@ -24,8 +24,7 @@ GAUSS = KernelSpec("gaussian", sigma=0.2)
 
 def _toy_trajectory(values, checkpoints):
     """Scalar hypotheses h(x) = c * x recorded at the given step counts."""
-    return Trajectory(tuple(checkpoints), np.array(values, dtype=float)[:, None],
-                      tuple(checkpoints))
+    return Trajectory(tuple(checkpoints), np.array(values, dtype=float)[:, None])
 
 
 def _validation_for_curve(targets):
@@ -104,9 +103,8 @@ class TestHoldoutStop:
 def _per_vector_errors(traj, val, metric):
     """Each checkpoint evaluated on its own, kept as the reference the
     shared validation features must equal bit for bit."""
-    if metric == "mse":
-        return [mean_square_error(traj.vector_at(t), val.x, val.y)[0] for t in traj.checkpoints]
-    return [misclassification(traj.vector_at(t), val)[0] for t in traj.checkpoints]
+    return [prediction_errors(predict(traj.vector_at(t), val.x), val.y, metric)[0]
+            for t in traj.checkpoints]
 
 
 class TestSharedValidationFeatures:
@@ -141,7 +139,7 @@ class TestSharedValidationFeatures:
         if metric == "zero-one" and n_cp > 1:
             coeffs[-1] = coeffs[0]  # a tie, broken toward the first
         cps = tuple(range(1, n_cp + 1))
-        traj = Trajectory(cps, coeffs, cps, anchors)
+        traj = Trajectory(cps, coeffs, anchors)
         out = holdout_stop(traj, val, metric=metric)
         reference = _per_vector_errors(traj, val, metric)
         assert out.errors == tuple(reference)
