@@ -28,9 +28,6 @@ from .schedules import StepSchedule
 
 _PASS_TOL = 1e-12
 
-# verdicts_to_csv writes its lines in chunks of this many
-_CSV_CHUNK = 1024
-
 
 def fsum(values):
     """Exactly rounded sum of an iterable or array of floats."""
@@ -121,11 +118,9 @@ def _check_contraction_inputs(eigs, schedule, zetas, cuts):
     for t, k in cuts:
         if not 0 <= k <= t - 1:
             raise ValueError(f"need 0 <= k <= t-1, got k={k}, t={t}")
-    top = float(np.max(eigs))
-    if schedule.eta(1) * top > 1.0 + 1e-12:
-        raise ValueError(
-            f"step-size precondition violated: eta_1 * max(eig) = {schedule.eta(1) * top:.6g} > 1"
-        )
+    eta_top = schedule.etas(1)[0] * float(np.max(eigs))
+    if eta_top > 1.0 + 1e-12:
+        raise ValueError(f"step-size precondition violated: eta_1 * max(eig) = {eta_top:.6g} > 1")
 
 
 def check_contraction_bound(
@@ -157,18 +152,6 @@ def log_spaced_ts(t_max: int, count: int = 25, t_min: int = 1) -> list:
         raise ValueError(f"grid point count must be >= 1, got {count}")
     # not np.unique, which imports numpy.ma (about 10-20 ms) on first use
     return sorted(set(np.geomspace(t_min, t_max, num=count).round().astype(int).tolist()))
-
-
-def sweep_sum_bounds(thetas, ts) -> list:
-    out = []
-    for theta in thetas:
-        for t in ts:
-            out.extend(check_sum_bounds(theta, t))
-    return out
-
-
-def sweep_convolution(qs, ts) -> list:
-    return [check_convolution_bound(q, t) for q in qs for t in ts if t >= 3]
 
 
 def sweep_contraction(
@@ -242,7 +225,7 @@ def _contraction_grid(spectra, schedules, zetas, cuts):
 def _csv_field(text):
     """``text`` as ``csv.writer`` writes it by default: in quotes, with
     each quote doubled, if it holds a comma, a quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -250,31 +233,18 @@ def _csv_field(text):
 def verdicts_to_csv(verdicts, path) -> None:
     """Write verdicts as CSV: lemma, params, lhs, bound, slack, pass.
 
-    One formatted line per verdict, written ``_CSV_CHUNK`` lines at a
-    time, byte for byte what ``csv.writer`` writes (CRLF line ends,
-    minimal quoting), with ``slack`` and ``pass`` computed as
-    :class:`LemmaVerdict` computes them. The lemma and params
-    fields are formatted once per distinct printed text of the lemma and
-    the params' items: 0.0 and -0.0, or 1 and 1.0, compare (and hash)
-    equal but print differently.
+    One formatted line per verdict, byte for byte what ``csv.writer``
+    writes (CRLF line ends, minimal quoting), with ``slack`` and ``pass``
+    as :class:`LemmaVerdict` computes them.
     """
-    heads = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        lines = ["lemma,params,lhs,bound,slack,pass\r\n"]
+        fh.write("lemma,params,lhs,bound,slack,pass\r\n")
         for v in verdicts:
-            params = v.params
-            key = (v.lemma, *map(format, params), *map(format, params.values()))
-            head = heads.get(key)
-            if head is None:
-                text = ";".join(f"{k}={val}" for k, val in params.items())
-                head = heads[key] = f"{_csv_field(v.lemma)},{_csv_field(text)}"
+            text = ";".join([f"{k}={val}" for k, val in v.params.items()])
             lhs, bound = v.lhs, v.bound
             slack = bound - lhs
-            lines.append(f"{head},{lhs!r},{bound!r},{slack!r},{_passes(slack, bound)}\r\n")
-            if len(lines) >= _CSV_CHUNK:
-                fh.writelines(lines)
-                lines.clear()
-        fh.writelines(lines)
+            fh.write(f"{_csv_field(v.lemma)},{_csv_field(text)},{lhs!r},{bound!r},{slack!r},"
+                     f"{_passes(slack, bound)}\r\n")
 
 
 def acceptance_sweep(t_max: int = 10_000) -> list:
@@ -282,7 +252,6 @@ def acceptance_sweep(t_max: int = 10_000) -> list:
     ts = log_spaced_ts(t_max)
     thetas = [round(0.1 * i, 1) for i in range(10)]
     qs = [-1.0, 0.0, 0.5, 1.0, 2.0]
-    verdicts = sweep_sum_bounds(thetas, ts)
-    verdicts += sweep_convolution(qs, ts)
-    verdicts += sweep_contraction()
-    return verdicts
+    sums = [v for theta in thetas for t in ts for v in check_sum_bounds(theta, t)]
+    convolutions = [check_convolution_bound(q, t) for q in qs for t in ts if t >= 3]
+    return sums + convolutions + sweep_contraction()

@@ -49,7 +49,8 @@ from .spaces import Trajectory, feature_matrix, predict, prediction_errors
 _SLACK = 1e-12
 
 # Trials whose surrogate values one product forms in the reduction: the
-# scratch is two (_TRIAL_CHUNK, N) blocks, whatever R.
+# scratch is two (_TRIAL_CHUNK, N) blocks, the values and the residuals
+# prediction_errors squares, whatever R.
 _TRIAL_CHUNK = 8
 
 
@@ -208,9 +209,10 @@ def decompose(
     runs: its factor reads k kernel rows and its surrogate values are
     formed a tile of K at a time (:func:`~sgdlsq.spaces.predict`). The
     trials run on one (T, R, b) index table (:func:`sample_index_table`),
-    and their surrogate values are formed and reduced one checkpoint and
-    ``_TRIAL_CHUNK`` trials at a time into reused buffers, so the scratch
-    memory is O(_TRIAL_CHUNK N) whatever R and the number of checkpoints.
+    and their surrogate values are formed one checkpoint and
+    ``_TRIAL_CHUNK`` trials at a time into a reused buffer and scored by
+    :func:`~sgdlsq.spaces.prediction_errors`, so the scratch memory is
+    O(_TRIAL_CHUNK N) whatever R and the number of checkpoints.
     The terms stay within 1e-12 relative of evaluating every checkpoint
     in one stacked product.
     """
@@ -226,18 +228,14 @@ def decompose(
                            cps)
     # one chunk of one checkpoint's trial values
     vals = np.empty((min(R, _TRIAL_CHUNK), eval_mat.shape[0]))
-    sq = np.empty_like(vals)
     tot_trials = np.empty((R, len(cps)))
     comp_trials = np.empty((R, len(cps)))
     for i in range(len(cps)):
         for lo in range(0, R, len(vals)):
             hi = min(lo + len(vals), R)
-            v, d = vals[:hi - lo], sq[:hi - lo]
-            np.matmul(block[i, lo:hi], eval_mat.T, out=v)
-            np.subtract(v, f_vals, out=d)
-            tot_trials[lo:hi, i] = np.square(d, out=d).mean(axis=1)
-            np.subtract(v, batch_vals[i], out=d)
-            comp_trials[lo:hi, i] = np.square(d, out=d).mean(axis=1)
+            v = np.matmul(block[i, lo:hi], eval_mat.T, out=vals[:hi - lo])
+            tot_trials[lo:hi, i] = prediction_errors(v, f_vals)
+            comp_trials[lo:hi, i] = prediction_errors(v, batch_vals[i])
 
     comp_var_sq = comp_trials.mean(axis=0)
     total = tot_trials.mean(axis=0)

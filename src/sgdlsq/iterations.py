@@ -9,8 +9,10 @@ All three start from the zero element and share the step-size law from
   returns its checkpoints as one :class:`Trajectory` block, one row
   of coefficients per checkpoint.
 * Mini-batch indices are sampled i.i.d. uniformly with replacement from
-  the whole sample, pre-drawn into an :class:`IndexPlan`, so a run is a
-  pure function of its inputs and every rerun is bit-identical.
+  the whole sample, pre-drawn into a (T, R, b) index table, one column
+  per run (:func:`sample_index_table`; an :class:`IndexPlan` is one
+  column), so a run is a pure function of its inputs and every rerun is
+  bit-identical.
 * A single run is inherently sequential; independent runs (distinct
   plans) advance in lockstep as one block (:func:`run_sgm_trials`) on one
   engine. Single-point (b = 1) runs take a block of steps per triangular
@@ -58,8 +60,9 @@ _BLOCK = 16
 class IndexPlan:
     """Pre-drawn mini-batch indices: row t-1 holds the b draws of step t.
 
-    Entries are 0-based positions into the sample. The table is fully
-    determined by (m, b, T, seed) through a Philox stream.
+    Entries are 0-based positions into the sample; a drawn plan's are
+    fully determined by (m, b, T, seed) through a Philox stream. Only the
+    shape is checked here: a run checks the entries (:func:`_check_table`).
     """
 
     m: int
@@ -71,15 +74,6 @@ class IndexPlan:
         if self.indices.shape != (self.T, self.b):
             raise ValueError(f"index table: expected shape (T, b) = {(self.T, self.b)}, "
                              f"got {self.indices.shape}")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.m):
-            raise ValueError("index plan entries must lie in [0, m)")
-
-
-def _check_plan_shape(m, b, T):
-    if not 1 <= b <= m:
-        raise ValueError(f"mini-batch size {b} out of range [1, {m}]")
-    if T < 1:
-        raise ValueError(f"iteration count must be >= 1, got {T}")
 
 
 def _index_dtype(m):
@@ -89,27 +83,27 @@ def _index_dtype(m):
 
 
 def sample_index_plan(m: int, b: int, T: int, seed: int) -> IndexPlan:
-    """Draw the T x b table of i.i.d. uniform indices for one run: drawn
-    as int64, stored as :func:`_index_dtype` (int32 for m <= 2^31)."""
-    _check_plan_shape(m, b, T)
-    idx = make_rng(seed).integers(0, m, size=(T, b), dtype=np.int64)
-    idx = idx.astype(_index_dtype(m), copy=False)
-    idx.setflags(write=False)
-    return IndexPlan(m=m, b=b, T=T, indices=idx)
+    """The T x b plan of i.i.d. uniform indices for one run: the one
+    column of ``sample_index_table(m, b, T, [seed])``."""
+    return IndexPlan(m, b, T, sample_index_table(m, b, T, [seed])[:, 0])
 
 
 def sample_index_table(m: int, b: int, T: int, seeds) -> np.ndarray:
     """The read-only (T, R, b) index table of R runs, one per seed: column
-    r holds the draws of ``sample_index_plan(m, b, T, seeds[r])``, so
-    trial r of :func:`run_sgm_trials` on the table equals :func:`run_sgm`
-    on that plan. Its entries have the plans' type (:func:`_index_dtype`)."""
+    r holds the T x b draws of ``make_rng(seeds[r])``, drawn as int64 and
+    stored as :func:`_index_dtype` (int32 for m <= 2^31). Trial r of
+    :func:`run_sgm_trials` on the table equals :func:`run_sgm` on
+    ``sample_index_plan(m, b, T, seeds[r])``."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    _check_plan_shape(m, b, T)
+    if not 1 <= b <= m:
+        raise ValueError(f"mini-batch size {b} out of range [1, {m}]")
+    if T < 1:
+        raise ValueError(f"iteration count must be >= 1, got {T}")
     table = np.empty((T, len(seeds), b), _index_dtype(m))
     for r, seed in enumerate(seeds):
-        table[:, r] = sample_index_plan(m, b, T, seed).indices
+        table[:, r] = make_rng(seed).integers(0, m, size=(T, b), dtype=np.int64)
     table.setflags(write=False)
     return table
 

@@ -46,11 +46,6 @@ class StepSchedule:
             raise ValueError(f"kappa_sq must be positive with eta1 / kappa_sq finite, "
                              f"got {self.kappa_sq}")
 
-    def eta(self, t: int) -> float:
-        if t < 1:
-            raise ValueError(f"step index must be >= 1, got {t}")
-        return self.eta1 / self.kappa_sq * float(t) ** (-self.theta)
-
     def etas(self, T: int) -> np.ndarray:
         """Vector (eta_1, ..., eta_T)."""
         t = np.arange(1, T + 1, dtype=np.float64)

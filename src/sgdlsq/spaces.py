@@ -76,8 +76,9 @@ class Trajectory:
     """Hypotheses at an increasing sequence of step counts, as one
     read-only (n_cp, w) block: row i holds the coordinates (euclidean)
     or the expansion coefficients over ``anchors`` (kernel) after
-    ``checkpoints[i]`` steps. ``anchors`` is None for euclidean runs.
-    A one-checkpoint trajectory is one hypothesis (:meth:`vector_at`)."""
+    ``checkpoints[i]`` steps, at least one. ``anchors`` is None for
+    euclidean runs. A one-checkpoint trajectory is one hypothesis
+    (:meth:`vector_at`)."""
 
     checkpoints: tuple
     coeffs: np.ndarray
@@ -90,6 +91,8 @@ class Trajectory:
         coeffs = np.asarray(self.coeffs, dtype=np.float64).view()
         if coeffs.ndim != 2:
             raise ValueError(f"coefficients must form an (n_cp, w) block, got {coeffs.shape}")
+        if len(self.checkpoints) == 0:
+            raise ValueError("trajectory has no checkpoints")
         if len(coeffs) != len(self.checkpoints):
             raise DimensionMismatch("checkpoints vs coefficient rows",
                                     len(self.checkpoints), len(coeffs))
@@ -190,7 +193,8 @@ def prediction_errors(values, targets, metric: str = "mse"):
     if targets.shape[-1] != n:
         raise DimensionMismatch("values vs targets", n, targets.shape[-1])
     if metric == "mse":
-        return np.square(values - targets).mean(axis=-1)
+        resid = np.subtract(values, targets)
+        return np.square(resid, out=resid).mean(axis=-1)
     if metric != "zero-one":
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     check_sign_labels(targets)

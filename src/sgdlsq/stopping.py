@@ -38,8 +38,6 @@ def holdout_stop(
     (kernel), and :func:`~sgdlsq.spaces.prediction_errors` reduces its
     rows.
     """
-    if len(trajectory.checkpoints) == 0:
-        raise ValueError("trajectory has no checkpoints")
     errors = prediction_errors(predict(trajectory, validation.x), validation.y, metric)
     best = int(np.argmin(errors))  # argmin returns the first minimizer
     return StoppingOutcome(

@@ -106,6 +106,19 @@ MUTANTS = (
            "if targets.shape[-1] != n:", "if targets.shape[-1] > n:",
            "tests/test_spaces.py",
            "one target against several values is a DimensionMismatch, not a broadcast"),
+    Mutant("trajectory-empty", "src/sgdlsq/spaces.py",
+           "        if len(self.checkpoints) == 0:\n"
+           "            raise ValueError(\"trajectory has no checkpoints\")\n", "",
+           "tests/test_spaces.py",
+           "a trajectory with no checkpoints is refused when made"),
+    Mutant("csv-params-unquoted", "src/sgdlsq/bounds.py",
+           "{_csv_field(text)}", "{text}",
+           "tests/test_bounds.py",
+           "a params field with a comma, quote or line break is quoted as csv.writer quotes it"),
+    Mutant("table-entry-edge", "src/sgdlsq/iterations.py",
+           "table.max() >= m", "table.max() > m",
+           "tests/test_iterations.py",
+           "an index table entry of m is past the sample"),
 )
 
 

@@ -3,7 +3,6 @@ import io
 import itertools
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from sgdlsq import (
     make_rng,
     verdicts_to_csv,
 )
-from sgdlsq import bounds
 from sgdlsq.bounds import LemmaVerdict, fsum, log_spaced_ts, sweep_contraction
 
 
@@ -249,19 +247,6 @@ class TestAcceptanceSweep:
         got = path.read_bytes()
         assert got == ref.getvalue().encode("utf-8")
         assert b"theta=-0.0;t=1.0" in got and b"theta=0.0;t=True" in got
-
-    @pytest.mark.parametrize("chunk", [1, 7, 1024])
-    def test_chunked_writes_give_the_same_bytes(self, tmp_path, chunk):
-        """Lines go out _CSV_CHUNK at a time; any chunk size writes the
-        bytes of one write of all lines."""
-        verdicts = acceptance_sweep(t_max=300)
-        assert len(verdicts) > 1024
-        path = tmp_path / "verdicts.csv"
-        with mock.patch.object(bounds, "_CSV_CHUNK", len(verdicts) + 1):
-            verdicts_to_csv(verdicts, path)
-        with mock.patch.object(bounds, "_CSV_CHUNK", chunk):
-            verdicts_to_csv(verdicts, tmp_path / "chunked.csv")
-        assert (tmp_path / "chunked.csv").read_bytes() == path.read_bytes()
 
     def test_verdict_slack_sign_convention(self):
         v = check_convolution_bound(1.0, 3)

@@ -83,6 +83,15 @@ class TestIndexPlan:
         with pytest.raises(ValueError, match=want):
             IndexPlan(m=10, b=2, T=5, indices=np.zeros(shape, dtype=np.int32))
 
+    def test_run_checks_a_hand_made_plans_entries(self):
+        """A plan checks only its shape; the run that reads it refuses an
+        entry past the sample, as it does for any index table."""
+        indices = np.zeros((5, 2), dtype=np.int32)
+        indices[2, 1] = 10
+        plan = IndexPlan(m=10, b=2, T=5, indices=indices)
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 10\)"):
+            run_sgm(gen_synthetic_abs(10, seed=1), None, StepSchedule(0.1), plan)
+
 
 class TestLogCheckpoints:
     def test_equals_unique_of_the_rounded_grid(self):

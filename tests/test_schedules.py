@@ -19,19 +19,20 @@ from sgdlsq import (
 class TestStepSchedule:
     def test_constant(self):
         sch = StepSchedule(1.0, 0.0, 1.0)
-        assert all(sch.eta(t) == 1.0 for t in (1, 5, 1000))
+        assert all(sch.etas(1000)[t - 1] == 1.0 for t in (1, 5, 1000))
 
     def test_decaying_value(self):
-        assert StepSchedule(0.5, 0.5, 1.0).eta(4) == pytest.approx(0.25, abs=1e-15)
+        assert StepSchedule(0.5, 0.5, 1.0).etas(4)[3] == pytest.approx(0.25, abs=1e-15)
 
     def test_sec9_simple_sgm_setting(self):
         # eta_t = 1/(8m) at m=100 corresponds to eta1 = 1/800, theta = 0
         sch = StepSchedule(1.0 / 800, 0.0, 1.0)
-        assert sch.eta(1) == sch.eta(999) == 1.0 / 800
+        etas = sch.etas(999)
+        assert etas[0] == etas[998] == 1.0 / 800
 
     def test_kappa_normalization(self):
         sch = StepSchedule(0.5, 0.0, 0.25)
-        assert sch.eta(1) == 2.0
+        assert sch.etas(1)[0] == 2.0
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.99])
     def test_monotone_nonincreasing(self, theta):
@@ -41,7 +42,7 @@ class TestStepSchedule:
 
     def test_any_positive_kappa_is_accepted(self):
         """A linear kernel's kappa^2 = max x^2 over points near 0."""
-        assert StepSchedule(0.5, 0.0, 1.2e-13).eta(1) == 0.5 / 1.2e-13
+        assert StepSchedule(0.5, 0.0, 1.2e-13).etas(1)[0] == 0.5 / 1.2e-13
 
     def test_invalid_parameters(self):
         for bad in ({"eta1": 0.0}, {"eta1": -1.0}, {"theta": 1.0}, {"theta": -0.1},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgdlsq import (
     AnchorSet,
@@ -219,6 +220,12 @@ class TestHypothesisInvariants:
         with pytest.raises(TypeError, match="anchors must be None or an AnchorSet, got tuple"):
             Trajectory((1, 2), np.zeros((2, 1)), (1, 1))
 
+    def test_no_checkpoints_refused(self):
+        """An empty trajectory has no final hypothesis; it is refused when
+        made, naming its checkpoints."""
+        with pytest.raises(ValueError, match="no checkpoints"):
+            Trajectory((), np.zeros((0, 1)))
+
 
 class TestPredictionErrors:
     def test_one_error_per_row_over_the_last_axis(self):
@@ -231,6 +238,21 @@ class TestPredictionErrors:
                                       [2 / 3, 1 / 3])
         with pytest.raises(ValueError, match="labels must be in .* found 0.5"):
             prediction_errors(values, [1.0, 0.5, 1.0], "zero-one")
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_cp=st.integers(1, 4), n=st.integers(1, 9), shared=st.booleans(),
+           data=st.data())
+    def test_mse_is_the_mean_squared_residual(self, n_cp, n, shared, data):
+        """The mean squared residual, bit for bit, for one target row or
+        one per value row; neither input is changed."""
+        floats = st.floats(-1e6, 1e6)
+        values = data.draw(arrays(np.float64, (n_cp, n), elements=floats))
+        targets = data.draw(arrays(np.float64, (n,) if shared else (n_cp, n), elements=floats))
+        before = values.copy(), targets.copy()
+        got = prediction_errors(values, targets)
+        np.testing.assert_array_equal(got, np.square(values - targets).mean(-1))
+        np.testing.assert_array_equal(values, before[0])
+        np.testing.assert_array_equal(targets, before[1])
 
     @pytest.mark.parametrize("metric", ["mse", "zero-one"])
     def test_no_points_rejected(self, metric):
