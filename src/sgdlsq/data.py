@@ -19,6 +19,17 @@ from .errors import (
 from .rng import make_rng
 
 
+def _as_points(x):
+    """The one reading of a point array: an (n, d) float64 view. A 0-D
+    value is one point, a 1-D array n scalar points, a 2-D array n points
+    of dimension d; so (n,) and (n, 1) are the same points, and one
+    d-dimensional point is ``[x]`` or ``x[None]``."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim > 2:
+        raise ValueError(f"points must be at most 2-dimensional, got shape {arr.shape}")
+    return arr if arr.ndim == 2 else arr.reshape(-1, 1)
+
+
 @dataclass(frozen=True)
 class Sample:
     """Ordered (x, y) pairs. ``x`` has shape (m,) or (m, d)."""
@@ -27,6 +38,8 @@ class Sample:
     y: np.ndarray
 
     def __post_init__(self):
+        if self.x.ndim not in (1, 2):
+            raise ValueError(f"sample inputs must have shape (m,) or (m, d), got {self.x.shape}")
         if self.x.shape[0] == 0:
             raise ValueError("a sample must contain at least one point")
         if self.x.shape[0] != self.y.shape[0]:
@@ -40,7 +53,7 @@ class Sample:
 
     @property
     def dim(self) -> int:
-        return 1 if self.x.ndim == 1 else self.x.shape[1]
+        return _as_points(self.x).shape[1]
 
 
 def _freeze(arr):
@@ -155,7 +168,7 @@ def _is_finite_float(cell):
 
 def save_csv(sample: Sample, path) -> None:
     """Write a sample back in the ``x1,...,xd,y`` format read by load_csv."""
-    x = sample.x[:, None] if sample.x.ndim == 1 else sample.x
+    x = _as_points(sample.x)
     d = x.shape[1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -203,14 +216,12 @@ def minmax_scale(sample: Sample, lo=None, hi=None):
     Returns ``(scaled_sample, constants)`` where constants records the
     per-column minima and maxima used (reusable for a test split).
     """
-    x = sample.x[:, None] if sample.x.ndim == 1 else sample.x
+    x = _as_points(sample.x)
     if lo is None:
         lo = x.min(axis=0)
         hi = x.max(axis=0)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     span = np.where(hi > lo, hi - lo, 1.0)
-    scaled = np.clip((x - lo) / span, 0.0, 1.0)
-    if sample.x.ndim == 1:
-        scaled = scaled[:, 0]
+    scaled = np.clip((x - lo) / span, 0.0, 1.0).reshape(sample.x.shape)
     return Sample(x=_freeze(scaled), y=sample.y), {"lo": lo.tolist(), "hi": hi.tolist()}

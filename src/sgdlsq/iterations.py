@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample
+from .bounds import log_spaced_ts
+from .data import Sample, _as_points
 from .errors import DivergenceError
 from .kernels import KernelSpec, build_gram, cross_matrix, kernel_diagonal
 from .rng import make_rng
@@ -128,18 +129,13 @@ def log_checkpoints(T: int, count: int = 30) -> tuple:
         raise ValueError(f"T must be >= 1, got {T}")
     if count < 1:
         raise ValueError(f"checkpoint count must be >= 1, got {count}")
-    # not np.unique, which imports numpy.ma (about 10-20 ms) on first use
-    return tuple(sorted(set(np.geomspace(1, T, num=min(count, T)).round().astype(int).tolist())))
-
-
-def _as_matrix(x):
-    return x[:, None] if x.ndim == 1 else x
+    return tuple(log_spaced_ts(T, min(count, T)))
 
 
 def _gram_rows(ctx, x):
     """What a step reads a point's row from: the Gram of ``x`` under the
     kernel ``ctx``, built for the caller alone, or the inputs as rows."""
-    return _as_matrix(x) if ctx is None else build_gram(ctx, x, check_psd=False).values
+    return _as_points(x) if ctx is None else build_gram(ctx, x, check_psd=False).values
 
 
 def _check_ctx(ctx):
@@ -203,7 +199,7 @@ def run_sgm_trials(samples, ctx, schedule: StepSchedule, table, checkpoints=None
     if not R or (stacked and len(samples) != R):
         raise ValueError(f"need one sample per index plan, got {len(samples)} for {R}")
     if any(s.m != m for s in samples):
-        raise ValueError("index plans and samples must share the sample size, b and T")
+        raise ValueError("index plans and samples must share the sample size")
     kernel = ctx is not None
     if not stacked:
         ys = samples[0].y
@@ -471,7 +467,7 @@ def run_batch_gm(
         scale = kernel_diagonal(ctx, sample.x).max()
         rows = _pivoted_cholesky(ctx, sample.x, _factor_budget(T, m, m * m))
     else:
-        x = _as_matrix(sample.x)
+        x = _as_points(sample.x)
         rows = x.T if x.shape[1] <= _factor_budget(T, m, 2 * m * x.shape[1]) else None
         scale = 1.0
     out = np.empty((len(cps), m if kernel else x.shape[1]))

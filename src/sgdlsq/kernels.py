@@ -13,6 +13,13 @@ sizes. For gaussian and sobolev it is the analytic supremum (1 and 1/4),
 not a data estimate, so step-size normalization carries no sampling
 noise.
 
+Points are read as :func:`~sgdlsq.data._as_points` reads them, so an
+(n,) array and an (n, 1) array are the same n scalar points and give the
+same bits; both operands must share their dimension d. Gaussian and
+sobolev kernels on d = 1 take the elementwise path, on the points' one
+column; a gaussian kernel on d > 1 and the linear kernel on any d take
+the inner-product path, through ``a @ b.T``.
+
 Kernel matrices are written in place into their result, one tile at a
 time, with each formula's operations in the textbook order, so no
 entry depends on the tiling. A Gram matrix computes only the tiles on
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _as_points
 from .errors import KernelDomainError
 
 KINDS = ("gaussian", "sobolev", "linear")
@@ -63,16 +71,6 @@ class KernelSpec:
         return self.kind
 
 
-def _as_points(x):
-    """Normalize a point collection to shape (n,) for scalars or (n, d)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim > 2:
-        raise ValueError(f"points must be at most 2-dimensional, got shape {arr.shape}")
-    return arr
-
-
 def _check_sobolev_domain(arr):
     lo, hi = float(np.min(arr)), float(np.max(arr))
     if lo < -_SOBOLEV_SLACK or hi > 1.0 + _SOBOLEV_SLACK:
@@ -83,32 +81,22 @@ def _check_sobolev_domain(arr):
 
 def _operands(spec, xs, anchors):
     """``xs`` and ``anchors`` in the shapes the kernel's formula reads,
-    after its dimension and domain checks. 2-D results take the
+    after its dimension and domain checks: both as (n, d) points
+    (:func:`~sgdlsq.data._as_points`) of one width d, and for gaussian
+    and sobolev with d = 1 as their (n,) columns. 2-D results take the
     inner-product path (``a @ b.T``), 1-D ones the elementwise path."""
-    xs = _as_points(xs)
-    anchors = _as_points(anchors)
-    if spec.kind == "gaussian":
-        if xs.ndim == 1 and anchors.ndim == 1:
-            return xs, anchors
-        a = np.atleast_2d(xs) if xs.ndim == 1 else xs
-        b = np.atleast_2d(anchors) if anchors.ndim == 1 else anchors
-        if a.ndim == 1 or b.ndim == 1 or a.shape[1] != b.shape[1]:
-            raise ValueError(
-                f"gaussian kernel inputs disagree in dimension: {xs.shape} vs {anchors.shape}"
-            )
-        return a, b
-    if spec.kind == "sobolev":
-        if xs.ndim != 1 or anchors.ndim != 1:
-            raise KernelDomainError("sobolev kernel takes scalar inputs")
-        _check_sobolev_domain(xs)
-        _check_sobolev_domain(anchors)
-        return xs, anchors
-    # linear
-    a = xs[:, None] if xs.ndim == 1 else xs
-    b = anchors[:, None] if anchors.ndim == 1 else anchors
+    a, b = _as_points(xs), _as_points(anchors)
     if a.shape[1] != b.shape[1]:
-        raise ValueError(f"linear kernel inputs disagree in dimension: {xs.shape} vs {anchors.shape}")
-    return a, b
+        raise ValueError(f"{spec.kind} kernel inputs disagree in dimension: "
+                         f"{a.shape} vs {b.shape}")
+    if spec.kind == "sobolev":
+        if a.shape[1] != 1:
+            raise KernelDomainError("sobolev kernel takes scalar inputs")
+        _check_sobolev_domain(a)
+        _check_sobolev_domain(b)
+    if spec.kind == "linear" or a.shape[1] > 1:
+        return a, b
+    return a[:, 0], b[:, 0]
 
 
 def _buffer(spec, a, b):
@@ -202,13 +190,13 @@ def build_gram(spec: KernelSpec, points, check_psd=None) -> GramMatrix:
     Symmetric by construction: the tiles on and above the diagonal are
     computed in place, as :func:`cross_matrix` computes them, and each is
     mirrored into the lower triangle, so half the kernel values are
-    evaluated. On the inner-product paths (d-dimensional gaussian, linear)
+    evaluated. On the inner-product paths (gaussian with d > 1, linear)
     every tile reads one ``points @ points.T`` product, which is also the
     output buffer.
 
     Parameters
     ----------
-    points : array-like, shape (n,) or (n, d)
+    points : array-like, shape (n,) or (n, d); (n,) is (n, 1)
     check_psd : bool or None
         Force or skip the eigenvalue positivity check. ``None`` checks
         automatically for n <= 256.
@@ -262,7 +250,7 @@ def kappa_sq(spec: KernelSpec, points=None) -> float:
 
 def kernel_diagonal(spec: KernelSpec, points) -> np.ndarray:
     """K(x_i, x_i) for each point, by the kernel's formula: 1 (gaussian),
-    (1 - x) x (sobolev), |x|^2 (linear). On scalar inputs it equals the
+    (1 - x) x (sobolev), |x|^2 (linear). On scalar points it equals the
     diagonal of :func:`build_gram` bit for bit; on the gaussian
     inner-product path the Gram's diagonal is 1 only to rounding."""
     a, _ = _operands(spec, points, points)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _as_points
 from .errors import DimensionMismatch
-from .kernels import _TILE, KernelSpec, _as_points, build_gram, cross_matrix
+from .kernels import _TILE, KernelSpec, build_gram, cross_matrix
 
 
 # Most floats in one tile of K(xs, anchors) that predict forms
@@ -137,16 +138,12 @@ def feature_matrix(h: Trajectory, xs) -> np.ndarray:
     which :func:`predict` forms one tile of rows at a time instead. It
     depends only on ``xs`` and the backend, dimension and anchor set of
     ``h``, so one F serves every checkpoint of a run."""
-    xs = np.asarray(xs, dtype=np.float64)
     if h.backend == "kernel":
         return cross_matrix(h.anchors.kernel, xs, h.anchors.points)
-    d = h.coeffs.shape[-1]
-    if xs.ndim == 1 and d == 1:
-        return xs[:, None]
-    if xs.ndim == 2 and xs.shape[1] == d:
-        return xs
-    got = xs.shape[1] if xs.ndim == 2 else 1
-    raise DimensionMismatch("hypothesis vs input point", d, got)
+    xs = _as_points(xs)
+    if xs.shape[1] != h.coeffs.shape[-1]:
+        raise DimensionMismatch("hypothesis vs input point", h.coeffs.shape[-1], xs.shape[1])
+    return xs
 
 
 def predict(h: Trajectory, xs) -> np.ndarray:

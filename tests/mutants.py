@@ -119,6 +119,18 @@ MUTANTS = (
            "table.max() >= m", "table.max() > m",
            "tests/test_iterations.py",
            "an index table entry of m is past the sample"),
+    Mutant("points-one-row", "src/sgdlsq/data.py",
+           "arr.reshape(-1, 1)", "arr.reshape(1, -1)",
+           "tests/test_kernels.py",
+           "a 1-D array is n scalar points, as (n, 1) is, not one n-dimensional point"),
+    Mutant("kernel-step-scaled", "src/sgdlsq/iterations.py",
+           "np.subtract.at(a, picks, u)", "np.subtract.at(a, picks, u * (1 + 1e-9))",
+           "tests/test_iterations.py",
+           "linear-kernel SGM predicts as euclidean SGM does"),
+    Mutant("euclidean-filter-scaled", "src/sgdlsq/iterations.py",
+           "h = (1 - eta * lam) * h + eta\n", "h = (1 - eta * lam) * h + eta * (1 + 1e-9)\n",
+           "tests/test_iterations.py",
+           "euclidean batch GM predicts as linear-kernel batch GM does"),
 )
 
 

@@ -1,6 +1,6 @@
 """Byte-identity check of the benchmark's commands between two checkouts.
 
-    python tests/same_bytes.py OLD_ROOT NEW_ROOT [--seed S]
+    python tests/same_bytes.py OLD_ROOT NEW_ROOT [--seed S] [--rel TOL]
 
 Writes the seeded CSV input of the ``rates-holdout`` workload once, then
 runs every command of both benchmark workloads (perfbench/workloads.py,
@@ -9,12 +9,24 @@ command in its own empty directory and with the same ``--data`` path on
 both sides. Every artifact a command writes and its stdout are compared
 byte for byte. Prints one line per difference and exits 1 if any file
 differs or is written on one side only, 2 if a command fails, 0 when
-everything is identical. Standard library only; pytest does not collect
-this file, as its name does not start with ``test_``.
+everything is identical.
+
+With ``--rel TOL`` a file whose bytes differ is parsed instead
+(:func:`compare`): a JSON artifact number by number along its paths, a
+CSV artifact cell by cell below its ``# config:`` line (all of it where
+it has none). The script
+prints each such file's largest relative change |a - b| / max(|a|, |b|)
+and exits 1 only where a token that is not a number differs (a key, a
+text cell, a separator, stdout) or a number moves by more than TOL.
+Standard library only; pytest does not collect this file, as its name
+does not start with ``test_``.
 """
 
 import argparse
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -52,11 +64,94 @@ def _outputs(root, commands, workdir):
     return outputs
 
 
+# a number as repr(float), str(int) or json.dumps writes it
+_NUMBER = re.compile(r"-?(\d+(\.\d*)?([eE][-+]?\d+)?|inf|nan)")
+
+
+class NonNumericChange(ValueError):
+    """Two versions of an artifact differ in more than their numbers."""
+
+
+def _rel(a, b):
+    """|a - b| relative to the larger magnitude: 0 for equal numbers
+    (two nan included), nan where one side is not finite."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _json_moves(a, b, path="$"):
+    """(relative change, path) of each number of two parsed JSON values."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number(a) and number(b):
+        yield _rel(a, b), path
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise NonNumericChange(f"{path}: keys {sorted(a.keys() ^ b.keys())} on one side only")
+        for key in a:
+            yield from _json_moves(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise NonNumericChange(f"{path}: {len(a)} vs {len(b)} items")
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_moves(x, y, f"{path}[{i}]")
+    elif type(a) is not type(b) or a != b:
+        raise NonNumericChange(f"{path}: {a!r} vs {b!r}")
+
+
+def _cells(text):
+    """The lines up to and including the ``# config:`` line (none if it
+    has none), and the rest as cells and the separators between them."""
+    lines = text.splitlines(keepends=True)
+    head = next((i + 1 for i, line in enumerate(lines) if line.startswith("# config:")), 0)
+    return "".join(lines[:head]), re.split(r"([,\r\n])", "".join(lines[head:]))
+
+
+def _csv_moves(a, b):
+    """(relative change, line) of each numeric cell of two CSV texts."""
+    head_a, cells_a = _cells(a)
+    head_b, cells_b = _cells(b)
+    if head_a != head_b:
+        raise NonNumericChange("the lines through '# config:' differ")
+    line = head_a.count("\n") + 1
+    for x, y in zip(cells_a, cells_b):
+        if _NUMBER.fullmatch(x) and _NUMBER.fullmatch(y):
+            yield _rel(float(x), float(y)), f"line {line}"
+        elif x != y:
+            raise NonNumericChange(f"line {line}: {x!r} vs {y!r}")
+        line += x == "\n"
+    if len(cells_a) != len(cells_b):
+        raise NonNumericChange(f"line {line}: one side ends here")
+
+
+def compare(name, old, new):
+    """The largest relative change of a number between two versions
+    (bytes) of the file ``name`` and where it is: (0.0, None) for equal
+    bytes. A ``.json`` file is compared number by number along its
+    paths, a ``.csv`` file cell by cell below its ``# config:`` line (or
+    from its first line), any other file as a whole. Raises :class:`NonNumericChange` naming
+    the first difference that is not a number's."""
+    if old == new:
+        return 0.0, None
+    if name.endswith(".json"):
+        moves = _json_moves(json.loads(old), json.loads(new))
+    elif name.endswith(".csv"):
+        moves = _csv_moves(old.decode(), new.decode())
+    else:
+        raise NonNumericChange("the bytes differ")
+    # the first largest change; a nan change is larger than any other
+    return max(moves, key=lambda move: math.inf if math.isnan(move[0]) else move[0],
+               default=(0.0, None))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old_root", type=Path)
     p.add_argument("new_root", type=Path)
     p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--rel", type=float, metavar="TOL",
+                   help="let numbers in JSON and CSV artifacts move by this relative change")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
         tmp = Path(tmp)
@@ -74,17 +169,30 @@ def main(argv=None):
         except RuntimeError as exc:
             print(f"error: {exc}")
             return 2
-    differ = []
+    differ = within = 0
     for (label, _), a, b in zip(commands, old, new):
         for fname in sorted(a.keys() | b.keys()):
-            if a.get(fname) != b.get(fname):
-                differ.append(f"{label}: {fname}")
-    compared = sum(len(a) for a in old)
-    for line in differ:
-        print(f"differs   {line}")
+            if a.get(fname) == b.get(fname):
+                continue
+            verdict = "differs"
+            if args.rel is not None and fname in a and fname in b:
+                try:
+                    rel, where = compare(fname, a[fname], b[fname])
+                    verdict = "within" if rel <= args.rel else "differs"
+                    fname += f"  largest relative change {rel:.3g} at {where}"
+                except NonNumericChange as exc:
+                    fname += f"  {exc}"
+            differ += verdict == "differs"
+            within += verdict == "within"
+            print(f"{verdict:9} {label}: {fname}")
     if differ:
         return 1
-    print(f"{compared} files of {len(commands)} commands are byte-identical at seed {args.seed}")
+    compared = sum(len(a) for a in old)
+    if within:
+        print(f"{compared - within} files of {len(commands)} commands are byte-identical and "
+              f"{within} within relative {args.rel:g} at seed {args.seed}")
+    else:
+        print(f"{compared} files of {len(commands)} commands are byte-identical at seed {args.seed}")
     return 0
 
 

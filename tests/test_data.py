@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,48 @@ from sgdlsq import (
     save_csv,
     split,
 )
+from sgdlsq.data import _as_points
+
+
+class TestPointFormat:
+    """One reading of a point array, beside Sample: an (n, d) view."""
+
+    def test_zero_one_and_two_dimensional_arrays(self):
+        assert _as_points(0.5).shape == (1, 1)
+        x = np.arange(3.0)
+        col = _as_points(x)
+        assert col.shape == (3, 1) and np.shares_memory(col, x)
+        np.testing.assert_array_equal(col[:, 0], x)
+        pts = np.ones((4, 2))
+        assert _as_points(pts) is pts
+        assert _as_points([[1, 2, 3]]).shape == (1, 3)
+        with pytest.raises(ValueError, match=re.escape("(2, 2, 2)")):
+            _as_points(np.ones((2, 2, 2)))
+
+    def test_a_view_never_a_copy(self):
+        """Columns and strided slices are read in place."""
+        x = np.ones((6, 4))
+        for view in (x[:, 1], x[::2, 0], x[:, 1:3]):
+            assert np.shares_memory(_as_points(view), x)
+
+    @pytest.mark.parametrize("x", [np.zeros((6, 2, 2)), np.float64(0.5)], ids=["3-D", "0-D"])
+    def test_sample_refuses_inputs_not_m_or_m_by_d(self, x):
+        """A rank-3 array would run as (m, 2) inputs and fail inside a run;
+        a 0-D one is one value, not a sample."""
+        with pytest.raises(ValueError, match=re.escape(f"(m,) or (m, d), got {x.shape}")):
+            Sample(x, np.ones(6) if x.ndim else np.float64(1.0))
+
+    def test_column_and_scalar_samples_have_one_dimension(self, tmp_path):
+        s = gen_synthetic_abs(9, seed=4)
+        col = Sample(s.x[:, None], s.y)
+        assert s.dim == col.dim == 1
+        save_csv(s, tmp_path / "a.csv")
+        save_csv(col, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        scaled, consts = minmax_scale(col)
+        assert scaled.x.shape == (9, 1)
+        np.testing.assert_array_equal(scaled.x[:, 0], minmax_scale(s)[0].x)
+        assert consts == minmax_scale(s)[1]
 
 
 class TestAbsTarget:

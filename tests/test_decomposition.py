@@ -391,6 +391,25 @@ class TestDecomposeBatch:
         assert all(rep.ineq_ok)
 
 
+class TestPointFormat:
+    @pytest.mark.parametrize("kernel", [GAUSS, KernelSpec("sobolev"), None],
+                             ids=["gaussian", "sobolev", "euclidean"])
+    def test_a_column_sample_gives_the_scalar_samples_report(self, kernel):
+        """An (m, 1) sample with a 1-D surrogate is the (m,) sample: both
+        reports agree bit for bit."""
+        sample = gen_synthetic_abs(40, seed=3)
+        column = Sample(sample.x[:, None], sample.y)
+        surr = gen_synthetic_abs(300, seed=4).x
+        sch = StepSchedule(0.5)
+        for report in (lambda s: decompose(s, surr, abs_target, kernel, sch, b=1, T=50, R=3,
+                                           base_seed=7, checkpoints=(5, 50)),
+                       lambda s: decompose_batch(s, surr, abs_target, kernel, sch, 50,
+                                                 checkpoints=(5, 50))):
+            want, got = report(sample), report(column)
+            for field in dataclasses.fields(want):
+                np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
 class TestUnbiasednessCheck:
     def test_step_one_is_exact(self):
         sample = gen_synthetic_abs(6, seed=2)

@@ -37,6 +37,7 @@ from sgdlsq import (
     unbiasedness_check,
 )
 from sgdlsq import iterations, spaces
+from sgdlsq.data import _as_points
 from sgdlsq.iterations import IndexPlan
 from sgdlsq.kernels import kernel_diagonal
 from sgdlsq.spaces import Trajectory, feature_matrix
@@ -387,14 +388,14 @@ def _surrogate_case(kind, n, d, seed):
     rng = make_rng(seed)
     if kind == "euclidean":
         pts = rng.random((n, d)) if d > 1 else rng.random(n)
-        return pts, None, iterations._as_matrix(pts).T, kappa_sq(KernelSpec("linear"), pts)
+        return pts, None, _as_points(pts).T, kappa_sq(KernelSpec("linear"), pts)
     spec = KernelSpec(kind, sigma=0.2 if kind == "gaussian" else None)
     pts = rng.random(n)
     return pts, spec, build_gram(spec, pts, check_psd=False).values, kappa_sq(spec, pts)
 
 
 def _target(pts):
-    return np.abs(iterations._as_matrix(pts).sum(axis=1) - 0.5) - 0.5
+    return np.abs(_as_points(pts).sum(axis=1) - 0.5) - 0.5
 
 
 def _noisy(pts, seed, scale=1.0):
@@ -412,7 +413,7 @@ def _batch_loop(sample, gram, etas, cps):
     m = sample.m
     out = []
     if gram is None:
-        x = iterations._as_matrix(sample.x)
+        x = _as_points(sample.x)
         w = np.zeros(x.shape[1])
         for t in range(1, len(etas) + 1):
             resid = x @ w - sample.y
@@ -937,7 +938,7 @@ def _b1_reference(sample, kind, sch, plan, cps):
     """The step loop on one plan and the matrix taking its coefficients
     to sample values."""
     if kind == "euclidean":
-        gram, to_vals = None, iterations._as_matrix(sample.x).T
+        gram, to_vals = None, _as_points(sample.x).T
     else:
         gram = to_vals = build_gram(_SPECS[kind], sample.x, check_psd=False).values
     return _sequential_sgm(sample, gram, sch.etas(plan.T), plan, set(cps)), to_vals
@@ -1218,3 +1219,58 @@ class TestSgmMemory:
         assert eng.call_count == 4 and block.base is None
         assert block.nbytes == len(cps) * R * m * 8 == 960_000
         assert peak - 8 * m * m <= block.nbytes + 600_000
+
+
+_LINEAR = KernelSpec("linear")
+
+
+class TestLinearKernelIsEuclidean:
+    """Under the linear kernel K = X X^T a kernel iterate a is the
+    euclidean iterate w = X^T a, so the two backends predict the same
+    values: each is the other's oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 59), d=st.integers(1, 5), scalar=st.booleans(),
+           T=st.integers(1, 400), theta=st.sampled_from([0.0, 0.3]),
+           b=st.integers(1, 4), blocked=st.booleans(), loop=st.booleans(),
+           seed=st.integers(0, 2**32))
+    @example(m=59, d=2, scalar=False, T=400, theta=0.0, b=1, blocked=True, loop=False, seed=0)
+    def test_backends_predict_alike(self, m, d, scalar, T, theta, b, blocked, loop, seed):
+        """The predictions of run_sgm_trials (the blocked b = 1 path at
+        eta_1 K_jj <= 0.9, the step loop at 1.5), run_batch_gm and
+        run_population (the spectral filter, or the step loop where the
+        factor budget is 0) agree within 1e-12 of the largest value or
+        target. A 1-D array of scalar inputs stands for d = 1 half the
+        time. Not of the largest value alone: the kernel filter's sample
+        values err by up to about s_T lam_max eps max|y| (run_batch_gm),
+        and with d = 1 and targets nearly orthogonal to x they are about
+        1e-3 of y (at m = 4, T = 342, eta_1 = 1.5, 4.6e-11 of the largest
+        value, 1.8e-14 of the largest target)."""
+        rng = make_rng(seed)
+        x = rng.standard_normal((m, d))
+        surrogate = x[rng.integers(0, m, 40)] * rng.random((40, 1))  # within the norm bound
+        if d == 1 and scalar:
+            x, surrogate = x[:, 0], surrogate[:, 0]
+        sample = Sample(x, _target(x) + rng.standard_normal(m))
+        b = min(b, m)
+        sch = StepSchedule(0.9 if blocked else 1.5, theta, kappa_sq(_LINEAR, x))
+        cps = log_checkpoints(T, 6)
+        table = sample_index_table(m, b, T, [seed, seed + 1])
+        values = {}
+        for ctx in (_LINEAR, None):
+            with mock.patch.object(iterations, "_sgm_steps", wraps=iterations._sgm_steps) as eng:
+                trials = run_sgm_trials(sample, ctx, sch, table, cps)
+            assert (iterations._BLOCK in _block_lengths(eng)) == \
+                (blocked and b == 1 and (m > 1 or ctx is None))
+            anchors = None if ctx is None else AnchorSet(x, ctx)
+            values[ctx] = [predict(Trajectory(cps, trials[:, r], anchors), x) for r in range(2)]
+            with mock.patch.object(iterations, "_factor_budget",
+                                   **({"return_value": 0} if loop
+                                      else {"wraps": iterations._factor_budget})):
+                values[ctx] += [predict(run_batch_gm(sample, ctx, sch, T, cps), x),
+                                predict(run_population(surrogate, ctx, _target, sch, T, cps),
+                                        surrogate)]
+        targets = [sample.y] * 3 + [_target(surrogate)]
+        for kernel, euclidean, y in zip(values[_LINEAR], values[None], targets):
+            scale = max(np.abs(euclidean).max(), np.abs(y).max())
+            assert np.max(np.abs(kernel - euclidean)) <= 1e-12 * scale

@@ -296,6 +296,48 @@ class TestLazyAnchorSet:
         assert kappa_sq(LIN, pts[:, 0]) == float(np.max(pts[:, 0] ** 2))
 
 
+class TestPointFormat:
+    """(n,) and (n, 1) are the same n scalar points for every kernel, bit
+    for bit: both read through sgdlsq.data._as_points, and gaussian and
+    sobolev kernels on one dimension take the elementwise path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from([GAUSS, SOB, LIN]), n=st.integers(1, 12),
+           n_cross=st.integers(1, 9), seed=st.integers(0, 2**32))
+    def test_either_shape_gives_the_same_bits(self, spec, n, n_cross, seed):
+        """build_gram, cross_matrix (both orders, formats mixed),
+        kernel_diagonal and predict on 1-D anchors agree on the two
+        shapes of the same points."""
+        rng = np.random.default_rng(seed)
+        pts, xs = rng.random(n), rng.random(n_cross)
+        col, xcol = pts[:, None], xs[:, None]
+        gram = build_gram(spec, pts, check_psd=False).values
+        np.testing.assert_array_equal(build_gram(spec, col, check_psd=False).values, gram)
+        cross, cross_t = cross_matrix(spec, xs, pts), cross_matrix(spec, pts, xs)
+        for a, b in ((xcol, pts), (xs, col), (xcol, col)):
+            np.testing.assert_array_equal(cross_matrix(spec, a, b), cross)
+            np.testing.assert_array_equal(cross_matrix(spec, b, a), cross_t)
+        np.testing.assert_array_equal(kernels.kernel_diagonal(spec, col),
+                                      kernels.kernel_diagonal(spec, pts))
+        h = Trajectory((1, 2), rng.standard_normal((2, n)), AnchorSet(pts, spec))
+        np.testing.assert_array_equal(predict(h, xcol), predict(h, xs))
+
+    @pytest.mark.parametrize("spec", [GAUSS, SOB, LIN], ids=lambda s: s.kind)
+    def test_a_1d_array_is_scalar_points_not_one_point(self, spec):
+        """Three scalars against 3-d points disagree in dimension; one
+        3-d point is written [x] or x[None]."""
+        with pytest.raises(ValueError, match="disagree in dimension"):
+            cross_matrix(spec, [0.1, 0.2, 0.3], np.zeros((4, 3)))
+        if spec != SOB:
+            assert cross_matrix(spec, [[0.1, 0.2, 0.3]], np.zeros((4, 3))).shape == (1, 4)
+
+    def test_sobolev_takes_one_dimension(self):
+        with pytest.raises(KernelDomainError, match="scalar inputs"):
+            cross_matrix(SOB, np.full((2, 2), 0.5), np.full((3, 2), 0.5))
+        with pytest.raises(KernelDomainError, match=r"\[0, 1\]"):
+            build_gram(SOB, [[0.5], [1.5]])
+
+
 class TestKappaSq:
     def test_analytic_values(self):
         assert kappa_sq(GAUSS) == 1.0
