@@ -32,16 +32,21 @@ def _as_points(x):
 
 @dataclass(frozen=True)
 class Sample:
-    """Ordered (x, y) pairs. ``x`` has shape (m,) or (m, d)."""
+    """Ordered (x, y) pairs. ``x`` has shape (m,) or (m, d), ``y`` shape
+    (m,); array-likes are read as arrays, and an array is kept as given."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x))
+        object.__setattr__(self, "y", np.asarray(self.y))
         if self.x.ndim not in (1, 2):
             raise ValueError(f"sample inputs must have shape (m,) or (m, d), got {self.x.shape}")
         if self.x.shape[0] == 0:
             raise ValueError("a sample must contain at least one point")
+        if self.y.ndim != 1:
+            raise ValueError(f"sample targets must have shape (m,), got {self.y.shape}")
         if self.x.shape[0] != self.y.shape[0]:
             raise DimensionMismatch("inputs vs targets", self.x.shape[0], self.y.shape[0])
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):

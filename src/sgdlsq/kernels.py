@@ -20,10 +20,13 @@ sobolev kernels on d = 1 take the elementwise path, on the points' one
 column; a gaussian kernel on d > 1 and the linear kernel on any d take
 the inner-product path, through ``a @ b.T``.
 
-Kernel matrices are written in place into their result, one tile at a
-time, with each formula's operations in the textbook order, so no
-entry depends on the tiling. A Gram matrix computes only the tiles on
-and above its diagonal and mirrors them.
+Kernel matrices are written in place into their result, one row tile
+of at most ``_TILE`` rows and ``_TILE**2`` floats at a time, with each
+formula's operations in the textbook order, so no entry depends on the
+tiling. A Gram matrix is :func:`cross_matrix` of its points with
+themselves, and exactly symmetric: each formula is symmetric in its two
+operands ((x - y)^2 = (y - x)^2, min and max), and ``a @ a.T`` of one
+buffer runs as syrk.
 """
 
 import math
@@ -39,8 +42,9 @@ KINDS = ("gaussian", "sobolev", "linear")
 
 _SOBOLEV_SLACK = 1e-12
 
-# kernel matrices are filled in blocks of this many rows (and, for a Gram,
-# columns), which keeps the elementwise passes and the temporaries in cache
+# kernel matrices are filled in blocks of at most this many rows and its
+# square of floats, which keeps the elementwise passes and the temporaries
+# in cache
 _TILE = 256
 
 
@@ -113,62 +117,52 @@ def _buffer(spec, a, b):
     return a @ b.T, None
 
 
-def _fill(spec, out, a, b, norms, rows, cols):
-    """Turn ``out[rows, cols]`` into K(a[rows], b[cols]) in place.
+def _fill(spec, out, a, b, norms, rows):
+    """Turn ``out[rows]`` into K(a[rows], b) in place.
 
     The arithmetic is the textbook expression's, in its order, so the
     values do not depend on the block: exp(-(x - y)^2 / (2 sigma^2)),
     exp(-max((|a|^2 + |b|^2) - 2 <a, b>, 0) / (2 sigma^2)),
     min(x, y) * (1 - max(x, y)), and <a, b> as the buffer holds it.
     """
-    blk = out[rows, cols]
+    blk = out[rows]
     if spec.kind == "gaussian":
         if norms is None:
-            np.subtract.outer(a[rows], b[cols], out=blk)
+            np.subtract.outer(a[rows], b, out=blk)
             np.square(blk, out=blk)
         else:
             # x + (-2g) is x - 2g exactly
             blk *= -2.0
-            blk += np.add.outer(norms[0][rows], norms[1][cols])
+            blk += np.add.outer(norms[0][rows], norms[1])
             np.maximum(blk, 0.0, out=blk)
         # x / -c is -(x / c) exactly
         blk /= -(2.0 * spec.sigma**2)
         np.exp(blk, out=blk)
     elif spec.kind == "sobolev":
-        np.maximum.outer(a[rows], b[cols], out=blk)
+        np.maximum.outer(a[rows], b, out=blk)
         np.subtract(1.0, blk, out=blk)
-        blk *= np.minimum.outer(a[rows], b[cols])
-
-
-def _upper_tiles(n):
-    """(rows, cols) slices of the square tiles on and above the diagonal
-    of an n x n matrix."""
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            yield slice(i, i + _TILE), slice(j, j + _TILE)
+        blk *= np.minimum.outer(a[rows], b)
 
 
 def cross_matrix(spec: KernelSpec, xs, anchors) -> np.ndarray:
     """Matrix of kernel values K(xs[i], anchors[j]), shape (len(xs), len(anchors)).
 
-    Written in place into the result in row tiles, so no temporary is
-    larger than one tile.
+    Written in place into the result in row tiles of at most ``_TILE``
+    rows and ``_TILE**2`` floats (one row where a row is longer), so no
+    temporary is larger than one tile.
     """
     a, b = _operands(spec, xs, anchors)
     out, norms = _buffer(spec, a, b)
-    for i in range(0, a.shape[0], _TILE):
-        _fill(spec, out, a, b, norms, slice(i, i + _TILE), slice(None))
+    rows = min(_TILE, max(1, _TILE * _TILE // max(1, b.shape[0])))
+    for i in range(0, a.shape[0], rows):
+        _fill(spec, out, a, b, norms, slice(i, i + rows))
     return out
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Dense symmetric kernel matrix.
-
-    :func:`build_gram` makes it symmetric by construction: it computes
-    the tiles on and above the diagonal and mirrors each into the lower
-    triangle.
-    """
+    """Dense symmetric kernel matrix, as :func:`build_gram` makes it:
+    :func:`cross_matrix` of the points with themselves."""
 
     values: np.ndarray
 
@@ -187,12 +181,10 @@ _PSD_TOL = 1e-8
 def build_gram(spec: KernelSpec, points, check_psd=None) -> GramMatrix:
     """Gram matrix of ``points`` under ``spec``.
 
-    Symmetric by construction: the tiles on and above the diagonal are
-    computed in place, as :func:`cross_matrix` computes them, and each is
-    mirrored into the lower triangle, so half the kernel values are
-    evaluated. On the inner-product paths (gaussian with d > 1, linear)
-    every tile reads one ``points @ points.T`` product, which is also the
-    output buffer.
+    Its values are ``cross_matrix(spec, points, points)``, exactly
+    symmetric, since each formula is symmetric in its operands and, on
+    the inner-product paths (gaussian with d > 1, linear), the one
+    ``points @ points.T`` product runs as syrk.
 
     Parameters
     ----------
@@ -211,12 +203,7 @@ def build_gram(spec: KernelSpec, points, check_psd=None) -> GramMatrix:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("cannot build a Gram matrix from an empty point list")
-    a, _ = _operands(spec, pts, pts)
-    k, norms = _buffer(spec, a, a)
-    for rows, cols in _upper_tiles(n):
-        _fill(spec, k, a, a, norms, rows, cols)
-        if rows != cols:
-            k[cols, rows] = k[rows, cols].T
+    k = cross_matrix(spec, pts, pts)
     bound = kappa_sq(spec, pts)
     max_diag = float(np.max(np.diag(k)))
     if max_diag > bound * (1.0 + 1e-12) + 1e-15:

@@ -55,7 +55,7 @@ class AnchorSet:
     def __post_init__(self):
         pts = np.array(self.points, dtype=np.float64)
         if pts.shape[0] == 0:
-            raise ValueError("cannot build a Gram matrix from an empty point list")
+            raise ValueError("an anchor set cannot be made from an empty point list")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -131,6 +131,14 @@ MUTANTS = (
            "h = (1 - eta * lam) * h + eta\n", "h = (1 - eta * lam) * h + eta * (1 + 1e-9)\n",
            "tests/test_iterations.py",
            "euclidean batch GM predicts as linear-kernel batch GM does"),
+    Mutant("cross-tile-uncapped", "src/sgdlsq/kernels.py",
+           "rows = min(_TILE, max(1, _TILE * _TILE // max(1, b.shape[0])))", "rows = _TILE",
+           "tests/test_kernels.py",
+           "a kernel matrix's row tile holds at most _TILE^2 floats"),
+    Mutant("sample-targets-any-rank", "src/sgdlsq/data.py",
+           "if self.y.ndim != 1:", "if self.y.ndim == 0:",
+           "tests/test_data.py",
+           "a sample's targets have shape (m,)"),
 )
 
 

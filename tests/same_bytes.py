@@ -4,7 +4,9 @@
 
 Writes the seeded CSV input of the ``rates-holdout`` workload once, then
 runs every command of both benchmark workloads (perfbench/workloads.py,
-imported read-only) in a fresh process under each root's ``src``, each
+imported read-only) and each root's copy of the four demos
+(``demos/*.py``: bound_checks, early_stopping, error_decomposition,
+learning_curves) in a fresh process under each root's ``src``, each
 command in its own empty directory and with the same ``--data`` path on
 both sides. Every artifact a command writes and its stdout are compared
 byte for byte. Prints one line per difference and exits 1 if any file
@@ -32,7 +34,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
@@ -46,14 +49,25 @@ def _env(root):
     return env
 
 
+def _cli(cmd):
+    """The arguments of a benchmark command, under any root."""
+    return lambda root: ["-m", "sgdlsq.cli", *cmd.argv()]
+
+
+def _demo(name):
+    """The arguments of the demo ``name``, the root's own copy."""
+    return lambda root: [str(Path(root).resolve() / "demos" / name)]
+
+
 def _outputs(root, commands, workdir):
-    """{file name: bytes} per command: its artifacts and its stdout, run
-    under ``root``; a RuntimeError names a command that fails."""
+    """{file name: bytes} per (label, arguments of a root) command: its
+    artifacts and its stdout, run under ``root``; a RuntimeError names a
+    command that fails."""
     outputs = []
-    for i, (label, cmd) in enumerate(commands):
+    for i, (label, args) in enumerate(commands):
         cdir = workdir / f"c{i}"
         cdir.mkdir(parents=True)
-        argv = [sys.executable, "-m", "sgdlsq.cli", *cmd.argv()]
+        argv = [sys.executable, *args(root)]
         proc = subprocess.run(argv, cwd=cdir, env=_env(root), capture_output=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{label} under {root} exited {proc.returncode}: "
@@ -145,6 +159,25 @@ def compare(name, old, new):
                default=(0.0, None))
 
 
+def differences(commands, old, new, rel=None):
+    """(verdict, line) for each file of each command whose bytes differ
+    between the ``old`` and ``new`` outputs: "differs", or with ``rel``
+    "within" where :func:`compare` finds every number within it."""
+    for (label, _), a, b in zip(commands, old, new):
+        for fname in sorted(a.keys() | b.keys()):
+            if a.get(fname) == b.get(fname):
+                continue
+            verdict = "differs"
+            if rel is not None and fname in a and fname in b:
+                try:
+                    change, where = compare(fname, a[fname], b[fname])
+                    verdict = "within" if change <= rel else "differs"
+                    fname += f"  largest relative change {change:.3g} at {where}"
+                except NonNumericChange as exc:
+                    fname += f"  {exc}"
+            yield verdict, f"{verdict:9} {label}: {fname}"
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old_root", type=Path)
@@ -161,8 +194,9 @@ def main(argv=None):
             wk = workloads.build(name, args.seed, False, csv_path)
             if wk.csv_rows and not csv_path.exists():
                 workloads.write_csv(csv_path, wk.csv_rows, args.seed)
-            commands += [(f"{name}[{i}] {' '.join(cmd.argv())}", cmd)
+            commands += [(f"{name}[{i}] {' '.join(cmd.argv())}", _cli(cmd))
                          for i, cmd in enumerate(wk.commands)]
+        commands += [(f"demo {p.name}", _demo(p.name)) for p in sorted(ROOT.glob("demos/*.py"))]
         try:
             old = _outputs(args.old_root, commands, tmp / "old")
             new = _outputs(args.new_root, commands, tmp / "new")
@@ -170,21 +204,10 @@ def main(argv=None):
             print(f"error: {exc}")
             return 2
     differ = within = 0
-    for (label, _), a, b in zip(commands, old, new):
-        for fname in sorted(a.keys() | b.keys()):
-            if a.get(fname) == b.get(fname):
-                continue
-            verdict = "differs"
-            if args.rel is not None and fname in a and fname in b:
-                try:
-                    rel, where = compare(fname, a[fname], b[fname])
-                    verdict = "within" if rel <= args.rel else "differs"
-                    fname += f"  largest relative change {rel:.3g} at {where}"
-                except NonNumericChange as exc:
-                    fname += f"  {exc}"
-            differ += verdict == "differs"
-            within += verdict == "within"
-            print(f"{verdict:9} {label}: {fname}")
+    for verdict, line in differences(commands, old, new, args.rel):
+        print(line)
+        differ += verdict == "differs"
+        within += verdict == "within"
     if differ:
         return 1
     compared = sum(len(a) for a in old)

@@ -54,6 +54,23 @@ class TestPointFormat:
         with pytest.raises(ValueError, match=re.escape(f"(m,) or (m, d), got {x.shape}")):
             Sample(x, np.ones(6) if x.ndim else np.float64(1.0))
 
+    @pytest.mark.parametrize("y", [np.ones((6, 1)), np.ones((6, 2)), np.float64(1.0)],
+                             ids=["column", "2-D", "0-D"])
+    def test_sample_refuses_targets_not_m(self, y):
+        """A column of targets constructed and ran to a (1, 1) coefficient
+        block; a 0-D one raised IndexError."""
+        with pytest.raises(ValueError, match=re.escape(f"(m,), got {y.shape}")):
+            Sample(np.zeros(6), y)
+
+    def test_array_likes_are_read_as_arrays_and_arrays_kept(self):
+        s = Sample([0.1, 0.2], [1.0, 2.0])
+        assert isinstance(s.x, np.ndarray) and isinstance(s.y, np.ndarray)
+        assert s.m == 2 and s.dim == 1
+        np.testing.assert_array_equal(s.y, [1.0, 2.0])
+        x, y = np.zeros((3, 2)), np.ones(3)
+        kept = Sample(x, y)
+        assert kept.x is x and kept.y is y
+
     def test_column_and_scalar_samples_have_one_dimension(self, tmp_path):
         s = gen_synthetic_abs(9, seed=4)
         col = Sample(s.x[:, None], s.y)

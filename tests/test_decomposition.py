@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlsq import (
     AnchorSet,
@@ -22,6 +24,10 @@ from sgdlsq import (
     gen_linear_attainable,
     gen_synthetic_abs,
     h_norm_error,
+    holdout_stop,
+    kappa_sq,
+    log_checkpoints,
+    make_rng,
     mix_seed,
     predict,
     run_batch_gm,
@@ -31,6 +37,7 @@ from sgdlsq import (
     unbiasedness_check,
 )
 from sgdlsq import decomposition, iterations
+from sgdlsq.data import _as_points
 
 GAUSS = KernelSpec("gaussian", sigma=0.2)
 
@@ -408,6 +415,61 @@ class TestPointFormat:
             want, got = report(sample), report(column)
             for field in dataclasses.fields(want):
                 np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+class TestLinearKernelIsEuclidean:
+    """Under the linear kernel K = X X^T a kernel iterate predicts as the
+    euclidean one does, so the reports built on the two backends agree:
+    each is the other's oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 30), N=st.integers(1, 60), T=st.integers(1, 150),
+           d=st.integers(1, 3), scalar=st.booleans(), R=st.integers(2, 4),
+           b=st.integers(1, 4), eta1=st.sampled_from([0.5, 0.9]),
+           theta=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32))
+    def test_reports_and_holdout_agree(self, m, N, T, d, scalar, R, b, eta1, theta, seed):
+        """decompose's and decompose_batch's terms and holdout_stop's
+        errors under KernelSpec("linear") and ctx=None agree within 1e-12
+        of (max|f|^2 + the term's largest value); the chosen t differs only
+        where the two chosen errors tie within that bound. f is the kinked
+        target on d = 1 and linear on d > 1. A 1-D array of scalar inputs
+        stands for d = 1 half the time."""
+        rng = make_rng(seed)
+        w = rng.standard_normal(d)
+
+        def f(pts):
+            pts = _as_points(pts)
+            return np.abs(pts[:, 0] - 0.5) - 0.5 if d == 1 else pts @ w
+
+        x = rng.standard_normal((m, d))
+        # within the sample's norm bound
+        surrogate = x[rng.integers(0, m, N)] * rng.random((N, 1))
+        val_x = x[rng.integers(0, m, 20)] * rng.random((20, 1))
+        if d == 1 and scalar:
+            x, surrogate, val_x = x[:, 0], surrogate[:, 0], val_x[:, 0]
+        sample = Sample(x, f(x) + rng.standard_normal(m))
+        validation = Sample(val_x, f(val_x) + rng.standard_normal(20))
+        b = min(b, m)
+        lin = KernelSpec("linear")
+        sch = StepSchedule(eta1, theta, kappa_sq(lin, x))
+        cps = log_checkpoints(T, 6)
+        f_sq = float(np.abs(f(surrogate)).max()) ** 2
+        reports, outcomes = {}, {}
+        for ctx in (lin, None):
+            reports[ctx] = [decompose(sample, surrogate, f, ctx, sch, b, T, R, seed, cps),
+                            decompose_batch(sample, surrogate, f, ctx, sch, T, cps)]
+            plan = sample_index_plan(m, b, T, seed)
+            outcomes[ctx] = holdout_stop(run_sgm(sample, ctx, sch, plan, cps), validation)
+        for kernel, euclidean in zip(reports[lin], reports[None]):
+            for field in ("bias_sq", "sample_var_sq", "comp_var_sq", "total", "total_se",
+                          "combined_se"):
+                want, got = getattr(euclidean, field), getattr(kernel, field)
+                assert np.max(np.abs(got - want)) <= 1e-12 * (f_sq + np.abs(want).max()), field
+        kernel, euclidean = np.array(outcomes[lin].errors), np.array(outcomes[None].errors)
+        tol = 1e-12 * (float(np.abs(validation.y).max()) ** 2 + euclidean.max())
+        assert np.max(np.abs(kernel - euclidean)) <= tol
+        chosen = [cps.index(outcomes[ctx].chosen_t) for ctx in (lin, None)]
+        assert abs(euclidean[chosen[0]] - euclidean[chosen[1]]) <= tol
 
 
 class TestUnbiasednessCheck:

@@ -174,6 +174,29 @@ class TestInPlaceTiles:
         np.testing.assert_array_equal(cross, _reference_cross_matrix(spec, xs, pts))
         np.testing.assert_array_equal(cross_t, _reference_cross_matrix(spec, pts, xs))
 
+    @pytest.mark.parametrize("spec, xs, anchors", [
+        (KernelSpec("gaussian", sigma=1.0), (300, 8), (2800, 8)),
+        (SOB, (300,), (2800,)),
+        (KernelSpec("gaussian", sigma=1.0), None, (2800, 8)),
+    ], ids=["gaussian-cross", "sobolev-cross", "gaussian-gram"])
+    def test_scratch_is_one_tile_of_floats(self, spec, xs, anchors):
+        """A row tile holds at most _TILE^2 floats, however many anchors:
+        256 full rows of 2800 anchors held 5.7 MB of temporaries. None for
+        ``xs`` is the anchors' Gram."""
+        rng = np.random.default_rng(8)
+        pts = rng.random(anchors)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if xs is None:
+                out = build_gram(spec, pts, check_psd=False).values
+            else:
+                out = cross_matrix(spec, rng.random(xs), pts)
+            held = tracemalloc.get_traced_memory()[1] - before - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+
     def test_gram_check_errors_still_fire(self):
         # a sobolev point a hair past 1, inside the domain slack, has a
         # negative diagonal: not positive semi-definite

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from same_bytes import NonNumericChange, compare
+from same_bytes import NonNumericChange, _demo, _outputs, compare, differences
 
 TOL = 1e-12
 JSON = b'{\n  "config": {"seed": 5},\n  "rows": [{"t": 1, "total": 0.25}],\n  "total": [0.5]\n}\n'
@@ -54,3 +54,21 @@ def test_stdout_is_compared_as_a_whole():
     assert compare("stdout", b"t=3506\n", b"t=3506\n") == (0.0, None)
     with pytest.raises(NonNumericChange):
         compare("stdout", b"t=3506\n", b"t=3507\n")
+
+
+def test_a_demos_stdout_that_differs_is_reported(tmp_path):
+    """Each root runs its own copy of a demo, in a fresh empty directory,
+    and a demo's stdout is compared as any command's is."""
+    roots = []
+    for text in ("t=3506", "t=3507"):
+        root = tmp_path / text
+        (root / "demos").mkdir(parents=True)
+        (root / "demos" / "show.py").write_text(
+            f"import os\nassert not os.listdir()\nprint({text!r})\n")
+        roots.append(root)
+    commands = [("demo show.py", _demo("show.py"))]
+    old, new = (_outputs(root, commands, tmp_path / f"run{i}") for i, root in enumerate(roots))
+    assert old == [{"stdout": b"t=3506\n"}]
+    assert list(differences(commands, old, old)) == []
+    assert list(differences(commands, old, new, rel=TOL)) == \
+        [("differs", "differs   demo show.py: stdout  the bytes differ")]
